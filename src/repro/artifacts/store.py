@@ -86,6 +86,10 @@ _MODEL_LOADERS = {
 }
 assert set(_MODEL_LOADERS) == set(SUPPORTED_MODELS)
 
+#: engine-config keys older stores persisted for settings that no
+#: longer exist; dropped on load so those stores stay loadable.
+_RETIRED_CONFIG_KEYS = ("numeric_backend", "data_parallel")
+
 
 class ArtifactError(RuntimeError):
     """A missing, foreign-schema, or corrupt artifact store."""
@@ -424,6 +428,8 @@ def load_artifacts(
     engine_doc = _read_json(version_dir / "engine.json")
     config_doc = dict(engine_doc["config"])
     config_doc["models"] = tuple(config_doc.get("models", ()))
+    for retired in _RETIRED_CONFIG_KEYS:
+        config_doc.pop(retired, None)
     try:
         config = EngineConfig(**config_doc)
     except TypeError as error:

@@ -181,8 +181,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             models=("lr", "dnn"),
             workers=args.workers,
             backend=args.backend,
-            numeric_backend=args.numeric_backend,
-            data_parallel=True if args.dp_fit else None,
         ),
         crawl_cache=args.crawl_cache,
     )
@@ -360,18 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--backend", choices=("serial", "thread", "process"), default=None,
         help="executor backend (default: REPRO_BACKEND, or thread when N > 1)",
-    )
-    cmd.add_argument(
-        "--numeric-backend", choices=("numpy-ref", "blas"), default=None,
-        help="numeric backend for the training GEMMs (default: "
-        "REPRO_NUMERIC_BACKEND or numpy-ref); both produce bit-identical "
-        "results, blas opens the BLAS threadpool",
-    )
-    cmd.add_argument(
-        "--dp-fit", action="store_true",
-        help="data-parallel fit: shard minibatch gradients across the "
-        "executor with a fixed ordered tree reduction (default: "
-        "REPRO_DP_FIT or off)",
     )
     cmd.add_argument(
         "--crawl-cache", default=None, metavar="PATH",

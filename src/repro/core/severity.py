@@ -42,11 +42,6 @@ from repro.ml import (
     per_class_accuracy,
     stratified_split,
 )
-from repro.ml.backend import (
-    resolve_data_parallel,
-    resolve_numeric_backend,
-    use_backend,
-)
 from repro.nvd import CveEntry
 from repro.runtime import Executor, SharedHandle, make_executor
 
@@ -159,26 +154,10 @@ class EngineConfig:
     #: executor backend: "serial", "thread" or "process" (None → the
     #: ``REPRO_BACKEND`` environment variable / a workers-based default).
     backend: str | None = None
-    #: numeric backend the training/prediction GEMMs run on:
-    #: "numpy-ref" (single-threaded equivalence reference) or "blas"
-    #: (threaded OpenBLAS, bit-identical kernels).  None → the
-    #: ``REPRO_NUMERIC_BACKEND`` environment variable / "numpy-ref".
-    numeric_backend: str | None = None
-    #: data-parallel ``fit``: shard every minibatch's gradient work
-    #: across the executor with a fixed ordered tree reduction
-    #: (bit-identical at any worker count).  None → the
-    #: ``REPRO_DP_FIT`` environment variable / off.
-    data_parallel: bool | None = None
 
     def __post_init__(self) -> None:
-        # Fail at construction, not mid-training: resolve the numeric
-        # backend and the data-parallel flag now (explicit field or
-        # environment variable alike — an unknown
-        # ``REPRO_NUMERIC_BACKEND`` is rejected here naming the valid
-        # set, mirroring the REPRO_SCALE guard), and pin the worker
-        # count the executor would otherwise reject later.
-        resolve_numeric_backend(self.numeric_backend)
-        resolve_data_parallel(self.data_parallel)
+        # Fail at construction, not mid-training: the executor would
+        # otherwise reject the worker count later.
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -232,24 +211,22 @@ def _build_dnn(rng: np.random.Generator, n_features: int) -> Sequential:
     )
 
 
-def _train_one_model(
-    name: str,
-    config: EngineConfig,
-    x_train: np.ndarray,
-    y_train: np.ndarray,
-    networks: dict[str, Sequential],
-    executor: Executor | None = None,
-    data_parallel: bool = False,
+def _train_model_shard(
+    task: "tuple[SharedHandle, str]",
 ) -> tuple[str, object]:
-    """Train one of the §4.3 models (shared by both training regimes).
+    """Worker body: train one of the §4.3 models.
 
-    Each model's training is self-contained — its rngs are re-seeded
-    from the config — so any backend trains identical models in any
-    order.  With ``data_parallel`` the neural fits shard their
-    minibatch gradients over ``executor`` (intra-model parallelism);
-    otherwise the caller parallelises across models and this trains
-    serially.
+    ``task`` is ``(handle, model name)``: the training split, the
+    config, and the freshly-initialised networks are published once per
+    worker on the shared-state plane — the task payload is just the
+    name.  Each model's training is self-contained — its rngs are
+    re-seeded from the config — so any backend trains identical models
+    in any order.
     """
+    handle, name = task
+    shared = handle.resolve()
+    config: EngineConfig = shared["config"]
+    x_train, y_train = shared["x_train"], shared["y_train"]
     if name == "lr":
         return name, LinearRegression().fit(x_train, y_train)
     if name == "svr":
@@ -262,7 +239,7 @@ def _train_one_model(
     # cnn / dnn — the network was built in the parent (weight init
     # consumes a shared rng stream whose order must match the serial
     # path); training itself is deterministic given the config seed.
-    model = networks[name]
+    model = shared["networks"][name]
     fit(
         model,
         x_train[:, :, None] if name == "cnn" else x_train,
@@ -272,30 +249,8 @@ def _train_one_model(
         learning_rate=config.learning_rate,
         seed=config.seed,
         dtype=np.dtype(config.nn_dtype),
-        executor=executor if data_parallel else None,
-        data_parallel=data_parallel,
-        numeric_backend=resolve_numeric_backend(config.numeric_backend),
     )
     return name, model
-
-
-def _train_model_shard(
-    task: "tuple[SharedHandle, str]",
-) -> tuple[str, object]:
-    """Worker body: train one of the §4.3 models.
-
-    ``task`` is ``(handle, model name)``: the training split, the
-    config, and the freshly-initialised networks are published once per
-    worker on the shared-state plane — the task payload is just the
-    name.
-    """
-    handle, name = task
-    shared = handle.resolve()
-    config: EngineConfig = shared["config"]
-    with use_backend(resolve_numeric_backend(config.numeric_backend)):
-        return _train_one_model(
-            name, config, shared["x_train"], shared["y_train"], shared["networks"]
-        )
 
 
 class SeverityPredictionEngine:
@@ -368,20 +323,11 @@ class SeverityPredictionEngine:
     def fit(self, entries: list[CveEntry]) -> "SeverityPredictionEngine":
         """Train all configured models on CVEs carrying both scores.
 
-        Two parallelism regimes, selected by ``config.data_parallel``
-        (or ``REPRO_DP_FIT``):
-
-        - **model-parallel** (default): models are independent given
-          the training split, so they train as one executor task each
-          (the CNN dominates, so the speedup is bounded by its share,
-          but the DNN/SVR/LR ride along free on spare workers);
-        - **data-parallel**: models train in order in this process and
-          each neural fit shards its minibatch gradients across the
-          executor (see :func:`repro.ml.nn.fit`) — intra-model
-          parallelism that keeps every worker on the dominant CNN
-          phase instead of idling behind it.
-
-        Both regimes produce bit-identical models at any worker count.
+        Models are independent given the training split, so they train
+        as one executor task each (the CNN dominates, so the speedup is
+        bounded by its share, but the DNN/SVR/LR ride along free on
+        spare workers).  Every backend produces bit-identical models at
+        any worker count.
         """
         usable = [e for e in entries if e.cvss_v2 is not None and e.has_v3]
         if len(usable) < 10:
@@ -408,27 +354,9 @@ class SeverityPredictionEngine:
                 networks[name] = _build_cnn(rng, self._x.shape[1])
             elif name == "dnn":
                 networks[name] = _build_dnn(rng, self._x.shape[1])
-        if resolve_data_parallel(self.config.data_parallel):
-            # Intra-model parallelism: train in order here, each neural
-            # fit fanning its gradient shards over the executor (fit
-            # publishes the training arrays itself).
-            backend_name = resolve_numeric_backend(self.config.numeric_backend)
-            with use_backend(backend_name):
-                for name in self.config.models:
-                    trained_name, trained = _train_one_model(
-                        name,
-                        self.config,
-                        x_train,
-                        y_train,
-                        networks,
-                        executor=self.executor,
-                        data_parallel=True,
-                    )
-                    self._models[trained_name] = trained
-            return self
-        # Model-parallel: the training split, config, and initial
-        # networks ship to each worker once via the shared-state plane;
-        # the per-model tasks carry only the model name.
+        # The training split, config, and initial networks ship to each
+        # worker once via the shared-state plane; the per-model tasks
+        # carry only the model name.
         context = self.executor.context
         handle = context.publish(
             "severity.fit",
@@ -453,20 +381,19 @@ class SeverityPredictionEngine:
         model = self._models.get(model_name)
         if model is None:
             raise RuntimeError(f"model {model_name!r} is not trained")
-        with use_backend(resolve_numeric_backend(self.config.numeric_backend)):
-            if model_name in ("cnn", "dnn"):
-                # Match the training precision so prediction runs the
-                # same all-float32 path instead of upcasting every layer.
-                x = np.asarray(x, dtype=np.dtype(self.config.nn_dtype))
-                batched = x[:, :, None] if model_name == "cnn" else x
-                raw = (
-                    model.predict(batched, executor=self.executor)
-                    .reshape(-1)
-                    .astype(float)
-                    * 10.0
-                )
-            else:
-                raw = model.predict(x)
+        if model_name in ("cnn", "dnn"):
+            # Match the training precision so prediction runs the
+            # same all-float32 path instead of upcasting every layer.
+            x = np.asarray(x, dtype=np.dtype(self.config.nn_dtype))
+            batched = x[:, :, None] if model_name == "cnn" else x
+            raw = (
+                model.predict(batched, executor=self.executor)
+                .reshape(-1)
+                .astype(float)
+                * 10.0
+            )
+        else:
+            raw = model.predict(x)
         return np.clip(raw, 0.0, 10.0)
 
     def predict_scores(

@@ -20,16 +20,13 @@ from repro.core import (
     from_ground_truth,
     product_oracle_from_truth,
 )
-from repro.ml.backend import resolve_data_parallel, resolve_numeric_backend
 from repro.synth import GeneratorConfig, SyntheticNvd, generate
 
 __all__ = [
     "MAX_SCALE",
     "PAPER_SCALE_CVES",
-    "data_parallel_fit",
     "default_bundle",
     "default_rectified",
-    "numeric_backend",
     "scale",
 ]
 
@@ -74,27 +71,6 @@ def scale() -> float:
             "populations past the paper's snapshot."
         )
     return value
-
-
-def numeric_backend() -> str:
-    """The configured numeric backend (``REPRO_NUMERIC_BACKEND``).
-
-    ``numpy-ref`` (the default) is the single-threaded equivalence
-    reference; ``blas`` opens the OpenBLAS threadpool under the same
-    kernels.  Unknown names raise :class:`ValueError` naming the valid
-    set — the same fail-loudly contract as :func:`scale` — so a typo in
-    the environment surfaces at config construction, not mid-training.
-    """
-    return resolve_numeric_backend(None)
-
-
-def data_parallel_fit() -> bool:
-    """Whether data-parallel ``fit`` is configured (``REPRO_DP_FIT``).
-
-    Off by default (the pre-data-parallel arithmetic every recorded
-    baseline used); unrecognised values raise :class:`ValueError`.
-    """
-    return resolve_data_parallel(None)
 
 
 @functools.lru_cache(maxsize=2)

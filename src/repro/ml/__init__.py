@@ -8,15 +8,12 @@ usual libraries (sklearn, TensorFlow) are available offline, so this
 package implements the full stack from scratch:
 
 - :mod:`repro.ml.nn` — layers (Dense, Conv1D, Flatten, activations),
-  MSE loss, Adam optimizer, and a mini-batch training loop; training
-  and prediction can shard batches across a
-  :class:`repro.runtime.Executor` with bit-identical results,
-  including a data-parallel ``fit`` that tree-reduces per-shard
-  gradients;
-- :mod:`repro.ml.backend` — the pluggable numeric backend every
-  training GEMM routes through (``numpy-ref`` reference vs the
-  threaded-BLAS ``blas`` path, selected via
-  ``REPRO_NUMERIC_BACKEND``);
+  MSE loss, Adam optimizer, and a mini-batch training loop; prediction
+  can shard batches across a :class:`repro.runtime.Executor` with
+  bit-identical results;
+- :mod:`repro.ml.backend` — pins the BLAS threadpool to one thread,
+  once, when this package is imported, so results do not depend on
+  the core count;
 - :mod:`repro.ml.linear` — closed-form ridge/linear regression;
 - :mod:`repro.ml.svr` — RBF-kernel epsilon-SVR trained by
   Pegasos-style stochastic subgradient descent;
@@ -28,16 +25,7 @@ package implements the full stack from scratch:
   accuracy, confusion matrices and stratified splitting.
 """
 
-from repro.ml.backend import (
-    NUMERIC_BACKENDS,
-    NumericBackend,
-    active_backend,
-    get_backend,
-    resolve_blas_threads,
-    resolve_data_parallel,
-    resolve_numeric_backend,
-    use_backend,
-)
+from repro.ml.backend import pin as _pin_blas
 from repro.ml.encode import HashingSentenceEncoder
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.linear import LinearRegression
@@ -50,7 +38,6 @@ from repro.ml.metrics import (
     stratified_split,
 )
 from repro.ml.nn import (
-    DP_SHARD_ROWS,
     Adam,
     Conv1D,
     Dense,
@@ -64,34 +51,28 @@ from repro.ml.nn import (
 from repro.ml.pca import PCA
 from repro.ml.svr import SupportVectorRegressor
 
+# One BLAS thread for the life of the process (see repro.ml.backend).
+_pin_blas()
+
 __all__ = [
     "Adam",
     "Conv1D",
-    "DP_SHARD_ROWS",
     "Dense",
     "Flatten",
     "HashingSentenceEncoder",
     "KNeighborsClassifier",
     "LinearRegression",
     "MSELoss",
-    "NUMERIC_BACKENDS",
-    "NumericBackend",
     "PCA",
     "ReLU",
     "Sequential",
     "Sigmoid",
     "SupportVectorRegressor",
     "accuracy",
-    "active_backend",
     "average_error",
     "average_error_rate",
     "confusion_matrix",
     "fit",
-    "get_backend",
     "per_class_accuracy",
-    "resolve_blas_threads",
-    "resolve_data_parallel",
-    "resolve_numeric_backend",
     "stratified_split",
-    "use_backend",
 ]

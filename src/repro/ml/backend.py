@@ -1,137 +1,29 @@
-"""Pluggable numeric backends for the training hot path.
+"""Pin the BLAS threadpool to one thread, once per process.
 
-Every contraction in the ML stack — the im2col Conv1D GEMMs, the Dense
-GEMMs, the SVR Gram matrix, the ridge-regression normal equations, and
-the fused Adam update — routes through one :class:`NumericBackend`.
-Two backends implement the contract:
-
-- ``numpy-ref`` — the equivalence reference.  GEMMs run through
-  ``np.matmul`` with the BLAS threadpool pinned to one thread, which is
-  exactly the arithmetic every pre-backend number was produced with.
-- ``blas`` — the threaded-BLAS path.  The same ``np.matmul`` kernels,
-  but with the OpenBLAS threadpool opened up to ``REPRO_BLAS_THREADS``
-  (default: all cores), so the large training GEMMs use every core the
-  BLAS can reach.  OpenBLAS parallelises GEMM over *output* blocks —
-  the reduction over the shared dimension keeps one fixed order — so
-  results stay **bit-identical** to the single-threaded reference
-  (pinned by ``tests/test_perf_equivalence.py``).
+OpenBLAS results depend on its thread count: the CNN trained on the
+same data predicts different bits with one BLAS thread than with two.
+So the pool is set to one thread when :mod:`repro.ml` is imported,
+before any training or prediction runs, and never changed afterwards.
+Every process that trains or predicts — the parent and each pool
+worker — imports :mod:`repro.ml` and therefore runs the same
+arithmetic on any core count.
 
 Thread control talks to the OpenBLAS runtime numpy bundles via
 ``ctypes`` (``scipy_openblas_set_num_threads64_`` and friends).  When
 no control symbol can be found — a numpy built on a different BLAS —
-the backends degrade gracefully: selection still works, GEMMs still
-run, only the threadpool stays at whatever the library defaults to.
-
-Selection resolves from (in priority order) explicit arguments, the
-``REPRO_NUMERIC_BACKEND`` environment variable, and the ``numpy-ref``
-default; :func:`use_backend` installs a backend for a code region and
-:func:`active_backend` answers the layers' per-call lookups.  Worker
-processes activate the backend named in their task
-(:class:`repro.ml.nn._GradShard` carries it), so a data-parallel fit
-runs the same kernels on every executor backend.
+:func:`pin` is a no-op and :func:`blas_threads` returns ``None``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
+import functools
 import glob
-import os
 import pathlib
-from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = [
-    "NUMERIC_BACKENDS",
-    "NumericBackend",
-    "NumpyRefBackend",
-    "ThreadedBlasBackend",
-    "active_backend",
-    "get_backend",
-    "resolve_blas_threads",
-    "resolve_data_parallel",
-    "resolve_numeric_backend",
-    "use_backend",
-]
-
-NUMERIC_BACKENDS = ("numpy-ref", "blas")
-
-_TRUE_WORDS = frozenset({"1", "true", "on", "yes"})
-_FALSE_WORDS = frozenset({"0", "false", "off", "no", ""})
-
-
-def resolve_numeric_backend(name: str | None = None) -> str:
-    """The effective numeric-backend name.
-
-    Explicit ``name`` wins; otherwise ``REPRO_NUMERIC_BACKEND``;
-    otherwise ``numpy-ref`` (the equivalence reference).  Unknown names
-    fail loudly with the valid set, mirroring
-    :func:`repro.runtime.resolve_backend`.
-    """
-    raw = name or os.environ.get("REPRO_NUMERIC_BACKEND")
-    if raw is None:
-        return "numpy-ref"
-    raw = raw.strip().lower()
-    if raw not in NUMERIC_BACKENDS:
-        raise ValueError(
-            f"unknown numeric backend {raw!r}; expected one of {NUMERIC_BACKENDS}"
-        )
-    return raw
-
-
-def resolve_data_parallel(flag: bool | str | None = None) -> bool:
-    """Whether ``fit`` shards minibatch gradients across the executor.
-
-    Explicit ``flag`` wins; otherwise the ``REPRO_DP_FIT`` environment
-    variable; otherwise off (the pre-data-parallel arithmetic, which
-    every recorded baseline used).  Unrecognised values fail loudly.
-    """
-    raw: bool | str | None = flag
-    if raw is None:
-        raw = os.environ.get("REPRO_DP_FIT")
-    if raw is None:
-        return False
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
-    if text in _TRUE_WORDS:
-        return True
-    if text in _FALSE_WORDS:
-        return False
-    raise ValueError(
-        f"REPRO_DP_FIT must be a boolean flag (1/0/true/false/on/off), "
-        f"got {raw!r}"
-    )
-
-
-def resolve_blas_threads(threads: int | None = None) -> int:
-    """BLAS threadpool size for the ``blas`` backend.
-
-    Explicit ``threads`` wins; otherwise ``REPRO_BLAS_THREADS``;
-    otherwise every core the process can see.
-    """
-    raw: int | str | None = threads
-    if raw is None:
-        raw = os.environ.get("REPRO_BLAS_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except (TypeError, ValueError):
-        raise ValueError(
-            f"REPRO_BLAS_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"REPRO_BLAS_THREADS must be >= 1, got {value}")
-    return value
-
-
-# -- OpenBLAS thread control (ctypes, dependency-free) ------------------------
-
-#: (set_num_threads, get_num_threads) of the BLAS numpy actually loads,
-#: or (None, None) when no control symbol is reachable.
-_BLAS_CONTROLS: tuple[object, object] | None = None
+__all__ = ["blas_threads", "pin"]
 
 #: symbol-name variants across OpenBLAS builds (scipy-openblas wheels
 #: prefix and suffix the classic names).
@@ -149,12 +41,10 @@ _GET_SYMBOLS = (
 )
 
 
+@functools.cache
 def _blas_controls() -> tuple[object, object]:
-    """Locate the loaded BLAS's thread-control functions (cached)."""
-    global _BLAS_CONTROLS
-    if _BLAS_CONTROLS is not None:
-        return _BLAS_CONTROLS
-    setter = getter = None
+    """(set_num_threads, get_num_threads) of the BLAS numpy loads,
+    or ``(None, None)`` when no control symbol is reachable."""
     numpy_dir = pathlib.Path(np.__file__).resolve().parent
     candidates = [
         *glob.glob(str(numpy_dir.parent / "numpy.libs" / "*openblas*")),
@@ -166,178 +56,33 @@ def _blas_controls() -> tuple[object, object]:
             library = ctypes.CDLL(path)
         except OSError:  # pragma: no cover - unreadable candidate
             continue
-        found_set = next(
+        setter = next(
             (getattr(library, s) for s in _SET_SYMBOLS if hasattr(library, s)),
             None,
         )
-        found_get = next(
+        if setter is None:
+            continue
+        getter = next(
             (getattr(library, s) for s in _GET_SYMBOLS if hasattr(library, s)),
             None,
         )
-        if found_set is not None:
-            found_set.restype = None
-            found_set.argtypes = [ctypes.c_int]
-            if found_get is not None:
-                found_get.restype = ctypes.c_int
-                found_get.argtypes = []
-            setter, getter = found_set, found_get
-            break
-    _BLAS_CONTROLS = (setter, getter)
-    return _BLAS_CONTROLS
+        setter.restype = None
+        setter.argtypes = [ctypes.c_int]
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            getter.argtypes = []
+        return setter, getter
+    return None, None
 
 
-def _set_blas_threads(threads: int) -> None:
+def blas_threads() -> int | None:
+    """The BLAS threadpool size, or ``None`` when it cannot be read."""
+    _, getter = _blas_controls()
+    return None if getter is None else int(getter())
+
+
+def pin() -> None:
+    """Set the BLAS threadpool to one thread (no-op without control)."""
     setter, _ = _blas_controls()
     if setter is not None:
-        setter(int(threads))
-
-
-def _get_blas_threads() -> int | None:
-    _, getter = _blas_controls()
-    if getter is None:
-        return None
-    return int(getter())
-
-
-# -- the backends -------------------------------------------------------------
-
-
-class NumericBackend:
-    """Routes the training GEMMs and the Adam update.
-
-    Both backends call the same ``np.matmul`` kernels and the same
-    fused update arithmetic — what a backend controls is the BLAS
-    threadpool those kernels run on.  Keeping the arithmetic shared is
-    what makes ``numpy-ref`` and ``blas`` bit-identical, the property
-    the equivalence suite pins.
-    """
-
-    name: str = "numpy-ref"
-
-    def threads(self) -> int:
-        """The BLAS threadpool size this backend activates."""
-        return 1
-
-    def activate(self) -> None:
-        """Apply this backend's threadpool size (no-op without control)."""
-        _set_blas_threads(self.threads())
-
-    def matmul(
-        self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """``a @ b`` on this backend (the one GEMM entry point)."""
-        if out is not None:
-            return np.matmul(a, b, out=out)
-        return a @ b
-
-    def adam_step(
-        self,
-        param: "object",
-        m: np.ndarray,
-        v: np.ndarray,
-        scratch: np.ndarray,
-        scratch2: np.ndarray,
-        beta1: float,
-        beta2: float,
-        step_scale: float,
-        inv_sqrt_bias2: float,
-        epsilon: float,
-    ) -> None:
-        """One fused in-place Adam update for a single parameter.
-
-        The reference arithmetic, shared by every backend (the update is
-        memory-bound elementwise work — there is nothing for a threaded
-        BLAS to win here, and sharing the expression keeps backends
-        bit-identical by construction).
-        """
-        grad = param.grad
-        # m = beta1 * m + (1 - beta1) * grad
-        np.multiply(m, beta1, out=m)
-        np.multiply(grad, 1.0 - beta1, out=scratch)
-        m += scratch
-        # v = beta2 * v + (1 - beta2) * grad**2
-        np.multiply(v, beta2, out=v)
-        np.multiply(grad, grad, out=scratch)
-        scratch *= 1.0 - beta2
-        v += scratch
-        # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
-        np.sqrt(v, out=scratch)
-        scratch *= inv_sqrt_bias2
-        scratch += epsilon
-        np.multiply(m, step_scale, out=scratch2)
-        scratch2 /= scratch
-        param.value -= scratch2
-
-
-class NumpyRefBackend(NumericBackend):
-    """The equivalence reference: single-threaded BLAS GEMMs."""
-
-    name = "numpy-ref"
-
-
-class ThreadedBlasBackend(NumericBackend):
-    """The multi-core path: the same GEMMs on an open BLAS threadpool."""
-
-    name = "blas"
-
-    def __init__(self, threads: int | None = None) -> None:
-        self._threads = threads
-
-    def threads(self) -> int:
-        return resolve_blas_threads(self._threads)
-
-
-_BACKEND_INSTANCES: dict[str, NumericBackend] = {}
-
-
-def get_backend(name: str | None = None) -> NumericBackend:
-    """The backend instance for ``name`` (resolved, cached)."""
-    resolved = resolve_numeric_backend(name)
-    backend = _BACKEND_INSTANCES.get(resolved)
-    if backend is None:
-        backend = (
-            ThreadedBlasBackend() if resolved == "blas" else NumpyRefBackend()
-        )
-        _BACKEND_INSTANCES[resolved] = backend
-    return backend
-
-
-#: the explicitly installed backend, or None → resolve from environment
-#: on every lookup (cheap: one dict get).  ``use_backend`` regions with
-#: *different* names must not overlap across threads; the training code
-#: never does (one fit at a time, and all of one fit's shard tasks
-#: carry the same name).
-_OVERRIDE: NumericBackend | None = None
-
-
-def active_backend() -> NumericBackend:
-    """The backend the ML kernels route through right now."""
-    if _OVERRIDE is not None:
-        return _OVERRIDE
-    return get_backend(None)
-
-
-@contextlib.contextmanager
-def use_backend(name: str | None) -> Iterator[NumericBackend]:
-    """Install a backend (and its threadpool size) for a code region.
-
-    The previous backend — and the previous BLAS threadpool size, when
-    the runtime exposes it — are restored on exit.  Entering the region
-    of the already-active backend is free (no threadpool churn), which
-    is the common case for shard tasks on the serial/thread executors.
-    """
-    global _OVERRIDE
-    backend = get_backend(name)
-    if _OVERRIDE is not None and _OVERRIDE.name == backend.name:
-        yield backend
-        return
-    previous = _OVERRIDE
-    previous_threads = _get_blas_threads()
-    _OVERRIDE = backend
-    backend.activate()
-    try:
-        yield backend
-    finally:
-        _OVERRIDE = previous
-        if previous_threads is not None:
-            _set_blas_threads(previous_threads)
+        setter(1)

@@ -3,8 +3,6 @@
 "Linear regression finds the linear relationship between a target and
 one or more features" (§4.3).  A tiny L2 penalty keeps the normal
 equations well conditioned when one-hot CWE features are collinear.
-The Gram-matrix contraction routes through the pluggable numeric
-backend (:mod:`repro.ml.backend`) like every other training GEMM.
 """
 
 from __future__ import annotations
@@ -13,8 +11,6 @@ import os
 import pathlib
 
 import numpy as np
-
-from repro.ml.backend import active_backend
 
 __all__ = ["LinearRegression"]
 
@@ -41,8 +37,7 @@ class LinearRegression:
         y_mean = y.mean()
         x_centered = x - x_mean
         y_centered = y - y_mean
-        backend = active_backend()
-        gram = backend.matmul(x_centered.T, x_centered)
+        gram = x_centered.T @ x_centered
         gram[np.diag_indices_from(gram)] += self.l2
         self.coefficients = np.linalg.solve(gram, x_centered.T @ y_centered)
         self.intercept = float(y_mean - x_mean @ self.coefficients)

@@ -19,31 +19,15 @@ the Adam step updates its moments in place, and the whole stack runs
 in float32 when asked (``Sequential.astype`` / ``fit(dtype=...)``) for
 another ~2x on memory-bound layers.
 
-Parallel execution: :meth:`Sequential.predict` and :func:`fit` accept a
-:class:`repro.runtime.Executor`.  Work shards along the batch axis in
-chunks whose boundaries depend only on fixed chunk sizes (never the
-worker count) and partial results reduce in input order, so every
-backend produces bit-identical outputs.  Large read-only inputs ride
-the executor's shared-state plane: ``predict`` publishes the weights
-and the input matrix once per worker and maps ``(handle, start, stop)``
-range tasks, and the chunked-GEMM ``fit`` path publishes the training
-arrays once and maps index shards (only the per-step weights still
-ship per minibatch — they change on every optimizer step).  Worker
-tasks run on :meth:`Sequential.worker_copy` clones — fresh
-layer/gradient state over shared weights — because layers cache
-forward state and are therefore not reentrant.
-
-Data-parallel training: with ``data_parallel=True`` (or
-``REPRO_DP_FIT=1``) :func:`fit` shards **every** minibatch into
-fixed-size gradient shards of :data:`DP_SHARD_ROWS` rows, maps them
-across the executor, and merges the partial gradients with a fixed,
-ordered binary-tree reduction (:func:`_tree_reduce`).  Shard
-boundaries and the tree shape depend only on the shard size — never on
-the worker count — so training at 1, 2 or 4 workers on any executor
-backend produces bit-identical weights.  Every contraction routes
-through the pluggable numeric backend (:mod:`repro.ml.backend`):
-``numpy-ref`` is the single-threaded equivalence reference, ``blas``
-opens the OpenBLAS threadpool under the same kernels.
+Parallel execution: :meth:`Sequential.predict` accepts a
+:class:`repro.runtime.Executor`.  Batch boundaries depend only on the
+batch size (never the worker count) and results concatenate in input
+order, so every backend produces bit-identical outputs.  The weights
+and the input matrix ride the executor's shared-state plane, published
+once per worker; tasks carry ``(handle, start, stop)`` ranges and run
+on :meth:`Sequential.worker_copy` clones — fresh layer state over
+shared weights — because layers cache forward state and are therefore
+not reentrant.  Training is a plain serial minibatch loop.
 """
 
 from __future__ import annotations
@@ -55,14 +39,6 @@ import pathlib
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro import perf
-from repro.ml.backend import (
-    active_backend,
-    resolve_data_parallel,
-    resolve_numeric_backend,
-    use_backend,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime import Executor
@@ -78,24 +54,8 @@ __all__ = [
     "Sequential",
     "MSELoss",
     "Adam",
-    "DP_SHARD_ROWS",
-    "GRAD_CHUNK_ROWS",
     "fit",
 ]
-
-#: rows per gradient shard when a minibatch is large enough to chunk.
-#: Fixed — never derived from the worker count — so chunk boundaries,
-#: and therefore the order gradients accumulate in, are identical for
-#: serial, thread and process runs (the bit-equivalence contract).
-#: The paper-default minibatch of 64 stays a single shard.
-GRAD_CHUNK_ROWS = 4096
-
-#: rows per gradient shard in data-parallel mode.  Small enough that
-#: the paper-default minibatch of 64 splits into four shards (so 2 and
-#: 4 workers both have parallel work), fixed so shard boundaries — and
-#: the reduction tree built over them — never depend on the worker
-#: count.
-DP_SHARD_ROWS = 16
 
 
 class Parameter:
@@ -200,21 +160,20 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._input = x
-        out = active_backend().matmul(x, self.weight.value)
+        out = x @ self.weight.value
         out += self.bias.value
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._input is not None, "backward called before forward"
-        backend = active_backend()
         wgrad = self._wgrad
         shape = self.weight.value.shape
         if wgrad is None or wgrad.shape != shape or wgrad.dtype != grad.dtype:
             wgrad = self._wgrad = np.empty(shape, dtype=grad.dtype)
-        backend.matmul(self._input.T, grad, out=wgrad)
+        np.matmul(self._input.T, grad, out=wgrad)
         self.weight.grad += wgrad
         self.bias.grad += grad.sum(axis=0)
-        return backend.matmul(grad, self.weight.value.T)
+        return grad @ self.weight.value.T
 
 
 class Conv1D(Layer):
@@ -307,7 +266,7 @@ class Conv1D(Layer):
         self._input_length = length
         out_channels = self.bias.value.shape[0]
         flat_weight = self.weight.value.reshape(-1, out_channels)
-        out = active_backend().matmul(columns, flat_weight)
+        out = columns @ flat_weight
         out += self.bias.value
         return out.reshape(batch, length, out_channels)
 
@@ -318,13 +277,12 @@ class Conv1D(Layer):
         in_channels = self._in_channels
         out_channels = grad.shape[2]
         flat_grad = np.ascontiguousarray(grad).reshape(batch * length, out_channels)
-        backend = active_backend()
         wgrad = self._scratch(
             "_wgrad",
             (self.kernel_size * in_channels, out_channels),
             flat_grad.dtype,
         )
-        backend.matmul(self._columns.T, flat_grad, out=wgrad)
+        np.matmul(self._columns.T, flat_grad, out=wgrad)
         self.weight.grad += wgrad.reshape(self.weight.value.shape)
         self.bias.grad += flat_grad.sum(axis=0)
         flat_weight = self.weight.value.reshape(-1, out_channels)
@@ -333,7 +291,7 @@ class Conv1D(Layer):
             (batch * length, self.kernel_size * in_channels),
             flat_grad.dtype,
         )
-        backend.matmul(flat_grad, flat_weight.T, out=grad_columns)
+        np.matmul(flat_grad, flat_weight.T, out=grad_columns)
         shaped = grad_columns.reshape(batch, length, self.kernel_size, in_channels)
         grad_padded = self._scratch(
             "_grad_padded",
@@ -613,100 +571,27 @@ class Adam:
         # memory pass over every parameter — the step is memory-bound.
         step_scale = self.learning_rate / bias1
         inv_sqrt_bias2 = 1.0 / np.sqrt(bias2)
-        backend = active_backend()
-        for param, m, v, s, t in zip(
+        beta1, beta2 = self.beta1, self.beta2
+        for param, m, v, scratch, scratch2 in zip(
             self.parameters, self._m, self._v, self._scratch, self._scratch2
         ):
-            backend.adam_step(
-                param,
-                m,
-                v,
-                s,
-                t,
-                self.beta1,
-                self.beta2,
-                step_scale,
-                inv_sqrt_bias2,
-                self.epsilon,
-            )
-
-
-class _GradShard:
-    """Picklable task: loss + parameter gradients for one index shard.
-
-    The training data rides in the worker context (published once per
-    worker); the weights must still ship per minibatch — they change
-    on every optimizer step — so the task holds a state-free
-    :meth:`Sequential.worker_copy` and the mapped items are just index
-    arrays.  The chunked im2col GEMMs run on a further per-call clone
-    whose gradient buffers are private, so concurrent shards never
-    write to shared memory; the parent accumulates the returned
-    gradients in shard order.
-    """
-
-    def __init__(
-        self,
-        model: Sequential,
-        total_elements: int,
-        data: object,
-        numeric_backend: str = "numpy-ref",
-    ) -> None:
-        # State-free copy: pickling to process workers ships only the
-        # weights, not the donor's per-batch scratch caches.
-        self.model = model.worker_copy()
-        self.total_elements = total_elements
-        #: a SharedHandle to {"x", "y"}, or a direct (x, y) tuple on
-        #: the inline (no-executor / single-worker) path.
-        self.data = data
-        #: numeric backend the shard GEMMs run on — carried in the task
-        #: so process workers activate the same kernels as the parent.
-        self.numeric_backend = numeric_backend
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if isinstance(self.data, tuple):
-            return self.data
-        shared = self.data.resolve()
-        return shared["x"], shared["y"]
-
-    def __call__(self, idx: np.ndarray) -> tuple[float, list[np.ndarray]]:
-        with use_backend(self.numeric_backend):
-            x, y = self._arrays()
-            x_shard, y_shard = x[idx], y[idx]
-            clone = self.model.worker_copy()
-            prediction = clone.forward(x_shard)
-            diff = prediction - y_shard
-            # d(mean over the FULL batch)/d(prediction), restricted to
-            # this shard — summing shard gradients in order reproduces
-            # the full-batch gradient.
-            clone.backward(2.0 * diff / self.total_elements)
-            sse = float(np.sum(diff * diff))
-            return sse, [param.grad for param in clone.parameters()]
-
-
-def _tree_reduce(
-    results: list[tuple[float, list[np.ndarray]]],
-) -> tuple[float, list[np.ndarray]]:
-    """Fixed, ordered binary-tree reduction of ``(sse, grads)`` shards.
-
-    The tree shape depends only on ``len(results)`` — adjacent pairs
-    merge left←right each round, an odd tail carries — never on how
-    many workers produced the shards.  Floating-point addition is not
-    associative, so pinning the shape (rather than, say, reducing in
-    completion order) is what keeps a data-parallel fit bit-identical
-    across worker counts and executor backends.
-    """
-    while len(results) > 1:
-        merged: list[tuple[float, list[np.ndarray]]] = []
-        for left in range(0, len(results) - 1, 2):
-            sse_l, grads_l = results[left]
-            sse_r, grads_r = results[left + 1]
-            for grad_l, grad_r in zip(grads_l, grads_r):
-                grad_l += grad_r
-            merged.append((sse_l + sse_r, grads_l))
-        if len(results) % 2:
-            merged.append(results[-1])
-        results = merged
-    return results[0]
+            grad = param.grad
+            # m = beta1 * m + (1 - beta1) * grad
+            np.multiply(m, beta1, out=m)
+            np.multiply(grad, 1.0 - beta1, out=scratch)
+            m += scratch
+            # v = beta2 * v + (1 - beta2) * grad**2
+            np.multiply(v, beta2, out=v)
+            np.multiply(grad, grad, out=scratch)
+            scratch *= 1.0 - beta2
+            v += scratch
+            # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.sqrt(v, out=scratch)
+            scratch *= inv_sqrt_bias2
+            scratch += self.epsilon
+            np.multiply(m, step_scale, out=scratch2)
+            scratch2 /= scratch
+            param.value -= scratch2
 
 
 def fit(
@@ -719,131 +604,36 @@ def fit(
     seed: int = 0,
     verbose: bool = False,
     dtype: np.dtype | type | None = None,
-    executor: "Executor | None" = None,
-    grad_chunk_rows: int = GRAD_CHUNK_ROWS,
-    data_parallel: bool | None = None,
-    dp_shard_rows: int = DP_SHARD_ROWS,
-    numeric_backend: str | None = None,
 ) -> list[float]:
     """Train ``model`` with MSE + Adam; returns the per-epoch losses.
 
     ``dtype`` optionally casts the model parameters and the data before
     training (``np.float32`` halves the memory traffic of every layer).
-
-    Minibatches larger than the shard size split into fixed-size shards
-    whose forward/backward GEMMs map across ``executor``, with
-    gradients merged in a fixed order.  Two sharding regimes share the
-    machinery:
-
-    - **Legacy** (``data_parallel`` off): shard size ``grad_chunk_rows``
-      (4096 — idle at the paper's batch size of 64), gradients folded
-      sequentially in shard order; bit-compatible with every recorded
-      baseline.
-    - **Data-parallel** (``data_parallel`` on, resolved via
-      ``REPRO_DP_FIT`` when ``None``): shard size ``dp_shard_rows``
-      (16), so the paper's 64-row minibatches fan out as 4 gradient
-      shards per step, merged by :func:`_tree_reduce`.
-
-    In both regimes shard boundaries depend only on the shard size —
-    never on the worker count — so results are bit-identical whether
-    the shards run serially or across any executor backend at any
-    worker count.  ``numeric_backend`` selects the GEMM kernels for the
-    whole fit (parent and shard workers alike).
     """
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y must have the same number of samples")
-    if grad_chunk_rows < 1:
-        raise ValueError(f"grad_chunk_rows must be >= 1, got {grad_chunk_rows}")
-    if dp_shard_rows < 1:
-        raise ValueError(f"dp_shard_rows must be >= 1, got {dp_shard_rows}")
-    dp = resolve_data_parallel(data_parallel)
-    backend_name = resolve_numeric_backend(numeric_backend)
-    shard_rows = dp_shard_rows if dp else grad_chunk_rows
     if dtype is not None:
         model.astype(dtype)
         x = np.asarray(x, dtype=dtype)
         y = np.asarray(y, dtype=dtype)
     rng = np.random.default_rng(seed)
     optimizer = Adam(model.parameters(), learning_rate=learning_rate)
-    parameters = model.parameters()
     loss_fn = MSELoss()
     history: list[float] = []
     n = x.shape[0]
-    #: y elements per sample, for the full-batch mean normalisation.
-    per_row = int(np.prod(y.shape[1:])) if y.ndim > 1 else 1
-    #: bytes a single full gradient set occupies — what each extra
-    #: shard adds to the reduction traffic.
-    param_bytes = sum(p.value.nbytes for p in parameters)
-    # When minibatches will shard across a parallel executor, publish
-    # the training data once — the per-batch maps then carry only the
-    # shard index arrays plus the (necessarily fresh) weights.
-    data: object = (x, y)
-    context = None
-    if (
-        executor is not None
-        and executor.workers > 1
-        and min(batch_size, n) > shard_rows
-    ):
-        context = executor.context
-        data = context.publish("nn.fit.data", {"x": x, "y": y})
-    try:
-        with use_backend(backend_name):
-            for epoch in range(epochs):
-                order = rng.permutation(n)
-                total = 0.0
-                batches = 0
-                for start in range(0, n, batch_size):
-                    idx = order[start : start + batch_size]
-                    optimizer.zero_grad()
-                    if len(idx) <= shard_rows:
-                        prediction = model.forward(x[idx])
-                        loss = loss_fn.forward(prediction, y[idx])
-                        model.backward(loss_fn.backward())
-                    else:
-                        total_elements = len(idx) * per_row
-                        idx_shards = [
-                            idx[lo : lo + shard_rows]
-                            for lo in range(0, len(idx), shard_rows)
-                        ]
-                        task = _GradShard(
-                            model, total_elements, data, backend_name
-                        )
-                        with perf.phase("dp_map"):
-                            if executor is None:
-                                results = [task(shard) for shard in idx_shards]
-                            else:
-                                results = executor.map(task, idx_shards)
-                        perf.add_counter(
-                            "runtime.grad_shards", len(idx_shards)
-                        )
-                        perf.add_counter(
-                            "runtime.reduce_bytes",
-                            (len(idx_shards) - 1) * param_bytes,
-                        )
-                        if dp:
-                            # Fixed-shape tree merge: bit-identical at
-                            # any worker count on any backend.
-                            loss, grads = _tree_reduce(results)
-                            for param, grad in zip(parameters, grads):
-                                param.grad += grad
-                        else:
-                            # Legacy sequential fold, bit-compatible
-                            # with the recorded baselines.
-                            loss = 0.0
-                            for sse, grads in results:
-                                loss += sse
-                                for param, grad in zip(parameters, grads):
-                                    param.grad += grad
-                        loss /= total_elements
-                    optimizer.step()
-                    total += loss
-                    batches += 1
-                history.append(total / max(batches, 1))
-                if verbose:  # pragma: no cover - diagnostic output
-                    print(
-                        f"epoch {epoch + 1}/{epochs}: loss={history[-1]:.5f}"
-                    )
-    finally:
-        if context is not None:
-            context.retire("nn.fit.data")
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        batches = 0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            optimizer.zero_grad()
+            prediction = model.forward(x[idx])
+            total += loss_fn.forward(prediction, y[idx])
+            model.backward(loss_fn.backward())
+            optimizer.step()
+            batches += 1
+        history.append(total / max(batches, 1))
+        if verbose:  # pragma: no cover - diagnostic output
+            print(f"epoch {epoch + 1}/{epochs}: loss={history[-1]:.5f}")
     return history

@@ -8,11 +8,9 @@ approximate solution without a QP solver.  Training cost is bounded by
 subsampling at most ``max_support`` candidate support vectors.
 
 Kernel evaluations are fully vectorised: the Gram matrix comes from
-one GEMM plus broadcast squared norms — routed through the pluggable
-numeric backend (:mod:`repro.ml.backend`), so a threaded BLAS speeds
-up the kernel too — prediction streams the kernel in bounded-size
-chunks (memory stays O(chunk × n_support) however many rows are
-scored, and the fixed-size chunks optionally shard across an
+one GEMM plus broadcast squared norms, prediction streams the kernel
+in bounded-size chunks (memory stays O(chunk × n_support) however
+many rows are scored, and the fixed-size chunks optionally shard across an
 :class:`repro.runtime.Executor` in input order), and the training loop
 keeps its per-sample scalar updates in plain Python floats — same
 IEEE-754 arithmetic, none of the numpy scalar boxing overhead.
@@ -25,8 +23,6 @@ import pathlib
 from typing import TYPE_CHECKING
 
 import numpy as np
-
-from repro.ml.backend import active_backend
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.runtime import Executor
@@ -73,7 +69,7 @@ class SupportVectorRegressor:
         sq_a = np.sum(a**2, axis=1)[:, None]
         if sq_b is None:
             sq_b = np.sum(b**2, axis=1)
-        gram = active_backend().matmul(a, b.T)
+        gram = a @ b.T
         distances = np.maximum(sq_a + sq_b[None, :] - 2.0 * gram, 0.0)
         return np.exp(-self.gamma * distances)
 

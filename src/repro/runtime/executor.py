@@ -69,7 +69,6 @@ import concurrent.futures
 import concurrent.futures.process
 import os
 import pickle
-import signal
 from collections.abc import Callable, Sequence
 from typing import Any, TypeVar
 
@@ -326,6 +325,8 @@ class _ShippedTask:
         self.task_name = getattr(fn, "__name__", None) or type(fn).__name__
 
     def __call__(self, item: Any) -> tuple[Any, perf.RecorderDelta]:
+        if isinstance(item, _ExitWorker):
+            os._exit(1)
         recorder = perf.get_recorder()
         recorder.reset_after_fork()
         recorder.adopt_trace(self.trace_id, self.parent_span_id)
@@ -420,20 +421,6 @@ class ProcessExecutor(_PooledExecutor):
             if process.pid is not None and process.is_alive()
         ]
 
-    def _kill_one_worker(self) -> None:
-        """SIGKILL one pool worker (the ``worker:kill`` fault's teeth).
-
-        Consulted parent-side so count-mode plans (``worker:kill=1``)
-        fire globally-once instead of once per forked worker.  A warmup
-        task forces the pool to actually spawn its processes first —
-        otherwise there is nobody to kill.
-        """
-        assert self._pool is not None
-        self._pool.submit(_warmup).result()
-        pids = self.worker_pids()
-        if pids:
-            os.kill(min(pids), signal.SIGKILL)
-
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         if self.workers <= 1 or len(items) <= 1:
             return [fn(item) for item in items]
@@ -443,10 +430,15 @@ class ProcessExecutor(_PooledExecutor):
         for attempt in range(self.MAP_ATTEMPTS):
             if self._pool is None:
                 self._pool = self._make_pool()
+            attempt_items: Sequence[Any] = items
+            # The ``worker:kill`` fault is consulted parent-side, so a
+            # count-mode plan (``worker:kill=1``) fires globally once;
+            # the worker that runs the tagged first task exits, which
+            # is certain to break the pool.
             if faults.should("worker", "kill", token="process-pool"):
-                self._kill_one_worker()
+                attempt_items = [_ExitWorker(), *items[1:]]
             try:
-                raw = list(self._pool.map(shipped, items))
+                raw = list(self._pool.map(shipped, attempt_items))
             except concurrent.futures.process.BrokenProcessPool:
                 perf.add_counter("runtime.pool_respawns", 1)
                 self.close()  # discard the broken pool; retry respawns
@@ -497,8 +489,8 @@ class ProcessExecutor(_PooledExecutor):
         perf.add_counter("runtime.tasks", len(items))
 
 
-def _warmup() -> None:
-    """No-op task submitted to force pool-worker spawn."""
+class _ExitWorker:
+    """Task item whose worker exits (the ``worker:kill`` fault's teeth)."""
 
 
 _BACKEND_CLASSES: dict[str, type[Executor]] = {

@@ -1,6 +1,7 @@
 """Versioned artifact store: export, load, verify, ingest."""
 
 import datetime
+import hashlib
 import json
 import shutil
 
@@ -101,6 +102,23 @@ class TestLoad:
     def test_lost_pointer_falls_back_to_newest(self, store):
         (store / "CURRENT").unlink()
         assert load_artifacts(store).version == "v0001"
+
+    def test_store_with_retired_config_keys_loads(self, store, artifact_root):
+        """Stores written before the numeric-backend and data-parallel
+        settings were removed persist both keys in engine.json."""
+        engine_path = store / "v0001" / "engine.json"
+        engine_doc = json.loads(engine_path.read_text())
+        engine_doc["config"]["numeric_backend"] = "numpy-ref"
+        engine_doc["config"]["data_parallel"] = None
+        engine_path.write_text(json.dumps(engine_doc))
+        manifest_path = store / "v0001" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["files"]["engine.json"]["sha256"] = hashlib.sha256(
+            engine_path.read_bytes()
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = load_artifacts(store)
+        assert loaded.config == load_artifacts(artifact_root).config
 
 
 class TestRejection:

@@ -70,6 +70,22 @@ class TestFeatures:
         assert user_privilege == 0.0
 
 
+class TestEngineConfig:
+    def test_rejects_bad_worker_counts(self):
+        with pytest.raises(ValueError, match="workers"):
+            EngineConfig(workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            EngineConfig(workers=-2)
+        assert EngineConfig(workers=4).workers == 4
+
+    def test_config_round_trips_through_asdict(self):
+        import dataclasses
+
+        config = EngineConfig(epochs=3, workers=2, backend="thread")
+        doc = dataclasses.asdict(config)
+        assert EngineConfig(**doc) == config
+
+
 class TestTraining:
     def test_refuses_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 10"):

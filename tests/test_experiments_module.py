@@ -18,30 +18,6 @@ class TestScale:
         assert 0.0 < experiments.scale() <= 1.0
 
 
-class TestNumericBackendKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NUMERIC_BACKEND", raising=False)
-        assert experiments.numeric_backend() == "numpy-ref"
-
-    def test_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMERIC_BACKEND", "blas")
-        assert experiments.numeric_backend() == "blas"
-
-    def test_unknown_backend_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NUMERIC_BACKEND", "cuda")
-        with pytest.raises(ValueError, match=r"numpy-ref.*blas"):
-            experiments.numeric_backend()
-
-    def test_data_parallel_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DP_FIT", raising=False)
-        assert experiments.data_parallel_fit() is False
-        monkeypatch.setenv("REPRO_DP_FIT", "1")
-        assert experiments.data_parallel_fit() is True
-        monkeypatch.setenv("REPRO_DP_FIT", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_DP_FIT"):
-            experiments.data_parallel_fit()
-
-
 class TestBundleCaching:
     def test_same_arguments_same_object(self):
         a = experiments.default_bundle(n_cves=2000, seed=1)

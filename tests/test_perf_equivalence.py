@@ -25,7 +25,7 @@ from repro.core.products import product_candidate_pairs
 from repro.core.severity import EngineConfig, SeverityPredictionEngine
 from repro.core.vendors import apply_vendor_mapping, candidate_pairs
 from repro.ml import Adam, Conv1D, HashingSentenceEncoder, SupportVectorRegressor
-from repro.ml.nn import Dense, ReLU, Sequential, Sigmoid, Parameter, fit
+from repro.ml.nn import Dense, ReLU, Sequential, Sigmoid, Parameter
 from repro.nvd import NvdSnapshot
 from repro.runtime import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.text import preprocess
@@ -471,174 +471,6 @@ class TestBackendEquivalence:
                     engine_config=EngineConfig(epochs=1, models=("lr",)),
                     executor=executor,
                 )
-
-    @BACKEND_EXECUTORS
-    def test_chunked_gradient_fit(self, executor_cls):
-        """Minibatches above grad_chunk_rows shard bit-identically."""
-
-        def train(executor):
-            rng = np.random.default_rng(12)
-            model = Sequential(Dense(5, 8, rng), ReLU(), Dense(8, 1, rng))
-            x = np.random.default_rng(13).standard_normal((96, 5))
-            y = x.sum(axis=1, keepdims=True)
-            history = fit(
-                model,
-                x,
-                y,
-                epochs=3,
-                batch_size=32,
-                seed=1,
-                executor=executor,
-                grad_chunk_rows=8,
-            )
-            return history, [p.value.copy() for p in model.parameters()]
-
-        serial_history, serial_params = train(None)
-        with executor_cls(2) as executor:
-            parallel_history, parallel_params = train(executor)
-        assert parallel_history == serial_history
-        for got, want in zip(parallel_params, serial_params):
-            assert np.array_equal(got, want)
-
-
-# -- data-parallel fit --------------------------------------------------------
-
-
-class TestDataParallelFit:
-    """Gradient-reduction determinism: the data-parallel ``fit`` must be
-    **bit-identical** across worker counts (1/2/4), executor backends
-    (serial/thread/process), and numeric backends (numpy-ref/blas)."""
-
-    @staticmethod
-    def _train(executor, numeric_backend="numpy-ref"):
-        rng = np.random.default_rng(21)
-        model = Sequential(Dense(7, 16, rng), ReLU(), Dense(16, 1, rng))
-        x = np.random.default_rng(22).standard_normal((192, 7))
-        y = x.sum(axis=1, keepdims=True)
-        history = fit(
-            model,
-            x,
-            y,
-            epochs=3,
-            batch_size=64,
-            seed=3,
-            dtype=np.float32,
-            executor=executor,
-            data_parallel=True,
-            numeric_backend=numeric_backend,
-        )
-        return history, [p.value.copy() for p in model.parameters()]
-
-    @pytest.fixture(scope="class")
-    def dp_reference(self):
-        """The inline (no-executor) data-parallel run — the anchor."""
-        return self._train(None)
-
-    @BACKEND_EXECUTORS
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_workers_sweep_bit_identical(self, dp_reference, executor_cls, workers):
-        ref_history, ref_params = dp_reference
-        with executor_cls(workers) as executor:
-            history, params = self._train(executor)
-        assert history == ref_history
-        for got, want in zip(params, ref_params):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_numeric_backends_bit_identical(self, dp_reference, workers):
-        """numpy-ref and blas share the same kernels — same bits."""
-        ref_history, ref_params = dp_reference
-        with ThreadExecutor(workers) as executor:
-            history, params = self._train(executor, numeric_backend="blas")
-        assert history == ref_history
-        for got, want in zip(params, ref_params):
-            assert np.array_equal(got, want)
-
-    def test_tree_reduce_shape_depends_only_on_count(self):
-        """The reduction tree is a pure function of the shard count."""
-        from repro.ml.nn import _tree_reduce
-
-        rng = np.random.default_rng(31)
-        for count in (1, 2, 3, 4, 5, 8):
-            shards = [
-                (float(i + 1), [rng.standard_normal((3, 2)), rng.standard_normal(2)])
-                for i in range(count)
-            ]
-            copies = [(s, [g.copy() for g in grads]) for s, grads in shards]
-
-            def reference(items):
-                if len(items) == 1:
-                    return items[0]
-                merged = []
-                for lo in range(0, len(items) - 1, 2):
-                    sse = items[lo][0] + items[lo + 1][0]
-                    grads = [
-                        a + b for a, b in zip(items[lo][1], items[lo + 1][1])
-                    ]
-                    merged.append((sse, grads))
-                if len(items) % 2:
-                    merged.append(items[-1])
-                return reference(merged)
-
-            want_sse, want_grads = reference(copies)
-            got_sse, got_grads = _tree_reduce(shards)
-            assert got_sse == want_sse
-            for got, want in zip(got_grads, want_grads):
-                assert np.array_equal(got, want)
-
-    def test_records_shard_and_reduce_counters(self):
-        from repro import perf
-
-        recorder = perf.get_recorder()
-        recorder.reset()
-        self._train(None)
-        counters = recorder.counters
-        assert counters["runtime.grad_shards"] > 0
-        assert counters["runtime.reduce_bytes"] > 0
-        assert "dp_map" in recorder.phase_seconds()
-
-    def test_engine_dp_fit_matches_serial(self, scale_002_bundle):
-        """SeverityPredictionEngine dp training == serial dp training."""
-        entries = [
-            e for e in scale_002_bundle.snapshot if e.cvss_v2 is not None
-        ]
-        config = EngineConfig(epochs=2, models=("lr", "dnn"), data_parallel=True)
-        serial = SeverityPredictionEngine(
-            config, executor=SerialExecutor()
-        ).fit(entries)
-        with ProcessExecutor(2) as executor:
-            parallel = SeverityPredictionEngine(config, executor=executor).fit(
-                entries
-            )
-            for model in config.models:
-                assert np.array_equal(
-                    parallel.predict_scores(entries, model=model),
-                    serial.predict_scores(entries, model=model),
-                ), model
-
-    @staticmethod
-    def _clean_dp(bundle, executor):
-        with executor:
-            return clean(
-                bundle.snapshot,
-                bundle.web,
-                from_ground_truth(bundle.truth.vendor_map),
-                product_oracle_from_truth(bundle.truth.product_map),
-                engine_config=EngineConfig(
-                    epochs=2, models=("lr", "dnn"), data_parallel=True
-                ),
-                executor=executor,
-            )
-
-    def test_full_clean_with_dp_fit(self, scale_002_bundle):
-        """The whole pipeline with data-parallel training enabled stays
-        bit-identical between serial and process backends."""
-        serial = self._clean_dp(scale_002_bundle, SerialExecutor())
-        parallel = self._clean_dp(scale_002_bundle, ProcessExecutor(2))
-        assert parallel.report == serial.report
-        assert parallel.pv3_scores == serial.pv3_scores  # exact float equality
-        assert parallel.pv3_severity == serial.pv3_severity
-        assert list(parallel.snapshot) == list(serial.snapshot)
 
 
 # -- perf-counter aggregation --------------------------------------------------

@@ -25,16 +25,14 @@ Usage::
     PYTHONPATH=src python tools/bench.py --scales 0.02 --matrix   # all presets
     PYTHONPATH=src python tools/bench.py --matrix chaos-names adversarial
     PYTHONPATH=src python tools/bench.py --scales 0.075 --backend process \
-        --workers-sweep 1,2,4 --dp-fit              # multi-core scaling curve
+        --workers-sweep 1,2,4                       # worker scaling curve
     PYTHONPATH=src python tools/bench.py --scales 0.02 --backend process \
         --workers 2 --trace trace.json            # Perfetto span trace
     PYTHONPATH=src python tools/bench.py --check-schema BENCH_pipeline.json
 
 ``--workers-sweep 1,2,4`` appends one labelled run per worker count
-(label ``<label>-w<N>``), so a single invocation records the workers ×
-numeric-backend scaling curve; combine with ``--dp-fit`` (data-parallel
-gradient sharding) and ``--numeric-backend blas`` for the multi-core
-configuration.
+(label ``<label>-w<N>``), so a single invocation records the worker
+scaling curve.
 """
 
 from __future__ import annotations
@@ -109,8 +107,6 @@ def bench_one(
     workers: int | None = None,
     backend: str | None = None,
     crawl_cache: str | None = None,
-    numeric_backend: str | None = None,
-    data_parallel: bool | None = None,
     trace_path: str | None = None,
 ) -> dict:
     """Run generate + clean at one (scale, scenario) and return the run
@@ -127,26 +123,17 @@ def bench_one(
     from repro.runtime import make_executor
     from repro.synth import generate, get_scenario
 
-    from repro.ml.backend import resolve_data_parallel, resolve_numeric_backend
-
     scenario = get_scenario(scenario_name)
     config = scenario.generator_config(max(2000, int(PAPER_SCALE_CVES * scale)), seed)
     n_cves = config.n_cves
     executor = make_executor(workers, backend)
-    engine_config = EngineConfig(
-        epochs=epochs,
-        numeric_backend=numeric_backend,
-        data_parallel=data_parallel,
-    )
-    resolved_numeric = resolve_numeric_backend(numeric_backend)
-    resolved_dp = resolve_data_parallel(data_parallel)
+    engine_config = EngineConfig(epochs=epochs)
     recorder = perf.get_recorder()
     recorder.reset()
     print(
         f"[bench] scale={scale} scenario={scenario.name} n_cves={n_cves} "
         f"epochs={epochs} workers={executor.workers} "
-        f"backend={executor.backend} numeric={resolved_numeric} "
-        f"dp_fit={'on' if resolved_dp else 'off'} ..."
+        f"backend={executor.backend} ..."
     )
     trace_ctx = (
         trace_session(trace_path) if trace_path else contextlib.nullcontext()
@@ -181,8 +168,6 @@ def bench_one(
         "epochs": epochs,
         "workers": executor.workers,
         "backend": executor.backend,
-        "numeric_backend": resolved_numeric,
-        "data_parallel": resolved_dp,
         "wall_s": round(wall_s, 3),
         "peak_rss_mb": perf.peak_rss_mb(),
         "phases": phases,
@@ -242,16 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend", choices=("serial", "thread", "process"), default=None,
         help="executor backend (default: REPRO_BACKEND, or thread when N > 1)",
-    )
-    parser.add_argument(
-        "--numeric-backend", choices=("numpy-ref", "blas"), default=None,
-        help="numeric backend for the training GEMMs (default: "
-        "REPRO_NUMERIC_BACKEND or numpy-ref)",
-    )
-    parser.add_argument(
-        "--dp-fit", action="store_true",
-        help="data-parallel fit: shard minibatch gradients across the "
-        "executor (default: REPRO_DP_FIT or off)",
     )
     parser.add_argument(
         "--crawl-cache", default=None, metavar="PATH",
@@ -351,8 +326,6 @@ def main(argv: list[str] | None = None) -> int:
                     workers=workers,
                     backend=args.backend,
                     crawl_cache=args.crawl_cache,
-                    numeric_backend=args.numeric_backend,
-                    data_parallel=True if args.dp_fit else None,
                     trace_path=trace_path,
                 )
                 earlier = [
