@@ -205,15 +205,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import os
-
     from repro.service import serve
 
-    shared_cache = args.shared_cache
-    if not shared_cache:
-        shared_cache = os.environ.get("REPRO_SHARED_CACHE", "") not in (
-            "", "0", "false", "no",
-        )
     return serve(
         args.artifacts,
         host=args.host,
@@ -222,7 +215,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         reload_interval=args.reload_interval,
         workers=args.workers,
         access_log=args.access_log,
-        shared_cache=shared_cache,
     )
 
 
@@ -399,13 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append one JSONL line per request (ts, method, path, "
         "status, latency ms, cache hit, trace id); with --workers N "
         "every worker appends to the same file",
-    )
-    cmd.add_argument(
-        "--shared-cache", action="store_true", default=False,
-        help="replace each worker's private response LRU with one "
-        "shared-memory segment all workers read and write (a response "
-        "cached by any worker is a hit for all; also honours "
-        "REPRO_SHARED_CACHE=1)",
     )
     cmd.set_defaults(func=_cmd_serve)
 

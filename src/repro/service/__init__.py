@@ -7,10 +7,8 @@ ingest path.  See :mod:`repro.service.http` for the endpoint table and
 :mod:`repro.service.state` for the payload shapes.
 """
 
-from repro.service.batching import PredictBatcher
 from repro.service.cursor import CursorError, decode_cursor, encode_cursor
 from repro.service.http import ApiHandler, NvdService, create_server, serve
-from repro.service.shared_cache import SharedResponseCache
 from repro.service.state import ServiceError, ServiceState
 from repro.service.supervisor import ServeSupervisor
 
@@ -18,11 +16,9 @@ __all__ = [
     "ApiHandler",
     "CursorError",
     "NvdService",
-    "PredictBatcher",
     "ServeSupervisor",
     "ServiceError",
     "ServiceState",
-    "SharedResponseCache",
     "create_server",
     "decode_cursor",
     "encode_cursor",

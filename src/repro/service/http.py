@@ -42,17 +42,8 @@ next page in O(page) and pins the walk to one artifact version — after
 a hot swap a stale cursor fails with a self-describing 400 instead of
 silently paging a reshuffled list (see :mod:`repro.service.cursor`).
 
-Scale-out: with ``shared_cache`` the private per-worker LRU is replaced
-by one :class:`repro.service.shared_cache.SharedResponseCache` segment
-every ``SO_REUSEPORT`` worker attaches to — a response cached by any
-worker is a hit for all of them, and a hot swap in any worker
-invalidates the segment for every worker at once (epoch bump).
-Concurrent ``POST /v1/severity/predict`` requests coalesce through a
-:class:`repro.service.batching.PredictBatcher` into one scoring pass
-per artifact-state snapshot — bit-identical to unbatched requests —
-bounded by a small straggler window (``REPRO_PREDICT_BATCH_MS``,
-default 2 ms) and a row ceiling (``REPRO_PREDICT_BATCH_ROWS``, default
-64); no other endpoint crosses the batcher.
+``POST /v1/severity/predict`` scores on the request thread, under the
+state's predict lock.
 
 Hot swap: at most once per ``reload_interval`` seconds the service
 re-reads the store's ``CURRENT`` pointer; when it names a different
@@ -107,9 +98,7 @@ from repro.obs import (
 )
 from repro.obs.trace import process_name_event, trace_target
 from repro.runtime import resolve_workers
-from repro.service.batching import PredictBatcher
 from repro.service.cursor import CursorError, decode_cursor
-from repro.service.shared_cache import SharedResponseCache
 from repro.service.state import MAX_IDS, ServiceError, ServiceState
 
 __all__ = ["ApiHandler", "NvdService", "ServiceResponse", "create_server", "serve"]
@@ -126,14 +115,22 @@ _CACHEABLE_PREFIXES = ("/v1/stats", "/v1/cve/", "/v1/vendor/", "/v1/product/")
 #: a response, and therefore the only ones allowed into cache keys.
 _QUERY_PARAMS = frozenset({"offset", "limit", "cursor"})
 
-#: fixed buckets for the predict batch-size histogram (rows per batch).
-PREDICT_BATCH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
 #: fixed latency-histogram boundaries (seconds).  Declared, never
 #: derived from traffic, so exposition output is deterministic.
 REQUEST_LATENCY_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 )
+
+#: the largest request body read; a predict body is well under 1 KiB.
+MAX_BODY_BYTES = 1 << 20
+
+#: GET routes named by their exact path (the rest match by shape).
+_FIXED_GET_ROUTES = {
+    "/healthz": "healthz",
+    "/v1/stats": "stats",
+    "/v1/metrics": "metrics",
+    "/metrics": "prometheus",
+}
 
 #: accepted shape for a client-supplied X-Repro-Trace-Id.
 _TRACE_ID_RE = re.compile(r"[0-9a-fA-F-]{1,64}")
@@ -246,9 +243,6 @@ class NvdService:
         breaker_cooldown: float = 5.0,
         access_log: str | os.PathLike[str] | None = None,
         trace_path: str | os.PathLike[str] | None = None,
-        shared_cache: "SharedResponseCache | str | bool | None" = None,
-        predict_batch_ms: float | None = None,
-        predict_batch_rows: int | None = None,
     ) -> None:
         self.root = pathlib.Path(root)
         #: a pinned server never hot-swaps (explicit --version).
@@ -257,9 +251,7 @@ class NvdService:
         self.breaker_threshold = max(1, int(breaker_threshold))
         self.breaker_cooldown = float(breaker_cooldown)
         self._state = ServiceState.load(self.root, version)
-        self._cache, self._cache_lifecycle = self._build_cache(
-            cache_size, shared_cache
-        )
+        self._cache = ResponseCache(cache_size)
         self._counters: collections.Counter[str] = collections.Counter()
         self._counter_lock = threading.Lock()
         self._swap_lock = threading.Lock()
@@ -271,17 +263,6 @@ class NvdService:
         self._breaker_open_until: float | None = None
         self._supervisor_cache: tuple[tuple[int, int], dict | None] | None = None
         self.registry = self._build_registry()
-        #: baseline for delta-syncing the shared cache's cumulative
-        #: counters into the (monotonic) registry counters at render.
-        self._shared_synced = {"stores": 0, "evictions": 0}
-        self._batcher = PredictBatcher(
-            self._run_predict_batch,
-            window_s=(
-                None if predict_batch_ms is None else predict_batch_ms / 1000.0
-            ),
-            max_rows=predict_batch_rows,
-            on_batch=self._observe_batch,
-        )
         self._access_log = AccessLog(access_log) if access_log else None
         self._trace: TraceWriter | None = None
         if trace_path:
@@ -289,42 +270,6 @@ class NvdService:
             self._trace.add_event(
                 process_name_event(os.getpid(), f"{SERVICE_NAME} (pid {os.getpid()})")
             )
-
-    @staticmethod
-    def _build_cache(
-        cache_size: int,
-        shared_cache: "SharedResponseCache | str | bool | None",
-    ) -> tuple["ResponseCache | SharedResponseCache", str]:
-        """The response cache plus what :meth:`close` owes it.
-
-        ``shared_cache`` selects the backend: falsy → a private LRU;
-        ``True`` → create (and own) a fresh segment; a segment name →
-        attach to a supervisor-owned segment; an instance → use it
-        as-is (the caller keeps custody).  The second element is the
-        lifecycle duty: ``"none"``, ``"close"`` (detach our mapping) or
-        ``"unlink"`` (destroy the segment we created).
-        """
-        if isinstance(shared_cache, SharedResponseCache):
-            return shared_cache, "none"
-        if isinstance(shared_cache, str):
-            return SharedResponseCache.attach(shared_cache), "close"
-        if shared_cache:
-            return SharedResponseCache.create(), "unlink"
-        return ResponseCache(cache_size), "none"
-
-    def _run_predict_batch(
-        self, state: object, bodies: list[object]
-    ) -> list[object]:
-        """The batcher's executor: one scoring pass on ``state``."""
-        assert isinstance(state, ServiceState)
-        return list(state.predict_payloads(bodies))
-
-    def _observe_batch(self, size: int) -> None:
-        """Per-batch telemetry, called from the batcher's drainer."""
-        self._prom_batch_rows.observe(size)
-        self._prom_batches.inc()
-        if size > 1:
-            self._prom_batch_coalesced.inc(size)
 
     def _build_registry(self) -> MetricsRegistry:
         """Declare every service metric once, with fixed buckets."""
@@ -386,73 +331,11 @@ class NvdService:
             "repro_supervisor_restarts",
             "Worker restarts performed by the supervisor.",
         )
-        self._g_shared_slots = registry.gauge(
-            "repro_http_cache_shared_slots",
-            "Slots in the shared response-cache segment (0 = private cache).",
-        )
-        self._g_shared_occupied = registry.gauge(
-            "repro_http_cache_shared_occupied",
-            "Occupied slots in the shared response-cache segment.",
-        )
-        self._g_shared_used_bytes = registry.gauge(
-            "repro_http_cache_shared_used_bytes",
-            "Payload bytes stored in the shared response-cache segment.",
-        )
-        self._g_shared_segment_bytes = registry.gauge(
-            "repro_http_cache_shared_segment_bytes",
-            "Total size of the shared response-cache segment in bytes.",
-        )
-        self._prom_shared_stores = registry.counter(
-            "repro_http_cache_shared_stores_total",
-            "Entries this worker wrote into the shared cache segment.",
-        )
-        self._prom_shared_evictions = registry.counter(
-            "repro_http_cache_shared_evictions_total",
-            "Shared-cache slot evictions (direct-mapped collisions) by this worker.",
-        )
-        self._prom_batches = registry.counter(
-            "repro_predict_batch_total",
-            "Batched predict forward passes executed.",
-        )
-        self._prom_batch_coalesced = registry.counter(
-            "repro_predict_batch_coalesced_total",
-            "Predict rows that shared a batch with at least one other request.",
-        )
-        self._prom_batch_rows = registry.histogram(
-            "repro_predict_batch_rows",
-            "Rows per batched predict forward pass.",
-            PREDICT_BATCH_BUCKETS,
-        )
-        self._g_batch_window = registry.gauge(
-            "repro_predict_batch_window_ms",
-            "Configured predict micro-batching straggler window in milliseconds.",
-        )
-        # Materialise the unlabelled series now so every family renders
-        # samples from the first scrape (an untouched series renders
-        # only HELP/TYPE, which reads as a vanished metric downstream).
-        for metric in (
-            self._prom_shared_stores,
-            self._prom_shared_evictions,
-            self._prom_batches,
-            self._prom_batch_coalesced,
-            self._prom_batch_rows,
-            self._g_shared_slots,
-            self._g_shared_occupied,
-            self._g_shared_used_bytes,
-            self._g_shared_segment_bytes,
-            self._g_batch_window,
-        ):
-            metric.labels()
         self._info_series = None
         return registry
 
     def close(self) -> None:
-        """Release the batcher, cache, access log and trace writer."""
-        self._batcher.close()
-        if self._cache_lifecycle == "unlink":
-            self._cache.unlink()  # type: ignore[union-attr]
-        elif self._cache_lifecycle == "close":
-            self._cache.close()  # type: ignore[union-attr]
+        """Release the access log and trace writer."""
         if self._access_log is not None:
             self._access_log.close()
         if self._trace is not None:
@@ -573,28 +456,24 @@ class NvdService:
     # -- request handling ----------------------------------------------------
 
     @staticmethod
-    def _route_label(method: str, path: str) -> str | None:
-        """The endpoint label for metrics — from path *shape*, never
-        from path values, so label cardinality stays bounded."""
+    def _route(method: str, path: str) -> tuple[str | None, list[str]]:
+        """The endpoint label (``None`` when nothing routes) and the
+        unquoted path segments.  The label comes from the path *shape*,
+        never from path values, so metric label cardinality stays
+        bounded; it is also what :meth:`_dispatch` branches on."""
         parts = [urllib.parse.unquote(part) for part in path.split("/") if part]
         if method == "GET":
-            if path == "/healthz":
-                return "healthz"
-            if path == "/v1/stats":
-                return "stats"
-            if path == "/v1/metrics":
-                return "metrics"
-            if path == "/metrics":
-                return "prometheus"
+            if path in _FIXED_GET_ROUTES:
+                return _FIXED_GET_ROUTES[path], parts
             if len(parts) == 3 and parts[:2] == ["v1", "cve"]:
-                return "cve"
+                return "cve", parts
             if len(parts) == 3 and parts[:2] == ["v1", "vendor"]:
-                return "vendor"
+                return "vendor", parts
             if len(parts) == 4 and parts[:2] == ["v1", "product"]:
-                return "product"
+                return "product", parts
         elif method == "POST" and path == "/v1/severity/predict":
-            return "predict"
-        return None
+            return "predict", parts
+        return None, parts
 
     def handle(
         self,
@@ -602,13 +481,17 @@ class NvdService:
         path: str,
         body: bytes | None,
         trace_id: str | None = None,
+        read_error: ServiceError | None = None,
     ) -> ServiceResponse:
         """Route one request.
 
         ``trace_id`` is the client's ``X-Repro-Trace-Id``, if any — an
-        unusable value is replaced, never trusted into logs.  The
-        returned :class:`ServiceResponse` carries the body, content
-        type, and the trace id the transport layer echoes back.
+        unusable value is replaced, never trusted into logs.
+        ``read_error`` is a failure the transport hit before it could
+        read a POST body (a malformed or oversized ``Content-Length``);
+        the request is answered with it and counted like any other.  The returned
+        :class:`ServiceResponse` carries the body, content type, and the
+        trace id the transport layer echoes back.
         """
         started = time.perf_counter()
         if trace_id is None or not _TRACE_ID_RE.fullmatch(trace_id):
@@ -622,11 +505,11 @@ class NvdService:
         self._bump("requests_total")
         raw_path = path
         path, _, query = path.partition("?")
-        route = self._route_label(method, path)
+        route, parts = self._route(method, path)
         if route is not None:
             self._bump(f"endpoint_{route}")
         params = urllib.parse.parse_qs(query)
-        if method == "GET" and path == "/metrics":
+        if route == "prometheus":
             text = self.render_metrics_text()
             response = ServiceResponse(
                 200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE, trace_id
@@ -664,7 +547,11 @@ class NvdService:
             self._bump("cache_misses")
             self._prom_cache.labels("miss").inc()
         try:
-            status, payload = self._dispatch(state, method, path, params, body)
+            if read_error is not None:
+                raise read_error
+            status, payload = self._dispatch(
+                state, route, parts, params, body, f"{method} {path}"
+            )
         except ServiceError as error:
             status, payload = error.status, {"error": error.message}
         except Exception as error:  # never let a bug kill the worker thread
@@ -728,50 +615,42 @@ class NvdService:
     def _dispatch(
         self,
         state: ServiceState,
-        method: str,
-        path: str,
+        route: str | None,
+        parts: list[str],
         params: dict[str, list[str]],
         body: bytes | None,
+        request_line: str,
     ) -> tuple[int, object]:
-        # endpoint_* counters are bumped by handle() via _route_label,
-        # which recognises the same path shapes dispatched here.
-        parts = [urllib.parse.unquote(part) for part in path.split("/") if part]
-        if method == "GET":
-            if path == "/healthz":
-                return 200, {
-                    "status": "degraded" if self.degraded else "ok",
-                    "service": SERVICE_NAME,
-                    "version": state.version,
-                    "model": state.model_used,
-                }
-            if path == "/v1/stats":
-                return 200, state.stats_payload()
-            if path == "/v1/metrics":
-                return 200, self.metrics_payload()
-            if len(parts) == 3 and parts[:2] == ["v1", "cve"]:
-                return 200, state.cve_payload(parts[2])
-            if len(parts) == 3 and parts[:2] == ["v1", "vendor"]:
-                offset = self._resolve_page_start(state, params)
-                limit = _int_param(params, "limit", MAX_IDS, minimum=1, maximum=MAX_IDS)
+        if route == "healthz":
+            return 200, {
+                "status": "degraded" if self.degraded else "ok",
+                "service": SERVICE_NAME,
+                "version": state.version,
+                "model": state.model_used,
+            }
+        if route == "stats":
+            return 200, state.stats_payload()
+        if route == "metrics":
+            return 200, self.metrics_payload()
+        if route == "cve":
+            return 200, state.cve_payload(parts[2])
+        if route in ("vendor", "product"):
+            offset = self._resolve_page_start(state, params)
+            limit = _int_param(params, "limit", MAX_IDS, minimum=1, maximum=MAX_IDS)
+            if route == "vendor":
                 return 200, state.vendor_payload(parts[2], offset=offset, limit=limit)
-            if len(parts) == 4 and parts[:2] == ["v1", "product"]:
-                offset = self._resolve_page_start(state, params)
-                limit = _int_param(params, "limit", MAX_IDS, minimum=1, maximum=MAX_IDS)
-                return 200, state.product_payload(
-                    parts[2], parts[3], offset=offset, limit=limit
-                )
-        elif method == "POST" and path == "/v1/severity/predict":
+            return 200, state.product_payload(
+                parts[2], parts[3], offset=offset, limit=limit
+            )
+        if route == "predict":
             if not body:
                 raise ServiceError(400, "request body is required")
             try:
                 parsed = json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as error:
                 raise ServiceError(400, f"bad JSON body: {error}") from None
-            outcome = self._batcher.submit(state, parsed)
-            if isinstance(outcome, Exception):
-                raise outcome  # ServiceError → 4xx; anything else → 500
-            return 200, outcome
-        raise ServiceError(404, f"no route for {method} {path}")
+            return 200, state.predict_payload(parsed)
+        raise ServiceError(404, f"no route for {request_line}")
 
     @staticmethod
     def _resolve_page_start(
@@ -807,37 +686,11 @@ class NvdService:
             )
         return position
 
-    def cache_stats(self) -> dict:
-        """Cache effectiveness for this worker, any backend.
-
-        ``hits``/``misses`` come from this worker's request counters
-        (the shared segment keeps no global counters — cross-worker
-        totals are the sum of each worker's block, which is how the
-        bench sweep aggregates them).  ``hit_ratio`` is ``null`` until
-        the first cacheable lookup.
-        """
-        with self._counter_lock:
-            hits = self._counters.get("cache_hits", 0)
-            misses = self._counters.get("cache_misses", 0)
-        lookups = hits + misses
-        stats: dict = {
-            "backend": (
-                "shared"
-                if isinstance(self._cache, SharedResponseCache)
-                else "private"
-            ),
-            "entries": len(self._cache),
-            "hits": hits,
-            "misses": misses,
-            "hit_ratio": round(hits / lookups, 4) if lookups else None,
-        }
-        if isinstance(self._cache, SharedResponseCache):
-            stats["shared"] = self._cache.stats()
-        return stats
-
     def metrics_payload(self) -> dict:
         with self._counter_lock:
             counters = dict(self._counters)
+        hits = counters.get("cache_hits", 0)
+        lookups = hits + counters.get("cache_misses", 0)
         payload = {
             "service": SERVICE_NAME,
             "pid": os.getpid(),
@@ -845,8 +698,13 @@ class NvdService:
             "model": self._state.model_used,
             "uptime_s": round(time.time() - self._started, 3),
             "cache_entries": len(self._cache),
-            "cache": self.cache_stats(),
-            "predict_batching": self._batcher.stats(),
+            # hit_ratio is null until the first cacheable lookup
+            "cache": {
+                "entries": len(self._cache),
+                "hits": hits,
+                "misses": lookups - hits,
+                "hit_ratio": round(hits / lookups, 4) if lookups else None,
+            },
             "swaps": self.swaps,
             "counters": counters,
             "degraded": self.degraded,
@@ -884,23 +742,6 @@ class NvdService:
         if supervisor is not None:
             self._g_sup_alive.set(supervisor.get("alive", 0))
             self._g_sup_restarts.set(supervisor.get("restarts", 0))
-        self._g_batch_window.set(round(self._batcher.window_s * 1000.0, 3))
-        if isinstance(self._cache, SharedResponseCache):
-            shared = self._cache.stats()
-            self._g_shared_slots.set(shared["slots"])
-            self._g_shared_occupied.set(shared["occupied"])
-            self._g_shared_used_bytes.set(shared["used_bytes"])
-            self._g_shared_segment_bytes.set(shared["segment_bytes"])
-            # The segment object keeps cumulative per-process counts;
-            # registry counters are monotonic, so sync by delta.
-            for name, counter in (
-                ("stores", self._prom_shared_stores),
-                ("evictions", self._prom_shared_evictions),
-            ):
-                delta = shared[name] - self._shared_synced[name]
-                if delta > 0:
-                    counter.inc(delta)
-                    self._shared_synced[name] = shared[name]
         return render_prometheus(self.registry, registry_from_perf(perf.get_recorder()))
 
 
@@ -915,18 +756,39 @@ class ApiHandler(http.server.BaseHTTPRequestHandler):
 
     def _respond(self, method: str) -> None:
         service: NvdService = self.server.service  # type: ignore[attr-defined]
-        body = None
+        body, read_error = None, None
         if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
+            raw = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(raw)
+            except ValueError:
+                length = -1
+            if length < 0:
+                read_error = ServiceError(
+                    400, f"bad Content-Length header {raw[:40]!r}"
+                )
+            elif length > MAX_BODY_BYTES:
+                read_error = ServiceError(
+                    413, f"request body over {MAX_BODY_BYTES} bytes"
+                )
+            else:
+                body = self.rfile.read(length) if length else b""
         response = service.handle(
-            method, self.path, body, trace_id=self.headers.get("X-Repro-Trace-Id")
+            method,
+            self.path,
+            body,
+            trace_id=self.headers.get("X-Repro-Trace-Id"),
+            read_error=read_error,
         )
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
         self.send_header("Content-Length", str(len(response.body)))
         if response.trace_id:
             self.send_header("X-Repro-Trace-Id", response.trace_id)
+        if read_error is not None:
+            # The body is left unread, so the stream cannot be
+            # resynchronised: answer, then hang up.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(response.body)
 
@@ -978,9 +840,6 @@ def create_server(
     breaker_cooldown: float = 5.0,
     access_log: str | os.PathLike[str] | None = None,
     trace_path: str | os.PathLike[str] | None = None,
-    shared_cache: "SharedResponseCache | str | bool | None" = None,
-    predict_batch_ms: float | None = None,
-    predict_batch_rows: int | None = None,
 ) -> _ServiceServer:
     """Cold-start a server from an artifact store (no retraining).
 
@@ -988,11 +847,8 @@ def create_server(
     call ``serve_forever()`` to run.  ``reuse_port=True`` binds with
     ``SO_REUSEPORT`` so several server processes can share one port —
     the kernel load-balances incoming connections across them (the
-    multi-process serving path).  ``shared_cache`` selects the
-    cross-worker response cache: a segment name attaches (the
-    supervisor path), ``True`` creates and owns a fresh segment, falsy
-    keeps the private LRU.  ``access_log`` appends one JSONL line per
-    request; ``trace_path`` streams one Chrome trace-event span per
+    multi-process serving path).  ``access_log`` appends one JSONL line
+    per request; ``trace_path`` streams one Chrome trace-event span per
     request (both closed with the server).
     """
     service = NvdService(
@@ -1004,9 +860,6 @@ def create_server(
         breaker_cooldown=breaker_cooldown,
         access_log=access_log,
         trace_path=trace_path,
-        shared_cache=shared_cache,
-        predict_batch_ms=predict_batch_ms,
-        predict_batch_rows=predict_batch_rows,
     )
     return _ServiceServer((host, port), service, reuse_port=reuse_port)
 
@@ -1021,7 +874,6 @@ def serve(
     workers: int | None = None,
     access_log: str | os.PathLike[str] | None = None,
     trace_path: str | os.PathLike[str] | None = None,
-    shared_cache: bool = False,
 ) -> int:
     """Run the service until interrupted (the ``repro serve`` command).
 
@@ -1037,12 +889,6 @@ def serve(
     ``trace_path`` (default: ``REPRO_TRACE``) streams per-request
     spans; supervised workers each write ``<path>.w<index>`` since a
     JSON array cannot be safely interleaved by several processes.
-
-    ``shared_cache`` (``--shared-cache`` / ``REPRO_SHARED_CACHE=1``)
-    replaces the per-worker response LRU with one shared-memory
-    segment: under the supervisor every worker attaches to the
-    supervisor-owned segment; single-process serving creates and owns
-    its own.
     """
     trace_path = trace_path or trace_target()
     count = resolve_workers(workers)
@@ -1058,7 +904,6 @@ def serve(
             reload_interval=reload_interval,
             access_log=access_log,
             trace_path=trace_path,
-            shared_cache=shared_cache,
         ).run()
     server = create_server(
         root,
@@ -1068,7 +913,6 @@ def serve(
         reload_interval=reload_interval,
         access_log=access_log,
         trace_path=trace_path,
-        shared_cache=shared_cache,
     )
     bound_host, bound_port = server.server_address[:2]
     state = server.service.state

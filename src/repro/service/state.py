@@ -9,16 +9,17 @@ request is as fast as the thousandth.
 
 The only mutable corner is neural-network prediction:
 ``ml.nn.Sequential`` layers cache forward state, so concurrent
-``/v1/severity/predict`` requests serialise on a lock.  (The linear
-and SVR models are stateless at predict time; the lock covers the
-common engine path uniformly because a single 13-feature forward pass
-is microseconds — far below socket overhead.)
+``/v1/severity/predict`` requests serialise on a lock, one row at a
+time.  (The linear and SVR models are stateless at predict time; the
+lock covers the common engine path uniformly because a single
+13-feature forward pass is microseconds — far below socket overhead.)
 """
 
 from __future__ import annotations
 
 import datetime
 import os
+import re
 import threading
 
 from repro.artifacts import LoadedArtifacts, load_artifacts
@@ -41,6 +42,10 @@ __all__ = ["ServiceError", "ServiceState"]
 #: opaque ``next_cursor`` naming the next page.
 MAX_IDS = 500
 
+#: digits a ``CWE-`` label may carry; the catalogue's ids are all below
+#: 1,500, and the CWE feature divides the id as a float.
+MAX_CWE_DIGITS = 6
+_CWE_LABEL = re.compile(rf"CWE-[0-9]{{1,{MAX_CWE_DIGITS}}}")
 
 
 def _page(ids: list[str], offset: int, limit: int, version: str) -> dict:
@@ -236,9 +241,9 @@ class ServiceState:
     def _parse_predict_body(body: object) -> CveEntry:
         """A feature-bearing entry out of one posted predict body.
 
-        Raises :class:`ServiceError` 400 on every malformed shape —
-        per body, so one bad request in a micro-batch never poisons
-        its neighbours.
+        Raises :class:`ServiceError` 400 on every malformed shape,
+        including a ``CWE-`` label (explicit or found in the
+        description) whose id is not a short decimal number.
         """
         if not isinstance(body, dict):
             raise ServiceError(400, "request body must be a JSON object")
@@ -254,11 +259,23 @@ class ServiceState:
             raise ServiceError(400, "field 'description' must be a string")
         cwe_ids = body.get("cwe_ids")
         if cwe_ids is None:
-            cwe_ids = extract_cwe_ids(description) if description else []
+            try:
+                cwe_ids = extract_cwe_ids(description) if description else []
+            except ValueError:  # a digit run past int()'s conversion limit
+                raise ServiceError(
+                    400, "field 'description' carries an oversized CWE id"
+                ) from None
         if not isinstance(cwe_ids, list) or not all(
             isinstance(label, str) for label in cwe_ids
         ):
             raise ServiceError(400, "field 'cwe_ids' must be a list of strings")
+        for label in cwe_ids:
+            if label.startswith("CWE-") and not _CWE_LABEL.fullmatch(label):
+                raise ServiceError(
+                    400,
+                    f"bad CWE label {label!r}: expected 'CWE-' and at most "
+                    f"{MAX_CWE_DIGITS} decimal digits",
+                )
         return CveEntry(
             cve_id="CVE-1970-0001",  # placeholder identity; features only
             published=datetime.date(1970, 1, 1),
@@ -267,76 +284,33 @@ class ServiceState:
             cvss_v2=metrics,
         )
 
-    def _score_entries(self, entries: list[CveEntry]) -> list[float]:
-        """Scores for a parsed batch, bit-identical to row-at-a-time.
-
-        The forward pass is deliberately row-sliced, never fused into
-        one multi-row GEMM: BLAS kernels pick different reduction
-        blockings for different batch shapes, and measurement shows the
-        resulting scores drift in the last bits for the float64 *and*
-        the float32 models alike.  Bit-identity with the single-request
-        path is this API's contract (a micro-batched request must be
-        indistinguishable from an unbatched one), so what the batch
-        amortises is everything around the math — one queue drain, one
-        lock acquisition, and one thread wakeup cascade for the whole
-        batch — rather than the per-row arithmetic itself.
-        """
-        engine = self.artifacts.engine
-        with self._predict_lock:
-            return [
-                float(engine.predict_scores([entry], model=self.model_used)[0])
-                for entry in entries
-            ]
-
     def predict_payloads(self, bodies: list[object]) -> list[object]:
-        """§4.3 predictions for a micro-batch of posted bodies.
+        """§4.3 predictions for several posted bodies.
 
         Returns one item per body, **in order**: a payload dict, or the
-        :class:`ServiceError` that body earned.  Parsing and scoring
-        errors are per-row; only the forward pass is shared.
+        :class:`ServiceError` that body earned.  Each body is scored on
+        its own, exactly as a lone request would be.
         """
-        entries: list[CveEntry | None] = []
+        engine = self.artifacts.engine
         results: list[object] = []
         for body in bodies:
             try:
-                entries.append(self._parse_predict_body(body))
-                results.append(None)  # placeholder; filled after scoring
+                entry = self._parse_predict_body(body)
             except ServiceError as error:
-                entries.append(None)
                 results.append(error)
-        valid = [entry for entry in entries if entry is not None]
-        if valid:
-            try:
-                scores = self._score_entries(valid)
-            except ValueError as error:  # e.g. a malformed "CWE-xyz" label
-                # Featurisation is batched for the GEMM models; fall
-                # back to row-wise so only the offending body 400s.
-                scores = []
-                for entry in valid:
-                    try:
-                        scores.append(self._score_entries([entry])[0])
-                    except ValueError as row_error:
-                        scores.append(
-                            ServiceError(
-                                400, f"cannot featurise request: {row_error}"
-                            )
-                        )
-                del error
-            cursor = iter(scores)
-            for index, entry in enumerate(entries):
-                if entry is None:
-                    continue
-                scored = next(cursor)
-                if isinstance(scored, ServiceError):
-                    results[index] = scored
-                    continue
-                results[index] = {
+                continue
+            with self._predict_lock:
+                scores = engine.predict_scores([entry], model=self.model_used)
+            score = float(scores[0])
+            results.append(
+                {
                     "model": self.model_used,
-                    "score": round(scored, 4),
-                    "severity": severity_v3(scored).value,
+                    "score": round(score, 4),
+                    "severity": severity_v3(score).value,
                     "cwe_ids": list(entry.cwe_ids),
                     "version": self.version,
                 }
+            )
         return results
 
     def predict_payload(self, body: object) -> dict:
@@ -345,9 +319,7 @@ class ServiceState:
         The body must carry a CVSS v2 vector (the features the
         persisted models consume); an optional ``description`` feeds
         the §4.4 ``CWE-[0-9]*`` regex to supply the CWE feature when
-        ``cwe_ids`` is not given explicitly.  This is the unbatched
-        reference path; the service's micro-batcher produces
-        bit-identical payloads via :meth:`predict_payloads`.
+        ``cwe_ids`` is not given explicitly.
         """
         result = self.predict_payloads([body])[0]
         if isinstance(result, ServiceError):

@@ -17,15 +17,8 @@ workers:
   ``ROOT/.supervisor.json``; every worker's ``/v1/metrics`` surfaces it
   as the ``supervisor`` block and folds the degraded flag into its own
   — worker-failure reporting is *counters*, not stdout;
-- with ``shared_cache=True`` (``repro serve --shared-cache``) the
-  supervisor creates one
-  :class:`repro.service.shared_cache.SharedResponseCache` segment
-  before spawning and hands its name to every worker — the segment
-  outlives any individual worker (respawned workers re-attach) and is
-  unlinked exactly once, at supervisor shutdown;
 - SIGINT unwinds the whole tree cleanly: the supervisor forwards it,
-  joins the workers, removes the status file (and the shared-cache
-  segment, if any), and exits 0.
+  joins the workers, removes the status file, and exits 0.
 
 The supervisor returns 1 only when every worker has exhausted its
 restart budget — a degraded-but-answering service keeps running.
@@ -45,7 +38,6 @@ import time
 
 from repro import faults
 from repro.service.http import SERVICE_NAME, SUPERVISOR_STATUS, create_server
-from repro.service.shared_cache import SharedResponseCache
 
 __all__ = ["ServeSupervisor"]
 
@@ -80,7 +72,6 @@ def _worker_main(config: dict, index: int) -> None:
             reuse_port=True,
             access_log=config.get("access_log"),
             trace_path=trace_path,
-            shared_cache=config.get("shared_cache"),
         )
     except Exception:
         sys.exit(START_FAILED)
@@ -110,7 +101,6 @@ class ServeSupervisor:
         poll_interval: float = 0.1,
         access_log: str | os.PathLike[str] | None = None,
         trace_path: str | os.PathLike[str] | None = None,
-        shared_cache: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError(f"worker count must be >= 1, got {workers}")
@@ -133,8 +123,6 @@ class ServeSupervisor:
         self.start_failures = 0
         self._placeholder: socket.socket | None = None
         self._stopping = False
-        self.shared_cache = bool(shared_cache)
-        self._cache_segment: SharedResponseCache | None = None
 
     # -- status drop-box -----------------------------------------------------
 
@@ -149,11 +137,6 @@ class ServeSupervisor:
         return {
             "schema": SUPERVISOR_SCHEMA,
             "workers": self.workers,
-            "shared_cache": (
-                self._cache_segment.name
-                if self._cache_segment is not None
-                else None
-            ),
             "alive": alive,
             "restarts": sum(self._restarts),
             "restart_budget": self.restart_budget,
@@ -187,11 +170,6 @@ class ServeSupervisor:
             "reload_interval": self.reload_interval,
             "access_log": self.access_log,
             "trace_path": self.trace_path,
-            "shared_cache": (
-                self._cache_segment.name
-                if self._cache_segment is not None
-                else None
-            ),
         }
 
     def _spawn(self, index: int) -> None:
@@ -260,9 +238,6 @@ class ServeSupervisor:
                     proc.kill()
                     proc.join(timeout=1.0)
         self.status_path.unlink(missing_ok=True)
-        if self._cache_segment is not None:
-            self._cache_segment.unlink()
-            self._cache_segment = None
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None
@@ -283,20 +258,10 @@ class ServeSupervisor:
             self._placeholder.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
             self._placeholder.bind((self.host, 0))
             self.port = self._placeholder.getsockname()[1]
-        if self.shared_cache:
-            # Created before any worker spawns so every worker —
-            # including respawns — attaches to the same segment.
-            self._cache_segment = SharedResponseCache.create()
         print(
             f"[serve] {SERVICE_NAME} on http://{self.host}:{self.port} — "
             f"{self.workers} supervised workers (SO_REUSEPORT, "
-            f"restart budget {self.restart_budget}"
-            + (
-                f", shared cache {self._cache_segment.name}"
-                if self._cache_segment is not None
-                else ""
-            )
-            + f") over {self.root}",
+            f"restart budget {self.restart_budget}) over {self.root}",
             flush=True,
         )
         for index in range(self.workers):

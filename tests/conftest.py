@@ -45,6 +45,16 @@ def artifact_root(tmp_path_factory, small_rectified):
 
 
 @pytest.fixture(scope="session")
+def service(artifact_root):
+    """An in-process query service over the read-only store."""
+    from repro.service import NvdService
+
+    service = NvdService(artifact_root, reload_interval=0.0)
+    yield service
+    service.close()
+
+
+@pytest.fixture(scope="session")
 def snapshot(bundle):
     return bundle.snapshot
 

@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import shutil
+import socket
 import threading
 import urllib.error
 import urllib.parse
@@ -199,6 +200,35 @@ class TestPredictEndpoint:
             {"cvss_v2": self.VECTOR, "cwe_ids": ["CWE-not-a-number"]},
         )
         assert status == 400
+
+    @pytest.mark.parametrize("field", ["cwe_ids", "description"])
+    def test_oversized_cwe_label_400(self, base_url, field):
+        label = "CWE-" + "9" * 400  # past float range as an id
+        value = [label] if field == "cwe_ids" else f"overflow, {label}."
+        status, payload = post(
+            base_url, "/v1/severity/predict", {"cvss_v2": self.VECTOR, field: value}
+        )
+        assert status == 400
+        assert label in payload["error"]
+
+    @pytest.mark.parametrize(
+        "length, status", [("abc", 400), ("-5", 400), ("9" * 30, 413)]
+    )
+    def test_bad_content_length_answered_then_closed(self, server, length, status):
+        host, port = server.server_address[:2]
+        request = (
+            "POST /v1/severity/predict HTTP/1.1\r\n"
+            f"Host: {host}\r\nContent-Length: {length}\r\n\r\n"
+        )
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(request.encode("ascii"))
+            response = b""
+            while chunk := sock.recv(4096):  # the server hangs up
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
 
 
 class TestMetricsAndCache:
@@ -519,6 +549,8 @@ class TestTelemetryPlane:
         ):
             assert key in payload, key
         assert isinstance(payload["counters"], dict)
+        assert set(payload["cache"]) == {"entries", "hits", "misses", "hit_ratio"}
+        assert payload["cache"]["hits"] == payload["counters"].get("cache_hits", 0)
 
     def test_access_log_and_request_trace(self, store, tmp_path_factory):
         """A private server with --access-log/--trace wiring: every

@@ -1,10 +1,9 @@
-"""Horizontal serve scale-out: shared cache, cursors, batched predict.
+"""Serve scale-out: response cache, cursors, concurrent predict.
 
-Covers the cross-worker response cache (seqlock segment semantics,
-coherence across a hot swap), opaque cursor pagination (round-trip,
-tamper, version expiry), the micro-batched predict path (bit-identity
-against the single-request reference), and the supervisor status-cache
-staleness regression.
+Covers the per-worker response LRU (and its coherence across a hot
+swap), opaque cursor pagination (round-trip, tamper, version expiry),
+predict under concurrency (bit-identity against the single-request
+reference), and the supervisor status-cache staleness regression.
 """
 
 import json
@@ -17,7 +16,7 @@ import pytest
 from repro.artifacts import ingest_delta, load_artifacts
 from repro.service import NvdService, ServiceError
 from repro.service.cursor import CursorError, decode_cursor, encode_cursor
-from repro.service.shared_cache import SharedResponseCache
+from repro.service.http import ResponseCache
 
 
 PREDICT_VECTOR = "AV:N/AC:L/Au:N/C:C/I:C/A:C"
@@ -40,98 +39,31 @@ def store(artifact_root, tmp_path_factory):
     return root
 
 
-@pytest.fixture()
-def segment():
-    seg = SharedResponseCache.create(slots=64, slot_bytes=4096)
-    yield seg
-    seg.unlink()
+class TestResponseCache:
+    def test_put_get_roundtrip(self):
+        cache = ResponseCache(4)
+        cache.put("k1", (200, b'{"a":1}'))
+        assert cache.get("k1") == (200, b'{"a":1}')
+        assert cache.get("never-stored") is None
 
+    def test_evicts_least_recently_used(self):
+        cache = ResponseCache(2)
+        cache.put("a", (200, b"1"))
+        cache.put("b", (200, b"2"))
+        cache.get("a")  # touch: "b" is now the oldest
+        cache.put("c", (200, b"3"))
+        assert len(cache) == 2
+        assert cache.get("b") is None
+        assert cache.get("a") == (200, b"1")
 
-class TestSharedResponseCache:
-    def test_put_get_roundtrip(self, segment):
-        segment.put("k1", (200, b'{"a":1}'))
-        assert segment.get("k1") == (200, b'{"a":1}')
-        assert segment.hits == 1
-
-    def test_absent_key_misses(self, segment):
-        assert segment.get("never-stored") is None
-        assert segment.misses == 1
-
-    def test_len_counts_occupied_slots(self, segment):
-        assert len(segment) == 0
-        segment.put("a", (200, b"1"))
-        segment.put("b", (200, b"2"))
-        assert len(segment) in (1, 2)  # direct-mapped: may collide
-
-    def test_clear_invalidates_everything(self, segment):
-        segment.put("k", (200, b"payload"))
-        assert segment.get("k") is not None
-        segment.clear()
-        assert segment.get("k") is None
-        assert len(segment) == 0
-
-    def test_direct_mapped_eviction_counts(self):
-        seg = SharedResponseCache.create(slots=1, slot_bytes=4096)
-        try:
-            seg.put("first", (200, b"1"))
-            seg.put("second", (200, b"2"))  # same (only) slot, new key
-            assert seg.evictions == 1
-            assert seg.get("first") is None
-            assert seg.get("second") == (200, b"2")
-        finally:
-            seg.unlink()
-
-    def test_oversized_value_is_skipped_not_stored(self, segment):
-        segment.put("big", (200, b"x" * (segment.capacity + 1)))
-        assert segment.too_large == 1
-        assert segment.get("big") is None
-
-    def test_attach_sees_owner_writes(self, segment):
-        segment.put("shared-key", (200, b"shared-body"))
-        other = SharedResponseCache.attach(segment.name)
-        try:
-            assert other.get("shared-key") == (200, b"shared-body")
-            other.put("reverse", (200, b"from-attacher"))
-            assert segment.get("reverse") == (200, b"from-attacher")
-        finally:
-            other.close()
-
-    def test_clear_propagates_to_attached_process_view(self, segment):
-        other = SharedResponseCache.attach(segment.name)
-        try:
-            segment.put("k", (200, b"v"))
-            assert other.get("k") is not None
-            other.clear()  # either side may bump the epoch
-            assert segment.get("k") is None
-        finally:
-            other.close()
-
-    def test_corrupted_slot_reads_as_miss(self, segment):
-        segment.put("victim", (200, b"payload-bytes"))
-        # scribble over the payload region of every slot; the CRC (or
-        # the stored key bytes) must reject the read, never return junk
-        buf = segment._shm.buf
-        for index in range(segment.slots):
-            offset = 64 + index * segment.slot_bytes + 32
-            buf[offset + 2] = (buf[offset + 2] + 1) % 256
-        assert segment.get("victim") is None
-
-    def test_attach_unknown_segment_raises(self):
-        from repro.service.shared_cache import SharedCacheError
-
-        with pytest.raises(SharedCacheError):
-            SharedResponseCache.attach("repro-cache-does-not-exist")
-
-    def test_stats_shape(self, segment):
-        segment.put("k", (200, b"v"))
-        segment.get("k")
-        stats = segment.stats()
-        assert stats["backend"] == "shared"
-        assert stats["slots"] == 64
-        assert stats["segment_bytes"] == 64 + 64 * 4096
-        assert stats["occupied"] == 1
-        assert stats["used_bytes"] > 0
-        assert stats["hits"] == 1 and stats["stores"] == 1
+    def test_clear_and_zero_size(self):
+        cache = ResponseCache(4)
+        cache.put("k", (200, b"payload"))
+        cache.clear()
+        assert cache.get("k") is None and len(cache) == 0
+        disabled = ResponseCache(0)
+        disabled.put("k", (200, b"payload"))
+        assert disabled.get("k") is None
 
 
 class TestCursorTokens:
@@ -167,12 +99,6 @@ class TestCursorTokens:
 
 
 class TestCursorPagination:
-    @pytest.fixture(scope="class")
-    def service(self, artifact_root):
-        service = NvdService(artifact_root, reload_interval=0.0)
-        yield service
-        service.close()
-
     @pytest.fixture(scope="class")
     def top_vendor(self, service):
         snapshot = service.state.snapshot
@@ -278,12 +204,6 @@ class TestCursorPagination:
 
 
 class TestBatchedPredict:
-    @pytest.fixture(scope="class")
-    def service(self, artifact_root):
-        service = NvdService(artifact_root, reload_interval=0.0)
-        yield service
-        service.close()
-
     def test_batched_payloads_bit_identical_to_single(self, service):
         bodies = [json.loads(body_bytes(i)) for i in range(8)]
         singles = [service.state.predict_payload(body) for body in bodies]
@@ -322,122 +242,41 @@ class TestBatchedPredict:
         assert results[0] == results[2]
         assert results[0] == service.state.predict_payload(good)
 
-    def test_score_entries_bit_identical_to_row_at_a_time(self, service):
-        # The scoring layer's contract: a coalesced batch scores each
-        # row exactly as a lone request would, bit for bit.  (BLAS does
-        # not preserve per-row bit patterns across batch shapes, which
-        # is why _score_entries row-slices instead of fusing a GEMM —
-        # this test is what forbids regressing to a fused pass.)
-        state = service.state
-        entries = [
-            state._parse_predict_body(json.loads(body_bytes(i)))
-            for i in range(12)
-        ]
-        batched = state._score_entries(entries)
-        rowwise = [state._score_entries([entry])[0] for entry in entries]
-        assert batched == rowwise
 
-    def test_batching_telemetry_counts(self, service):
-        before = service._batcher.stats()
-        service.handle("POST", "/v1/severity/predict", body_bytes(99))
-        after = service._batcher.stats()
-        assert after["batches"] > before["batches"]
-        assert after["rows"] > before["rows"]
-        assert after["window_ms"] >= 0.0
-
-
-class TestSharedCacheCoherence:
+class TestCacheCoherence:
     def test_no_stale_version_response_across_hot_swap(self, store):
-        """Two services share one segment; an ingest-driven hot swap in
-        either must invalidate the segment for both, and no request may
-        ever observe the old version's data under the new version."""
-        segment = SharedResponseCache.create(slots=256, slot_bytes=16384)
-        a = NvdService(store, reload_interval=0.0, shared_cache=segment)
-        b = NvdService(
-            store,
-            reload_interval=0.0,
-            shared_cache=SharedResponseCache.attach(segment.name),
-        )
-        try:
-            v1 = a.state.version
-            stats_v1 = json.loads(a.handle("GET", "/v1/stats", None).body)
-            # b warms from the segment: a's response is a cross-worker hit
-            b.handle("GET", "/v1/stats", None)
-            assert json.loads(
-                b.handle("GET", "/v1/metrics", None).body
-            )["cache"]["hits"] >= 1
+        """Two workers over one store each keep a private cache; an
+        ingest-driven hot swap must clear both, and no request may ever
+        observe the old version's data under the new version."""
+        workers = [NvdService(store, reload_interval=0.0) for _ in range(2)]
 
-            artifacts = load_artifacts(store)
-            base = artifacts.snapshot.entries[0]
+        def get(service, path):
+            return json.loads(service.handle("GET", path, None).body)
+
+        def hits(service):
+            return service.metrics_payload()["cache"]["hits"]
+
+        try:
+            v1 = workers[0].state.version
+            for service in workers * 2:  # a miss, then a hit, on each
+                stats_v1 = get(service, "/v1/stats")
+            assert all(hits(w) >= 1 for w in workers)
+            base = load_artifacts(store).snapshot.entries[0]
             result = ingest_delta(
                 store, [base.replace(cve_id="CVE-2018-99888", cvss_v3=None)]
             )
             assert result.version != v1
-
-            # whichever service answers first swaps and bumps the epoch
-            health_a = json.loads(a.handle("GET", "/healthz", None).body)
-            health_b = json.loads(b.handle("GET", "/healthz", None).body)
-            assert health_a["version"] == result.version
-            assert health_b["version"] == result.version
-
-            # the new version's stats must be fresh — n_cves moved
-            stats_a = json.loads(a.handle("GET", "/v1/stats", None).body)
-            stats_b = json.loads(b.handle("GET", "/v1/stats", None).body)
-            assert stats_a["n_cves"] == stats_v1["n_cves"] + 1
-            assert stats_b == stats_a
-
-            # and the segment repopulates under the new version: a
-            # repeat of b's request is a hit again
-            hits_before = json.loads(
-                b.handle("GET", "/v1/metrics", None).body
-            )["cache"]["hits"]
-            b.handle("GET", "/v1/stats", None)
-            hits_after = json.loads(
-                b.handle("GET", "/v1/metrics", None).body
-            )["cache"]["hits"]
-            assert hits_after > hits_before
+            for service in workers:
+                assert get(service, "/healthz")["version"] == result.version
+                # the new version's stats must be fresh — n_cves moved
+                assert get(service, "/v1/stats")["n_cves"] == stats_v1["n_cves"] + 1
+                # and the cache repopulates under the new version
+                before = hits(service)
+                get(service, "/v1/stats")
+                assert hits(service) > before
         finally:
-            a.close()
-            b.close()
-            segment.unlink()
-
-    def test_metrics_expose_shared_cache_families(self, store):
-        segment = SharedResponseCache.create(slots=64, slot_bytes=4096)
-        service = NvdService(store, reload_interval=0.0, shared_cache=segment)
-        try:
-            service.handle("GET", "/v1/stats", None)
-            payload = json.loads(
-                service.handle("GET", "/v1/metrics", None).body
-            )
-            assert payload["cache"]["backend"] == "shared"
-            assert payload["cache"]["shared"]["segment"] == segment.name
-            assert payload["pid"] == os.getpid()
-            text = service.render_metrics_text()
-            for family in (
-                "repro_http_cache_shared_slots",
-                "repro_http_cache_shared_occupied",
-                "repro_http_cache_shared_used_bytes",
-                "repro_http_cache_shared_segment_bytes",
-                "repro_http_cache_shared_stores_total",
-                "repro_predict_batch_total",
-                "repro_predict_batch_rows_bucket",
-                "repro_predict_batch_window_ms",
-            ):
-                assert family in text, family
-        finally:
-            service.close()
-            segment.unlink()
-
-    def test_private_cache_metrics_name_backend(self, store):
-        service = NvdService(store, reload_interval=0.0)
-        try:
-            payload = json.loads(
-                service.handle("GET", "/v1/metrics", None).body
-            )
-            assert payload["cache"]["backend"] == "private"
-            assert "shared" not in payload["cache"]
-        finally:
-            service.close()
+            for service in workers:
+                service.close()
 
 
 class TestSupervisorStatusCache:

@@ -15,12 +15,10 @@ The scenario is recorded in every run entry.
 
 ``--workers-sweep 1,2,4`` benchmarks the *multi-process* plane
 instead of the in-process server: for each worker count it launches
-``repro serve --workers N`` as a subprocess (private response caches,
-then one shared segment with ``--cache both``), replays the same
-trace, aggregates every worker's ``/v1/metrics`` cache block by pid,
-and records one run per configuration — rps, p50/p95, the
-cross-worker cache hit ratio, and the shared segment's occupancy and
-memory footprint (schema ``repro-bench-service/3``).
+``repro serve --workers N`` as a subprocess, replays the same trace,
+aggregates every worker's ``/v1/metrics`` cache block by pid, and
+records one run per worker count — rps, p50/p95 and the summed cache
+hit ratio of the per-worker caches (schema ``repro-bench-service/3``).
 
 ``--ingest DELTA_FEED`` benchmarks the *write* path instead: it times
 ``repro.artifacts.ingest_delta`` rolling the delta (typically from
@@ -80,7 +78,9 @@ _RUN_FIELDS = {
 }
 
 #: optional serving-run keys added by the workers sweep (schema /3);
-#: typed when present, absent on in-process runs.
+#: typed when present, absent on in-process runs.  ``cache`` and
+#: ``shared_cache`` only appear on older sweeps, which also ran a
+#: since-removed shared-memory cache.
 _OPTIONAL_RUN_FIELDS = {
     "workers": int,
     "cache": str,
@@ -184,6 +184,50 @@ def fire(base_url: str, item: tuple[str, str, bytes | None]) -> tuple[str, int, 
     return label, status, time.perf_counter() - start
 
 
+def replay(
+    base_url: str, workload: list, clients: int
+) -> tuple[list[tuple[str, int, float]], float]:
+    """Fire ``workload`` from ``clients`` threads; (results, wall s).
+    Raises when any request answers >= 400."""
+    from repro.runtime import ThreadExecutor
+
+    executor = ThreadExecutor(workers=clients)
+    try:
+        t_wall = time.perf_counter()
+        results = executor.map(lambda item: fire(base_url, item), workload)
+        wall_s = time.perf_counter() - t_wall
+    finally:
+        executor.close()
+    failures = [status for _, status, _ in results if status >= 400]
+    if failures:
+        raise RuntimeError(
+            f"{len(failures)} requests failed (first status {failures[0]})"
+        )
+    return results, wall_s
+
+
+def latency_fields(results: list[tuple[str, int, float]], wall_s: float) -> dict:
+    """Wall time, rps and p50/p95 latency, overall and per endpoint."""
+    latencies = sorted(seconds for _, _, seconds in results)
+    by_endpoint: dict[str, list[float]] = {}
+    for endpoint, _, seconds in results:
+        by_endpoint.setdefault(endpoint, []).append(seconds)
+    return {
+        "wall_s": round(wall_s, 3),
+        "rps": round(len(results) / wall_s, 1) if wall_s > 0 else 0.0,
+        "p50_ms": round(percentile(latencies, 0.50) * 1000, 3),
+        "p95_ms": round(percentile(latencies, 0.95) * 1000, 3),
+        "endpoints": {
+            name: {
+                "count": len(values),
+                "p50_ms": round(percentile(sorted(values), 0.50) * 1000, 3),
+                "p95_ms": round(percentile(sorted(values), 0.95) * 1000, 3),
+            }
+            for name, values in sorted(by_endpoint.items())
+        },
+    }
+
+
 def bench(
     artifacts_dir: pathlib.Path,
     n_requests: int,
@@ -195,7 +239,6 @@ def bench(
     """Start the server, replay the scenario's request trace, return the
     run record."""
     from repro.artifacts import read_current
-    from repro.runtime import ThreadExecutor
     from repro.service import create_server
     from repro.synth import build_request_trace, get_scenario
 
@@ -219,33 +262,11 @@ def bench(
         f"clients={clients} scenario={scenario.name} "
         f"(cold start {cold_start_s:.2f}s)"
     )
-    executor = ThreadExecutor(workers=clients)
     try:
-        t_wall = time.perf_counter()
-        results = executor.map(lambda item: fire(base_url, item), workload)
-        wall_s = time.perf_counter() - t_wall
+        results, wall_s = replay(base_url, workload, clients)
     finally:
-        executor.close()
         server.shutdown()
         server.server_close()
-
-    failures = [status for _, status, _ in results if status >= 400]
-    if failures:
-        raise RuntimeError(
-            f"{len(failures)} requests failed (first status {failures[0]})"
-        )
-    latencies = sorted(seconds for _, _, seconds in results)
-    by_endpoint: dict[str, list[float]] = {}
-    for endpoint, _, seconds in results:
-        by_endpoint.setdefault(endpoint, []).append(seconds)
-    endpoints = {
-        name: {
-            "count": len(values),
-            "p50_ms": round(percentile(sorted(values), 0.50) * 1000, 3),
-            "p95_ms": round(percentile(sorted(values), 0.95) * 1000, 3),
-        }
-        for name, values in sorted(by_endpoint.items())
-    }
     return {
         "label": label,
         "scenario": scenario.name,
@@ -254,11 +275,7 @@ def bench(
         "n_cves": len(artifacts.snapshot),
         "version": artifacts.version,
         "cold_start_s": round(cold_start_s, 3),
-        "wall_s": round(wall_s, 3),
-        "rps": round(n_requests / wall_s, 1) if wall_s > 0 else 0.0,
-        "p50_ms": round(percentile(latencies, 0.50) * 1000, 3),
-        "p95_ms": round(percentile(latencies, 0.95) * 1000, 3),
-        "endpoints": endpoints,
+        **latency_fields(results, wall_s),
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
 
@@ -317,18 +334,16 @@ def bench_workers_sweep(
     seed: int,
     label: str,
     scenario_name: str,
-    cache_modes: list[str],
 ) -> list[dict]:
-    """One run record per (worker count, cache backend) configuration.
+    """One run record per worker count.
 
     Unlike :func:`bench` this drives real ``repro serve`` subprocesses
-    — the supervisor, ``SO_REUSEPORT`` workers, and (for the shared
-    mode) the cross-worker cache segment are all the production path.
-    The same trace replays against every configuration, so hit ratios
-    compare like for like.
+    — the supervisor and its ``SO_REUSEPORT`` workers are the
+    production path.  The same trace replays against every worker
+    count, so hit ratios compare like for like.
     """
     from repro.artifacts import load_artifacts, read_current
-    from repro.runtime import SerialExecutor, ThreadExecutor
+    from repro.runtime import SerialExecutor
     from repro.synth import build_request_trace, get_scenario
 
     scenario = get_scenario(scenario_name)
@@ -343,117 +358,64 @@ def bench_workers_sweep(
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     runs: list[dict] = []
     for workers in counts:
-        for cache_mode in cache_modes:
-            port = _free_port()
-            base_url = f"http://127.0.0.1:{port}"
-            cmd = [
-                sys.executable, "-m", "repro", "serve",
-                "--artifacts", str(artifacts_dir),
-                "--port", str(port),
-                "--workers", str(workers),
-            ]
-            if current:
-                cmd += ["--version", current]
-            if cache_mode == "shared":
-                cmd.append("--shared-cache")
-            proc = subprocess.Popen(
-                cmd,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-                env=env,
-            )
-            try:
-                _wait_healthy(base_url)
-                print(
-                    f"[bench-service] sweep: workers={workers} "
-                    f"cache={cache_mode} at {base_url}"
-                )
-                executor = ThreadExecutor(workers=clients)
-                try:
-                    t_wall = time.perf_counter()
-                    results = executor.map(
-                        lambda item: fire(base_url, item), workload
-                    )
-                    wall_s = time.perf_counter() - t_wall
-                finally:
-                    executor.close()
-                failures = [s for _, s, _ in results if s >= 400]
-                if failures:
-                    raise RuntimeError(
-                        f"{len(failures)} sweep requests failed "
-                        f"(first status {failures[0]})"
-                    )
-                per_worker = _collect_worker_metrics(base_url, workers)
-            finally:
-                proc.send_signal(signal.SIGINT)
-                try:
-                    proc.wait(timeout=15)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait(timeout=5)
-            hits = sum(
-                blob.get("cache", {}).get("hits", 0)
-                for blob in per_worker.values()
-            )
-            misses = sum(
-                blob.get("cache", {}).get("misses", 0)
-                for blob in per_worker.values()
-            )
-            lookups = hits + misses
-            shared_block = None
-            if cache_mode == "shared":
-                for blob in per_worker.values():
-                    segment = blob.get("cache", {}).get("shared")
-                    if segment:
-                        shared_block = {
-                            "slots": segment.get("slots"),
-                            "occupied": segment.get("occupied"),
-                            "used_bytes": segment.get("used_bytes"),
-                            "segment_bytes": segment.get("segment_bytes"),
-                        }
-                        break
-            latencies = sorted(seconds for _, _, seconds in results)
-            by_endpoint: dict[str, list[float]] = {}
-            for endpoint, _, seconds in results:
-                by_endpoint.setdefault(endpoint, []).append(seconds)
-            run = {
-                "label": label,
-                "scenario": scenario.name,
-                "requests": n_requests,
-                "clients": clients,
-                "workers": workers,
-                "cache": cache_mode,
-                "n_cves": len(artifacts.snapshot),
-                "version": artifacts.version,
-                "wall_s": round(wall_s, 3),
-                "rps": round(n_requests / wall_s, 1) if wall_s > 0 else 0.0,
-                "p50_ms": round(percentile(latencies, 0.50) * 1000, 3),
-                "p95_ms": round(percentile(latencies, 0.95) * 1000, 3),
-                "cache_hit_ratio": (
-                    round(hits / lookups, 4) if lookups else None
-                ),
-                "workers_reporting": len(per_worker),
-                "shared_cache": shared_block,
-                "endpoints": {
-                    name: {
-                        "count": len(values),
-                        "p50_ms": round(
-                            percentile(sorted(values), 0.50) * 1000, 3
-                        ),
-                        "p95_ms": round(
-                            percentile(sorted(values), 0.95) * 1000, 3
-                        ),
-                    }
-                    for name, values in sorted(by_endpoint.items())
-                },
-                "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            }
+        port = _free_port()
+        base_url = f"http://127.0.0.1:{port}"
+        cmd = [
+            sys.executable, "-m", "repro", "serve",
+            "--artifacts", str(artifacts_dir),
+            "--port", str(port),
+            "--workers", str(workers),
+        ]
+        if current:
+            cmd += ["--version", current]
+        proc = subprocess.Popen(
+            cmd,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            _wait_healthy(base_url)
             print(
-                f"[bench-service]   {run['rps']} req/s, p50 "
-                f"{run['p50_ms']}ms, p95 {run['p95_ms']}ms, hit ratio "
-                f"{run['cache_hit_ratio']}"
+                f"[bench-service] sweep: workers={workers} at {base_url}"
             )
-            runs.append(run)
+            results, wall_s = replay(base_url, workload, clients)
+            per_worker = _collect_worker_metrics(base_url, workers)
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                proc.wait(timeout=15)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait(timeout=5)
+        hits = sum(
+            blob.get("cache", {}).get("hits", 0)
+            for blob in per_worker.values()
+        )
+        misses = sum(
+            blob.get("cache", {}).get("misses", 0)
+            for blob in per_worker.values()
+        )
+        lookups = hits + misses
+        run = {
+            "label": label,
+            "scenario": scenario.name,
+            "requests": n_requests,
+            "clients": clients,
+            "workers": workers,
+            "n_cves": len(artifacts.snapshot),
+            "version": artifacts.version,
+            **latency_fields(results, wall_s),
+            "cache_hit_ratio": round(hits / lookups, 4) if lookups else None,
+            "workers_reporting": len(per_worker),
+            "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        }
+        print(
+            f"[bench-service]   {run['rps']} req/s, p50 "
+            f"{run['p50_ms']}ms, p95 {run['p95_ms']}ms, hit ratio "
+            f"{run['cache_hit_ratio']}"
+        )
+        runs.append(run)
     return runs
 
 
@@ -516,14 +478,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--workers-sweep", metavar="N,N,...",
         help="benchmark real `repro serve --workers N` subprocesses for "
-        "each worker count (e.g. 1,2,4), recording per-config rps, "
-        "latency, cross-worker cache hit ratio, and shared-segment "
-        "footprint",
-    )
-    parser.add_argument(
-        "--cache", choices=("private", "shared", "both"), default="both",
-        help="cache backend(s) the workers sweep exercises "
-        "(default: both, one run per backend per worker count)",
+        "each worker count (e.g. 1,2,4), recording per-count rps, "
+        "latency and cache hit ratio",
     )
     parser.add_argument(
         "--scenario", default="baseline", metavar="NAME",
@@ -580,9 +536,6 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--workers-sweep must be a comma list of integers")
         if not counts or any(count < 1 for count in counts):
             parser.error("--workers-sweep counts must be positive")
-        cache_modes = (
-            ["private", "shared"] if args.cache == "both" else [args.cache]
-        )
         runs = bench_workers_sweep(
             args.artifacts,
             counts,
@@ -591,7 +544,6 @@ def main(argv: list[str] | None = None) -> int:
             args.seed,
             args.label,
             args.scenario,
-            cache_modes,
         )
         document["runs"].extend(runs)
     elif args.ingest is not None:
