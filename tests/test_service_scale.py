@@ -44,7 +44,19 @@ class TestResponseCache:
         cache = ResponseCache(4)
         cache.put("k1", (200, b'{"a":1}'))
         assert cache.get("k1") == (200, b'{"a":1}')
+
+    def test_absent_key_misses(self):
+        cache = ResponseCache(4)
+        cache.put("k1", (200, b'{"a":1}'))
         assert cache.get("never-stored") is None
+
+    def test_len_counts_entries(self):
+        cache = ResponseCache(4)
+        assert len(cache) == 0
+        cache.put("a", (200, b"1"))
+        cache.put("b", (200, b"2"))
+        cache.put("a", (200, b"3"))  # overwrite, not a new entry
+        assert len(cache) == 2
 
     def test_evicts_least_recently_used(self):
         cache = ResponseCache(2)
@@ -277,6 +289,21 @@ class TestCacheCoherence:
         finally:
             for service in workers:
                 service.close()
+
+
+    def test_metrics_cache_block_counts_private_lru(self, store):
+        """/v1/metrics reports the worker's own LRU: its entries, hits,
+        misses and hit ratio, and names no cache backend."""
+        service = NvdService(store, reload_interval=0.0)
+        try:
+            service.handle("GET", "/v1/stats", None)  # miss, then stored
+            service.handle("GET", "/v1/stats", None)  # hit
+            cache = service.metrics_payload()["cache"]
+            assert cache == {
+                "entries": 1, "hits": 1, "misses": 1, "hit_ratio": 0.5
+            }
+        finally:
+            service.close()
 
 
 class TestSupervisorStatusCache:
