@@ -18,6 +18,9 @@ Endpoints::
     GET  /v1/product/<vendor>/<product>   consolidated product view
     POST /v1/severity/predict             §4.3 prediction for a posted body
 
+Any other path, and ``PUT``/``PATCH``/``DELETE``/``OPTIONS`` on any
+path, gets a counted JSON ``404``.
+
 Telemetry: every request feeds the service's
 :class:`repro.obs.MetricsRegistry` — ``repro_http_requests_total``
 labelled by endpoint and status, a fixed-bucket per-endpoint latency
@@ -754,10 +757,14 @@ class ApiHandler(http.server.BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass  # metrics and the JSONL access log replace stderr chatter
 
-    def _respond(self, method: str) -> None:
+    def _respond(self) -> None:
         service: NvdService = self.server.service  # type: ignore[attr-defined]
+        method = self.command
         body, read_error = None, None
-        if method == "POST":
+        if method != "GET":
+            # Every body-carrying method reads its body, even one that
+            # routes nowhere, so the next keep-alive request starts at
+            # its own request line.
             raw = self.headers.get("Content-Length") or "0"
             try:
                 length = int(raw)
@@ -789,14 +796,17 @@ class ApiHandler(http.server.BaseHTTPRequestHandler):
             # The body is left unread, so the stream cannot be
             # resynchronised: answer, then hang up.
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(response.body)
+        # Status line, headers and body go out in one write.  As two
+        # sends (end_headers(), then the body), Nagle holds the body
+        # until the client's delayed ACK of the headers: ~40 ms on
+        # every keep-alive request.
+        self._headers_buffer.extend((b"\r\n", response.body))
+        self.flush_headers()
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        self._respond("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._respond("POST")
+    do_GET = do_POST = _respond  # noqa: N815 - BaseHTTPRequestHandler API
+    # Unsupported methods get the service's counted JSON 404, not the
+    # stdlib's uncounted HTML 501.
+    do_PUT = do_PATCH = do_DELETE = do_OPTIONS = _respond  # noqa: N815
 
 
 class _ServiceServer(http.server.ThreadingHTTPServer):

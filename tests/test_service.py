@@ -1,10 +1,15 @@
 """The HTTP query service: endpoints, caching, concurrency, hot swap."""
 
 import concurrent.futures
+import http.client
+import io
 import json
 import shutil
 import socket
+import statistics
 import threading
+import time
+import types
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -13,6 +18,7 @@ import pytest
 
 from repro.artifacts import ingest_delta, load_artifacts
 from repro.service import create_server
+from repro.service.http import MAX_BODY_BYTES, ApiHandler
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +235,141 @@ class TestPredictEndpoint:
         assert head.startswith(f"HTTP/1.1 {status} ".encode())
         assert b"Connection: close" in head
         assert json.loads(body)["error"]
+
+
+class _RecordingWriter:
+    """A ``wfile`` stand-in that keeps every write."""
+
+    def __init__(self) -> None:
+        self.writes: list[bytes] = []
+
+    def write(self, data: bytes) -> int:
+        self.writes.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        pass
+
+
+class _RecordingHandler(ApiHandler):
+    """Runs one raw request through the real handler, no socket."""
+
+    def setup(self) -> None:
+        self.rfile = io.BytesIO(self.request)
+        self.wfile = _RecordingWriter()
+
+    def finish(self) -> None:
+        pass
+
+
+class TestTransport:
+    VECTOR = TestPredictEndpoint.VECTOR
+
+    @staticmethod
+    def _writes(service, request: str, body: bytes = b"") -> list[bytes]:
+        raw = request.replace("\n", "\r\n").encode("ascii") + body
+        server = types.SimpleNamespace(service=service)
+        handler = _RecordingHandler(raw, ("127.0.0.1", 0), server)
+        return handler.wfile.writes
+
+    def _predict_request(self, length: str | None = None):
+        body = json.dumps({"cvss_v2": self.VECTOR}).encode()
+        request = (
+            "POST /v1/severity/predict HTTP/1.1\nHost: x\n"
+            f"Content-Length: {length or len(body)}\n\n"
+        )
+        return request, body
+
+    @pytest.mark.parametrize(
+        "case, status",
+        [
+            ("cve", 200),
+            ("predict", 200),
+            ("missing", 404),
+            ("put", 404),
+            ("bad-length", 400),
+            ("too-long", 413),
+        ],
+    )
+    def test_one_write_per_response(self, service, case, status):
+        cve_id = service.state.snapshot.entries[0].cve_id
+        body = b""
+        if case == "cve":
+            request = f"GET /v1/cve/{cve_id} HTTP/1.1\nHost: x\n\n"
+        elif case == "missing":
+            request = "GET /v1/nowhere HTTP/1.1\nHost: x\n\n"
+        elif case == "put":
+            request = "PUT /v1/stats HTTP/1.1\nHost: x\nContent-Length: 2\n\n"
+            body = b"{}"
+        else:
+            length = {"bad-length": "abc", "too-long": str(MAX_BODY_BYTES + 1)}
+            request, body = self._predict_request(length.get(case))
+        writes = self._writes(service, request, body)
+        assert len(writes) == 1
+        head, _, payload = writes[0].partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        # The header order of the two-send transport, kept byte for byte.
+        names = [line.split(":", 1)[0] for line in lines[1:]]
+        expected = [
+            "Server", "Date", "Content-Type", "Content-Length", "X-Repro-Trace-Id"
+        ]
+        if case in ("bad-length", "too-long"):
+            expected.append("Connection")
+            assert "Connection: close" in lines
+        assert names == expected
+        assert f"Content-Length: {len(payload)}" in lines
+        assert json.loads(payload)
+
+    def test_keepalive_requests_do_not_stall(self, server):
+        """20 mixed requests on one connection: no ~40 ms Nagle wait."""
+        host, port = server.server_address[:2]
+        cve_id = server.service.state.snapshot.entries[0].cve_id
+        predict = json.dumps({"cvss_v2": self.VECTOR})
+        plan = [
+            ("GET", f"/v1/cve/{cve_id}", None, 200),
+            ("POST", "/v1/severity/predict", predict, 200),
+            ("GET", "/v1/cve/CVE-1999-99999", None, 404),
+            ("GET", "/v1/nowhere", None, 404),
+        ] * 5
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        timings, statuses = [], []
+        try:
+            for method, path, body, _ in plan:
+                started = time.perf_counter()
+                connection.request(method, path, body=body)
+                response = connection.getresponse()
+                response.read()
+                timings.append(time.perf_counter() - started)
+                statuses.append(response.status)
+        finally:
+            connection.close()
+        assert statuses == [status for *_, status in plan]
+        assert statistics.median(timings) < 0.005, timings
+
+    def test_unsupported_methods_get_counted_json_404(self, server):
+        """PUT/PATCH/DELETE/OPTIONS get the service's 404, and their
+        bodies are consumed so the connection stays usable."""
+        host, port = server.server_address[:2]
+        before = server.service.metrics_payload()["counters"]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for method in ("PUT", "PATCH", "DELETE", "OPTIONS"):
+                connection.request(method, "/v1/stats", body=b'{"x": 1}')
+                response = connection.getresponse()
+                assert response.status == 404
+                assert response.getheader("Content-Type") == "application/json"
+                assert json.loads(response.read()) == {
+                    "error": f"no route for {method} /v1/stats"
+                }
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
+        after = server.service.metrics_payload()["counters"]
+        assert after["responses_4xx"] - before.get("responses_4xx", 0) >= 4
 
 
 class TestMetricsAndCache:

@@ -1,9 +1,10 @@
-"""Property: no predict body or paging parameter makes the service 500.
+"""Property: no method, predict body or paging parameter makes the service 500.
 
 Drives :meth:`NvdService.handle` in-process with arbitrary JSON predict
-bodies (CWE labels, long digit runs, non-string fields) and arbitrary
-``offset``/``limit``/``cursor`` values on the paged routes; every answer
-must be a 2xx or a 4xx.
+bodies (CWE labels, long digit runs, non-string fields), every method
+the transport routes (``PUT``/``PATCH``/``DELETE``/``OPTIONS`` included)
+and arbitrary ``offset``/``limit``/``cursor`` values on the paged
+routes; every answer must be a 2xx or a 4xx.
 """
 
 import json
@@ -49,6 +50,9 @@ param_values = (
 paging_params = st.dictionaries(
     st.sampled_from(["offset", "limit", "cursor"]), param_values, max_size=3
 )
+#: every method the transport routes to the service; the unsupported
+#: ones must get the service's 404, never the stdlib's 501.
+methods = st.sampled_from(["GET", "POST", "PUT", "PATCH", "DELETE", "OPTIONS"])
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +73,19 @@ def assert_not_5xx(response) -> None:
 def test_predict_never_500(service, body):
     body_bytes = json.dumps(body).encode()
     assert_not_5xx(service.handle("POST", "/v1/severity/predict", body_bytes))
+
+
+@SETTINGS
+@given(
+    method=methods,
+    path=st.sampled_from(["/v1/severity/predict", "/v1/stats", "/healthz"])
+    | st.text(max_size=30).map("/".__add__),
+    body=st.none()
+    | st.binary(max_size=64)
+    | predict_bodies.map(lambda body: json.dumps(body).encode()),
+)
+def test_any_method_never_500(service, method, path, body):
+    assert_not_5xx(service.handle(method, path, body))
 
 
 @SETTINGS

@@ -26,6 +26,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -99,6 +100,35 @@ def wait_healthy(base_url: str, timeout_s: float = 90.0) -> None:
             pass
         time.sleep(0.2)
     raise ProbeFailure(f"server at {base_url} never became healthy")
+
+
+@contextlib.contextmanager
+def serving(artifacts: pathlib.Path, workers: int):
+    """Run ``repro serve --workers N`` on a free port; yield its base
+    URL once ``/healthz`` answers, and stop it with SIGINT on exit."""
+    port = free_port()
+    base_url = f"http://127.0.0.1:{port}"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--artifacts", str(artifacts),
+            "--port", str(port),
+            "--workers", str(workers),
+        ],
+        env=env,
+    )
+    try:
+        wait_healthy(base_url)
+        yield base_url
+    finally:
+        proc.send_signal(signal.SIGINT)
+        try:
+            proc.wait(timeout=15)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=5)
 
 
 def probe_cursor_walk(base_url: str, snapshot) -> None:
@@ -193,36 +223,16 @@ def main(argv: list[str] | None = None) -> int:
     from repro.runtime import SerialExecutor
 
     artifacts = load_artifacts(args.artifacts, executor=SerialExecutor())
-    port = free_port()
-    base_url = f"http://127.0.0.1:{port}"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src")
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--artifacts", str(args.artifacts),
-            "--port", str(port),
-            "--workers", str(args.workers),
-        ],
-        env=env,
-    )
     try:
-        wait_healthy(base_url)
-        probe_cursor_walk(base_url, artifacts.snapshot)
-        probe_predict_burst(base_url, args.burst)
-        probe_metrics_lint(base_url)
+        with serving(args.artifacts, args.workers) as base_url:
+            probe_cursor_walk(base_url, artifacts.snapshot)
+            probe_predict_burst(base_url, args.burst)
+            probe_metrics_lint(base_url)
         print(f"[probe] OK: {args.workers} workers")
         return 0
     except ProbeFailure as failure:
         print(f"[probe] FAILED: {failure}", file=sys.stderr)
         return 1
-    finally:
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=15)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait(timeout=5)
 
 
 if __name__ == "__main__":
