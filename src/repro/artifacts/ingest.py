@@ -34,7 +34,6 @@ from repro.core.products import apply_product_mapping
 from repro.core.vendors import apply_vendor_mapping
 from repro.cvss import severity_v3
 from repro.nvd import CveEntry, NvdSnapshot
-from repro.runtime import Executor
 from repro.web import CrawlCache
 
 __all__ = ["IngestResult", "ingest_delta"]
@@ -79,7 +78,6 @@ def ingest_delta(
     delta_entries: Iterable[CveEntry],
     *,
     crawl_cache: CrawlCache | str | os.PathLike[str] | None = None,
-    executor: Executor | None = None,
 ) -> IngestResult:
     """Clean ``delta_entries`` with persisted artifacts and export a new
     version.
@@ -97,7 +95,7 @@ def ingest_delta(
     the parent version live and the next ingest able to proceed.
     """
     recover_store(root)
-    artifacts = load_artifacts(root, executor=executor)
+    artifacts = load_artifacts(root)
     delta = NvdSnapshot(delta_entries)  # validates duplicate delta ids
     cache = CrawlCache.resolve(crawl_cache)
 

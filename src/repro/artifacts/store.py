@@ -58,7 +58,6 @@ from repro.core.severity import (
 from repro.cvss import Severity
 from repro.ml import LinearRegression, Sequential, SupportVectorRegressor
 from repro.nvd import NvdSnapshot, load_feed, save_feed
-from repro.runtime import Executor
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -88,7 +87,7 @@ assert set(_MODEL_LOADERS) == set(SUPPORTED_MODELS)
 
 #: engine-config keys older stores persisted for settings that no
 #: longer exist; dropped on load so those stores stay loadable.
-_RETIRED_CONFIG_KEYS = ("numeric_backend", "data_parallel")
+_RETIRED_CONFIG_KEYS = ("numeric_backend", "data_parallel", "workers", "backend")
 
 
 class ArtifactError(RuntimeError):
@@ -409,7 +408,6 @@ def load_artifacts(
     version: str | None = None,
     *,
     verify: bool = True,
-    executor: Executor | None = None,
 ) -> LoadedArtifacts:
     """Rehydrate one artifact version (default: the ``CURRENT`` one).
 
@@ -445,7 +443,7 @@ def load_artifacts(
             raise ArtifactError(
                 f"{version_dir}: cannot load model {name!r}: {error}"
             ) from None
-    engine = SeverityPredictionEngine.from_models(config, models, executor=executor)
+    engine = SeverityPredictionEngine.from_models(config, models)
     model_used = engine_doc["model_used"]
     if model_used not in models:
         raise ArtifactError(

@@ -69,6 +69,17 @@ from repro.synth import GeneratorConfig, generate
 __all__ = ["main"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     bundle = generate(GeneratorConfig(n_cves=args.n_cves, seed=args.seed))
     save_feed(bundle.snapshot.entries, args.out)
@@ -176,12 +187,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         bundle.web,
         from_ground_truth(bundle.truth.vendor_map),
         product_oracle_from_truth(bundle.truth.product_map),
-        engine_config=EngineConfig(
-            epochs=args.epochs,
-            models=("lr", "dnn"),
-            workers=args.workers,
-            backend=args.backend,
-        ),
+        engine_config=EngineConfig(epochs=args.epochs, models=("lr", "dnn")),
         crawl_cache=args.crawl_cache,
     )
     report = rectified.report
@@ -343,15 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--epochs", type=int, default=10)
     cmd.add_argument("--out", default=None)
     cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="execution-runtime workers (default: REPRO_WORKERS or 1); "
-        "all backends produce bit-identical results",
-    )
-    cmd.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default=None,
-        help="executor backend (default: REPRO_BACKEND, or thread when N > 1)",
-    )
-    cmd.add_argument(
         "--crawl-cache", default=None, metavar="PATH",
         help="persistent crawl cache JSON; repeated runs skip re-fetching "
         "reference URLs (default: REPRO_CRAWL_CACHE or no cache)",
@@ -381,10 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 checks on every request; --version disables polling)",
     )
     cmd.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_positive_int, default=1, metavar="N",
         help="server processes sharing the port via SO_REUSEPORT "
-        "(default: REPRO_WORKERS or 1; each worker cold-starts from "
-        "the store and hot-swaps independently)",
+        "(default 1; each worker cold-starts from the store and "
+        "hot-swaps independently)",
     )
     cmd.add_argument(
         "--access-log", default=None, metavar="PATH",

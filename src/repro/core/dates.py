@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro import faults, perf
 from repro.cvss import Severity
 from repro.nvd import CveEntry, NvdSnapshot
-from repro.runtime import Executor, SharedHandle, map_published
 from repro.web import CrawlCache, ReferenceCrawler, WebClient
 
 __all__ = [
@@ -71,75 +69,22 @@ def estimate_disclosure(
     )
 
 
-#: entries per executor shard.  Fixed — never derived from the worker
-#: count — so shard boundaries (and thus results) are identical across
-#: serial, thread and process runs.
-_DATES_CHUNK = 512
-
-
-def _estimate_shard(
-    task: tuple[SharedHandle, Sequence[CveEntry]],
-) -> tuple[list[DisclosureEstimate], dict]:
-    """Worker body: estimate one shard of entries.
-
-    ``task`` is ``(handle, entries)``: the handle resolves the web
-    client and crawl cache published once per worker on the shared
-    state plane, the entry shard is the task payload.  Crawl counters
-    record straight onto the local perf recorder under ``dates.*`` —
-    in-process for the serial/thread backends, shipped home through
-    the executor's :class:`~repro.perf.RecorderDelta` plane for
-    process workers.  Returns the estimates plus any new cache
-    entries, so the parent can merge additions from process workers
-    that operate on their installed cache copies.
-    """
-    handle, entries = task
-    shared = handle.resolve()
-    cache: CrawlCache | None = shared["cache"]
-    crawler = ReferenceCrawler(shared["client"], cache=cache)
-    estimates = [estimate_disclosure(entry, crawler) for entry in entries]
-    for name, value in sorted(crawler.counters.items()):
-        perf.add_counter(f"dates.{name}", value)
-    # take_new(), not new_entries(): the worker's cache copy outlives
-    # this shard, and draining keeps each result shipping only its own
-    # additions instead of the worker's cumulative set.
-    new_entries = cache.take_new() if cache is not None else {}
-    return estimates, new_entries
-
-
 def estimate_all(
     snapshot: NvdSnapshot,
     client: WebClient,
     cache: CrawlCache | None = None,
-    executor: Executor | None = None,
 ) -> dict[str, DisclosureEstimate]:
     """Estimate disclosure dates for every entry in a snapshot.
 
-    Entries shard across ``executor`` in fixed-size chunks (each CVE's
-    estimate is independent, so any backend returns identical results);
-    the client and cache are *published* on the executor's worker
-    context — shipped once per process worker instead of riding in
-    every shard task.  ``cache`` lets repeated runs replay per-URL
-    scrape outcomes instead of re-fetching.  Crawl counters land in
-    the perf recorder under ``dates.*`` — recorded by the shard
-    workers themselves and, under the process backend, shipped home on
-    the executor's delta plane, so totals match the serial run
-    exactly.  The one exception is the ``cache_hit``/``cache_miss``
-    split, which is diagnostic only — it shifts with the backend
-    (process workers scrape against their own cache copies, threads
-    race on a shared one), while the estimates themselves never do.
+    Each CVE's estimate is independent of the others.  ``cache`` lets
+    repeated runs replay per-URL scrape outcomes instead of
+    re-fetching, and is saved once at the end.  Crawl counters land in
+    the perf recorder under ``dates.*``.
     """
-    shards = map_published(
-        executor,
-        _estimate_shard,
-        "dates.crawl",
-        {"client": client, "cache": cache},
-        snapshot.entries,
-        _DATES_CHUNK,
-    )
-    estimates = [estimate for shard, _ in shards for estimate in shard]
-    if cache is not None:
-        for _, new_entries in shards:
-            cache.merge(new_entries)
+    crawler = ReferenceCrawler(client, cache=cache)
+    estimates = [estimate_disclosure(entry, crawler) for entry in snapshot.entries]
+    for name, value in sorted(crawler.counters.items()):
+        perf.add_counter(f"dates.{name}", value)
     if cache is not None:
         try:
             cache.save()

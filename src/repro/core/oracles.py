@@ -30,11 +30,7 @@ __all__ = [
 
 
 class _GroundTruthVendorOracle:
-    """A picklable vendor oracle over the generator's variant map.
-
-    A class (not a closure) so the §4.2 confirmation pass can publish
-    the oracle to process workers through the shared-state plane.
-    """
+    """A vendor oracle over the generator's variant map."""
 
     __slots__ = ("vendor_map",)
 
@@ -47,7 +43,7 @@ class _GroundTruthVendorOracle:
 
 
 class _GroundTruthProductOracle:
-    """A picklable product oracle over the generator's variant map."""
+    """A product oracle over the generator's variant map."""
 
     __slots__ = ("product_map",)
 

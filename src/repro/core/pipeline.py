@@ -16,7 +16,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
-import pickle
 from collections.abc import Callable
 
 from repro import perf
@@ -32,7 +31,6 @@ from repro.core.products import (
 from repro.core.severity import EngineConfig, SeverityPredictionEngine
 from repro.core.vendors import VendorAnalysis, analyze_vendors, apply_vendor_mapping
 from repro.nvd import NvdSnapshot
-from repro.runtime import Executor, make_executor
 from repro.web import CrawlCache, WebClient
 
 __all__ = ["CleaningReport", "RectifiedNvd", "clean"]
@@ -106,7 +104,6 @@ def clean(
     confirm_product: Callable[[str, str, str], bool],
     engine_config: EngineConfig | None = None,
     prediction_model: str | None = None,
-    executor: Executor | None = None,
     crawl_cache: CrawlCache | str | os.PathLike[str] | None = None,
 ) -> RectifiedNvd:
     """Run the full cleaning pipeline over a snapshot.
@@ -114,45 +111,16 @@ def clean(
     ``prediction_model`` defaults to the best model by held-out
     accuracy (the paper selects its CNN).
 
-    ``executor`` shards the four hot phases (date crawling, vendor and
-    product pair scoring, model training/prediction) across workers;
-    when omitted it is built from ``engine_config.workers`` /
-    ``engine_config.backend`` (which themselves default through
-    ``REPRO_WORKERS`` / ``REPRO_BACKEND``).  All backends produce
-    bit-identical results.
-
     ``crawl_cache`` — a :class:`repro.web.CrawlCache` or a path to one
     (default: the ``REPRO_CRAWL_CACHE`` environment variable, unset
     meaning no cache) — lets repeated runs replay §4.1 per-URL scrape
     outcomes instead of re-fetching.
     """
     config = engine_config or EngineConfig()
-    owns_executor = executor is None
-    if executor is None:
-        executor = make_executor(config.workers, config.backend)
-    if executor.backend == "process":
-        # The §4.2 confirmation pass publishes the oracles to worker
-        # processes; reject unpicklable ones up front with a clear
-        # error instead of a pickling traceback mid-phase.
-        for label, oracle in (
-            ("confirm_vendor", confirm_vendor),
-            ("confirm_product", confirm_product),
-        ):
-            try:
-                pickle.dumps(oracle, pickle.HIGHEST_PROTOCOL)
-            except Exception as error:
-                raise ValueError(
-                    f"backend='process' ships the {label} oracle to worker "
-                    f"processes, but it is not picklable ({error}); use a "
-                    "module-level callable (or a picklable class instance) "
-                    "instead of a lambda/closure, or run with the thread or "
-                    "serial backend"
-                ) from None
     cache = CrawlCache.resolve(crawl_cache)
 
     recorder = perf.get_recorder()
     recorder.add_counter("clean.n_cves", len(snapshot))
-    recorder.add_counter("clean.workers", executor.workers)
 
     # One shared pass partitions the snapshot into the §4.3 pools: the
     # dual-scored training entries (v3) and the v2-scored prediction
@@ -169,29 +137,22 @@ def clean(
             if not entry.has_v3:
                 n_v3_predicted += 1
 
-    # With REPRO_TRACE (or --trace) set, the whole run records spans —
-    # parent phases plus worker-side task spans shipped home by the
-    # executor — and writes a Perfetto-loadable trace on exit.  A no-op
+    # With REPRO_TRACE (or --trace) set, the whole run records phase
+    # spans and writes a Perfetto-loadable trace on exit.  A no-op
     # when tracing is off or an outer session (bench) already traces.
     trace = contextlib.ExitStack()
     trace.enter_context(maybe_trace())
     try:
         # §4.1 — disclosure dates.
         with recorder.phase("dates"):
-            estimates = estimate_all(
-                snapshot, web_client, cache=cache, executor=executor
-            )
+            estimates = estimate_all(snapshot, web_client, cache=cache)
 
         # §4.2 — vendor names first, then products under consolidated vendors.
         with recorder.phase("vendors"):
-            vendor_analysis = analyze_vendors(
-                snapshot, confirm_vendor, executor=executor
-            )
+            vendor_analysis = analyze_vendors(snapshot, confirm_vendor)
             after_vendors = apply_vendor_mapping(snapshot, vendor_analysis.mapping)
         with recorder.phase("products"):
-            product_analysis = analyze_products(
-                after_vendors, confirm_product, executor=executor
-            )
+            product_analysis = analyze_products(after_vendors, confirm_product)
             after_names = apply_product_mapping(
                 after_vendors, product_analysis.mapping
             )
@@ -199,9 +160,7 @@ def clean(
         # §4.3 — severity backporting.
         with recorder.phase("severity"):
             with recorder.phase("fit"):
-                engine = SeverityPredictionEngine(config, executor=executor).fit(
-                    with_v3
-                )
+                engine = SeverityPredictionEngine(config).fit(with_v3)
             with recorder.phase("select"):
                 model = prediction_model or engine.best_model()
             with recorder.phase("predict"):
@@ -225,8 +184,6 @@ def clean(
             rectified = apply_cwe_fixes(after_names, cwe_fixes)
     finally:
         trace.close()
-        if owns_executor:
-            executor.close()
 
     recorder.add_counter("clean.n_scored", len(scored))
     recorder.add_counter("clean.n_v3_predicted", n_v3_predicted)

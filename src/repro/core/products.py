@@ -15,10 +15,9 @@ products — the confirmation step must reject those).
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from repro.nvd import CveEntry, NvdSnapshot
-from repro.runtime import Executor, SharedHandle, map_published
 from repro.synth.names import abbreviate, tokenize_name
 
 __all__ = [
@@ -88,29 +87,18 @@ class ProductAnalysis:
         return len({vendor for vendor, _ in self.mapping})
 
 
-#: vendors per executor shard.  Fixed — independent of worker count —
-#: so shard boundaries and output order match the serial path exactly.
-_VENDORS_CHUNK = 256
-
-#: candidate pairs per confirmation shard (fixed, same contract).
-_CONFIRM_CHUNK = 1024
-
-
-def _product_pairs_shard(
-    task: tuple[SharedHandle, Sequence[tuple[str, set[str]]]],
+def product_candidate_pairs(
+    products_by_vendor: dict[str, set[str]],
 ) -> list[ProductPair]:
-    """Worker body: candidate product pairs for one shard of vendors.
+    """Generate candidate product pairs per vendor, in vendor order.
 
-    Each vendor's scoring is independent of every other vendor's, so
-    sharding the vendor list preserves results for any backend.  The
-    edit-distance cap resolves from the shared-state handle; the
-    vendor shard is the task payload.
+    Heuristic 1: identical token sequences.  Heuristic 2: one name is
+    the abbreviation (first characters) of the other's tokens.
+    Heuristic 3: edit distance ≤ 1 (human typos).
     """
-    handle, vendor_shard = task
-    edit_distance_cap: int = handle.resolve()["edit_distance_cap"]
     pairs: list[ProductPair] = []
 
-    for vendor, products in vendor_shard:
+    for vendor, products in products_by_vendor.items():
         ordered = sorted(products)
         # Per-vendor pair dedup over index tuples: ``ordered`` is
         # sorted, so index order doubles as lexicographic name order.
@@ -143,107 +131,43 @@ def _product_pairs_shard(
         for product in ordered:
             for expanded in by_abbrev.get(product, ()):
                 add(product, expanded, "abbreviation")
-        # Bounded edit distance within the vendor.  For the default cap
-        # of 1, single-deletion signatures block the candidates exactly
-        # (two names are within one edit iff they share a signature), so
-        # the all-pairs scan — quadratic in the size of a vendor's
-        # product set, the pipeline's worst scaling term — only runs as
-        # a fallback for larger caps.
-        if edit_distance_cap == 1:
-            by_signature: dict[str, list[int]] = {}
-            for index, product in enumerate(ordered):
-                signatures = {
-                    product[:i] + product[i + 1 :] for i in range(len(product))
-                }
-                signatures.add(product)
-                for signature in signatures:
-                    by_signature.setdefault(signature, []).append(index)
-            candidates: set[tuple[int, int]] = set()
-            for group_idx in by_signature.values():
-                for i, ia in enumerate(group_idx):
-                    for ib in group_idx[i + 1 :]:
-                        candidates.add((ia, ib) if ia < ib else (ib, ia))
-            for ia, ib in sorted(candidates):
-                a, b = ordered[ia], ordered[ib]
-                if edit_distance(a, b, cap=1) <= 1:
-                    add(a, b, "edit-distance")
-        else:
-            for i, a in enumerate(ordered):
-                for b in ordered[i + 1 :]:
-                    if abs(len(a) - len(b)) > edit_distance_cap:
-                        continue
-                    if edit_distance(a, b, cap=edit_distance_cap) <= edit_distance_cap:
-                        add(a, b, "edit-distance")
+        # Edit distance ≤ 1 within the vendor.  Single-deletion
+        # signatures block the candidates exactly (two names are within
+        # one edit iff they share a signature), so no all-pairs scan —
+        # quadratic in a vendor's product count — is needed.
+        by_signature: dict[str, list[int]] = {}
+        for index, product in enumerate(ordered):
+            signatures = {
+                product[:i] + product[i + 1 :] for i in range(len(product))
+            }
+            signatures.add(product)
+            for signature in signatures:
+                by_signature.setdefault(signature, []).append(index)
+        candidates: set[tuple[int, int]] = set()
+        for group_idx in by_signature.values():
+            for i, ia in enumerate(group_idx):
+                for ib in group_idx[i + 1 :]:
+                    candidates.add((ia, ib) if ia < ib else (ib, ia))
+        for ia, ib in sorted(candidates):
+            a, b = ordered[ia], ordered[ib]
+            if edit_distance(a, b, cap=1) <= 1:
+                add(a, b, "edit-distance")
     return pairs
-
-
-def product_candidate_pairs(
-    products_by_vendor: dict[str, set[str]],
-    edit_distance_cap: int = 1,
-    executor: Executor | None = None,
-) -> list[ProductPair]:
-    """Generate candidate product pairs per vendor.
-
-    Heuristic 1: identical token sequences.  Heuristic 2: one name is
-    the abbreviation (first characters) of the other's tokens.
-    Heuristic 3: edit distance ≤ ``edit_distance_cap`` (human typos).
-
-    Vendors shard across ``executor`` in fixed-size chunks; results
-    concatenate in vendor order, matching the serial path exactly.
-    """
-    shards = map_published(
-        executor,
-        _product_pairs_shard,
-        "products.pairs",
-        {"edit_distance_cap": edit_distance_cap},
-        list(products_by_vendor.items()),
-        _VENDORS_CHUNK,
-    )
-    return [pair for shard in shards for pair in shard]
-
-
-def _confirm_product_shard(
-    task: tuple[SharedHandle, Sequence[tuple[str, str, str]]],
-) -> list[bool]:
-    """Worker body: oracle verdicts for one shard of candidate pairs.
-
-    The oracle is published once per worker; verdicts return in pair
-    order, reproducing the serial confirmation loop exactly (see
-    :func:`repro.core.vendors._confirm_vendor_shard`).
-    """
-    handle, triples = task
-    confirm: ConfirmOracle = handle.resolve()["confirm"]
-    return [bool(confirm(vendor, name_a, name_b)) for vendor, name_a, name_b in triples]
 
 
 def analyze_products(
     snapshot: NvdSnapshot,
     confirm: ConfirmOracle,
-    edit_distance_cap: int = 1,
-    executor: Executor | None = None,
 ) -> ProductAnalysis:
     """Run the §4.2 product workflow (post vendor consolidation).
 
-    Pair generation *and* confirmation shard across ``executor``; the
-    oracle is published once per worker, so the process backend needs
-    a picklable, pure oracle, the thread backend calls it from several
-    threads at once, and interactive/stateful oracles belong on the
-    serial backend (see :func:`repro.core.vendors.analyze_vendors`).
+    ``confirm`` is consulted once per candidate pair, in pair order.
     """
     products_by_vendor = snapshot.vendor_products()
-    candidates = product_candidate_pairs(
-        products_by_vendor, edit_distance_cap=edit_distance_cap, executor=executor
-    )
-    flag_shards = map_published(
-        executor,
-        _confirm_product_shard,
-        "products.confirm",
-        {"confirm": confirm},
-        [(pair.vendor, pair.name_a, pair.name_b) for pair in candidates],
-        _CONFIRM_CHUNK,
-    )
-    flags = [flag for shard in flag_shards for flag in shard]
-    confirmed = [pair for pair, flag in zip(candidates, flags) if flag]
+    candidates = product_candidate_pairs(products_by_vendor)
+    confirmed = [
+        pair for pair in candidates if confirm(pair.vendor, pair.name_a, pair.name_b)
+    ]
 
     cve_counts = snapshot.product_cve_counts()
     # Group per vendor with union-find over confirmed pairs.

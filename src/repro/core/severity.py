@@ -43,7 +43,6 @@ from repro.ml import (
     stratified_split,
 )
 from repro.nvd import CveEntry
-from repro.runtime import Executor, SharedHandle, make_executor
 
 __all__ = [
     "EngineConfig",
@@ -145,21 +144,6 @@ class EngineConfig:
     #: at paper scale) and is far above the precision the 13-feature
     #: regression needs; set "float64" to reproduce full precision.
     nn_dtype: str = "float32"
-    #: execution-runtime worker count (None → the ``REPRO_WORKERS``
-    #: environment variable, default 1).  The four models train as
-    #: independent tasks and prediction batches shard across workers;
-    #: every backend returns bit-identical results (see
-    #: :mod:`repro.runtime`).
-    workers: int | None = None
-    #: executor backend: "serial", "thread" or "process" (None → the
-    #: ``REPRO_BACKEND`` environment variable / a workers-based default).
-    backend: str | None = None
-
-    def __post_init__(self) -> None:
-        # Fail at construction, not mid-training: the executor would
-        # otherwise reject the worker count later.
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -211,59 +195,11 @@ def _build_dnn(rng: np.random.Generator, n_features: int) -> Sequential:
     )
 
 
-def _train_model_shard(
-    task: "tuple[SharedHandle, str]",
-) -> tuple[str, object]:
-    """Worker body: train one of the §4.3 models.
-
-    ``task`` is ``(handle, model name)``: the training split, the
-    config, and the freshly-initialised networks are published once per
-    worker on the shared-state plane — the task payload is just the
-    name.  Each model's training is self-contained — its rngs are
-    re-seeded from the config — so any backend trains identical models
-    in any order.
-    """
-    handle, name = task
-    shared = handle.resolve()
-    config: EngineConfig = shared["config"]
-    x_train, y_train = shared["x_train"], shared["y_train"]
-    if name == "lr":
-        return name, LinearRegression().fit(x_train, y_train)
-    if name == "svr":
-        return name, SupportVectorRegressor(
-            c=config.svr_c,
-            gamma=config.svr_gamma,
-            max_support=config.svr_max_support,
-            seed=config.seed,
-        ).fit(x_train, y_train)
-    # cnn / dnn — the network was built in the parent (weight init
-    # consumes a shared rng stream whose order must match the serial
-    # path); training itself is deterministic given the config seed.
-    model = shared["networks"][name]
-    fit(
-        model,
-        x_train[:, :, None] if name == "cnn" else x_train,
-        (y_train / 10.0)[:, None],
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        seed=config.seed,
-        dtype=np.dtype(config.nn_dtype),
-    )
-    return name, model
-
-
 class SeverityPredictionEngine:
     """Train on dual-scored CVEs, predict v3 scores for the rest."""
 
-    def __init__(
-        self,
-        config: EngineConfig | None = None,
-        executor: Executor | None = None,
-    ) -> None:
+    def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
-        self._executor = executor
-        self._owns_executor = executor is None
         self._models: dict[str, object] = {}
         self._train_idx: np.ndarray | None = None
         self._test_idx: np.ndarray | None = None
@@ -276,7 +212,6 @@ class SeverityPredictionEngine:
         cls,
         config: EngineConfig,
         models: dict[str, object],
-        executor: Executor | None = None,
     ) -> "SeverityPredictionEngine":
         """An engine restored from persisted models — no training data.
 
@@ -289,7 +224,7 @@ class SeverityPredictionEngine:
         unknown = [name for name in models if name not in SUPPORTED_MODELS]
         if unknown:
             raise ValueError(f"unknown model {unknown[0]!r}")
-        engine = cls(config, executor=executor)
+        engine = cls(config)
         engine._models = dict(models)
         return engine
 
@@ -298,36 +233,13 @@ class SeverityPredictionEngine:
         """The trained models by name (a copy; used for persistence)."""
         return dict(self._models)
 
-    @property
-    def executor(self) -> Executor:
-        """The engine's executor (built lazily from the config)."""
-        if self._executor is None:
-            self._executor = make_executor(
-                self.config.workers, self.config.backend
-            )
-        return self._executor
-
-    def close(self) -> None:
-        """Release the worker pools of an engine-built executor.
-
-        Only touches an executor the engine built itself — an injected
-        executor's lifecycle belongs to its creator (``clean()`` closes
-        the one it builds).  Safe to call eagerly: pools re-spawn
-        lazily if the engine predicts again afterwards.
-        """
-        if self._owns_executor and self._executor is not None:
-            self._executor.close()
-
     # -- training ----------------------------------------------------------
 
     def fit(self, entries: list[CveEntry]) -> "SeverityPredictionEngine":
         """Train all configured models on CVEs carrying both scores.
 
-        Models are independent given the training split, so they train
-        as one executor task each (the CNN dominates, so the speedup is
-        bounded by its share, but the DNN/SVR/LR ride along free on
-        spare workers).  Every backend produces bit-identical models at
-        any worker count.
+        Both networks are built from one seeded rng before any model
+        trains, so their initial weights depend only on the config.
         """
         usable = [e for e in entries if e.cvss_v2 is not None and e.has_v3]
         if len(usable) < 10:
@@ -354,25 +266,30 @@ class SeverityPredictionEngine:
                 networks[name] = _build_cnn(rng, self._x.shape[1])
             elif name == "dnn":
                 networks[name] = _build_dnn(rng, self._x.shape[1])
-        # The training split, config, and initial networks ship to each
-        # worker once via the shared-state plane; the per-model tasks
-        # carry only the model name.
-        context = self.executor.context
-        handle = context.publish(
-            "severity.fit",
-            {
-                "config": self.config,
-                "x_train": x_train,
-                "y_train": y_train,
-                "networks": networks,
-            },
-        )
-        try:
-            tasks = [(handle, name) for name in self.config.models]
-            for name, trained in self.executor.map(_train_model_shard, tasks):
-                self._models[name] = trained
-        finally:
-            context.retire("severity.fit")
+        config = self.config
+        for name in config.models:
+            if name == "lr":
+                self._models[name] = LinearRegression().fit(x_train, y_train)
+            elif name == "svr":
+                self._models[name] = SupportVectorRegressor(
+                    c=config.svr_c,
+                    gamma=config.svr_gamma,
+                    max_support=config.svr_max_support,
+                    seed=config.seed,
+                ).fit(x_train, y_train)
+            else:
+                model = networks[name]
+                fit(
+                    model,
+                    x_train[:, :, None] if name == "cnn" else x_train,
+                    (y_train / 10.0)[:, None],
+                    epochs=config.epochs,
+                    batch_size=config.batch_size,
+                    learning_rate=config.learning_rate,
+                    seed=config.seed,
+                    dtype=np.dtype(config.nn_dtype),
+                )
+                self._models[name] = model
         return self
 
     # -- prediction ----------------------------------------------------------
@@ -386,12 +303,7 @@ class SeverityPredictionEngine:
             # same all-float32 path instead of upcasting every layer.
             x = np.asarray(x, dtype=np.dtype(self.config.nn_dtype))
             batched = x[:, :, None] if model_name == "cnn" else x
-            raw = (
-                model.predict(batched, executor=self.executor)
-                .reshape(-1)
-                .astype(float)
-                * 10.0
-            )
+            raw = model.predict(batched).reshape(-1).astype(float) * 10.0
         else:
             raw = model.predict(x)
         return np.clip(raw, 0.0, 10.0)

@@ -23,10 +23,9 @@ PaV × longest-substring-match ≥3 or <3) is computed per pair.
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from repro.nvd import CveEntry, NvdSnapshot
-from repro.runtime import Executor, SharedHandle, map_published
 from repro.synth.names import abbreviate, tokenize_name
 
 __all__ = [
@@ -148,51 +147,10 @@ def _char_4grams(name: str) -> set[str]:
     return {stripped[i : i + 4] for i in range(len(stripped) - 3)}
 
 
-#: candidate pairs per executor shard for feature scoring.  Fixed, so
-#: shard boundaries never depend on the worker count (bit-equivalence).
-_PAIRS_CHUNK = 1024
-
-
-def _score_pair_shard(
-    task: tuple[SharedHandle, Sequence[tuple[str, str]]],
-) -> list[PairFeatures]:
-    """Worker body: Table 2 features for one shard of candidate pairs.
-
-    The longest-common-substring scan is the quadratic heart of §4.2's
-    scoring, which is why this — and not the cheap blocking passes — is
-    the sharded step.  The token and vendor→products indices resolve
-    from the shared-state handle (published once per worker); only the
-    pair shard rides in the task.
-    """
-    handle, pairs = task
-    shared = handle.resolve()
-    tokens_by_name: dict[str, tuple[str, ...]] = shared["tokens_by_name"]
-    vendor_products: dict[str, set[str]] = shared["vendor_products"]
-    empty: set[str] = set()
-    features: list[PairFeatures] = []
-    for a, b in pairs:
-        tokens_a, tokens_b = tokens_by_name[a], tokens_by_name[b]
-        products_a = vendor_products.get(a, empty)
-        products_b = vendor_products.get(b, empty)
-        features.append(
-            PairFeatures(
-                name_a=a,
-                name_b=b,
-                tokens_identical=tokens_a == tokens_b and bool(tokens_a),
-                matching_products=len(products_a & products_b),
-                is_prefix=a.startswith(b) or b.startswith(a),
-                product_as_vendor=(a in products_b) or (b in products_a),
-                lcs_length=longest_common_substring(a, b),
-            )
-        )
-    return features
-
-
 def candidate_pairs(
     vendors: list[str],
     vendor_products: dict[str, set[str]],
     max_bucket: int = 60,
-    executor: Executor | None = None,
 ) -> list[PairFeatures]:
     """Generate candidate pairs via the §4.2 heuristics with blocking.
 
@@ -309,36 +267,27 @@ def candidate_pairs(
         if smaller >= 5 and shared >= max(1, smaller - 5):
             add(a, b)
 
-    ordered_pairs = [
-        (vendors[ia], vendors[ib])
-        for ia, ib in sorted(pairs, key=lambda p: (vendors[p[0]], vendors[p[1]]))
-    ]
-    shards = map_published(
-        executor,
-        _score_pair_shard,
-        "vendors.pairs",
-        {
-            "tokens_by_name": dict(zip(vendors, tokens_of)),
-            "vendor_products": vendor_products,
-        },
-        ordered_pairs,
-        _PAIRS_CHUNK,
-    )
-    return [features for shard in shards for features in shard]
-
-
-def _confirm_vendor_shard(
-    task: tuple[SharedHandle, Sequence[tuple[str, str]]],
-) -> list[bool]:
-    """Worker body: oracle verdicts for one shard of candidate pairs.
-
-    The oracle is published once per worker; verdicts return in pair
-    order, so filtering the candidates against the concatenated flags
-    reproduces the serial confirmation loop exactly.
-    """
-    handle, pairs = task
-    confirm: ConfirmOracle = handle.resolve()["confirm"]
-    return [bool(confirm(name_a, name_b)) for name_a, name_b in pairs]
+    # Score pairs in name order.  The longest-common-substring scan is
+    # the quadratic heart of §4.2's scoring.
+    empty: set[str] = set()
+    features: list[PairFeatures] = []
+    for ia, ib in sorted(pairs, key=lambda p: (vendors[p[0]], vendors[p[1]])):
+        a, b = vendors[ia], vendors[ib]
+        tokens_a, tokens_b = tokens_of[ia], tokens_of[ib]
+        products_a = vendor_products.get(a, empty)
+        products_b = vendor_products.get(b, empty)
+        features.append(
+            PairFeatures(
+                name_a=a,
+                name_b=b,
+                tokens_identical=tokens_a == tokens_b and bool(tokens_a),
+                matching_products=len(products_a & products_b),
+                is_prefix=a.startswith(b) or b.startswith(a),
+                product_as_vendor=(a in products_b) or (b in products_a),
+                lcs_length=longest_common_substring(a, b),
+            )
+        )
+    return features
 
 
 class _UnionFind:
@@ -364,39 +313,20 @@ def analyze_vendors(
     snapshot: NvdSnapshot,
     confirm: ConfirmOracle,
     max_bucket: int = 60,
-    executor: Executor | None = None,
 ) -> VendorAnalysis:
     """Run the full §4.2 vendor workflow against a snapshot.
 
     ``confirm`` plays the manual-investigation role: given two names it
-    answers whether they denote the same vendor.  Pair scoring *and*
-    confirmation shard across ``executor``: the oracle is published
-    once per worker on the shared-state plane and consulted in pair
-    order, so any backend confirms exactly the pairs a serial run
-    confirms.  The process backend therefore needs a picklable, pure
-    oracle (module-level callable over plain data — what
-    :func:`repro.core.oracles.from_ground_truth` returns).  Unpicklable
-    oracles remain usable on the serial and thread backends, where the
-    published oracle is a direct reference — but the thread backend
-    calls it from several worker threads at once, so an interactive or
-    stateful oracle belongs on the serial backend.
+    answers whether they denote the same vendor; it is consulted once
+    per candidate pair, in pair order.
     """
     vendors = snapshot.vendors()
     vendor_products = _vendor_products(snapshot)
-    candidates = candidate_pairs(
-        vendors, vendor_products, max_bucket=max_bucket, executor=executor
-    )
-    flag_shards = map_published(
-        executor,
-        _confirm_vendor_shard,
-        "vendors.confirm",
-        {"confirm": confirm},
-        [(features.name_a, features.name_b) for features in candidates],
-        _PAIRS_CHUNK,
-    )
-    flags = [flag for shard in flag_shards for flag in shard]
+    candidates = candidate_pairs(vendors, vendor_products, max_bucket=max_bucket)
     confirmed = [
-        features for features, flag in zip(candidates, flags) if flag
+        features
+        for features in candidates
+        if confirm(features.name_a, features.name_b)
     ]
 
     groups = _UnionFind()

@@ -3,7 +3,7 @@
 The paper's premise is that upstream vulnerability data is messy and
 unreliable; this module makes the *reproduction's own* failure handling
 testable by injecting faults at named sites threaded through the web,
-artifact, runtime and serving layers.  A :class:`FaultPlan` is parsed
+artifact and serving layers.  A :class:`FaultPlan` is parsed
 from a compact grammar::
 
     web.fetch:error=0.2;store.write:torn=1;serve.worker:kill=1
@@ -15,8 +15,8 @@ Each clause is ``site:kind=rate`` with an optional ``@cap`` suffix:
   seeded by the plan seed (so a given plan + seed replays the same
   fault sequence);
 - ``rate >= 1`` — *count mode*: the site fires exactly ``int(rate)``
-  times in this process, then never again (``worker:kill=1`` kills
-  exactly one worker);
+  times in this process, then never again (``serve.worker:kill=1``
+  kills exactly one serve worker);
 - ``@cap`` (probability mode only, default 2) bounds *consecutive*
   fires per token — a URL, a store root — so a retry loop with a
   budget above the cap always drains.  Fault tolerance can then be
@@ -164,7 +164,7 @@ class FaultPlan:
             if match is None:
                 raise ValueError(
                     f"bad fault clause {clause!r}; expected site:kind=rate[@cap] "
-                    "(e.g. web.fetch:error=0.2 or worker:kill=1)"
+                    "(e.g. web.fetch:error=0.2 or serve.worker:kill=1)"
                 )
             cap = match.group("cap")
             specs.append(

@@ -8,9 +8,7 @@ usual libraries (sklearn, TensorFlow) are available offline, so this
 package implements the full stack from scratch:
 
 - :mod:`repro.ml.nn` — layers (Dense, Conv1D, Flatten, activations),
-  MSE loss, Adam optimizer, and a mini-batch training loop; prediction
-  can shard batches across a :class:`repro.runtime.Executor` with
-  bit-identical results;
+  MSE loss, Adam optimizer, and a mini-batch training loop;
 - :mod:`repro.ml.backend` — pins the BLAS threadpool to one thread,
   once, when this package is imported, so results do not depend on
   the core count;

@@ -4,7 +4,7 @@ OpenBLAS results depend on its thread count: the CNN trained on the
 same data predicts different bits with one BLAS thread than with two.
 So the pool is set to one thread when :mod:`repro.ml` is imported,
 before any training or prediction runs, and never changed afterwards.
-Every process that trains or predicts — the parent and each pool
+Every process that trains or predicts — including each forked serve
 worker — imports :mod:`repro.ml` and therefore runs the same
 arithmetic on any core count.
 

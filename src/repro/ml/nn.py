@@ -17,31 +17,17 @@ instead of an ``einsum`` that numpy cannot dispatch to BLAS), layers
 reuse persistent scratch buffers instead of reallocating per batch,
 the Adam step updates its moments in place, and the whole stack runs
 in float32 when asked (``Sequential.astype`` / ``fit(dtype=...)``) for
-another ~2x on memory-bound layers.
-
-Parallel execution: :meth:`Sequential.predict` accepts a
-:class:`repro.runtime.Executor`.  Batch boundaries depend only on the
-batch size (never the worker count) and results concatenate in input
-order, so every backend produces bit-identical outputs.  The weights
-and the input matrix ride the executor's shared-state plane, published
-once per worker; tasks carry ``(handle, start, stop)`` ranges and run
-on :meth:`Sequential.worker_copy` clones — fresh layer state over
-shared weights — because layers cache forward state and are therefore
-not reentrant.  Training is a plain serial minibatch loop.
+another ~2x on memory-bound layers.  Training is a plain serial
+minibatch loop.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 import pathlib
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.runtime import Executor
 
 __all__ = [
     "Parameter",
@@ -79,10 +65,6 @@ class Parameter:
 class Layer:
     """Base class: forward caches what backward needs."""
 
-    #: attributes holding per-call forward/scratch state; cleared on
-    #: :meth:`worker_copy` so clones never alias the donor's caches.
-    _STATE_ATTRS: tuple[str, ...] = ()
-
     def parameters(self) -> list[Parameter]:
         return []
 
@@ -94,22 +76,6 @@ class Layer:
         restoring the weights.  Stateless layers need only their type.
         """
         return {"type": type(self).__name__}
-
-    def worker_copy(self) -> "Layer":
-        """A clone for one executor task: shared weights, fresh state.
-
-        ``Parameter`` objects are replaced by new ones sharing the
-        *value* arrays (read-only during forward/backward) with private
-        gradient buffers, so concurrent tasks never write to the same
-        memory.
-        """
-        clone = copy.copy(self)
-        for name, attr in vars(self).items():
-            if isinstance(attr, Parameter):
-                setattr(clone, name, Parameter(attr.value))
-        for attr in self._STATE_ATTRS:
-            setattr(clone, attr, None)
-        return clone
 
     def forward(self, x: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -124,8 +90,6 @@ class Dense(Layer):
     Weights use He-uniform initialisation, suitable for the ReLU
     activations that follow most layers here.
     """
-
-    _STATE_ATTRS = ("_input", "_wgrad")
 
     def __init__(
         self,
@@ -182,14 +146,6 @@ class Conv1D(Layer):
     Input shape ``(batch, length, in_channels)``; kernel shape
     ``(kernel_size, in_channels, out_channels)``.
     """
-
-    _STATE_ATTRS = (
-        "_columns",
-        "_padded",
-        "_grad_columns",
-        "_grad_padded",
-        "_wgrad",
-    )
 
     def __init__(
         self,
@@ -309,8 +265,6 @@ class Conv1D(Layer):
 class Flatten(Layer):
     """Collapse all non-batch dimensions."""
 
-    _STATE_ATTRS = ("_shape",)
-
     def __init__(self) -> None:
         self._shape: tuple[int, ...] | None = None
 
@@ -324,8 +278,6 @@ class Flatten(Layer):
 
 
 class ReLU(Layer):
-    _STATE_ATTRS = ("_mask",)
-
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
 
@@ -346,8 +298,6 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     """Logistic activation, f(x) = 1 / (1 + e^-x) (§4.3)."""
-
-    _STATE_ATTRS = ("_output",)
 
     def __init__(self) -> None:
         self._output: np.ndarray | None = None
@@ -375,10 +325,6 @@ class Sequential(Layer):
 
     def parameters(self) -> list[Parameter]:
         return [param for layer in self.layers for param in layer.parameters()]
-
-    def worker_copy(self) -> "Sequential":
-        """A clone for one executor task (see :meth:`Layer.worker_copy`)."""
-        return Sequential(*(layer.worker_copy() for layer in self.layers))
 
     def astype(self, dtype: np.dtype | type) -> "Sequential":
         """Cast every parameter (values and gradients) to ``dtype``."""
@@ -465,54 +411,13 @@ class Sequential(Layer):
                 param.grad = np.zeros_like(value)
         return model
 
-    def predict(
-        self,
-        x: np.ndarray,
-        batch_size: int = 1024,
-        executor: "Executor | None" = None,
-    ) -> np.ndarray:
-        """Forward pass in batches (no gradient bookkeeping needed).
-
-        Batch boundaries depend only on ``batch_size``, so mapping the
-        batches across an executor returns bit-identical results for
-        every backend.  The weights and the input matrix are published
-        on the executor's shared-state plane — shipped once per process
-        worker — and the tasks carry only ``(handle, start, stop)``
-        ranges; each task forwards through a :meth:`worker_copy`
-        because layers cache forward state.
-        """
-        n = x.shape[0]
-        starts = range(0, n, batch_size)
-        if executor is None or executor.workers <= 1 or n <= batch_size:
-            chunks = [self.forward(x[start : start + batch_size]) for start in starts]
-        else:
-            context = executor.context
-            # A state-free clone: publishing must not ship whatever
-            # forward/scratch caches this model accumulated in training.
-            handle = context.publish(
-                "nn.predict", {"model": self.worker_copy(), "x": x}
-            )
-            try:
-                chunks = executor.map(
-                    _predict_shard,
-                    [(handle, start, min(start + batch_size, n)) for start in starts],
-                )
-            finally:
-                context.retire("nn.predict")
+    def predict(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
+        """Forward pass in batches (no gradient bookkeeping needed)."""
+        chunks = [
+            self.forward(x[start : start + batch_size])
+            for start in range(0, x.shape[0], batch_size)
+        ]
         return np.concatenate(chunks, axis=0) if chunks else np.empty((0,))
-
-
-def _predict_shard(task: "tuple[object, int, int]") -> np.ndarray:
-    """Worker body: forward one batch range through a private clone.
-
-    The published model object is shared by every task that lands on a
-    worker (and by every thread of the thread backend), so each call
-    clones it again — layers cache forward state and are not reentrant.
-    """
-    handle, start, stop = task
-    shared = handle.resolve()
-    model: Sequential = shared["model"]
-    return model.worker_copy().forward(shared["x"][start:stop])
 
 
 class MSELoss:

@@ -10,8 +10,7 @@ subsampling at most ``max_support`` candidate support vectors.
 Kernel evaluations are fully vectorised: the Gram matrix comes from
 one GEMM plus broadcast squared norms, prediction streams the kernel
 in bounded-size chunks (memory stays O(chunk × n_support) however
-many rows are scored, and the fixed-size chunks optionally shard across an
-:class:`repro.runtime.Executor` in input order), and the training loop
+many rows are scored), and the training loop
 keeps its per-sample scalar updates in plain Python floats — same
 IEEE-754 arithmetic, none of the numpy scalar boxing overhead.
 """
@@ -20,12 +19,8 @@ from __future__ import annotations
 
 import os
 import pathlib
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.runtime import Executor
 
 __all__ = ["SupportVectorRegressor"]
 
@@ -172,32 +167,17 @@ class SupportVectorRegressor:
         kernel = self._kernel(chunk, self.support_vectors, self._support_sq)
         return kernel @ self.alphas
 
-    def predict(
-        self,
-        x: np.ndarray,
-        chunk_size: int = 4096,
-        executor: "Executor | None" = None,
-    ) -> np.ndarray:
-        """Predicted targets for ``x``.
-
-        Rows stream in fixed ``chunk_size`` chunks; with an
-        ``executor`` the chunks map across its workers and concatenate
-        in input order — boundaries depend only on ``chunk_size``, so
-        results are bit-identical at any worker count.
-        """
+    def predict(self, x: np.ndarray, chunk_size: int = 4096) -> np.ndarray:
+        """Predicted targets for ``x``, streamed in ``chunk_size`` rows."""
         if self.support_vectors is None or self.alphas is None:
             raise RuntimeError("model is not fitted")
         x = np.asarray(x, dtype=float)
         if self.support_vectors.shape[0] == 0:
             return np.full(x.shape[0], self.intercept)
-        chunks = [
-            x[start : start + chunk_size]
+        results = [
+            self._predict_chunk(x[start : start + chunk_size])
             for start in range(0, x.shape[0], chunk_size)
         ]
-        if executor is not None and executor.workers > 1 and len(chunks) > 1:
-            results = executor.map(self._predict_chunk, chunks)
-        else:
-            results = [self._predict_chunk(chunk) for chunk in chunks]
         out = np.concatenate(results) if results else np.empty(0)
         out += self.intercept
         return out

@@ -15,8 +15,7 @@ Three coupled pieces, all stdlib:
 
 The service (:mod:`repro.service.http`) feeds its request, cache,
 breaker, and supervisor stats into a registry and serves it at
-``/metrics``; the executor plane ships worker-side counters and spans
-back to the parent recorder so process-backend runs lose nothing.
+``/metrics``.
 """
 
 from repro.obs.exposition import (

@@ -1,11 +1,10 @@
 """Chrome trace-event export for :class:`~repro.perf.Span` records.
 
-Spans collected by a :class:`~repro.perf.PerfRecorder` (parent phases
-and worker-side task spans shipped back through the executor's delta
-plane) render as Chrome trace-event JSON — the ``[{...},{...}]`` array
-format that Perfetto and ``chrome://tracing`` load directly.  Each
-process gets its own pid lane, named via ``"M"`` metadata events;
-spans are ``"X"`` complete events with microsecond timestamps.
+Spans collected by a :class:`~repro.perf.PerfRecorder` render as
+Chrome trace-event JSON — the ``[{...},{...}]`` array format that
+Perfetto and ``chrome://tracing`` load directly.  Each process gets its
+own pid lane, named via ``"M"`` metadata events; spans are ``"X"``
+complete events with microsecond timestamps.
 
 :class:`TraceWriter` streams events one JSON object per line.  The
 file is a strictly valid JSON array after :meth:`TraceWriter.close`,
@@ -129,14 +128,11 @@ def write_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     """Write a complete trace file: pid-lane metadata, then spans.
 
     Spans sort by ``(start_us, pid, span_id)`` so output order is
-    deterministic regardless of merge order; the parent process (this
-    one) is labelled as such, every other pid as a worker lane.
+    deterministic regardless of recording order.
     """
-    parent_pid = os.getpid()
     with TraceWriter(path) as writer:
         for pid in sorted({span.pid for span in spans}):
-            label = f"repro parent (pid {pid})" if pid == parent_pid else f"repro worker (pid {pid})"
-            writer.add_event(process_name_event(pid, label))
+            writer.add_event(process_name_event(pid, f"repro (pid {pid})"))
         for span in sorted(spans, key=lambda s: (s.start_us, s.pid, s.span_id)):
             writer.add_span(span)
     return Path(path)

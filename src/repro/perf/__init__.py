@@ -8,14 +8,9 @@ cleaning run to emit the per-phase wall-time JSON trajectory in
 floor of the phases it wraps.
 
 Counters sit alongside the timers: ``clean()`` records population
-sizes and the runtime worker count, and the §4.1 crawl records its
-per-outcome counters (including crawl-cache hits/misses) under
-``dates.*`` — so one bench record explains both *how long* a phase
-took and *how much work* it did.  Phase timings are wall-clock and
-recorded by the parent, so they remain correct when a phase's work is
-sharded across :mod:`repro.runtime` workers; counters recorded *inside*
-process workers ship back as :class:`RecorderDelta` payloads alongside
-task results and merge into the parent recorder in fixed task order.
+sizes, and the §4.1 crawl records its per-outcome counters (including
+crawl-cache hits/misses) under ``dates.*`` — so one bench record
+explains both *how long* a phase took and *how much work* it did.
 
 When a trace is active (``REPRO_TRACE`` / ``--trace``), every phase is
 also a :class:`Span` with trace/span ids; :mod:`repro.obs` renders the
@@ -26,10 +21,7 @@ file loadable in Perfetto.
 from repro.perf.recorder import (
     PerfRecorder,
     PhaseStats,
-    RecorderDelta,
-    RecorderMark,
     Span,
-    WORKER_PHASE_PREFIX,
     add_counter,
     get_recorder,
     new_span_id,
@@ -37,16 +29,12 @@ from repro.perf.recorder import (
     peak_rss_mb,
     phase,
     reset,
-    set_counter,
 )
 
 __all__ = [
     "PerfRecorder",
     "PhaseStats",
-    "RecorderDelta",
-    "RecorderMark",
     "Span",
-    "WORKER_PHASE_PREFIX",
     "add_counter",
     "get_recorder",
     "new_span_id",
@@ -54,5 +42,4 @@ __all__ = [
     "peak_rss_mb",
     "phase",
     "reset",
-    "set_counter",
 ]

@@ -13,13 +13,6 @@ start and duration in microseconds, and the recording pid/tid — which
 opt-in; with no trace active a phase stays a ``perf_counter`` pair and
 a dict update.
 
-Process workers keep their own default recorder.  The executor ships a
-:class:`RecorderDelta` — counters, phase seconds, and spans recorded
-while running one task — back alongside each task result, and the
-parent merges deltas in fixed task order (:meth:`PerfRecorder.mark` /
-:meth:`PerfRecorder.delta_since` / :meth:`PerfRecorder.merge_delta`),
-so worker-side counters survive ``REPRO_BACKEND=process``.
-
 The module keeps one process-wide default recorder; library code uses
 the module-level :func:`phase` / :func:`add_counter` helpers so callers
 that never look at the recorder pay only a dict update per phase.
@@ -39,10 +32,7 @@ from collections.abc import Iterator
 __all__ = [
     "PerfRecorder",
     "PhaseStats",
-    "RecorderDelta",
-    "RecorderMark",
     "Span",
-    "WORKER_PHASE_PREFIX",
     "add_counter",
     "get_recorder",
     "new_span_id",
@@ -50,13 +40,7 @@ __all__ = [
     "peak_rss_mb",
     "phase",
     "reset",
-    "set_counter",
 ]
-
-#: Worker-side phase seconds merge under this prefix in the parent so
-#: they never double-count against the parent's own wall-clock timers
-#: (the parent already times the enclosing phase).
-WORKER_PHASE_PREFIX = "workers"
 
 
 def new_trace_id() -> str:
@@ -74,8 +58,7 @@ class Span:
     """One completed phase occurrence inside a trace.
 
     Timestamps are microseconds on the ``time.perf_counter`` clock,
-    which on Linux is system-wide monotonic — spans from parent and
-    worker processes share a timeline.
+    which on Linux is system-wide monotonic.
     """
 
     name: str
@@ -101,27 +84,6 @@ class PhaseStats:
         self.calls += 1
 
 
-@dataclasses.dataclass(frozen=True)
-class RecorderMark:
-    """Snapshot of a recorder, taken before running a task."""
-
-    counters: dict[str, int]
-    phases: dict[str, tuple[float, int]]
-    span_index: int
-
-
-@dataclasses.dataclass(frozen=True)
-class RecorderDelta:
-    """What one task recorded: shipped from worker to parent.
-
-    Picklable by construction (plain dicts, list of :class:`Span`).
-    """
-
-    counters: dict[str, int]
-    phases: dict[str, tuple[float, int]]
-    spans: tuple[Span, ...] = ()
-
-
 class PerfRecorder:
     """Accumulates phase timings, counters, and (optionally) spans."""
 
@@ -129,35 +91,13 @@ class PerfRecorder:
         self._phases: dict[str, PhaseStats] = {}
         self._counters: dict[str, int] = {}
         self._stack: list[str] = []
-        # Counter/phase updates may arrive from thread-backend workers;
-        # the phase *stack* stays main-thread-only (documented limit).
+        # Counter/phase updates may arrive from the threaded HTTP
+        # server's request threads; the phase *stack* stays
+        # main-thread-only (documented limit).
         self._lock = threading.Lock()
-        self._pid = os.getpid()
         self.trace_id: str | None = None
-        self._trace_parent: str | None = None
         self._span_stack: list[str] = []
         self._spans: list[Span] = []
-
-    def reset_after_fork(self) -> None:
-        """Scrub state inherited across ``fork`` into a pool worker.
-
-        Forked workers inherit the parent recorder wholesale — open
-        phase stack, counters, even collected spans — which would make
-        worker telemetry depend on *when* the pool happened to spawn.
-        Pool task wrappers call this before recording; it is a no-op in
-        the process that created the recorder.
-        """
-        if self._pid == os.getpid():
-            return
-        self._pid = os.getpid()
-        self._lock = threading.Lock()
-        self._phases = {}
-        self._counters = {}
-        self._stack = []
-        self.trace_id = None
-        self._trace_parent = None
-        self._span_stack = []
-        self._spans = []
 
     # -- recording -----------------------------------------------------------
 
@@ -180,7 +120,7 @@ class PerfRecorder:
                 self._phases.setdefault(path, PhaseStats()).add(elapsed)
             if span_id is not None:
                 self._span_stack.pop()
-                parent = self._span_stack[-1] if self._span_stack else self._trace_parent
+                parent = self._span_stack[-1] if self._span_stack else None
                 self._spans.append(
                     Span(
                         name=path,
@@ -199,16 +139,6 @@ class PerfRecorder:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
 
-    def set_counter(self, name: str, value: int) -> None:
-        """Pin a counter to an absolute value (idempotent, unlike add).
-
-        For contract-style gauges — e.g. the runtime's
-        ``publishes_per_worker`` — where repeated events must not
-        accumulate.
-        """
-        with self._lock:
-            self._counters[name] = value
-
     def reset(self) -> None:
         """Clear all recorded phases, counters, spans, and trace state."""
         with self._lock:
@@ -216,101 +146,27 @@ class PerfRecorder:
             self._counters.clear()
         self._stack.clear()
         self.trace_id = None
-        self._trace_parent = None
         self._span_stack.clear()
         self._spans.clear()
 
     # -- tracing -------------------------------------------------------------
 
-    def start_trace(self, trace_id: str | None = None, parent_span_id: str | None = None) -> str:
-        """Begin collecting spans; returns the (possibly generated) trace id.
-
-        Workers call this with the parent's trace id and the span id
-        active at map time so their spans parent correctly.
-        """
+    def start_trace(self, trace_id: str | None = None) -> str:
+        """Begin collecting spans; returns the (possibly generated) trace id."""
         self.trace_id = trace_id or new_trace_id()
-        self._trace_parent = parent_span_id
         self._spans.clear()
         return self.trace_id
-
-    def adopt_trace(self, trace_id: str | None, parent_span_id: str | None) -> None:
-        """Join (or re-parent within) a trace started elsewhere.
-
-        Pool workers call this per task: the first call joins the
-        parent's trace, later calls just update the foreign parent
-        span so each task links to the span open at *its* map.
-        """
-        if trace_id is None:
-            return
-        if self.trace_id != trace_id:
-            self.start_trace(trace_id, parent_span_id)
-        else:
-            self._trace_parent = parent_span_id
 
     def stop_trace(self) -> list[Span]:
         """End the trace and drain every collected span."""
         spans, self._spans = self._spans, []
         self.trace_id = None
-        self._trace_parent = None
         return spans
 
     def take_spans(self) -> list[Span]:
         """Drain collected spans without ending the trace."""
         spans, self._spans = self._spans, []
         return spans
-
-    def current_span_id(self) -> str | None:
-        """The innermost open span id (or the foreign parent, if any)."""
-        if self._span_stack:
-            return self._span_stack[-1]
-        return self._trace_parent
-
-    # -- worker deltas -------------------------------------------------------
-
-    def mark(self) -> RecorderMark:
-        """Snapshot current counters/phases/spans (taken before a task)."""
-        with self._lock:
-            return RecorderMark(
-                counters=dict(self._counters),
-                phases={k: (s.seconds, s.calls) for k, s in self._phases.items()},
-                span_index=len(self._spans),
-            )
-
-    def delta_since(self, mark: RecorderMark) -> RecorderDelta:
-        """What was recorded since ``mark``; drains the spans it returns."""
-        with self._lock:
-            counters = {
-                name: value - mark.counters.get(name, 0)
-                for name, value in self._counters.items()
-                if value != mark.counters.get(name, 0)
-            }
-            phases: dict[str, tuple[float, int]] = {}
-            for name, stats in self._phases.items():
-                base_s, base_c = mark.phases.get(name, (0.0, 0))
-                if stats.seconds != base_s or stats.calls != base_c:
-                    phases[name] = (stats.seconds - base_s, stats.calls - base_c)
-        spans = tuple(self._spans[mark.span_index :])
-        del self._spans[mark.span_index :]
-        return RecorderDelta(counters=counters, phases=phases, spans=spans)
-
-    def merge_delta(self, delta: RecorderDelta) -> None:
-        """Fold one worker delta in: counters add, phases land under
-        ``workers.*``, spans join the active trace.
-
-        Iteration is over *sorted* names so the merge order — and hence
-        the resulting dict key order — is fixed regardless of how the
-        delta dicts were built.
-        """
-        with self._lock:
-            for name in sorted(delta.counters):
-                self._counters[name] = self._counters.get(name, 0) + delta.counters[name]
-            for name in sorted(delta.phases):
-                seconds, calls = delta.phases[name]
-                stats = self._phases.setdefault(f"{WORKER_PHASE_PREFIX}.{name}", PhaseStats())
-                stats.seconds += seconds
-                stats.calls += calls
-        if self.trace_id is not None and delta.spans:
-            self._spans.extend(delta.spans)
 
     # -- reading -------------------------------------------------------------
 
@@ -355,11 +211,6 @@ def add_counter(name: str, value: int = 1) -> None:
     _DEFAULT.add_counter(name, value)
 
 
-def set_counter(name: str, value: int) -> None:
-    """Pin a counter on the default recorder to an absolute value."""
-    _DEFAULT.set_counter(name, value)
-
-
 def reset() -> None:
     """Clear the default recorder (bench harness calls this per run)."""
     _DEFAULT.reset()
@@ -370,11 +221,9 @@ def peak_rss_mb(children: bool = True) -> float:
 
     With ``children=True`` (the default) this is the max of the
     process's own peak and the peak of any waited-for child
-    (``RUSAGE_CHILDREN``), so benches under ``REPRO_BACKEND=process``
-    report the true high-water mark per process rather than just the
-    parent's.  The max — not the sum — is reported because children
-    run concurrently with the parent and each other; summing maxima
-    would overstate any single process's footprint.
+    (``RUSAGE_CHILDREN``).  The max — not the sum — is reported because
+    children run concurrently with the parent and each other; summing
+    maxima would overstate any single process's footprint.
     """
     try:
         import resource

@@ -100,7 +100,6 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.obs.trace import process_name_event, trace_target
-from repro.runtime import resolve_workers
 from repro.service.cursor import CursorError, decode_cursor
 from repro.service.state import MAX_IDS, ServiceError, ServiceState
 
@@ -881,15 +880,15 @@ def serve(
     *,
     version: str | None = None,
     reload_interval: float = 1.0,
-    workers: int | None = None,
+    workers: int = 1,
     access_log: str | os.PathLike[str] | None = None,
     trace_path: str | os.PathLike[str] | None = None,
 ) -> int:
     """Run the service until interrupted (the ``repro serve`` command).
 
-    ``workers`` (default: the ``REPRO_WORKERS`` environment variable,
-    i.e. 1) selects single-process threading or the supervised
-    multi-process ``SO_REUSEPORT`` plane
+    ``workers`` (default 1; values below 1 raise :class:`ValueError`
+    before anything binds) selects single-process threading or the
+    supervised multi-process ``SO_REUSEPORT`` plane
     (:class:`repro.service.supervisor.ServeSupervisor` — crashed
     workers respawn under a restart budget with backoff).
 
@@ -900,16 +899,17 @@ def serve(
     spans; supervised workers each write ``<path>.w<index>`` since a
     JSON array cannot be safely interleaved by several processes.
     """
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     trace_path = trace_path or trace_target()
-    count = resolve_workers(workers)
-    if count > 1:
+    if workers > 1:
         from repro.service.supervisor import ServeSupervisor
 
         return ServeSupervisor(
             root,
             host=host,
             port=port,
-            workers=count,
+            workers=workers,
             version=version,
             reload_interval=reload_interval,
             access_log=access_log,

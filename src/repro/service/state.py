@@ -31,7 +31,6 @@ from repro.cvss import (
 )
 from repro.cwe import extract_cwe_ids
 from repro.nvd import CveEntry
-from repro.runtime import SerialExecutor
 from repro.service.cursor import encode_cursor
 
 __all__ = ["ServiceError", "ServiceState"]
@@ -117,11 +116,7 @@ class ServiceState:
     def load(
         cls, root: str | os.PathLike[str], version: str | None = None
     ) -> "ServiceState":
-        # Serving predicts one posted row at a time, so the engine gets
-        # an explicit serial executor — never the persisted *training*
-        # workers/backend config, which could otherwise fork a process
-        # pool inside the threaded server (and leak one per hot swap).
-        return cls(load_artifacts(root, version, executor=SerialExecutor()))
+        return cls(load_artifacts(root, version))
 
     # -- payload builders ----------------------------------------------------
 

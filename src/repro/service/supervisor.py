@@ -1,9 +1,7 @@
 """Supervised multi-process serving: respawn, budget, backoff, status.
 
-``repro serve --workers N`` used to fan workers out over the process
-executor and hope; a dead worker was a print statement and a nonzero
-exit.  :class:`ServeSupervisor` makes the serving plane survive its
-workers:
+``repro serve --workers N`` runs under :class:`ServeSupervisor`, which
+makes the serving plane survive its workers:
 
 - ``N`` worker processes each run a single-process server bound to the
   shared port with ``SO_REUSEPORT`` (the kernel load-balances

@@ -20,12 +20,8 @@ mid-save never corrupts an existing cache.  Corrupt or
 foreign-schema files are treated as empty rather than fatal — a cache
 must never be able to break a pipeline run.
 
-Worker processes cannot share one file handle, so the cache separates
-*lookup* state (the full entry map, published to workers read-only)
-from *new* entries accumulated during a run: :meth:`take_new` on each
-worker's copy drains that shard's additions into its result, the
-parent's :meth:`merge` folds them back in, and the parent
-:meth:`save`\\ s once.
+The cache tracks which entries are new since the last load or save,
+so a fully warm run leaves the file untouched.
 
 ``fetch_failed`` entries are *revalidatable*, not terminal: the cache
 keeps a per-URL failure record (attempt count + timestamp, persisted
@@ -65,7 +61,7 @@ class CrawlCache:
         self._new: dict[str, tuple[str, datetime.date | None]] = {}
         #: URL → (attempt count, unix timestamp) for fetch_failed
         #: entries — kept apart from the entry tuples so the cached
-        #: outcome shape (and the worker-merge protocol) is unchanged.
+        #: outcome shape is unchanged.
         self._failures: dict[str, tuple[int, float]] = {}
         self.hits = 0
         self.misses = 0
@@ -188,13 +184,7 @@ class CrawlCache:
         """The cached ``(outcome, date)`` for ``url``, or None on a miss.
 
         Bumps the ``hits`` / ``misses`` tallies so callers can report
-        cache effectiveness without wrapping every lookup.  Treat every
-        hit/miss tally as diagnostic, not reproducible: under the
-        thread backend the increments are unsynchronised, and across
-        backends the split itself shifts (process workers hold cold
-        cache copies, so a URL shared by two shards misses twice where
-        a serial run hits once).  Only the scrape *results* are
-        bit-identical across backends.
+        cache effectiveness without wrapping every lookup.
         """
         entry = self._entries.get(url)
         if entry is None:
@@ -225,40 +215,3 @@ class CrawlCache:
         """The ``(attempts, last unix timestamp)`` failure record for a
         ``fetch_failed`` URL, or None if it never failed / recovered."""
         return self._failures.get(url)
-
-    # -- worker merging ------------------------------------------------------
-
-    def new_entries(self) -> dict[str, tuple[str, datetime.date | None]]:
-        """Entries added since load/save (a worker's contribution)."""
-        return dict(self._new)
-
-    def take_new(self) -> dict[str, tuple[str, datetime.date | None]]:
-        """Drain and return the new entries (a shard's contribution).
-
-        Unlike :meth:`new_entries` this removes what it returns, so a
-        worker-resident cache that serves many shards hands each shard
-        only *its* additions instead of re-shipping the cumulative set
-        with every result (the process backend installs one cache copy
-        per worker).  Draining via ``popitem`` keeps concurrent takers
-        on a thread-shared cache lossless: every addition is taken by
-        exactly one shard and restored by the parent's :meth:`merge`.
-        """
-        taken: dict[str, tuple[str, datetime.date | None]] = {}
-        while self._new:
-            url, entry = self._new.popitem()
-            taken[url] = entry
-        return taken
-
-    def merge(self, entries: dict[str, tuple[str, datetime.date | None]]) -> None:
-        """Fold a worker's :meth:`take_new`/:meth:`new_entries` into this cache.
-
-        An entry may already be *stored* here yet missing from the
-        new-entry set — on the thread backend workers share this very
-        object, so a shard's ``take_new()`` drained it from our own
-        bookkeeping.  Re-registering keeps :meth:`save` aware of it;
-        merged entries are always this run's scrapes, never disk-loaded
-        ones, so the file rewrite they trigger is wanted.
-        """
-        for url, (outcome, date) in entries.items():
-            if url not in self._entries or url not in self._new:
-                self.put(url, outcome, date)

@@ -104,12 +104,15 @@ class TestLoad:
         assert load_artifacts(store).version == "v0001"
 
     def test_store_with_retired_config_keys_loads(self, store, artifact_root):
-        """Stores written before the numeric-backend and data-parallel
-        settings were removed persist both keys in engine.json."""
+        """Stores written before the numeric-backend, data-parallel and
+        execution-runtime settings were removed persist those keys in
+        engine.json."""
         engine_path = store / "v0001" / "engine.json"
         engine_doc = json.loads(engine_path.read_text())
         engine_doc["config"]["numeric_backend"] = "numpy-ref"
         engine_doc["config"]["data_parallel"] = None
+        engine_doc["config"]["workers"] = 2
+        engine_doc["config"]["backend"] = "process"
         engine_path.write_text(json.dumps(engine_doc))
         manifest_path = store / "v0001" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())

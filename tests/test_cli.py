@@ -125,19 +125,15 @@ class TestDemo:
         cache_path = tmp_path / "crawl_cache.json"
         argv = [
             "demo", "--n-cves", "400", "--seed", "5", "--epochs", "2",
-            "--workers", "2", "--crawl-cache", str(cache_path),
+            "--crawl-cache", str(cache_path),
         ]
         assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert "Cleaning report" in serial_out
+        cold_out = capsys.readouterr().out
+        assert "Cleaning report" in cold_out
         assert cache_path.exists()  # cold run populated the cache
         # Warm run: same report, crawl served from the cache.
         assert main(argv) == 0
-        assert capsys.readouterr().out == serial_out
-
-    def test_backend_flag_rejects_unknown(self):
-        with pytest.raises(SystemExit):
-            main(["demo", "--backend", "gpu"])
+        assert capsys.readouterr().out == cold_out
 
 
 class TestServingCommands:
@@ -180,6 +176,18 @@ class TestServingCommands:
     def test_serve_requires_artifacts(self):
         with pytest.raises(SystemExit):
             main(["serve"])
+
+    def test_serve_rejects_worker_count_below_one(self, tmp_path, capsys):
+        from repro.service import serve
+
+        # The library call refuses before it touches the store or binds.
+        with pytest.raises(ValueError, match="worker count must be >= 1"):
+            serve(tmp_path / "missing-store", port=0, workers=0)
+        # The CLI refuses at parse time with a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--artifacts", str(tmp_path), "--workers", "0"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestParser:

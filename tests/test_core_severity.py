@@ -71,17 +71,10 @@ class TestFeatures:
 
 
 class TestEngineConfig:
-    def test_rejects_bad_worker_counts(self):
-        with pytest.raises(ValueError, match="workers"):
-            EngineConfig(workers=0)
-        with pytest.raises(ValueError, match="workers"):
-            EngineConfig(workers=-2)
-        assert EngineConfig(workers=4).workers == 4
-
     def test_config_round_trips_through_asdict(self):
         import dataclasses
 
-        config = EngineConfig(epochs=3, workers=2, backend="thread")
+        config = EngineConfig(epochs=3, nn_dtype="float64")
         doc = dataclasses.asdict(config)
         assert EngineConfig(**doc) == config
 

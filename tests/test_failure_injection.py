@@ -171,10 +171,10 @@ class TestFaultPlan:
             faults.FaultPlan.parse("a.b:c=1;a.b:c=0.5")
 
     def test_count_mode_fires_exactly_n_times(self):
-        plan = faults.FaultPlan.parse("worker:kill=2")
-        fired = [plan.should("worker", "kill") for _ in range(10)]
+        plan = faults.FaultPlan.parse("serve.worker:kill=2")
+        fired = [plan.should("serve.worker", "kill") for _ in range(10)]
         assert fired == [True, True] + [False] * 8
-        assert plan.fired("worker", "kill") == 2
+        assert plan.fired("serve.worker", "kill") == 2
 
     def test_probability_mode_is_seed_deterministic(self):
         draws = []
@@ -297,6 +297,15 @@ class TestRetryAndBackoff:
         assert healed.counters["cache_revalidate"] == 1
         assert cache.get(url) != ("fetch_failed", None)
         assert cache.failure(url) is None
+
+    def test_estimate_all_records_one_attempt_per_failed_fetch(self, tmp_path):
+        from repro.core.dates import estimate_all
+        from repro.nvd import NvdSnapshot
+
+        url = "https://www.securityfocus.com/bid/5"
+        cache = CrawlCache(tmp_path / "cache.json")
+        estimate_all(NvdSnapshot([make_entry([url])]), GarbageWeb({}), cache=cache)
+        assert cache.failure(url)[0] == 1
 
     def test_per_fetch_timeout_raises_timeout_error(self):
         import time as _time
@@ -499,27 +508,6 @@ class TestCircuitBreaker:
         )
         assert service.degraded
         assert service.metrics_payload()["supervisor"]["degraded"] is True
-
-
-def _square(value):
-    return value * value
-
-
-class TestPoolWorkerDeath:
-    def test_killed_worker_is_respawned_and_the_map_retried(self):
-        from repro.runtime import make_executor
-
-        install_plan("worker:kill=1")
-        before = perf.get_recorder().counters.get("runtime.pool_respawns", 0)
-        executor = make_executor(2, "process")
-        try:
-            result = executor.map(_square, list(range(8)))
-        finally:
-            executor.close()
-        assert result == [n * n for n in range(8)]
-        assert faults.active().fired("worker", "kill") == 1
-        after = perf.get_recorder().counters.get("runtime.pool_respawns", 0)
-        assert after == before + 1
 
 
 # ---------------------------------------------------------------------------

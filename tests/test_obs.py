@@ -1,5 +1,4 @@
-"""The unified telemetry plane: registry, exposition, bridge, tracing,
-and cross-process counter aggregation.
+"""The unified telemetry plane: registry, exposition, bridge, tracing.
 
 The contracts pinned here:
 
@@ -9,12 +8,8 @@ The contracts pinned here:
 - the Prometheus text output always passes the
   ``tools/check_metrics.py`` lint — the same linter CI runs against the
   live service;
-- worker-side perf counters recorded under ``REPRO_BACKEND=process``
-  ship back with task results, so counter totals are
-  backend-invariant (serial ≡ thread ≡ process);
-- ``--trace`` produces Chrome trace-event JSON with spans from more
-  than one process, correct parentage, and a crash-tolerant file
-  format.
+- ``--trace`` produces Chrome trace-event JSON with one lane per
+  process, correct parentage, and a crash-tolerant file format.
 """
 
 from __future__ import annotations
@@ -43,8 +38,7 @@ from repro.obs import (
     write_trace,
 )
 from repro.obs.exposition import counter_metric_name
-from repro.perf import PerfRecorder, RecorderDelta, Span
-from repro.runtime import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.perf import PerfRecorder, Span
 
 TOOLS = pathlib.Path(__file__).parent.parent / "tools"
 
@@ -307,7 +301,7 @@ class TestTraceFiles:
         spans = [_span("alpha", 100, 0), _span("beta", 200, 5)]
         write_trace(path, spans)
         events = load_trace(path)
-        errors, pids = check_metrics.lint_trace_events(events, require_pids=2)
+        errors, pids = check_metrics.lint_trace_events(events)
         assert errors == []
         assert pids == {100, 200}
         # pid lane metadata precedes the spans
@@ -375,81 +369,6 @@ class TestTraceFiles:
                 pass
         events = load_trace(path)
         assert any(e.get("name") == "work" for e in events)
-
-
-# ---------------------------------------------------------------------------
-# Cross-process counter aggregation.
-# ---------------------------------------------------------------------------
-
-
-def _bump(n: int) -> int:
-    """Worker task: records counters (and a span when traced)."""
-    import time as _time
-
-    recorder = perf.get_recorder()
-    recorder.add_counter("obs_test.bumps", n)
-    recorder.add_counter("obs_test.calls", 1)
-    _time.sleep(0.02)  # keep both pool workers busy so each takes tasks
-    return n * 2
-
-
-class TestWorkerAggregation:
-    ITEMS = list(range(1, 9))
-
-    def _run(self, executor_cls) -> dict[str, int]:
-        recorder = perf.get_recorder()
-        recorder.reset()
-        with executor_cls(2) as executor:
-            results = executor.map(_bump, self.ITEMS)
-        assert results == [n * 2 for n in self.ITEMS]
-        return {
-            name: value
-            for name, value in recorder.counters.items()
-            if name.startswith("obs_test.")
-        }
-
-    @pytest.mark.parametrize(
-        "executor_cls", [SerialExecutor, ThreadExecutor, ProcessExecutor]
-    )
-    def test_counter_totals_are_backend_invariant(self, executor_cls):
-        """The fix this plane exists for: worker-side counters used to
-        vanish under REPRO_BACKEND=process."""
-        assert self._run(executor_cls) == {
-            "obs_test.bumps": sum(self.ITEMS),
-            "obs_test.calls": len(self.ITEMS),
-        }
-
-    def test_process_map_records_delta_merges(self):
-        recorder = perf.get_recorder()
-        recorder.reset()
-        with ProcessExecutor(2) as executor:
-            executor.map(_bump, self.ITEMS)
-        assert recorder.counters["runtime.deltas_merged"] == len(self.ITEMS)
-
-    def test_process_map_ships_worker_spans(self, tmp_path):
-        recorder = perf.get_recorder()
-        recorder.reset()
-        recorder.start_trace()
-        with ProcessExecutor(2) as executor:
-            executor.map(_bump, self.ITEMS)
-        spans = recorder.stop_trace()
-        worker_spans = [s for s in spans if s.name == "_bump"]
-        assert len(worker_spans) == len(self.ITEMS)
-        assert len({s.pid for s in worker_spans}) >= 2
-        path = tmp_path / "trace.json"
-        write_trace(path, spans)
-        errors, _ = check_metrics.lint_trace_events(
-            load_trace(path), require_pids=2
-        )
-        assert errors == []
-
-    def test_merge_delta_orders_counters_deterministically(self):
-        recorder = PerfRecorder()
-        recorder.merge_delta(
-            RecorderDelta(counters={"b": 2, "a": 1}, phases={"p": (0.5, 3)})
-        )
-        assert list(recorder.counters) == ["a", "b"]
-        assert recorder.phase_seconds() == {"workers.p": 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +449,9 @@ class TestExpositionLinter:
             {"name": "process_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "p"}},
             span_event(_span("alpha", 1)),
         ]
-        errors, pids = check_metrics.lint_trace_events(events, require_pids=2)
+        errors, pids = check_metrics.lint_trace_events(events)
         assert pids == {1}
-        assert any("need >= 2" in e for e in errors)
+        assert errors == []
         bad = [{"ph": "X", "name": "x", "pid": 1, "tid": 1}]  # no ts/dur/args
         errors, _ = check_metrics.lint_trace_events(bad)
         assert any("ts" in e for e in errors)

@@ -4,12 +4,6 @@ Each optimized implementation (Conv1D GEMM gradients, fused Adam,
 batched sentence encoding, SVR training/prediction, single-pass
 snapshot indices) is checked against a straightforward reference
 implementation — the pre-refactor code — to within 1e-9.
-
-The execution runtime's contract is stronger: the ``thread`` and
-``process`` backends must produce **bit-identical** results to the
-``serial`` path for every sharded phase (date estimation, pair
-scoring, model training and prediction), which the
-``TestBackendEquivalence`` suite pins with exact comparisons.
 """
 
 from __future__ import annotations
@@ -19,35 +13,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core import clean, from_ground_truth, product_oracle_from_truth
-from repro.core.dates import estimate_all
-from repro.core.products import product_candidate_pairs
-from repro.core.severity import EngineConfig, SeverityPredictionEngine
-from repro.core.vendors import apply_vendor_mapping, candidate_pairs
+from repro.core.vendors import apply_vendor_mapping
 from repro.ml import Adam, Conv1D, HashingSentenceEncoder, SupportVectorRegressor
-from repro.ml.nn import Dense, ReLU, Sequential, Sigmoid, Parameter
+from repro.ml.nn import Parameter
 from repro.nvd import NvdSnapshot
-from repro.runtime import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.text import preprocess
 
 TOL = 1e-9
-
-#: one executor per backend; two workers exercise real parallelism.
-BACKEND_EXECUTORS = pytest.mark.parametrize(
-    "executor_cls", [SerialExecutor, ThreadExecutor, ProcessExecutor]
-)
-
-
-@pytest.fixture(scope="module")
-def scale_002_bundle():
-    """The paper's snapshot at REPRO_SCALE=0.02 (2144 CVEs)."""
-    from repro.experiments import PAPER_SCALE_CVES
-    from repro.synth import GeneratorConfig, generate
-
-    return generate(
-        GeneratorConfig(n_cves=int(PAPER_SCALE_CVES * 0.02), seed=2018)
-    )
-
 
 # -- reference implementations (pre-refactor) --------------------------------
 
@@ -362,168 +334,3 @@ class TestSnapshotIndexEquivalence:
         remapped = snapshot.map_entries(lambda e: e, names_only=True)
         assert remapped._base is snapshot._base
         assert remapped.stats() == snapshot.stats()
-
-
-# -- execution-runtime backends ----------------------------------------------
-
-
-class TestBackendEquivalence:
-    """thread/process executors must be *bit-identical* to serial."""
-
-    @BACKEND_EXECUTORS
-    def test_estimate_all(self, bundle, executor_cls):
-        serial = estimate_all(bundle.snapshot, bundle.web)
-        with executor_cls(2) as executor:
-            parallel = estimate_all(bundle.snapshot, bundle.web, executor=executor)
-        assert parallel == serial
-
-    @BACKEND_EXECUTORS
-    def test_vendor_candidate_pairs(self, snapshot, executor_cls):
-        vendors = snapshot.vendors()
-        vendor_products = snapshot.vendor_products()
-        serial = candidate_pairs(vendors, vendor_products)
-        with executor_cls(2) as executor:
-            parallel = candidate_pairs(vendors, vendor_products, executor=executor)
-        assert parallel == serial
-
-    @BACKEND_EXECUTORS
-    def test_product_candidate_pairs(self, snapshot, executor_cls):
-        products_by_vendor = snapshot.vendor_products()
-        serial = product_candidate_pairs(products_by_vendor)
-        with executor_cls(2) as executor:
-            parallel = product_candidate_pairs(
-                products_by_vendor, executor=executor
-            )
-        assert parallel == serial
-
-    @BACKEND_EXECUTORS
-    def test_severity_engine_fit_and_predict(self, snapshot, executor_cls):
-        entries = [e for e in snapshot if e.cvss_v2 is not None]
-        config = EngineConfig(epochs=2, models=("lr", "cnn", "dnn"))
-        serial = SeverityPredictionEngine(config, executor=SerialExecutor()).fit(
-            entries
-        )
-        with executor_cls(2) as executor:
-            parallel = SeverityPredictionEngine(config, executor=executor).fit(
-                entries
-            )
-            for model in config.models:
-                assert np.array_equal(
-                    parallel.predict_scores(entries, model=model),
-                    serial.predict_scores(entries, model=model),
-                ), model
-
-    @BACKEND_EXECUTORS
-    def test_sequential_predict(self, executor_cls):
-        rng = np.random.default_rng(11)
-        model = Sequential(Dense(6, 16, rng), ReLU(), Dense(16, 1, rng), Sigmoid())
-        x = rng.standard_normal((300, 6))
-        serial = model.predict(x, batch_size=64)
-        with executor_cls(2) as executor:
-            parallel = model.predict(x, batch_size=64, executor=executor)
-        assert np.array_equal(parallel, serial)
-
-    @pytest.fixture(scope="class")
-    def scale_002_serial(self, scale_002_bundle):
-        return self._clean(scale_002_bundle, SerialExecutor())
-
-    @staticmethod
-    def _clean(bundle, executor):
-        with executor:
-            return clean(
-                bundle.snapshot,
-                bundle.web,
-                from_ground_truth(bundle.truth.vendor_map),
-                product_oracle_from_truth(bundle.truth.product_map),
-                engine_config=EngineConfig(epochs=2, models=("lr", "dnn")),
-                executor=executor,
-            )
-
-    @pytest.mark.parametrize("executor_cls", [ThreadExecutor, ProcessExecutor])
-    def test_full_clean_through_worker_context(
-        self, scale_002_bundle, scale_002_serial, executor_cls
-    ):
-        """The whole pipeline — every phase through the shared-state
-        plane — stays bit-identical to serial on both pooled backends."""
-        serial = scale_002_serial
-        parallel = self._clean(scale_002_bundle, executor_cls(2))
-        assert parallel.report == serial.report
-        assert parallel.estimates == serial.estimates
-        assert parallel.vendor_analysis.mapping == serial.vendor_analysis.mapping
-        assert parallel.vendor_analysis.confirmed == serial.vendor_analysis.confirmed
-        assert parallel.product_analysis.mapping == serial.product_analysis.mapping
-        assert parallel.product_analysis.confirmed == serial.product_analysis.confirmed
-        assert parallel.pv3_scores == serial.pv3_scores  # exact float equality
-        assert parallel.pv3_severity == serial.pv3_severity
-        assert list(parallel.snapshot) == list(serial.snapshot)
-
-    def test_process_backend_rejects_unpicklable_oracles(self, scale_002_bundle):
-        """clean() names the offending oracle instead of a pickling
-        traceback (the §4.2 confirmation ships oracles to workers)."""
-        bundle = scale_002_bundle
-        with ProcessExecutor(2) as executor:
-            with pytest.raises(ValueError, match="confirm_vendor"):
-                clean(
-                    bundle.snapshot,
-                    bundle.web,
-                    lambda a, b: True,  # closures cannot reach process workers
-                    product_oracle_from_truth(bundle.truth.product_map),
-                    engine_config=EngineConfig(epochs=1, models=("lr",)),
-                    executor=executor,
-                )
-
-
-# -- perf-counter aggregation --------------------------------------------------
-
-
-class TestCounterTotalsBackendInvariant:
-    """clean() perf-counter totals must not depend on the backend.
-
-    Worker-side counters (fetch retries, estimator tallies) recorded
-    inside process-pool workers ship home as recorder deltas alongside
-    task results; before that plane existed they silently vanished
-    under ``REPRO_BACKEND=process``.  Backend-variant bookkeeping is
-    excluded: ``runtime.*`` counts the plumbing itself,
-    ``dates.cache_*`` splits hit/miss differently across per-worker
-    cache copies, and ``clean.workers`` *is* the worker count.
-    """
-
-    @staticmethod
-    def _variant(name: str) -> bool:
-        return (
-            name.startswith(("runtime.", "dates.cache_"))
-            or name == "clean.workers"
-        )
-
-    @classmethod
-    def _clean_counters(cls, bundle, executor) -> dict[str, int]:
-        from repro import perf
-
-        recorder = perf.get_recorder()
-        recorder.reset()
-        with executor:
-            clean(
-                bundle.snapshot,
-                bundle.web,
-                from_ground_truth(bundle.truth.vendor_map),
-                product_oracle_from_truth(bundle.truth.product_map),
-                engine_config=EngineConfig(epochs=1, models=("lr",)),
-                executor=executor,
-            )
-        return {
-            name: value
-            for name, value in recorder.counters.items()
-            if not cls._variant(name)
-        }
-
-    @pytest.fixture(scope="class")
-    def serial_counters(self, scale_002_bundle):
-        return self._clean_counters(scale_002_bundle, SerialExecutor())
-
-    @pytest.mark.parametrize("executor_cls", [ThreadExecutor, ProcessExecutor])
-    def test_scale_002_counter_totals_match_serial(
-        self, scale_002_bundle, serial_counters, executor_cls
-    ):
-        assert serial_counters, "the pin must pin something"
-        parallel = self._clean_counters(scale_002_bundle, executor_cls(2))
-        assert parallel == serial_counters

@@ -578,7 +578,6 @@ class TestMultiProcessServing:
         probe.close()
         repo_root = pathlib.Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(repo_root / "src"))
-        env.pop("REPRO_WORKERS", None)
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve",

@@ -35,37 +35,6 @@ class TestCrawlCacheBasics:
         with pytest.raises(ValueError, match="unknown crawl outcome"):
             CrawlCache().put("u", "teleported", None)
 
-    def test_new_entries_and_merge(self):
-        worker = CrawlCache()
-        worker.put("u1", "date_extracted", DATE)
-        parent = CrawlCache()
-        parent.merge(worker.new_entries())
-        assert parent.get("u1") == ("date_extracted", DATE)
-
-    def test_take_new_drains_per_shard(self):
-        worker = CrawlCache()
-        worker.put("u1", "date_extracted", DATE)
-        first = worker.take_new()
-        assert first == {"u1": ("date_extracted", DATE)}
-        # a later shard on the same worker ships only its own additions
-        worker.put("u2", "fetch_failed", None)
-        assert worker.take_new() == {"u2": ("fetch_failed", None)}
-        assert worker.take_new() == {}
-        assert worker.get("u1") is not None  # lookups keep everything
-
-    def test_merge_restores_drained_bookkeeping(self):
-        # Thread backend: workers share the parent cache object, so a
-        # shard's take_new() drains the parent's own new-entry set; the
-        # merge of that shard's result must re-register the entries or
-        # save() would treat an existing file as already up to date.
-        shared = CrawlCache()
-        shared.put("u1", "date_extracted", DATE)
-        taken = shared.take_new()
-        assert shared.new_entries() == {}
-        shared.merge(taken)
-        assert shared.new_entries() == {"u1": ("date_extracted", DATE)}
-        assert shared.get("u1") == ("date_extracted", DATE)
-
 
 class TestCrawlCachePersistence:
     def test_save_load_round_trip(self, tmp_path):

@@ -19,20 +19,17 @@ Usage::
     PYTHONPATH=src python tools/bench.py                  # default scale
     PYTHONPATH=src python tools/bench.py --scales 0.075 0.25 1.0
     PYTHONPATH=src python tools/bench.py --label current --epochs 40
-    PYTHONPATH=src python tools/bench.py --scales 0.25 --workers 2 \
-        --crawl-cache .crawl_cache.json                   # parallel + warm crawl
+    PYTHONPATH=src python tools/bench.py --scales 0.25 \
+        --crawl-cache .crawl_cache.json                   # warm crawl
     PYTHONPATH=src python tools/bench.py --scenario chaos-names
     PYTHONPATH=src python tools/bench.py --scales 0.02 --matrix   # all presets
     PYTHONPATH=src python tools/bench.py --matrix chaos-names adversarial
-    PYTHONPATH=src python tools/bench.py --scales 0.075 --backend process \
-        --workers-sweep 1,2,4                       # worker scaling curve
-    PYTHONPATH=src python tools/bench.py --scales 0.02 --backend process \
-        --workers 2 --trace trace.json            # Perfetto span trace
+    PYTHONPATH=src python tools/bench.py --scales 0.02 \
+        --trace trace.json                                # Perfetto span trace
     PYTHONPATH=src python tools/bench.py --check-schema BENCH_pipeline.json
 
-``--workers-sweep 1,2,4`` appends one labelled run per worker count
-(label ``<label>-w<N>``), so a single invocation records the worker
-scaling curve.
+Historical run entries may carry ``workers`` / ``backend`` keys from
+when ``clean()`` could shard its phases; the schema ignores them.
 """
 
 from __future__ import annotations
@@ -104,8 +101,6 @@ def bench_one(
     seed: int,
     label: str,
     scenario_name: str = "baseline",
-    workers: int | None = None,
-    backend: str | None = None,
     crawl_cache: str | None = None,
     trace_path: str | None = None,
 ) -> dict:
@@ -120,20 +115,17 @@ def bench_one(
         product_oracle_from_truth,
     )
     from repro.experiments import PAPER_SCALE_CVES
-    from repro.runtime import make_executor
     from repro.synth import generate, get_scenario
 
     scenario = get_scenario(scenario_name)
     config = scenario.generator_config(max(2000, int(PAPER_SCALE_CVES * scale)), seed)
     n_cves = config.n_cves
-    executor = make_executor(workers, backend)
     engine_config = EngineConfig(epochs=epochs)
     recorder = perf.get_recorder()
     recorder.reset()
     print(
         f"[bench] scale={scale} scenario={scenario.name} n_cves={n_cves} "
-        f"epochs={epochs} workers={executor.workers} "
-        f"backend={executor.backend} ..."
+        f"epochs={epochs} ..."
     )
     trace_ctx = (
         trace_session(trace_path) if trace_path else contextlib.nullcontext()
@@ -150,11 +142,9 @@ def bench_one(
             from_ground_truth(bundle.truth.vendor_map),
             product_oracle_from_truth(bundle.truth.product_map),
             engine_config=engine_config,
-            executor=executor,
             crawl_cache=crawl_cache,
         )
         wall_s = time.perf_counter() - t_clean
-        executor.close()
     if trace_path:
         print(f"[bench] wrote trace {trace_path}")
 
@@ -166,8 +156,6 @@ def bench_one(
         "scale": scale,
         "n_cves": n_cves,
         "epochs": epochs,
-        "workers": executor.workers,
-        "backend": executor.backend,
         "wall_s": round(wall_s, 3),
         "peak_rss_mb": perf.peak_rss_mb(),
         "phases": phases,
@@ -213,20 +201,6 @@ def main(argv: list[str] | None = None) -> int:
         "--matrix", nargs="*", default=None, metavar="NAME",
         help="run each scale under several scenario presets "
         "(no names = every registered preset); overrides --scenario",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="execution-runtime workers (default: REPRO_WORKERS or 1)",
-    )
-    parser.add_argument(
-        "--workers-sweep", default=None, metavar="N,N,...",
-        help="comma-separated worker counts (e.g. 1,2,4): append one run "
-        "per count, labelled <label>-w<N> — the scaling curve in one "
-        "invocation; overrides --workers",
-    )
-    parser.add_argument(
-        "--backend", choices=("serial", "thread", "process"), default=None,
-        help="executor backend (default: REPRO_BACKEND, or thread when N > 1)",
     )
     parser.add_argument(
         "--crawl-cache", default=None, metavar="PATH",
@@ -280,70 +254,49 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as error:
         parser.error(str(error))
 
-    if args.workers_sweep is not None:
-        try:
-            sweep = [int(part) for part in args.workers_sweep.split(",") if part]
-        except ValueError:
-            parser.error(
-                f"--workers-sweep must be comma-separated integers, "
-                f"got {args.workers_sweep!r}"
-            )
-        if not sweep or any(n < 1 for n in sweep):
-            parser.error(
-                f"--workers-sweep counts must be >= 1, got {args.workers_sweep!r}"
-            )
-        #: (workers, label suffix) per run — one labelled point per count.
-        worker_runs = [(n, f"-w{n}") for n in sweep]
-    else:
-        worker_runs = [(args.workers, "")]
-
     document = load(args.output)
     if "runs" not in document or not isinstance(document.get("runs"), list):
         document = {"schema": SCHEMA, "runs": []}
     document["schema"] = SCHEMA
 
-    n_runs = len(args.scales) * len(scenarios) * len(worker_runs)
+    n_runs = len(args.scales) * len(scenarios)
     run_index = 0
     for scale in args.scales:
         for scenario_name in scenarios:
-            for workers, suffix in worker_runs:
-                trace_path = None
-                if args.trace is not None:
-                    trace_path = str(args.trace)
-                    if n_runs > 1:  # one trace file per run, never clobbered
-                        trace_path = str(
-                            args.trace.with_name(
-                                f"{args.trace.stem}-{run_index}{args.trace.suffix}"
-                            )
+            trace_path = None
+            if args.trace is not None:
+                trace_path = str(args.trace)
+                if n_runs > 1:  # one trace file per run, never clobbered
+                    trace_path = str(
+                        args.trace.with_name(
+                            f"{args.trace.stem}-{run_index}{args.trace.suffix}"
                         )
-                run_index += 1
-                run = bench_one(
-                    scale,
-                    args.epochs,
-                    args.seed,
-                    args.label + suffix,
-                    scenario_name=scenario_name,
-                    workers=workers,
-                    backend=args.backend,
-                    crawl_cache=args.crawl_cache,
-                    trace_path=trace_path,
-                )
-                earlier = [
-                    r
-                    for r in document["runs"]
-                    if r.get("scale") == scale
-                    and r.get("epochs") == run["epochs"]
-                    and r.get("scenario", "baseline") == run["scenario"]
-                ]
-                document["runs"].append(run)
-                print(
-                    f"[bench] scale={scale} scenario={run['scenario']} "
-                    f"workers={run['workers']}: "
-                    f"clean() {run['wall_s']}s, "
-                    f"peak RSS {run['peak_rss_mb']} MiB"
-                )
-                if earlier:
-                    print(compare(earlier[-1], run))
+                    )
+            run_index += 1
+            run = bench_one(
+                scale,
+                args.epochs,
+                args.seed,
+                args.label,
+                scenario_name=scenario_name,
+                crawl_cache=args.crawl_cache,
+                trace_path=trace_path,
+            )
+            earlier = [
+                r
+                for r in document["runs"]
+                if r.get("scale") == scale
+                and r.get("epochs") == run["epochs"]
+                and r.get("scenario", "baseline") == run["scenario"]
+            ]
+            document["runs"].append(run)
+            print(
+                f"[bench] scale={scale} scenario={run['scenario']}: "
+                f"clean() {run['wall_s']}s, "
+                f"peak RSS {run['peak_rss_mb']} MiB"
+            )
+            if earlier:
+                print(compare(earlier[-1], run))
 
     errors = validate(document)
     if errors:  # defensive: never write a file CI would reject

@@ -43,6 +43,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import json
 import os
 import pathlib
@@ -189,15 +190,10 @@ def replay(
 ) -> tuple[list[tuple[str, int, float]], float]:
     """Fire ``workload`` from ``clients`` threads; (results, wall s).
     Raises when any request answers >= 400."""
-    from repro.runtime import ThreadExecutor
-
-    executor = ThreadExecutor(workers=clients)
-    try:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=clients) as pool:
         t_wall = time.perf_counter()
-        results = executor.map(lambda item: fire(base_url, item), workload)
+        results = list(pool.map(lambda item: fire(base_url, item), workload))
         wall_s = time.perf_counter() - t_wall
-    finally:
-        executor.close()
     failures = [status for _, status, _ in results if status >= 400]
     if failures:
         raise RuntimeError(
@@ -343,14 +339,11 @@ def bench_workers_sweep(
     count, so hit ratios compare like for like.
     """
     from repro.artifacts import load_artifacts, read_current
-    from repro.runtime import SerialExecutor
     from repro.synth import build_request_trace, get_scenario
 
     scenario = get_scenario(scenario_name)
     current = read_current(artifacts_dir)
-    artifacts = load_artifacts(
-        artifacts_dir, current, executor=SerialExecutor()
-    )
+    artifacts = load_artifacts(artifacts_dir, current)
     workload = build_request_trace(
         scenario.trace, artifacts.snapshot, n_requests, seed
     )

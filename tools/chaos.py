@@ -59,10 +59,10 @@ from make_delta_feed import build_delta  # noqa: E402 (tools/ sibling)
 import check_metrics  # noqa: E402 (tools/ sibling)
 
 #: Default plan: flaky web fetches, one torn artifact publish, one
-#: failed hot-reload, one killed pool worker, one killed serve worker.
+#: failed hot-reload, one killed serve worker.
 DEFAULT_PLAN = (
     "web.fetch:error=0.2;store.write:torn=1;serve.reload:error=1;"
-    "worker:kill=1;serve.worker:kill=1"
+    "serve.worker:kill=1"
 )
 
 #: The paper's snapshot is 107.2K CVEs; --scale multiplies it.
@@ -131,7 +131,6 @@ def run_flow(
     )
     from repro.nvd import load_feed
     from repro.obs import trace_session
-    from repro.runtime import make_executor
     from repro.service import create_server
     from repro.synth import generate, get_scenario
 
@@ -161,22 +160,12 @@ def run_flow(
             bundle.web,
             from_ground_truth(bundle.truth.vendor_map),
             product_oracle_from_truth(bundle.truth.product_map),
-            engine_config=EngineConfig(
-                models=("lr",), epochs=epochs, workers=1, backend="serial"
-            ),
+            engine_config=EngineConfig(models=("lr",), epochs=epochs),
             crawl_cache=str(cache_path),
         )
         version = rectified.export_artifacts(store)
         load_artifacts(store)  # store must be loadable right after export
         log(f"{label}: exported {version}, store loadable")
-
-        # -- process pool under worker:kill ------------------------------
-        executor = make_executor(2, "process")
-        try:
-            squares = executor.map(_square, list(range(32)))
-        finally:
-            executor.close()
-        assert squares == [i * i for i in range(32)], "pool map corrupted"
 
         # -- serve, then ingest while live: the hot swap (and the
         # injected reload failure) happens under the server's feet ------
@@ -252,10 +241,6 @@ def run_flow(
         trace.close()
         faults.clear()
     return summary
-
-
-def _square(value: int) -> int:
-    return value * value
 
 
 # ---------------------------------------------------------------------------

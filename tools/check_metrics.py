@@ -17,15 +17,13 @@ contract that scrapers depend on:
 
 With ``--trace FILE`` it instead validates a Chrome trace-event JSON
 file (as written by ``REPRO_TRACE`` / ``--trace``): every event carries
-the required keys, and ``--require-pids N`` additionally demands spans
-from at least ``N`` distinct processes — the cross-process assertion CI
-uses to prove worker spans survive the executor boundary.
+the required keys and the trace holds at least one span.
 
 Usage::
 
     PYTHONPATH=src python tools/check_metrics.py metrics.txt
     PYTHONPATH=src python tools/check_metrics.py --url http://127.0.0.1:8080/metrics
-    PYTHONPATH=src python tools/check_metrics.py --trace trace.json --require-pids 2
+    PYTHONPATH=src python tools/check_metrics.py --trace trace.json
 
 Exit status is 0 when every check passes, 1 otherwise (every violation
 is printed).
@@ -223,9 +221,7 @@ def summarize_exposition(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def lint_trace_events(
-    events: list, require_pids: int = 0
-) -> tuple[list[str], set[int]]:
+def lint_trace_events(events: list) -> tuple[list[str], set[int]]:
     """Schema violations in trace-event JSON, plus the span pid set."""
     errors: list[str] = []
     pids: set[int] = set()
@@ -260,15 +256,10 @@ def lint_trace_events(
                 errors.append(f"events[{i}]: metadata event lacks args.name")
     if n_spans == 0:
         errors.append("trace holds no spans (no ph=X events)")
-    if require_pids and len(pids) < require_pids:
-        errors.append(
-            f"spans from {len(pids)} process(es), need >= {require_pids} "
-            f"(pids: {sorted(pids)})"
-        )
     return errors, pids
 
 
-def check_trace(path: pathlib.Path, require_pids: int) -> int:
+def check_trace(path: pathlib.Path) -> int:
     from repro.obs.trace import load_trace
 
     try:
@@ -276,7 +267,7 @@ def check_trace(path: pathlib.Path, require_pids: int) -> int:
     except (OSError, ValueError) as error:
         print(f"[check-metrics] {path}: unreadable trace: {error}")
         return 1
-    errors, pids = lint_trace_events(events, require_pids=require_pids)
+    errors, pids = lint_trace_events(events)
     for error in errors:
         print(f"[check-metrics] trace error: {error}")
     if errors:
@@ -309,14 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         "--trace", type=pathlib.Path, metavar="FILE",
         help="validate a Chrome trace-event JSON file instead",
     )
-    parser.add_argument(
-        "--require-pids", type=int, default=0, metavar="N",
-        help="with --trace: require spans from at least N distinct processes",
-    )
     args = parser.parse_args(argv)
 
     if args.trace is not None:
-        return check_trace(args.trace, args.require_pids)
+        return check_trace(args.trace)
 
     if (args.snapshot is None) == (args.url is None):
         parser.error("exactly one of SNAPSHOT, --url, or --trace is required")

@@ -220,9 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.artifacts import load_artifacts
-    from repro.runtime import SerialExecutor
 
-    artifacts = load_artifacts(args.artifacts, executor=SerialExecutor())
+    artifacts = load_artifacts(args.artifacts)
     try:
         with serving(args.artifacts, args.workers) as base_url:
             probe_cursor_walk(base_url, artifacts.snapshot)
