@@ -24,35 +24,30 @@ __all__ = [
     "ProductAnalysis",
     "analyze_products",
     "apply_product_mapping",
-    "edit_distance",
     "product_candidate_pairs",
 ]
 
 ConfirmOracle = Callable[[str, str, str], bool]  # (vendor, name_a, name_b)
 
 
-def edit_distance(a: str, b: str, cap: int = 3) -> int:
-    """Levenshtein distance with an early-exit ``cap``.
+def _within_one_edit(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` are at most one edit apart (Levenshtein ≤ 1).
 
-    Returns ``cap + 1`` as soon as the distance provably exceeds the
-    cap, which keeps the pairwise pass cheap.
+    Linear time: past the common prefix, the remainders must match
+    once one character is dropped from each (a substitution) or from
+    the longer one only (an insertion or deletion).
     """
-    if abs(len(a) - len(b)) > cap:
-        return cap + 1
-    previous = list(range(len(b) + 1))
-    for i in range(1, len(a) + 1):
-        current = [i] + [0] * len(b)
-        best = current[0]
-        for j in range(1, len(b) + 1):
-            cost = 0 if a[i - 1] == b[j - 1] else 1
-            current[j] = min(
-                previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost
-            )
-            best = min(best, current[j])
-        if best > cap:
-            return cap + 1
-        previous = current
-    return min(previous[len(b)], cap + 1)
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) - len(b) > 1:
+        return False
+    i = 0
+    limit = len(b)
+    while i < limit and a[i] == b[i]:
+        i += 1
+    if len(a) == len(b):
+        return a[i + 1 :] == b[i + 1 :]
+    return a[i + 1 :] == b[i:]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -132,9 +127,11 @@ def product_candidate_pairs(
             for expanded in by_abbrev.get(product, ()):
                 add(product, expanded, "abbreviation")
         # Edit distance ≤ 1 within the vendor.  Single-deletion
-        # signatures block the candidates exactly (two names are within
-        # one edit iff they share a signature), so no all-pairs scan —
-        # quadratic in a vendor's product count — is needed.
+        # signatures block the candidates: two names are within one
+        # edit only if they share a signature, so no all-pairs scan —
+        # quadratic in a vendor's product count — is needed.  Sharing
+        # one does not suffice (ab/ba share "a" and "b" yet are two
+        # edits apart), hence the verification below.
         by_signature: dict[str, list[int]] = {}
         for index, product in enumerate(ordered):
             signatures = {
@@ -150,7 +147,7 @@ def product_candidate_pairs(
                     candidates.add((ia, ib) if ia < ib else (ib, ia))
         for ia, ib in sorted(candidates):
             a, b = ordered[ia], ordered[ib]
-            if edit_distance(a, b, cap=1) <= 1:
+            if _within_one_edit(a, b):
                 add(a, b, "edit-distance")
     return pairs
 

@@ -15,10 +15,13 @@ Hot-path notes: every contraction routes through BLAS matmuls (the
 convolution gradients fold their batch and length axes into one GEMM
 instead of an ``einsum`` that numpy cannot dispatch to BLAS), layers
 reuse persistent scratch buffers instead of reallocating per batch,
-the Adam step updates its moments in place, and the whole stack runs
-in float32 when asked (``Sequential.astype`` / ``fit(dtype=...)``) for
-another ~2x on memory-bound layers.  Training is a plain serial
-minibatch loop.
+and the whole stack runs in float32 when asked (``Sequential.astype``
+/ ``fit(dtype=...)``) for another ~2x on memory-bound layers.  Each
+backward pass writes a layer's weight and bias gradients once, straight
+into ``Parameter.grad`` (no accumulation, so no zeroing pass), and
+:class:`Adam` keeps values, gradients and moments in one flat buffer
+per role, so a step is a handful of whole-array ufunc passes.
+Training is a plain serial minibatch loop.
 """
 
 from __future__ import annotations
@@ -45,16 +48,13 @@ __all__ = [
 
 
 class Parameter:
-    """A trainable tensor with its accumulated gradient."""
+    """A trainable tensor with the gradient of the last backward pass."""
 
     __slots__ = ("value", "grad")
 
     def __init__(self, value: np.ndarray) -> None:
         self.value = value
         self.grad = np.zeros_like(value)
-
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
 
     def astype(self, dtype: np.dtype | type) -> None:
         """Cast the value and gradient buffers in place."""
@@ -107,9 +107,6 @@ class Dense(Layer):
         )
         self.bias = Parameter(np.zeros(out_features, dtype=dtype))
         self._input: np.ndarray | None = None
-        #: scratch for the weight-gradient GEMM, reused across batches
-        #: (the product is as large as the weight matrix itself).
-        self._wgrad: np.ndarray | None = None
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -130,13 +127,8 @@ class Dense(Layer):
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         assert self._input is not None, "backward called before forward"
-        wgrad = self._wgrad
-        shape = self.weight.value.shape
-        if wgrad is None or wgrad.shape != shape or wgrad.dtype != grad.dtype:
-            wgrad = self._wgrad = np.empty(shape, dtype=grad.dtype)
-        np.matmul(self._input.T, grad, out=wgrad)
-        self.weight.grad += wgrad
-        self.bias.grad += grad.sum(axis=0)
+        np.matmul(self._input.T, grad, out=self.weight.grad)
+        np.sum(grad, axis=0, out=self.bias.grad)
         return grad @ self.weight.value.T
 
 
@@ -174,7 +166,6 @@ class Conv1D(Layer):
         self._padded: np.ndarray | None = None
         self._grad_columns: np.ndarray | None = None
         self._grad_padded: np.ndarray | None = None
-        self._wgrad: np.ndarray | None = None
         self._batch = 0
         self._input_length = 0
         self._in_channels = in_channels
@@ -233,14 +224,11 @@ class Conv1D(Layer):
         in_channels = self._in_channels
         out_channels = grad.shape[2]
         flat_grad = np.ascontiguousarray(grad).reshape(batch * length, out_channels)
-        wgrad = self._scratch(
-            "_wgrad",
-            (self.kernel_size * in_channels, out_channels),
-            flat_grad.dtype,
+        # ``Parameter.grad`` is contiguous, so this reshape is a view.
+        np.matmul(
+            self._columns.T, flat_grad, out=self.weight.grad.reshape(-1, out_channels)
         )
-        np.matmul(self._columns.T, flat_grad, out=wgrad)
-        self.weight.grad += wgrad.reshape(self.weight.value.shape)
-        self.bias.grad += flat_grad.sum(axis=0)
+        np.sum(flat_grad, axis=0, out=self.bias.grad)
         flat_weight = self.weight.value.reshape(-1, out_channels)
         grad_columns = self._scratch(
             "_grad_columns",
@@ -438,10 +426,15 @@ class MSELoss:
 class Adam:
     """Adam optimizer (Kingma & Ba), lr=0.001 as in the paper.
 
-    The step is fused: moments update in place and the parameter delta
-    is assembled in two reusable scratch buffers per parameter, so a
-    step performs zero heap allocations after the first call.  The
-    arithmetic matches the textbook formulation term for term.
+    Construction packs the parameters into one flat buffer per role —
+    values, gradients, both moments and two scratch arrays — copying in
+    each parameter's current value and gradient and rebinding its
+    ``value``/``grad`` to a view of the packed buffers.  Layers write
+    each gradient once per backward pass straight into those views, so
+    a step is 13 whole-array ufunc passes with no per-parameter loop,
+    no zeroing pass and no heap allocation.  The arithmetic matches the
+    textbook formulation term for term; the parameters must share one
+    dtype.
     """
 
     def __init__(
@@ -458,14 +451,28 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self._step = 0
-        self._m = [np.zeros_like(p.value) for p in parameters]
-        self._v = [np.zeros_like(p.value) for p in parameters]
-        self._scratch = [np.empty_like(p.value) for p in parameters]
-        self._scratch2 = [np.empty_like(p.value) for p in parameters]
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
+        dtypes = {p.value.dtype for p in parameters} | {p.grad.dtype for p in parameters}
+        if len(dtypes) > 1:
+            raise ValueError(
+                f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}"
+            )
+        dtype = dtypes.pop() if dtypes else np.dtype(np.float64)
+        total = sum(p.value.size for p in parameters)
+        self._values = np.empty(total, dtype=dtype)
+        self._grads = np.empty(total, dtype=dtype)
+        offset = 0
+        for param in parameters:
+            end = offset + param.value.size
+            value = self._values[offset:end].reshape(param.value.shape)
+            grad = self._grads[offset:end].reshape(param.value.shape)
+            value[...] = param.value
+            grad[...] = param.grad
+            param.value, param.grad = value, grad
+            offset = end
+        self._m = np.zeros(total, dtype=dtype)
+        self._v = np.zeros(total, dtype=dtype)
+        self._scratch = np.empty(total, dtype=dtype)
+        self._scratch2 = np.empty(total, dtype=dtype)
 
     def step(self) -> None:
         self._step += 1
@@ -477,26 +484,24 @@ class Adam:
         step_scale = self.learning_rate / bias1
         inv_sqrt_bias2 = 1.0 / np.sqrt(bias2)
         beta1, beta2 = self.beta1, self.beta2
-        for param, m, v, scratch, scratch2 in zip(
-            self.parameters, self._m, self._v, self._scratch, self._scratch2
-        ):
-            grad = param.grad
-            # m = beta1 * m + (1 - beta1) * grad
-            np.multiply(m, beta1, out=m)
-            np.multiply(grad, 1.0 - beta1, out=scratch)
-            m += scratch
-            # v = beta2 * v + (1 - beta2) * grad**2
-            np.multiply(v, beta2, out=v)
-            np.multiply(grad, grad, out=scratch)
-            scratch *= 1.0 - beta2
-            v += scratch
-            # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
-            np.sqrt(v, out=scratch)
-            scratch *= inv_sqrt_bias2
-            scratch += self.epsilon
-            np.multiply(m, step_scale, out=scratch2)
-            scratch2 /= scratch
-            param.value -= scratch2
+        grad, m, v = self._grads, self._m, self._v
+        scratch, scratch2 = self._scratch, self._scratch2
+        # m = beta1 * m + (1 - beta1) * grad
+        np.multiply(m, beta1, out=m)
+        np.multiply(grad, 1.0 - beta1, out=scratch)
+        m += scratch
+        # v = beta2 * v + (1 - beta2) * grad**2
+        np.multiply(v, beta2, out=v)
+        np.multiply(grad, grad, out=scratch)
+        scratch *= 1.0 - beta2
+        v += scratch
+        # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
+        np.sqrt(v, out=scratch)
+        scratch *= inv_sqrt_bias2
+        scratch += self.epsilon
+        np.multiply(m, step_scale, out=scratch2)
+        scratch2 /= scratch
+        self._values -= scratch2
 
 
 def fit(
@@ -532,7 +537,6 @@ def fit(
         batches = 0
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
-            optimizer.zero_grad()
             prediction = model.forward(x[idx])
             total += loss_fn.forward(prediction, y[idx])
             model.backward(loss_fn.backward())

@@ -3,9 +3,10 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import analyze_products, apply_product_mapping
-from repro.core.products import edit_distance, product_candidate_pairs
+from repro.core.products import _within_one_edit, product_candidate_pairs
 from repro.cpe import CpeName
 from repro.nvd import CveEntry, NvdSnapshot
 
@@ -17,6 +18,28 @@ def entry(cve_id, vendor, product):
         descriptions=("d",),
         cpes=(CpeName("a", vendor, product),),
     )
+
+
+def reference_edit_distance(a: str, b: str, cap: int = 3) -> int:
+    """Levenshtein DP with an early-exit ``cap``: the oracle for the
+    linear one-edit check (returns ``cap + 1`` once the distance
+    provably exceeds ``cap``)."""
+    if abs(len(a) - len(b)) > cap:
+        return cap + 1
+    previous = list(range(len(b) + 1))
+    for i in range(1, len(a) + 1):
+        current = [i] + [0] * len(b)
+        best = current[0]
+        for j in range(1, len(b) + 1):
+            cost = 0 if a[i - 1] == b[j - 1] else 1
+            current[j] = min(
+                previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost
+            )
+            best = min(best, current[j])
+        if best > cap:
+            return cap + 1
+        previous = current
+    return min(previous[len(b)], cap + 1)
 
 
 class TestEditDistance:
@@ -31,13 +54,82 @@ class TestEditDistance:
         ],
     )
     def test_distances(self, a, b, expected):
-        assert edit_distance(a, b, cap=3) == expected
+        assert reference_edit_distance(a, b, cap=3) == expected
 
     def test_cap_early_exit(self):
-        assert edit_distance("aaaaaaaa", "zzzzzzzz", cap=2) == 3
+        assert reference_edit_distance("aaaaaaaa", "zzzzzzzz", cap=2) == 3
 
     def test_length_gap_short_circuit(self):
-        assert edit_distance("a", "aaaaa", cap=2) == 3
+        assert reference_edit_distance("a", "aaaaa", cap=2) == 3
+
+
+words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=12)
+# A tiny alphabet and short strings make near-misses (shared prefixes,
+# transpositions, repeated letters) and equal pairs common; "é" covers
+# non-ASCII code points.
+near_names = st.text(alphabet="abé", min_size=0, max_size=6)
+
+
+class TestEditDistanceProperties:
+    @given(words, words)
+    def test_symmetric_under_cap(self, a, b):
+        assert reference_edit_distance(a, b, cap=5) == reference_edit_distance(
+            b, a, cap=5
+        )
+
+    @given(words)
+    def test_identity(self, a):
+        assert reference_edit_distance(a, a) == 0
+
+    @given(words)
+    def test_single_deletion_is_one(self, a):
+        if len(a) >= 2:
+            assert reference_edit_distance(a, a[1:], cap=3) == 1
+
+    @given(words, words)
+    def test_never_exceeds_cap_plus_one(self, a, b):
+        assert reference_edit_distance(a, b, cap=2) <= 3
+
+
+class TestWithinOneEdit:
+    @settings(max_examples=500)
+    @given(near_names, near_names)
+    def test_matches_reference_dp(self, a, b):
+        assert _within_one_edit(a, b) == (reference_edit_distance(a, b, cap=1) <= 1)
+
+    @given(near_names, st.data())
+    def test_near_variants_match_reference_dp(self, a, data):
+        # Derive b from a by one edit, or by an adjacent swap (two edits
+        # apart yet sharing a deletion signature), so both answers and
+        # the blocking step's false positives are drawn often.
+        i = data.draw(st.integers(0, len(a)))
+        c = data.draw(st.sampled_from("abé"))
+        inserted, substituted, deleted, swapped = (
+            a[:i] + c + a[i:],
+            a[:i] + c + a[i + 1 :],
+            a[:i] + a[i + 1 :],
+            a[:i] + a[i + 1 : i + 2] + a[i : i + 1] + a[i + 2 :],
+        )
+        b = data.draw(st.sampled_from([a, inserted, substituted, deleted, swapped]))
+        assert _within_one_edit(a, b) == (reference_edit_distance(a, b, cap=1) <= 1)
+        assert _within_one_edit(a, b) == _within_one_edit(b, a)
+
+    @pytest.mark.parametrize(
+        "a,b,expected",
+        [
+            ("", "", True),
+            ("", "a", True),
+            ("", "ab", False),
+            ("ab", "ba", False),
+            ("abc", "bca", False),
+            ("abc", "abc", True),
+            ("the_banner_engine", "tbe_banner_engine", True),
+            ("ucs-e160dp-m1_firmware", "ucs-e140dp-m1_firmware", True),
+            ("naïve", "naive", True),
+        ],
+    )
+    def test_examples(self, a, b, expected):
+        assert _within_one_edit(a, b) is expected
 
 
 class TestCandidatePairs:
@@ -68,6 +160,13 @@ class TestCandidatePairs:
             {"cisco": {"ucs-e160dp-m1_firmware", "ucs-e140dp-m1_firmware"}}
         )
         assert any(p.heuristic == "edit-distance" for p in pairs)
+
+    def test_shared_signature_alone_is_not_a_pair(self):
+        # ab/ba share the signatures "a" and "b", abc/bca share "bc",
+        # yet each pair is two edits apart: blocking over-generates and
+        # the verifier must drop them.
+        pairs = product_candidate_pairs({"v1": {"ab", "ba"}, "v2": {"abc", "bca"}})
+        assert not [p for p in pairs if p.heuristic == "edit-distance"]
 
     def test_different_vendors_never_paired(self):
         pairs = product_candidate_pairs(

@@ -43,8 +43,6 @@ class TestGradients:
             return loss_fn.forward(layer.forward(x), target)
 
         loss()
-        layer.weight.zero_grad()
-        layer.bias.zero_grad()
         layer.backward(loss_fn.backward())
         numeric = numeric_gradient(loss, layer.weight.value)
         np.testing.assert_allclose(layer.weight.grad, numeric, atol=1e-5)
@@ -75,8 +73,6 @@ class TestGradients:
             return loss_fn.forward(layer.forward(x), target)
 
         loss()
-        layer.weight.zero_grad()
-        layer.bias.zero_grad()
         layer.backward(loss_fn.backward())
         numeric = numeric_gradient(loss, layer.weight.value)
         np.testing.assert_allclose(layer.weight.grad, numeric, atol=1e-5)
@@ -114,8 +110,6 @@ class TestGradients:
             return loss_fn.forward(model.forward(x), target)
 
         loss()
-        for param in model.parameters():
-            param.zero_grad()
         model.backward(loss_fn.backward())
         first_dense = model.layers[3]
         numeric = numeric_gradient(loss, first_dense.weight.value)

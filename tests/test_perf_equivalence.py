@@ -3,7 +3,9 @@
 Each optimized implementation (Conv1D GEMM gradients, fused Adam,
 batched sentence encoding, SVR training/prediction, single-pass
 snapshot indices) is checked against a straightforward reference
-implementation — the pre-refactor code — to within 1e-9.
+implementation — the pre-refactor code — to within 1e-9.  Training
+with flat-buffer Adam and write-once gradients is checked bit for bit
+against the per-parameter, accumulate-and-zero loop it replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +16,19 @@ import numpy as np
 import pytest
 
 from repro.core.vendors import apply_vendor_mapping
-from repro.ml import Adam, Conv1D, HashingSentenceEncoder, SupportVectorRegressor
+from repro.ml import (
+    Adam,
+    Conv1D,
+    Dense,
+    Flatten,
+    HashingSentenceEncoder,
+    MSELoss,
+    ReLU,
+    Sequential,
+    Sigmoid,
+    SupportVectorRegressor,
+    fit,
+)
 from repro.ml.nn import Parameter
 from repro.nvd import NvdSnapshot
 from repro.text import preprocess
@@ -143,6 +157,112 @@ def adam_step_reference(values, grads, ms, vs, step, lr=0.001, b1=0.9, b2=0.999,
     return out_v, out_m, out_s
 
 
+class AccumulatingDense(Dense):
+    """Dense whose backward adds its parameter gradients, as before."""
+
+    def backward(self, grad):
+        self.weight.grad += np.matmul(self._input.T, grad)
+        self.bias.grad += grad.sum(axis=0)
+        return grad @ self.weight.value.T
+
+
+class AccumulatingConv1D(Conv1D):
+    """Conv1D whose backward adds its parameter gradients, as before.
+
+    The input gradient is unchanged, so it comes from ``Conv1D.backward``
+    with the parameter gradients that call writes set aside.
+    """
+
+    def backward(self, grad):
+        out_channels = grad.shape[2]
+        flat_grad = np.ascontiguousarray(grad).reshape(-1, out_channels)
+        wgrad = np.matmul(self._columns.T, flat_grad)
+        self.weight.grad += wgrad.reshape(self.weight.value.shape)
+        self.bias.grad += flat_grad.sum(axis=0)
+        kept = self.weight.grad, self.bias.grad
+        self.weight.grad = np.empty_like(kept[0])
+        self.bias.grad = np.empty_like(kept[1])
+        grad_in = Conv1D.backward(self, grad)
+        self.weight.grad, self.bias.grad = kept
+        return grad_in
+
+
+class PerParameterAdam:
+    """The fused Adam step as it ran per parameter, with ``zero_grad``."""
+
+    def __init__(self, parameters, learning_rate=0.001, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        self.parameters = parameters
+        self.learning_rate = learning_rate
+        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
+        self._step = 0
+        self._m = [np.zeros_like(p.value) for p in parameters]
+        self._v = [np.zeros_like(p.value) for p in parameters]
+        self._scratch = [np.empty_like(p.value) for p in parameters]
+        self._scratch2 = [np.empty_like(p.value) for p in parameters]
+
+    def zero_grad(self):
+        for param in self.parameters:
+            param.grad[...] = 0.0
+
+    def step(self):
+        self._step += 1
+        bias1 = 1.0 - self.beta1**self._step
+        bias2 = 1.0 - self.beta2**self._step
+        step_scale = self.learning_rate / bias1
+        inv_sqrt_bias2 = 1.0 / np.sqrt(bias2)
+        beta1, beta2 = self.beta1, self.beta2
+        for param, m, v, scratch, scratch2 in zip(
+            self.parameters, self._m, self._v, self._scratch, self._scratch2
+        ):
+            grad = param.grad
+            np.multiply(m, beta1, out=m)
+            np.multiply(grad, 1.0 - beta1, out=scratch)
+            m += scratch
+            np.multiply(v, beta2, out=v)
+            np.multiply(grad, grad, out=scratch)
+            scratch *= 1.0 - beta2
+            v += scratch
+            np.sqrt(v, out=scratch)
+            scratch *= inv_sqrt_bias2
+            scratch += self.epsilon
+            np.multiply(m, step_scale, out=scratch2)
+            scratch2 /= scratch
+            param.value -= scratch2
+
+
+def fit_accumulating(model, x, y, epochs, batch_size, learning_rate, seed, dtype):
+    """``fit`` as it ran with per-parameter Adam and ``zero_grad``."""
+    model.astype(dtype)
+    x = np.asarray(x, dtype=dtype)
+    y = np.asarray(y, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    optimizer = PerParameterAdam(model.parameters(), learning_rate=learning_rate)
+    loss_fn = MSELoss()
+    history = []
+    n = x.shape[0]
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        total = 0.0
+        batches = 0
+        for start in range(0, n, batch_size):
+            idx = order[start : start + batch_size]
+            optimizer.zero_grad()
+            prediction = model.forward(x[idx])
+            total += loss_fn.forward(prediction, y[idx])
+            model.backward(loss_fn.backward())
+            optimizer.step()
+            batches += 1
+        history.append(total / max(batches, 1))
+    return history
+
+
+def small_cnn(seed, conv=Conv1D, dense=Dense):
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        conv(1, 4, 3, rng), ReLU(), Flatten(), dense(13 * 4, 1, rng), Sigmoid()
+    )
+
+
 # -- Conv1D ------------------------------------------------------------------
 
 
@@ -203,6 +323,64 @@ class TestAdamEquivalence:
             )
             for param, want in zip(params, ref_values):
                 assert np.max(np.abs(param.value - want)) < TOL
+
+
+class TestFlatAdamBitIdentity:
+    def _data(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((150, 13, 1))  # 150 rows: a short last batch
+        y = rng.uniform(0.0, 1.0, (150, 1))
+        return x, y
+
+    def test_fit_matches_per_parameter_accumulating_loop(self):
+        x, y = self._data()
+        kwargs = dict(epochs=3, batch_size=32, learning_rate=0.01, seed=4, dtype=np.float32)
+        model = small_cnn(21)
+        history = fit(model, x, y, **kwargs)
+        reference = small_cnn(21, conv=AccumulatingConv1D, dense=AccumulatingDense)
+        want_history = fit_accumulating(reference, x, y, **kwargs)
+        assert history == want_history
+        for got, want in zip(model.parameters(), reference.parameters(), strict=True):
+            assert got.value.dtype == want.value.dtype == np.float32
+            assert np.array_equal(got.value, want.value)
+        sample = np.asarray(x[:20], dtype=np.float32)
+        assert np.array_equal(model.predict(sample), reference.predict(sample))
+
+    def test_backward_overwrites_stale_gradients(self):
+        x, y = self._data()
+        loss_fn = MSELoss()
+
+        def gradients(model):
+            loss_fn.forward(model.forward(x[:16]), y[:16])
+            model.backward(loss_fn.backward())
+            return [param.grad.copy() for param in model.parameters()]
+
+        clean = gradients(small_cnn(5))
+        stale = small_cnn(5)
+        for param in stale.parameters():
+            param.grad[...] = np.nan
+        for got, want in zip(gradients(stale), clean, strict=True):
+            assert np.array_equal(got, want)
+
+    def test_construction_keeps_preset_values_and_gradients(self):
+        rng = np.random.default_rng(6)
+        params = [Parameter(rng.standard_normal((3, 2))), Parameter(rng.standard_normal(2))]
+        values = [p.value.copy() for p in params]
+        grads = [rng.standard_normal(p.value.shape) for p in params]
+        for param, grad in zip(params, grads):
+            param.grad[...] = grad
+        Adam(params)
+        for param, value, grad in zip(params, values, grads):
+            assert np.array_equal(param.value, value)
+            assert np.array_equal(param.grad, grad)
+
+    def test_rejects_mixed_dtypes(self):
+        params = [
+            Parameter(np.zeros(3, dtype=np.float32)),
+            Parameter(np.zeros(3, dtype=np.float64)),
+        ]
+        with pytest.raises(ValueError, match="one dtype"):
+            Adam(params)
 
 
 # -- sentence encoder --------------------------------------------------------

@@ -4,7 +4,6 @@ import datetime
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.products import edit_distance
 from repro.core.vendors import _UnionFind, longest_common_substring
 from repro.synth.names import abbreviate, tokenize_name
 
@@ -30,25 +29,6 @@ class TestLcsProperties:
     @given(words, words)
     def test_concatenation_contains_parts(self, a, b):
         assert longest_common_substring(a, a + b) == len(a)
-
-
-class TestEditDistanceProperties:
-    @given(words, words)
-    def test_symmetric_under_cap(self, a, b):
-        assert edit_distance(a, b, cap=5) == edit_distance(b, a, cap=5)
-
-    @given(words)
-    def test_identity(self, a):
-        assert edit_distance(a, a) == 0
-
-    @given(words)
-    def test_single_deletion_is_one(self, a):
-        if len(a) >= 2:
-            assert edit_distance(a, a[1:], cap=3) == 1
-
-    @given(words, words)
-    def test_never_exceeds_cap_plus_one(self, a, b):
-        assert edit_distance(a, b, cap=2) <= 3
 
 
 class TestTokenizeProperties:
