@@ -1,7 +1,7 @@
 """Dependency-free HTTP front end over an artifact store.
 
 A :class:`NvdService` owns the loaded :class:`ServiceState`, an LRU
-response cache, request counters, and the hot-swap logic; the
+response cache, a metrics registry, and the hot-swap logic; the
 :class:`ApiHandler` is a thin stdlib ``ThreadingHTTPServer`` handler
 that delegates every request to :meth:`NvdService.handle`.  Keeping
 routing and serialization on the service object makes the whole API
@@ -11,7 +11,7 @@ Endpoints::
 
     GET  /healthz                         liveness + live version
     GET  /v1/stats                        §3 snapshot statistics
-    GET  /v1/metrics                      request counters + cache stats (JSON)
+    GET  /v1/metrics                      JSON view of the registry's counters
     GET  /metrics                         Prometheus text exposition 0.0.4
     GET  /v1/cve/<id>                     one rectified CVE
     GET  /v1/vendor/<name>                consolidated vendor view
@@ -21,19 +21,19 @@ Endpoints::
 Any other path, and ``PUT``/``PATCH``/``DELETE``/``OPTIONS`` on any
 path, gets a counted JSON ``404``.
 
-Telemetry: every request feeds the service's
-:class:`repro.obs.MetricsRegistry` — ``repro_http_requests_total``
-labelled by endpoint and status, a fixed-bucket per-endpoint latency
-histogram, cache/breaker/supervisor series — rendered at ``/metrics``
-with the correct content type, while ``/v1/metrics`` keeps its
-backward-compatible JSON shape.  Each request gets a trace id (or
-honours one sent as ``X-Repro-Trace-Id``) which is echoed back in the
-``X-Repro-Trace-Id`` response header; with a trace target configured
-the service streams one span per request into a Chrome trace-event
-file, and with ``--access-log`` it appends one JSONL line per request
-(ts, method, path, status, latency ms, cache hit, trace id) — the
-structured replacement for the suppressed ``BaseHTTPRequestHandler``
-stderr log.
+Telemetry has one store, the service's
+:class:`repro.obs.MetricsRegistry`: request counts by endpoint and
+status, a fixed-bucket latency histogram, and cache, hot-swap, reload
+and breaker counters.  ``/metrics`` renders it as Prometheus text;
+``/v1/metrics`` is a JSON view that sums its series into the
+long-standing counter keys.  A request is counted when it finishes, so a
+``/v1/metrics`` response never counts itself.  Each request gets a trace
+id (or honours one sent as ``X-Repro-Trace-Id``) which is echoed back in
+the ``X-Repro-Trace-Id`` response header; with a trace target configured
+the service streams one span per request into a Chrome trace-event file,
+and with ``--access-log`` it appends one JSONL line per request (ts,
+method, path, status, latency ms, cache hit, trace id) — the structured
+replacement for the suppressed ``BaseHTTPRequestHandler`` stderr log.
 
 The vendor and product views page their id lists: ``?offset=N`` and
 ``?limit=N`` (1..500, default 500) select a window, ``next_offset`` in
@@ -56,9 +56,9 @@ the old state, the response cache clears, and ``swaps`` increments in
 ``/v1/metrics``.
 
 The reload path carries a **circuit breaker**: after
-``breaker_threshold`` consecutive reload failures (mid-export store,
+``BREAKER_THRESHOLD`` consecutive reload failures (mid-export store,
 corrupt pointer target, injected ``serve.reload`` fault) the service
-stops probing for ``breaker_cooldown`` seconds and keeps serving the
+stops probing for ``BREAKER_COOLDOWN_S`` seconds and keeps serving the
 last good version; one half-open probe after the cooldown either
 closes the breaker or re-opens it.  While the breaker is tripped the
 service reports itself *degraded* — ``/healthz`` answers ``status:
@@ -110,8 +110,13 @@ SUPERVISOR_STATUS = ".supervisor.json"
 
 SERVICE_NAME = "repro-nvd-service/1"
 
-#: GET routes whose responses are cacheable (per loaded version).
-_CACHEABLE_PREFIXES = ("/v1/stats", "/v1/cve/", "/v1/vendor/", "/v1/product/")
+#: entries in each service's response cache.
+CACHE_ENTRIES = 1024
+
+#: consecutive reload failures that open the circuit breaker, and the
+#: seconds it then stays open.
+BREAKER_THRESHOLD = 3
+BREAKER_COOLDOWN_S = 5.0
 
 #: query parameters any route consumes — the only ones that can change
 #: a response, and therefore the only ones allowed into cache keys.
@@ -199,7 +204,7 @@ def _int_param(
 class ResponseCache:
     """A small thread-safe LRU over serialized responses."""
 
-    def __init__(self, maxsize: int = 1024) -> None:
+    def __init__(self, maxsize: int = CACHE_ENTRIES) -> None:
         self.maxsize = max(0, int(maxsize))
         self._lock = threading.Lock()
         self._data: collections.OrderedDict[str, tuple[int, bytes]] = (
@@ -214,8 +219,6 @@ class ResponseCache:
             return value
 
     def put(self, key: str, value: tuple[int, bytes]) -> None:
-        if self.maxsize == 0:
-            return
         with self._lock:
             self._data[key] = value
             self._data.move_to_end(key)
@@ -239,10 +242,7 @@ class NvdService:
         root: str | os.PathLike[str],
         *,
         version: str | None = None,
-        cache_size: int = 1024,
         reload_interval: float = 1.0,
-        breaker_threshold: int = 3,
-        breaker_cooldown: float = 5.0,
         access_log: str | os.PathLike[str] | None = None,
         trace_path: str | os.PathLike[str] | None = None,
     ) -> None:
@@ -250,16 +250,11 @@ class NvdService:
         #: a pinned server never hot-swaps (explicit --version).
         self.pinned = version is not None
         self.reload_interval = float(reload_interval)
-        self.breaker_threshold = max(1, int(breaker_threshold))
-        self.breaker_cooldown = float(breaker_cooldown)
         self._state = ServiceState.load(self.root, version)
-        self._cache = ResponseCache(cache_size)
-        self._counters: collections.Counter[str] = collections.Counter()
-        self._counter_lock = threading.Lock()
+        self._cache = ResponseCache()
         self._swap_lock = threading.Lock()
         self._last_check = time.monotonic()
         self._started = time.time()
-        self.swaps = 0
         #: consecutive reload failures; >= threshold trips the breaker.
         self._breaker_failures = 0
         self._breaker_open_until: float | None = None
@@ -345,10 +340,6 @@ class NvdService:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _bump(self, name: str, amount: int = 1) -> None:
-        with self._counter_lock:
-            self._counters[name] += amount
-
     @property
     def state(self) -> ServiceState:
         return self._state
@@ -366,7 +357,7 @@ class NvdService:
         """True when the service is limping: the reload breaker has
         tripped (serving a pinned last-good version) or the supervisor
         reports dead workers."""
-        if self._breaker_failures >= self.breaker_threshold:
+        if self._breaker_failures >= BREAKER_THRESHOLD:
             return True
         status = self.supervisor_status()
         return bool(status and status.get("degraded"))
@@ -409,8 +400,8 @@ class NvdService:
         happened.
 
         Reload failures feed the circuit breaker: after
-        ``breaker_threshold`` consecutive failures the breaker opens
-        for ``breaker_cooldown`` seconds — no probing, the last good
+        ``BREAKER_THRESHOLD`` consecutive failures the breaker opens
+        for ``BREAKER_COOLDOWN_S`` seconds — no probing, the last good
         version stays pinned — then a single half-open probe decides
         whether to close it or re-open.
         """
@@ -434,22 +425,18 @@ class NvdService:
             except (ArtifactError, faults.FaultInjected):
                 # Mid-export or corrupt pointer target: keep serving
                 # the loaded version; the next interval retries.
-                self._bump("reload_failures")
                 self._prom_reload_failures.inc()
                 self._breaker_failures += 1
-                if self._breaker_failures >= self.breaker_threshold:
+                if self._breaker_failures >= BREAKER_THRESHOLD:
                     self._breaker_open_until = (
-                        time.monotonic() + self.breaker_cooldown
+                        time.monotonic() + BREAKER_COOLDOWN_S
                     )
-                    self._bump("breaker_opened")
                     self._prom_breaker_opened.inc()
                 return False
             self._breaker_failures = 0
             self._breaker_open_until = None
             self._state = new_state
             self._cache.clear()
-            self.swaps += 1
-            self._bump("hot_swaps")
             self._prom_swaps.inc()
             return True
         finally:
@@ -504,49 +491,41 @@ class NvdService:
         # an entry under the *old* version's key — never serve stale
         # data under the new one.
         state = self._state
-        self._bump("requests_total")
         raw_path = path
         path, _, query = path.partition("?")
         route, parts = self._route(method, path)
-        if route is not None:
-            self._bump(f"endpoint_{route}")
         params = urllib.parse.parse_qs(query)
         if route == "prometheus":
             text = self.render_metrics_text()
             response = ServiceResponse(
                 200, text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE, trace_id
             )
-            self._bump("responses_2xx")
             return self._finish(response, route, method, raw_path, started, False)
-        cacheable = method == "GET" and any(
-            path == prefix or path.startswith(prefix)
-            for prefix in _CACHEABLE_PREFIXES
-        )
-        # The canonical query joins the cache key: paginated pages of
-        # one resource cache as distinct entries, never each other.
-        # Only parameters a route consumes participate — dispatch
-        # ignores the rest, so junk params must not mint fresh LRU
-        # entries (and evict real ones) for identical responses.
-        canonical_query = urllib.parse.urlencode(
-            sorted(
-                (key, value)
-                for key, values in params.items()
-                if key in _QUERY_PARAMS
-                for value in values
-            )
-        )
-        cache_key = f"{state.version}:{path}?{canonical_query}"
+        # Only the read routes cache; a path that routes nowhere never
+        # builds a key or counts a lookup.
+        cacheable = route in {"stats", "cve", "vendor", "product"}
         if cacheable:
+            # The canonical query joins the cache key: paginated pages of
+            # one resource cache as distinct entries, never each other.
+            # Only parameters a route consumes participate — dispatch
+            # ignores the rest, so junk params must not mint fresh LRU
+            # entries (and evict real ones) for identical responses.
+            canonical_query = urllib.parse.urlencode(
+                sorted(
+                    (key, value)
+                    for key, values in params.items()
+                    if key in _QUERY_PARAMS
+                    for value in values
+                )
+            )
+            cache_key = f"{state.version}:{path}?{canonical_query}"
             cached = self._cache.get(cache_key)
             if cached is not None:
-                self._bump("cache_hits")
-                self._bump(f"responses_{cached[0] // 100}xx")
                 self._prom_cache.labels("hit").inc()
                 response = ServiceResponse(
                     cached[0], cached[1], "application/json", trace_id
                 )
                 return self._finish(response, route, method, raw_path, started, True)
-            self._bump("cache_misses")
             self._prom_cache.labels("miss").inc()
         try:
             if read_error is not None:
@@ -557,9 +536,7 @@ class NvdService:
         except ServiceError as error:
             status, payload = error.status, {"error": error.message}
         except Exception as error:  # never let a bug kill the worker thread
-            self._bump("errors_internal")
             status, payload = 500, {"error": f"internal error: {error}"}
-        self._bump(f"responses_{status // 100}xx")
         body_bytes = json.dumps(payload).encode("utf-8")
         if cacheable and status == 200:
             self._cache.put(cache_key, (status, body_bytes))
@@ -689,8 +666,29 @@ class NvdService:
         return position
 
     def metrics_payload(self) -> dict:
-        with self._counter_lock:
-            counters = dict(self._counters)
+        """The ``/v1/metrics`` JSON: registry series summed into the
+        long-standing counter keys, each present once it is nonzero.
+        ``errors_internal`` counts 500s, which only a dispatch bug makes."""
+        counters: collections.Counter[str] = collections.Counter()
+        for series in self._prom_requests.series():
+            endpoint, status = series.labels
+            count = int(series.value)
+            counters["requests_total"] += count
+            if endpoint != "unknown":
+                counters[f"endpoint_{endpoint}"] += count
+            counters[f"responses_{int(status) // 100}xx"] += count
+            if status == "500":
+                counters["errors_internal"] += count
+        for series in self._prom_cache.series():
+            name = "cache_hits" if series.labels == ("hit",) else "cache_misses"
+            counters[name] += int(series.value)
+        for name, metric in (
+            ("hot_swaps", self._prom_swaps),
+            ("reload_failures", self._prom_reload_failures),
+            ("breaker_opened", self._prom_breaker_opened),
+        ):
+            for series in metric.series():
+                counters[name] += int(series.value)
         hits = counters.get("cache_hits", 0)
         lookups = hits + counters.get("cache_misses", 0)
         payload = {
@@ -707,13 +705,13 @@ class NvdService:
                 "misses": lookups - hits,
                 "hit_ratio": round(hits / lookups, 4) if lookups else None,
             },
-            "swaps": self.swaps,
-            "counters": counters,
+            "swaps": counters.get("hot_swaps", 0),
+            "counters": dict(counters),
             "degraded": self.degraded,
             "breaker": {
                 "open": self.breaker_open,
                 "consecutive_failures": self._breaker_failures,
-                "threshold": self.breaker_threshold,
+                "threshold": BREAKER_THRESHOLD,
             },
         }
         supervisor = self.supervisor_status()
@@ -842,11 +840,8 @@ def create_server(
     port: int = 8080,
     *,
     version: str | None = None,
-    cache_size: int = 1024,
     reload_interval: float = 1.0,
     reuse_port: bool = False,
-    breaker_threshold: int = 3,
-    breaker_cooldown: float = 5.0,
     access_log: str | os.PathLike[str] | None = None,
     trace_path: str | os.PathLike[str] | None = None,
 ) -> _ServiceServer:
@@ -863,10 +858,7 @@ def create_server(
     service = NvdService(
         root,
         version=version,
-        cache_size=cache_size,
         reload_interval=reload_interval,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
         access_log=access_log,
         trace_path=trace_path,
     )

@@ -434,13 +434,14 @@ class TestRecoverySweep:
 
 
 class TestCircuitBreaker:
-    def _service(self, root, **kwargs):
+    @pytest.fixture(autouse=True)
+    def _short_cooldown(self, monkeypatch):
+        monkeypatch.setattr("repro.service.http.BREAKER_COOLDOWN_S", 0.05)
+
+    def _service(self, root):
         from repro.service import NvdService
 
-        kwargs.setdefault("reload_interval", 0.0)
-        kwargs.setdefault("breaker_threshold", 3)
-        kwargs.setdefault("breaker_cooldown", 0.05)
-        return NvdService(root, **kwargs)
+        return NvdService(root, reload_interval=0.0)
 
     def test_breaker_opens_after_consecutive_failures_and_pins_version(
         self, artifact_root, tmp_path

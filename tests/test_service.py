@@ -396,9 +396,7 @@ class TestMetricsAndCache:
             for name, count in counters.items()
             if name.startswith("responses_")
         )
-        # the in-flight /v1/metrics request is counted in requests_total
-        # but its own response-class bump lands after payload assembly
-        assert responses == counters["requests_total"] - 1
+        assert responses == counters["requests_total"]
 
     def test_repeated_get_hits_cache(self, base_url, small_rectified):
         cve_id = small_rectified.snapshot.entries[1].cve_id
@@ -408,6 +406,105 @@ class TestMetricsAndCache:
         assert status == 200
         after = get(base_url, "/v1/metrics")[1]["counters"]["cache_hits"]
         assert after > before
+
+
+def _registry_totals(service):
+    """The /v1/metrics counter keys, summed straight from the registry."""
+    totals: dict[str, int] = {}
+
+    def add(key, value):
+        if value:
+            totals[key] = totals.get(key, 0) + int(value)
+
+    for series in service.registry.get("repro_http_requests_total").series():
+        endpoint, status = series.labels
+        add("requests_total", series.value)
+        add(f"responses_{status[0]}xx", series.value)
+        if endpoint != "unknown":
+            add(f"endpoint_{endpoint}", series.value)
+        if status == "500":
+            add("errors_internal", series.value)
+    for series in service.registry.get("repro_http_cache_total").series():
+        outcome = {"hit": "cache_hits", "miss": "cache_misses"}[series.labels[0]]
+        add(outcome, series.value)
+    for key, family in (
+        ("hot_swaps", "repro_service_hot_swaps_total"),
+        ("reload_failures", "repro_service_reload_failures_total"),
+        ("breaker_opened", "repro_service_breaker_opened_total"),
+    ):
+        for series in service.registry.get(family).series():
+            add(key, series.value)
+    return totals
+
+
+class TestOneCounterStore:
+    """/v1/metrics is a view of the registry behind /metrics."""
+
+    @pytest.fixture
+    def fresh_service(self, store):
+        from repro.service import NvdService
+
+        service = NvdService(store, version="v0001")
+        yield service
+        service.close()
+
+    def test_unrouted_paths_count_no_cache_lookup(self, fresh_service):
+        service = fresh_service
+        assert service.handle("GET", "/v1/stats", None).status == 200  # a miss
+        cache_family = service.registry.get("repro_http_cache_total")
+
+        def cache_state():
+            return (
+                [(s.labels, s.value) for s in cache_family.series()],
+                service.metrics_payload()["counters"].get("cache_misses", 0),
+            )
+
+        before = cache_state()
+        for path in ("/v1/statsjunk", "/v1/cve/a/b", "/v1/product/x"):
+            assert service.handle("GET", path, None).status == 404, path
+            assert cache_state() == before, path
+
+    def test_v1_metrics_agrees_with_registry(
+        self, fresh_service, small_rectified, monkeypatch
+    ):
+        from repro.service import ServiceError
+        from repro.service.state import ServiceState
+
+        service = fresh_service
+        entries = small_rectified.snapshot.entries
+        cve = f"/v1/cve/{entries[0].cve_id}"
+        assert service.handle("GET", cve, None).status == 200
+        assert service.handle("GET", cve, None).status == 200  # cache hit
+        assert service.handle("GET", "/v1/nowhere", None).status == 404
+        for code in (400, 413):
+            response = service.handle(
+                "POST", "/v1/severity/predict", None,
+                read_error=ServiceError(code, "unreadable body"),
+            )
+            assert response.status == code
+
+        def broken(self, cve_id):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(ServiceState, "cve_payload", broken)
+        assert service.handle("GET", f"/v1/cve/{entries[1].cve_id}", None).status == 500
+        assert service.handle("GET", "/metrics", None).status == 200
+
+        counters = service.metrics_payload()["counters"]
+        assert counters == _registry_totals(service)
+        assert counters == {
+            "requests_total": 7,
+            "endpoint_cve": 3,
+            "endpoint_predict": 2,
+            "endpoint_prometheus": 1,
+            "responses_2xx": 3,
+            "responses_4xx": 3,
+            "responses_5xx": 1,
+            "errors_internal": 1,
+            "cache_hits": 1,
+            "cache_misses": 2,
+        }
+        assert counters["errors_internal"] == counters["responses_5xx"]
 
 
 class TestConcurrency:
