@@ -35,7 +35,8 @@ import tempfile
 import time
 
 from repro import faults
-from repro.service.http import SERVICE_NAME, SUPERVISOR_STATUS, create_server
+from repro.service.http import SERVICE_NAME, SUPERVISOR_STATUS
+from repro.service.server import create_server
 
 __all__ = ["ServeSupervisor"]
 
@@ -43,6 +44,15 @@ __all__ = ["ServeSupervisor"]
 START_FAILED = 13
 
 SUPERVISOR_SCHEMA = "repro-supervisor/1"
+
+#: restarts a worker may use before it is abandoned.
+RESTART_BUDGET = 5
+#: respawn backoff: BACKOFF_BASE_S doubling per restart, capped at
+#: BACKOFF_MAX_S.
+BACKOFF_BASE_S = 0.25
+BACKOFF_MAX_S = 5.0
+#: seconds between supervision passes.
+POLL_INTERVAL_S = 0.1
 
 
 def _worker_main(config: dict, index: int) -> None:
@@ -57,20 +67,10 @@ def _worker_main(config: dict, index: int) -> None:
     # Every worker appends to the shared access log (O_APPEND + one
     # flushed line per request keeps lines whole), but traces split per
     # worker: a JSON event array cannot be interleaved across writers.
-    trace_path = config.get("trace_path")
-    if trace_path:
-        trace_path = f"{trace_path}.w{index}"
+    if config["trace_path"]:
+        config = {**config, "trace_path": f"{config['trace_path']}.w{index}"}
     try:
-        server = create_server(
-            config["root"],
-            config["host"],
-            config["port"],
-            version=config["version"],
-            reload_interval=config["reload_interval"],
-            reuse_port=True,
-            access_log=config.get("access_log"),
-            trace_path=trace_path,
-        )
+        server = create_server(**config, reuse_port=True)
     except Exception:
         sys.exit(START_FAILED)
     try:
@@ -93,10 +93,6 @@ class ServeSupervisor:
         workers: int = 2,
         version: str | None = None,
         reload_interval: float = 1.0,
-        restart_budget: int = 5,
-        backoff_base: float = 0.25,
-        backoff_max: float = 5.0,
-        poll_interval: float = 0.1,
         access_log: str | os.PathLike[str] | None = None,
         trace_path: str | os.PathLike[str] | None = None,
     ) -> None:
@@ -106,27 +102,21 @@ class ServeSupervisor:
         self.host = host
         self.port = int(port)
         self.workers = int(workers)
-        self.version = version
-        self.reload_interval = float(reload_interval)
-        self.restart_budget = max(0, int(restart_budget))
-        self.backoff_base = float(backoff_base)
-        self.backoff_max = float(backoff_max)
-        self.poll_interval = float(poll_interval)
-        self.access_log = os.fspath(access_log) if access_log is not None else None
-        self.trace_path = os.fspath(trace_path) if trace_path is not None else None
+        #: create_server's keyword options, passed to every worker.
+        self._server_options = {
+            "version": version,
+            "reload_interval": float(reload_interval),
+            "access_log": os.fspath(access_log) if access_log is not None else None,
+            "trace_path": os.fspath(trace_path) if trace_path is not None else None,
+        }
         self._procs: list[multiprocessing.Process | None] = [None] * self.workers
         self._restarts = [0] * self.workers
         self._respawn_at = [0.0] * self.workers
         self._abandoned: set[int] = set()
         self.start_failures = 0
         self._placeholder: socket.socket | None = None
-        self._stopping = False
 
     # -- status drop-box -----------------------------------------------------
-
-    @property
-    def status_path(self) -> pathlib.Path:
-        return self.root / SUPERVISOR_STATUS
 
     def status(self) -> dict:
         alive = sum(
@@ -137,7 +127,7 @@ class ServeSupervisor:
             "workers": self.workers,
             "alive": alive,
             "restarts": sum(self._restarts),
-            "restart_budget": self.restart_budget,
+            "restart_budget": RESTART_BUDGET,
             "start_failures": self.start_failures,
             "abandoned_workers": sorted(self._abandoned),
             "degraded": bool(self._abandoned),
@@ -153,21 +143,20 @@ class ServeSupervisor:
             )
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(payload)
-            os.replace(tmp_name, self.status_path)
+            os.replace(tmp_name, self.root / SUPERVISOR_STATUS)
         except OSError:
             pass  # status is best-effort; never take the service down for it
 
     # -- lifecycle -----------------------------------------------------------
 
     def _config(self) -> dict:
+        """:func:`create_server`'s arguments for a worker (the port is
+        fixed once :meth:`run` has reserved it)."""
         return {
             "root": os.fspath(self.root),
             "host": self.host,
             "port": self.port,
-            "version": self.version,
-            "reload_interval": self.reload_interval,
-            "access_log": self.access_log,
-            "trace_path": self.trace_path,
+            **self._server_options,
         }
 
     def _spawn(self, index: int) -> None:
@@ -179,9 +168,6 @@ class ServeSupervisor:
         )
         proc.start()
         self._procs[index] = proc
-
-    def _backoff(self, restarts: int) -> float:
-        return min(self.backoff_max, self.backoff_base * (2 ** max(0, restarts - 1)))
 
     def _poll_once(self) -> None:
         """One supervision pass: inject, reap, schedule, respawn."""
@@ -206,10 +192,11 @@ class ServeSupervisor:
                 if exitcode == START_FAILED:
                     self.start_failures += 1
                 self._restarts[index] += 1
-                if self._restarts[index] > self.restart_budget:
+                if self._restarts[index] > RESTART_BUDGET:
                     self._abandoned.add(index)
                     continue
-                self._respawn_at[index] = now + self._backoff(self._restarts[index])
+                backoff = BACKOFF_BASE_S * 2 ** (self._restarts[index] - 1)
+                self._respawn_at[index] = now + min(BACKOFF_MAX_S, backoff)
             if self._procs[index] is None and now >= self._respawn_at[index]:
                 self._spawn(index)
                 changed = True
@@ -217,7 +204,6 @@ class ServeSupervisor:
             self._write_status()
 
     def _shutdown(self) -> None:
-        self._stopping = True
         for proc in self._procs:
             if proc is not None and proc.is_alive() and proc.pid:
                 try:
@@ -235,7 +221,7 @@ class ServeSupervisor:
                 if proc.is_alive():
                     proc.kill()
                     proc.join(timeout=1.0)
-        self.status_path.unlink(missing_ok=True)
+        (self.root / SUPERVISOR_STATUS).unlink(missing_ok=True)
         if self._placeholder is not None:
             self._placeholder.close()
             self._placeholder = None
@@ -259,7 +245,7 @@ class ServeSupervisor:
         print(
             f"[serve] {SERVICE_NAME} on http://{self.host}:{self.port} — "
             f"{self.workers} supervised workers (SO_REUSEPORT, "
-            f"restart budget {self.restart_budget}) over {self.root}",
+            f"restart budget {RESTART_BUDGET}) over {self.root}",
             flush=True,
         )
         for index in range(self.workers):
@@ -271,7 +257,7 @@ class ServeSupervisor:
                 if len(self._abandoned) >= self.workers:
                     self._write_status()
                     return 1
-                time.sleep(self.poll_interval)
+                time.sleep(POLL_INTERVAL_S)
         except KeyboardInterrupt:
             pass
         finally:

@@ -4,6 +4,7 @@ import concurrent.futures
 import http.client
 import io
 import json
+import re
 import shutil
 import socket
 import statistics
@@ -17,8 +18,9 @@ import urllib.request
 import pytest
 
 from repro.artifacts import ingest_delta, load_artifacts
-from repro.service import create_server
-from repro.service.http import MAX_BODY_BYTES, ApiHandler
+from repro.service import NvdService, create_server
+from repro.service.routes import ROUTES
+from repro.service.server import MAX_BODY_BYTES, ApiHandler
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +374,62 @@ class TestTransport:
         assert after["responses_4xx"] - before.get("responses_4xx", 0) >= 4
 
 
+    @staticmethod
+    def _exchange(server, raw: bytes) -> list[tuple[str, dict, bytes]]:
+        """Send ``raw`` on one connection, half-close it, and split
+        everything the server answers until it hangs up."""
+        host, port = server.server_address[:2]
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(raw)
+            sock.shutdown(socket.SHUT_WR)
+            data = b""
+            while chunk := sock.recv(4096):
+                data += chunk
+        responses = []
+        while data:
+            head, _, rest = data.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            headers = dict(line.split(": ", 1) for line in lines[1:] if ": " in line)
+            length = int(headers.get("Content-Length", len(rest)))
+            responses.append((lines[0], headers, rest[:length]))
+            data = rest[length:]
+        return responses
+
+    def test_get_body_is_read_before_the_next_request(self, server):
+        """A keep-alive GET that carries a body: the body is consumed,
+        so the next request on the connection parses and answers 200."""
+        before = server.service.metrics_payload()["counters"]
+        request = b"GET /healthz HTTP/1.1\r\nHost: x\r\nContent-Length: 5\r\n\r\nhello"
+        follow_up = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+        responses = self._exchange(server, request + follow_up)
+        assert [status for status, _, _ in responses] == ["HTTP/1.1 200 OK"] * 2
+        for _, headers, body in responses:
+            assert headers["Content-Type"] == "application/json"
+            assert json.loads(body)["status"] == "ok"
+        after = server.service.metrics_payload()["counters"]
+        assert after["endpoint_healthz"] - before.get("endpoint_healthz", 0) == 2
+
+    def test_transfer_encoding_gets_counted_411_and_close(self, server):
+        """A chunked body is never parsed as requests: one counted JSON
+        411, then the server hangs up."""
+        before = server.service.metrics_payload()["counters"]
+        body = json.dumps({"cvss_v2": self.VECTOR}).encode()
+        raw = (
+            b"POST /v1/severity/predict HTTP/1.1\r\nHost: x\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        )
+        responses = self._exchange(server, raw)
+        assert len(responses) == 1
+        status, headers, payload = responses[0]
+        assert status.startswith("HTTP/1.1 411 ")
+        assert headers["Connection"] == "close"
+        assert headers["Content-Type"] == "application/json"
+        assert "Transfer-Encoding" in json.loads(payload)["error"]
+        after = server.service.metrics_payload()["counters"]
+        assert after["endpoint_predict"] - before.get("endpoint_predict", 0) == 1
+
+
 class TestMetricsAndCache:
     def test_metrics_counts_requests(self, base_url):
         before = get(base_url, "/v1/metrics")[1]
@@ -437,16 +495,50 @@ def _registry_totals(service):
     return totals
 
 
+@pytest.fixture
+def fresh_service(store):
+    """A private in-process service with empty counters and cache."""
+    service = NvdService(store, version="v0001")
+    yield service
+    service.close()
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("route", ROUTES, ids=lambda route: route.endpoint)
+    def test_every_route_counts_under_its_label(
+        self, fresh_service, small_rectified, route
+    ):
+        """Each table entry answers 200 with its content type, counts
+        under its endpoint label, and counts a cache lookup only when
+        it is cacheable."""
+        service = fresh_service
+        entry = next(
+            e for e in small_rectified.snapshot.entries if e.vendor_products()
+        )
+        vendor, product = entry.vendor_products()[0]
+        values = {"id": entry.cve_id, "name": vendor, "vendor": vendor, "product": product}
+        path = re.sub(
+            r"\{(\w+)\}",
+            lambda match: urllib.parse.quote(values[match.group(1)], safe=""),
+            route.path,
+        )
+        body = None
+        if route.method == "POST":
+            body = json.dumps({"cvss_v2": TestPredictEndpoint.VECTOR}).encode()
+        requests = service.registry.get("repro_http_requests_total")
+        cache = service.registry.get("repro_http_cache_total")
+
+        response = service.handle(route.method, path, body)
+        assert response.status == 200, response.body
+        assert response.content_type == route.content_type
+        assert [(s.labels, s.value) for s in requests.series()] == [
+            ((route.endpoint, "200"), 1)
+        ]
+        assert sum(s.value for s in cache.series()) == int(route.cacheable)
+
+
 class TestOneCounterStore:
     """/v1/metrics is a view of the registry behind /metrics."""
-
-    @pytest.fixture
-    def fresh_service(self, store):
-        from repro.service import NvdService
-
-        service = NvdService(store, version="v0001")
-        yield service
-        service.close()
 
     def test_unrouted_paths_count_no_cache_lookup(self, fresh_service):
         service = fresh_service

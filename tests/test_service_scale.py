@@ -3,7 +3,7 @@
 Covers the per-worker response LRU (and its coherence across a hot
 swap), opaque cursor pagination (round-trip, tamper, version expiry),
 predict under concurrency (bit-identity against the single-request
-reference), and the supervisor status-cache staleness regression.
+reference), and the supervisor status-file staleness regression.
 """
 
 import json
@@ -308,9 +308,9 @@ class TestCacheCoherence:
 
 class TestSupervisorStatusCache:
     def test_same_mtime_rewrite_is_not_served_stale(self, tmp_path, store):
-        """Regression: the status cache used to key on mtime alone, so
-        a rewrite landing within one timestamp granule kept serving the
-        old payload.  Keying on (mtime_ns, size) catches it."""
+        """Regression: a status cache keyed on the file's mtime and size
+        kept serving the old payload after a same-size rewrite within
+        one timestamp granule.  The file is read afresh on every call."""
         root = tmp_path / "store"
         shutil.copytree(store, root)
         service = NvdService(root, reload_interval=0.0)
@@ -321,14 +321,17 @@ class TestSupervisorStatusCache:
             )
             first = service.supervisor_status()
             assert first == {"alive": 2, "degraded": False}
+            assert not service.degraded
             stat = status_path.stat()
-            # rewrite with different content/size, then force the exact
-            # same mtime back — the coarse-timestamp collision
-            status_path.write_text(
-                json.dumps({"alive": 1, "degraded": True}), encoding="utf-8"
-            )
+            # rewrite with the same size, then force the exact same
+            # mtime back — the coarse-timestamp collision
+            rewrite = json.dumps({"alive": 1, "degraded": True}) + " "
+            assert len(rewrite) == stat.st_size
+            status_path.write_text(rewrite, encoding="utf-8")
             os.utime(status_path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+            assert status_path.stat().st_size == stat.st_size
             second = service.supervisor_status()
             assert second == {"alive": 1, "degraded": True}
+            assert service.degraded
         finally:
             service.close()

@@ -12,7 +12,13 @@ drives the multi-process surface end to end:
 3. fires a concurrent predict burst and asserts every response is
    bit-identical to its single-request reference;
 4. lints the Prometheus ``/metrics`` exposition with
-   ``tools/check_metrics.py``.
+   ``tools/check_metrics.py``;
+5. sends 50 GETs (cve, stats, healthz) over one persistent connection
+   and asserts every answer is a 200 with a median round trip under
+   5 ms — a response sent as two writes (headers, then body) waits
+   ~40 ms for the client's delayed ACK on every keep-alive request —
+   then sends a GET carrying a body and asserts the next request on
+   that connection still answers 200.
 
 Exit code 0 when every probe passes; 1 with a diagnostic otherwise.
 
@@ -27,11 +33,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import http.client
 import json
 import os
 import pathlib
 import signal
 import socket
+import statistics
 import subprocess
 import sys
 import threading
@@ -45,6 +53,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 PREDICT_VECTOR = "AV:N/AC:L/Au:N/C:C/I:C/A:C"
+
+#: GETs sent over one keep-alive connection, and the median round trip
+#: (ms) they must beat.
+KEEPALIVE_REQUESTS = 50
+KEEPALIVE_P50_LIMIT_MS = 5.0
 
 
 class ProbeFailure(AssertionError):
@@ -210,6 +223,47 @@ def probe_metrics_lint(base_url: str) -> None:
     print("[probe] /metrics lints clean")
 
 
+def probe_keepalive(base_url: str, snapshot) -> None:
+    entries = snapshot.entries
+    paths = ["/healthz", "/v1/stats"] + [
+        f"/v1/cve/{entries[i % len(entries)].cve_id}"
+        for i in range(KEEPALIVE_REQUESTS - 2)
+    ]
+    netloc = urllib.parse.urlsplit(base_url).netloc
+    connection = http.client.HTTPConnection(netloc, timeout=10)
+
+    def fetch(path: str, body: bytes | None = None) -> int:
+        connection.request("GET", path, body=body)
+        response = connection.getresponse()
+        response.read()
+        return response.status
+
+    timings = []
+    try:
+        for path in paths:
+            started = time.perf_counter()
+            status = fetch(path)
+            timings.append((time.perf_counter() - started) * 1000.0)
+            check(status == 200, f"GET {path} answered {status}")
+        statuses = [fetch("/healthz", body=b"hello"), fetch("/healthz")]
+        check(
+            statuses == [200, 200],
+            f"a GET with a body, then a GET, on one connection answered {statuses}",
+        )
+    finally:
+        connection.close()
+    p50 = statistics.median(timings)
+    check(
+        p50 < KEEPALIVE_P50_LIMIT_MS,
+        f"keep-alive p50 {p50:.2f} ms over {len(paths)} requests "
+        f"(limit {KEEPALIVE_P50_LIMIT_MS} ms)",
+    )
+    print(
+        f"[probe] {len(paths)} keep-alive GETs all 200, p50 {p50:.2f} ms; "
+        "a GET with a body left the connection usable"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -227,6 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             probe_cursor_walk(base_url, artifacts.snapshot)
             probe_predict_burst(base_url, args.burst)
             probe_metrics_lint(base_url)
+            probe_keepalive(base_url, artifacts.snapshot)
         print(f"[probe] OK: {args.workers} workers")
         return 0
     except ProbeFailure as failure:
