@@ -3,6 +3,8 @@
 from repro.cwe.catalog import (
     CATALOG,
     CWE_ID_PATTERN,
+    CWE_LABEL,
+    MAX_CWE_DIGITS,
     SENTINEL_NOINFO,
     SENTINEL_OTHER,
     SENTINELS,
@@ -17,6 +19,8 @@ from repro.cwe.catalog import (
 __all__ = [
     "CATALOG",
     "CWE_ID_PATTERN",
+    "CWE_LABEL",
+    "MAX_CWE_DIGITS",
     "SENTINEL_NOINFO",
     "SENTINEL_OTHER",
     "SENTINELS",

@@ -24,6 +24,8 @@ __all__ = [
     "SENTINEL_NOINFO",
     "SENTINELS",
     "CWE_ID_PATTERN",
+    "CWE_LABEL",
+    "MAX_CWE_DIGITS",
     "all_ids",
     "extract_cwe_ids",
     "get",
@@ -38,6 +40,14 @@ SENTINELS = frozenset({SENTINEL_OTHER, SENTINEL_NOINFO})
 
 #: The paper's extraction regex (§4.4): "CWE-[0-9]*".
 CWE_ID_PATTERN = re.compile(r"CWE-[0-9]+")
+
+#: digits a concrete ``CWE-`` label may carry; the catalogue's ids are
+#: all below 1,500, and the §4.3 CWE feature divides the id as a float.
+MAX_CWE_DIGITS = 6
+#: a well-formed concrete label (use with ``fullmatch``): the service
+#: rejects any other ``CWE-`` label with a 400, and the severity
+#: features skip it.
+CWE_LABEL = re.compile(rf"CWE-[0-9]{{1,{MAX_CWE_DIGITS}}}")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -20,7 +20,8 @@ and the whole stack runs in float32 when asked (``Sequential.astype``
 backward pass writes a layer's weight and bias gradients once, straight
 into ``Parameter.grad`` (no accumulation, so no zeroing pass), and
 :class:`Adam` keeps values, gradients and moments in one flat buffer
-per role, so a step is a handful of whole-array ufunc passes.
+per role, so a step is a handful of ufunc passes over cache-sized
+slices of those buffers.
 Training is a plain serial minibatch loop.
 """
 
@@ -45,6 +46,14 @@ __all__ = [
     "Adam",
     "fit",
 ]
+
+
+#: rows per forward in :meth:`Sequential.predict`.
+PREDICT_BATCH_ROWS = 256
+
+#: elements per slice in :meth:`Adam.step`: six float32 slices of this
+#: size (1.5 MiB) stay cache-resident across the step's 13 passes.
+ADAM_BLOCK = 65_536
 
 
 class Parameter:
@@ -399,11 +408,16 @@ class Sequential(Layer):
                 param.grad = np.zeros_like(value)
         return model
 
-    def predict(self, x: np.ndarray, batch_size: int = 1024) -> np.ndarray:
-        """Forward pass in batches (no gradient bookkeeping needed)."""
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """Forward pass in :data:`PREDICT_BATCH_ROWS`-row batches.
+
+        Batching changes no bit of the result (every batch but the last
+        is a whole number of BLAS row groups) and bounds the persistent
+        Conv1D scratch a large predict leaves behind.
+        """
         chunks = [
-            self.forward(x[start : start + batch_size])
-            for start in range(0, x.shape[0], batch_size)
+            self.forward(x[start : start + PREDICT_BATCH_ROWS])
+            for start in range(0, x.shape[0], PREDICT_BATCH_ROWS)
         ]
         return np.concatenate(chunks, axis=0) if chunks else np.empty((0,))
 
@@ -431,8 +445,9 @@ class Adam:
     each parameter's current value and gradient and rebinding its
     ``value``/``grad`` to a view of the packed buffers.  Layers write
     each gradient once per backward pass straight into those views, so
-    a step is 13 whole-array ufunc passes with no per-parameter loop,
-    no zeroing pass and no heap allocation.  The arithmetic matches the
+    a step is 13 ufunc passes over each :data:`ADAM_BLOCK`-element
+    slice of the buffers, with no per-parameter loop, no zeroing pass
+    and no heap allocation.  The arithmetic matches the
     textbook formulation term for term; the parameters must share one
     dtype.
     """
@@ -471,8 +486,22 @@ class Adam:
             offset = end
         self._m = np.zeros(total, dtype=dtype)
         self._v = np.zeros(total, dtype=dtype)
-        self._scratch = np.empty(total, dtype=dtype)
-        self._scratch2 = np.empty(total, dtype=dtype)
+        width = min(total, ADAM_BLOCK)
+        scratch = np.empty(width, dtype=dtype)
+        scratch2 = np.empty(width, dtype=dtype)
+        self._blocks = []
+        for start in range(0, total, ADAM_BLOCK):
+            end = min(start + ADAM_BLOCK, total)
+            self._blocks.append(
+                (
+                    self._values[start:end],
+                    self._grads[start:end],
+                    self._m[start:end],
+                    self._v[start:end],
+                    scratch[: end - start],
+                    scratch2[: end - start],
+                )
+            )
 
     def step(self) -> None:
         self._step += 1
@@ -483,25 +512,27 @@ class Adam:
         # memory pass over every parameter — the step is memory-bound.
         step_scale = self.learning_rate / bias1
         inv_sqrt_bias2 = 1.0 / np.sqrt(bias2)
-        beta1, beta2 = self.beta1, self.beta2
-        grad, m, v = self._grads, self._m, self._v
-        scratch, scratch2 = self._scratch, self._scratch2
-        # m = beta1 * m + (1 - beta1) * grad
-        np.multiply(m, beta1, out=m)
-        np.multiply(grad, 1.0 - beta1, out=scratch)
-        m += scratch
-        # v = beta2 * v + (1 - beta2) * grad**2
-        np.multiply(v, beta2, out=v)
-        np.multiply(grad, grad, out=scratch)
-        scratch *= 1.0 - beta2
-        v += scratch
-        # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
-        np.sqrt(v, out=scratch)
-        scratch *= inv_sqrt_bias2
-        scratch += self.epsilon
-        np.multiply(m, step_scale, out=scratch2)
-        scratch2 /= scratch
-        self._values -= scratch2
+        beta1, beta2, epsilon = self.beta1, self.beta2, self.epsilon
+        # The same 13 passes, run block by block so each block's six
+        # slices stay in cache between passes; every element sees the
+        # same arithmetic in the same order, so the bits do not change.
+        for value, grad, m, v, scratch, scratch2 in self._blocks:
+            # m = beta1 * m + (1 - beta1) * grad
+            np.multiply(m, beta1, out=m)
+            np.multiply(grad, 1.0 - beta1, out=scratch)
+            m += scratch
+            # v = beta2 * v + (1 - beta2) * grad**2
+            np.multiply(v, beta2, out=v)
+            np.multiply(grad, grad, out=scratch)
+            scratch *= 1.0 - beta2
+            v += scratch
+            # param -= learning_rate * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.sqrt(v, out=scratch)
+            scratch *= inv_sqrt_bias2
+            scratch += epsilon
+            np.multiply(m, step_scale, out=scratch2)
+            scratch2 /= scratch
+            value -= scratch2
 
 
 def fit(

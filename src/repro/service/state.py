@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import datetime
 import os
-import re
 import threading
 
 from repro.artifacts import LoadedArtifacts, load_artifacts
@@ -29,7 +28,7 @@ from repro.cvss import (
     v2_vector_string,
     v3_vector_string,
 )
-from repro.cwe import extract_cwe_ids
+from repro.cwe import CWE_LABEL, MAX_CWE_DIGITS, extract_cwe_ids
 from repro.nvd import CveEntry
 from repro.service.cursor import encode_cursor
 
@@ -40,11 +39,6 @@ __all__ = ["ServiceError", "ServiceState"]
 #: parameters page through the rest, with ``next_offset`` and the
 #: opaque ``next_cursor`` naming the next page.
 MAX_IDS = 500
-
-#: digits a ``CWE-`` label may carry; the catalogue's ids are all below
-#: 1,500, and the CWE feature divides the id as a float.
-MAX_CWE_DIGITS = 6
-_CWE_LABEL = re.compile(rf"CWE-[0-9]{{1,{MAX_CWE_DIGITS}}}")
 
 
 def _page(ids: list[str], offset: int, limit: int, version: str) -> dict:
@@ -265,7 +259,7 @@ class ServiceState:
         ):
             raise ServiceError(400, "field 'cwe_ids' must be a list of strings")
         for label in cwe_ids:
-            if label.startswith("CWE-") and not _CWE_LABEL.fullmatch(label):
+            if label.startswith("CWE-") and not CWE_LABEL.fullmatch(label):
                 raise ServiceError(
                     400,
                     f"bad CWE label {label!r}: expected 'CWE-' and at most "

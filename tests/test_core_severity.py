@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import EngineConfig, SeverityPredictionEngine, transition_table, v2_features
-from repro.core.severity import FEATURE_NAMES, feature_matrix
-from repro.cvss import Severity
+from repro.core.severity import (
+    FEATURE_NAMES,
+    GEMV_ROW_GROUP,
+    _concrete_cwe,
+    feature_matrix,
+)
+from repro.cvss import Severity, severity_v3
 from repro.nvd import CveEntry
 import datetime
 
@@ -147,3 +152,103 @@ class TestTransitionTable:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             transition_table([Severity.LOW], [])
+
+
+@pytest.fixture(scope="module", params=[1, 2, 3], ids=lambda seed: f"seed{seed}")
+def four_model_run(request):
+    """Every §4.3 model trained briefly, plus the v2-scored entries."""
+    from repro.synth import GeneratorConfig, generate
+
+    seed = request.param
+    snapshot = generate(GeneratorConfig(n_cves=1500, seed=seed)).snapshot
+    config = EngineConfig(epochs=1, models=("lr", "svr", "cnn", "dnn"), seed=seed)
+    engine = SeverityPredictionEngine(config).fit(snapshot.with_v3())
+    scored = [entry for entry in snapshot.entries if entry.cvss_v2 is not None]
+    return engine, scored
+
+
+def distinct_keys(entries):
+    return {(entry.cvss_v2, _concrete_cwe(entry)) for entry in entries}
+
+
+class TestDistinctRowPredict:
+    """``predict_scores`` scores each distinct feature row once."""
+
+    @pytest.mark.parametrize("model", ["cnn", "dnn", "svr", "lr"])
+    def test_bit_identical_to_full_pass(self, four_model_run, model):
+        engine, scored = four_model_run
+        # The reference pass must itself send every row down the grouped
+        # gemv path, so its length is a whole number of row groups.
+        scored = scored[: len(scored) - len(scored) % GEMV_ROW_GROUP]
+        assert len(distinct_keys(scored)) < len(scored) / 2
+        full = engine._predict_matrix(feature_matrix(scored), model)
+        assert np.array_equal(engine.predict_scores(scored, model=model), full)
+
+    @pytest.mark.parametrize("model", ["cnn", "lr"])
+    def test_score_does_not_depend_on_the_other_entries(self, four_model_run, model):
+        engine, scored = four_model_run
+        whole = engine.predict_scores(scored, model=model)
+        for start in (1, 2, 3, 5, 7, 11, 13):
+            part = engine.predict_scores(scored[start:], model=model)
+            assert np.array_equal(part, whole[start:])
+
+    def test_one_row_per_distinct_key(self, four_model_run, monkeypatch):
+        engine, scored = four_model_run
+        seen = []
+        real = engine._predict_matrix
+
+        def spy(x, model_name):
+            seen.append(x.copy())
+            return real(x, model_name)
+
+        monkeypatch.setattr(engine, "_predict_matrix", spy)
+        engine.predict_scores(scored, model="cnn")
+        (x,) = seen
+        n_keys = len(distinct_keys(scored))
+        # One row per key, then copies of the last row up to a whole
+        # number of gemv row groups.
+        assert x.shape[0] == n_keys + (-n_keys % GEMV_ROW_GROUP)
+        assert len(np.unique(x, axis=0)) == n_keys
+        assert np.array_equal(x[n_keys:], np.repeat(x[n_keys - 1 : n_keys], len(x) - n_keys, 0))
+
+    def test_empty_input(self, four_model_run):
+        engine, _ = four_model_run
+        scores = engine.predict_scores([], model="cnn")
+        assert isinstance(scores, np.ndarray) and scores.shape == (0,)
+
+    def test_entry_without_v2_still_rejected(self, four_model_run):
+        engine, scored = four_model_run
+        bare = CveEntry(
+            cve_id="CVE-2016-2000",
+            published=datetime.date(2016, 1, 1),
+            descriptions=("d",),
+        )
+        with pytest.raises(ValueError, match="CVE-2016-2000 has no CVSS v2"):
+            engine.predict_scores([scored[0], bare, scored[1]], model="cnn")
+
+
+class TestMalformedCweLabels:
+    BAD = ("CWE-abc", "CWE-", "CWE-99999999999999999999", "CWE-1234567")
+
+    def test_feed_item_with_bad_label_scores_as_no_cwe(self, engine, bundle):
+        # A feed whose problemtype carries a malformed CWE label must
+        # not crash the severity features: the label is skipped, so the
+        # entry scores as if it had no concrete CWE at all.
+        from repro.nvd import entries_from_feed, entries_to_feed
+
+        sources = bundle.snapshot.v2_only()[: len(self.BAD)]
+        feed = entries_to_feed(
+            [e.replace(cwe_ids=(label,)) for e, label in zip(sources, self.BAD)]
+        )
+        parsed = entries_from_feed(feed)
+        assert [e.cwe_ids for e in parsed] == [(label,) for label in self.BAD]
+        want = engine.predict_scores(
+            [e.replace(cwe_ids=()) for e in sources], model="dnn"
+        )
+        assert np.array_equal(engine.predict_scores(parsed, model="dnn"), want)
+        assert all(v2_features(e)[12] == 0.0 for e in parsed)
+
+    def test_label_after_a_bad_one_is_used(self):
+        entry = dual_entry(cwe=("CWE-abc", "CWE-79"))
+        assert _concrete_cwe(entry) == "CWE-79"
+        assert v2_features(entry)[12] == 79 / 1200.0

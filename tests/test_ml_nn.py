@@ -14,6 +14,7 @@ from repro.ml import (
     Sigmoid,
     fit,
 )
+from repro.ml.nn import PREDICT_BATCH_ROWS
 
 
 def numeric_gradient(f, x, epsilon=1e-6):
@@ -146,12 +147,17 @@ class TestLayers:
             Conv1D(1, 1, 2, np.random.default_rng(0))
 
     def test_sequential_predict_batches(self):
+        # 1,000 rows: three full PREDICT_BATCH_ROWS batches and a short
+        # fourth; batching must change no bit of the result.
         rng = np.random.default_rng(6)
-        model = Sequential(Dense(3, 2, rng))
-        x = rng.standard_normal((100, 3))
-        np.testing.assert_allclose(
-            model.predict(x, batch_size=7), model.forward(x), atol=1e-12
-        )
+        model = Sequential(
+            Conv1D(1, 8, 3, rng), ReLU(), Flatten(), Dense(13 * 8, 1, rng), Sigmoid()
+        ).astype(np.float32)
+        x = rng.standard_normal((1000, 13, 1)).astype(np.float32)
+        assert 1000 > 3 * PREDICT_BATCH_ROWS and 1000 % PREDICT_BATCH_ROWS
+        batched = model.predict(x)
+        assert np.array_equal(batched, model.forward(x))
+        assert model.predict(x[:0]).shape == (0,)
 
 
 class TestTraining:

@@ -29,7 +29,7 @@ from repro.ml import (
     SupportVectorRegressor,
     fit,
 )
-from repro.ml.nn import Parameter
+from repro.ml.nn import ADAM_BLOCK, Parameter
 from repro.nvd import NvdSnapshot
 from repro.text import preprocess
 
@@ -373,6 +373,30 @@ class TestFlatAdamBitIdentity:
         for param, value, grad in zip(params, values, grads):
             assert np.array_equal(param.value, value)
             assert np.array_equal(param.grad, grad)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_step_matches_per_parameter_step(self, dtype):
+        # 75,131 elements: one full ADAM_BLOCK plus a short tail block.
+        shapes = [(300, 250), (131,)]
+        assert sum(int(np.prod(s)) for s in shapes) % ADAM_BLOCK != 0
+        assert sum(int(np.prod(s)) for s in shapes) > ADAM_BLOCK
+        rng = np.random.default_rng(8)
+        values = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        params = [Parameter(v.copy()) for v in values]
+        reference = [Parameter(v.copy()) for v in values]
+        optimizer = Adam(params, learning_rate=0.01)
+        want = PerParameterAdam(reference, learning_rate=0.01)
+        for _ in range(20):
+            for got_p, want_p in zip(params, reference):
+                grad = rng.standard_normal(got_p.value.shape).astype(dtype)
+                got_p.grad[...] = grad
+                want_p.grad[...] = grad
+            optimizer.step()
+            want.step()
+        assert np.array_equal(optimizer._m, np.concatenate([m.ravel() for m in want._m]))
+        assert np.array_equal(optimizer._v, np.concatenate([v.ravel() for v in want._v]))
+        for got_p, want_p in zip(params, reference):
+            assert np.array_equal(got_p.value, want_p.value)
 
     def test_rejects_mixed_dtypes(self):
         params = [
