@@ -24,8 +24,7 @@ is lost — the newest-version fallback could land on a torn directory.
    (the ``CURRENT`` target is always protected) are deleted.
 
 The sweep is idempotent and cheap enough to run on every ingest entry;
-``repro recover`` exposes it on the command line and the chaos harness
-asserts it restores a loadable store after injected torn writes.
+``repro recover`` exposes it on the command line.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ import tempfile
 import time
 from typing import Any
 
-from repro import faults
 from repro.core.dates import DisclosureEstimate
 from repro.core.severity import (
     SUPPORTED_MODELS,
@@ -308,19 +307,6 @@ def export_run(
                 "files": files,
             }
             _write_json(staging / "manifest.json", manifest)
-            if faults.should("store.write", "torn", token=str(root)):
-                # A simulated crash mid-publish: a partial version
-                # directory (one data file short) lands in the store and
-                # the writer "dies".  The restarted export — the next
-                # loop iteration, since the torn directory now occupies
-                # this version number — claims a fresh number; the torn
-                # debris stays behind for the recovery sweep to
-                # quarantine, exactly like a real crashed writer's.
-                torn_dir = root / version
-                if not torn_dir.exists():
-                    shutil.copytree(staging, torn_dir)
-                    (torn_dir / "predictions.json.gz").unlink(missing_ok=True)
-                continue
             try:
                 os.rename(staging, root / version)
                 break

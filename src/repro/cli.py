@@ -28,14 +28,6 @@ runs it automatically): leaked staging directories are removed, torn
 version directories are quarantined, the ``CURRENT`` pointer is
 repaired, and with ``--keep`` stale versions are garbage-collected.
 
-The global ``--faults`` flag installs a seeded fault-injection plan
-(see :mod:`repro.faults`; grammar ``site:kind=rate[@cap];...``) before
-the subcommand runs — the same plan the ``REPRO_FAULTS`` environment
-variable installs, e.g.::
-
-    python -m repro --faults "web.fetch:error=0.2;store.write:torn=1" \
-        demo --n-cves 2000
-
 ``fix-cwe`` works on any NVD JSON feed — including a real one: it
 applies the §4.4 ``CWE-[0-9]*`` recovery and rewrites the feed.
 ``demo`` runs the whole pipeline against a synthetic snapshot (the
@@ -274,17 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cleaning-the-NVD reproduction toolkit",
     )
     parser.add_argument(
-        "--faults", default=None, metavar="PLAN",
-        help="install a seeded fault-injection plan before the command "
-        "runs (grammar: 'site:kind=rate[@cap];...'; same effect as the "
-        "REPRO_FAULTS environment variable)",
-    )
-    parser.add_argument(
-        "--faults-seed", type=int, default=0, metavar="N",
-        help="seed for probabilistic fault clauses (default: 0, or "
-        "REPRO_FAULTS_SEED when the plan comes from the environment)",
-    )
-    parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a Chrome trace-event file (loadable in Perfetto) "
         "covering the command's pipeline phases and worker task spans; "
@@ -426,13 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.faults:
-        from repro import faults
-
-        faults.install(
-            faults.FaultPlan.parse(args.faults, seed=args.faults_seed),
-            export_env=True,  # worker processes inherit the plan
-        )
     if args.trace:
         import os
 

@@ -14,7 +14,7 @@ import datetime
 
 import numpy as np
 
-from repro import faults, perf
+from repro import perf
 from repro.cvss import Severity
 from repro.nvd import CveEntry, NvdSnapshot
 from repro.web import CrawlCache, ReferenceCrawler, WebClient
@@ -88,7 +88,7 @@ def estimate_all(
     if cache is not None:
         try:
             cache.save()
-        except (OSError, faults.FaultInjected):
+        except OSError:
             # the cache is an accelerator, never a dependency: a torn
             # or failed save costs the next run some fetches, not this
             # run its results

@@ -11,7 +11,7 @@ exact bytes.
 :func:`registry_from_perf` bridges the pipeline's ad-hoc
 :class:`~repro.perf.PerfRecorder` counters and phase timers into
 registry form.  Naming convention: a dotted perf counter
-``dates.fetch_retried`` becomes ``repro_dates_fetch_retried_total``;
+``dates.fetch_failed`` becomes ``repro_dates_fetch_failed_total``;
 phase timers fold into two labelled families,
 ``repro_phase_seconds_total{phase="..."}`` and
 ``repro_phase_calls_total{phase="..."}``.
@@ -97,7 +97,7 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
 def counter_metric_name(perf_name: str) -> str:
     """Map a dotted perf counter name onto the Prometheus convention.
 
-    ``dates.fetch_retried`` → ``repro_dates_fetch_retried_total``.
+    ``dates.fetch_failed`` → ``repro_dates_fetch_failed_total``.
     """
     sanitised = _INVALID_NAME_CHARS.sub("_", perf_name.replace(".", "_"))
     return f"repro_{sanitised}_total"

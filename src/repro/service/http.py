@@ -30,10 +30,10 @@ the old state, the response cache clears, and ``swaps`` increments in
 
 The reload path carries a **circuit breaker**: after
 ``BREAKER_THRESHOLD`` consecutive reload failures (mid-export store,
-corrupt pointer target, injected ``serve.reload`` fault) the service
-stops probing for ``BREAKER_COOLDOWN_S`` seconds and keeps serving the
-last good version; one half-open probe after the cooldown either
-closes the breaker or re-opens it.  While the breaker is tripped, or
+corrupt pointer target) the service stops probing for
+``BREAKER_COOLDOWN_S`` seconds and keeps serving the last good
+version; one half-open probe after the cooldown either closes the
+breaker or re-opens it.  While the breaker is tripped, or
 the supervisor's status file (``ROOT/.supervisor.json``) reports dead
 workers, the service reports itself *degraded* — ``/healthz`` answers
 ``status: "degraded"`` and ``/v1/metrics`` carries the breaker state and
@@ -52,7 +52,7 @@ import threading
 import time
 import urllib.parse
 
-from repro import faults, perf
+from repro import perf
 from repro.artifacts import ArtifactError, read_current
 from repro.obs import MetricsRegistry, TraceWriter, registry_from_perf, render_prometheus
 from repro.obs.trace import process_name_event
@@ -257,9 +257,8 @@ class NvdService:
             if current is None or current == self._state.version:
                 return False
             try:
-                faults.raise_if("serve.reload", "error", token=str(self.root))
                 new_state = ServiceState.load(self.root, current)
-            except (ArtifactError, faults.FaultInjected):
+            except ArtifactError:
                 # Mid-export or corrupt pointer target: keep serving
                 # the loaded version; the next interval retries.
                 self._prom_reload_failures.inc()

@@ -7,9 +7,9 @@ makes the serving plane survive its workers:
   shared port with ``SO_REUSEPORT`` (the kernel load-balances
   connections across them);
 - the supervisor polls its children; a crashed worker (segfault, OOM
-  kill, injected ``serve.worker:kill`` fault) is **respawned** after an
-  exponential backoff, under a per-worker **restart budget** — a
-  worker that keeps dying is abandoned rather than flapped forever;
+  kill, SIGKILL) is **respawned** after an exponential backoff, under
+  a per-worker **restart budget** — a worker that keeps dying is
+  abandoned rather than flapped forever;
 - supervisor state (alive workers, restarts, start failures, abandoned
   workers, degraded flag) is published atomically to
   ``ROOT/.supervisor.json``; every worker's ``/v1/metrics`` surfaces it
@@ -34,7 +34,6 @@ import sys
 import tempfile
 import time
 
-from repro import faults
 from repro.service.http import SERVICE_NAME, SUPERVISOR_STATUS
 from repro.service.server import create_server
 
@@ -170,13 +169,8 @@ class ServeSupervisor:
         self._procs[index] = proc
 
     def _poll_once(self) -> None:
-        """One supervision pass: inject, reap, schedule, respawn."""
+        """One supervision pass: reap, schedule, respawn."""
         now = time.monotonic()
-        if faults.should("serve.worker", "kill", token="serve"):
-            for proc in self._procs:
-                if proc is not None and proc.is_alive() and proc.pid:
-                    os.kill(proc.pid, signal.SIGKILL)
-                    break
         changed = False
         for index, proc in enumerate(self._procs):
             if index in self._abandoned:

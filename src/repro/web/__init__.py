@@ -12,9 +12,7 @@ longer respond).  This package provides:
 - :mod:`repro.web.crawler` — per-domain page date extractors and the
   reference crawler that aggregates them per CVE;
 - :mod:`repro.web.cache` — the persistent on-disk crawl cache, so
-  repeated runs replay per-URL outcomes instead of re-fetching;
-- :mod:`repro.web.retry` — bounded retries with seeded exponential
-  backoff and per-fetch timeouts for transient fetch failures.
+  repeated runs replay per-URL outcomes instead of re-fetching.
 
 The live HTTP layer is replaced by a :class:`WebClient` protocol; the
 synthetic web corpus (:mod:`repro.synth.webcorpus`) implements it.
@@ -28,7 +26,6 @@ from repro.web.crawler import (
     extractor_for_domain,
 )
 from repro.web.dateparse import parse_date_any
-from repro.web.retry import RetryPolicy, TransientFetchError
 from repro.web.domains import (
     DomainInfo,
     TOP_DOMAINS,
@@ -45,9 +42,7 @@ __all__ = [
     "DateExtractor",
     "DomainInfo",
     "ReferenceCrawler",
-    "RetryPolicy",
     "TOP_DOMAINS",
-    "TransientFetchError",
     "WebClient",
     "domain_category",
     "domain_coverage",

@@ -38,8 +38,6 @@ import pathlib
 import tempfile
 import time
 
-from repro import faults
-
 __all__ = ["CACHE_SCHEMA", "CrawlCache"]
 
 CACHE_SCHEMA = "repro-crawl-cache/1"
@@ -149,12 +147,6 @@ class CrawlCache:
                 for url, (attempts, stamp) in sorted(self._failures.items())
             }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if faults.should("cache.save", "torn", token=str(self.path)):
-            # a torn write: half the document lands on disk, then the
-            # "crash" — the loader must shrug this off as an empty cache
-            payload = json.dumps(document, indent=1)
-            self.path.write_text(payload[: len(payload) // 2], encoding="utf-8")
-            raise faults.FaultInjected("cache.save", "torn")
         fd, tmp_name = tempfile.mkstemp(
             dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
         )

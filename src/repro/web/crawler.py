@@ -21,11 +21,9 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from typing import Protocol
 
-from repro import faults
 from repro.web.cache import CrawlCache
 from repro.web.dateparse import parse_date_any
 from repro.web.domains import TOP_DOMAINS, domain_of
-from repro.web.retry import RetryPolicy, TransientFetchError
 
 __all__ = [
     "DateExtractor",
@@ -33,10 +31,6 @@ __all__ = [
     "WebClient",
     "extractor_for_domain",
 ]
-
-#: failures worth another attempt: a client-raised transient error, a
-#: (real or injected) timeout, or an injected ``web.fetch`` fault.
-_TRANSIENT = (TransientFetchError, TimeoutError, faults.FaultInjected)
 
 DateExtractor = Callable[[str], "datetime.date | None"]
 
@@ -199,43 +193,15 @@ class ReferenceCrawler:
 
     Cached ``fetch_failed`` outcomes are NOT replayed: a past failure
     says nothing about the page today, so the crawler *revalidates*
-    (re-fetches) the URL, tallying ``cache_revalidate``.  Transient
-    fetch failures — a client raising
-    :class:`~repro.web.retry.TransientFetchError`, a timeout, or an
-    injected ``web.fetch`` fault — are retried under ``retry`` (bounded
-    attempts, seeded exponential backoff) before the URL is recorded as
-    ``fetch_failed``; a client returning ``None`` remains the permanent
-    "no such page" answer and is never retried.
+    (re-fetches) the URL, tallying ``cache_revalidate``.  A client
+    returning ``None`` is the "no such page" answer, recorded as
+    ``fetch_failed``.
     """
 
-    def __init__(
-        self,
-        client: WebClient,
-        cache: CrawlCache | None = None,
-        retry: RetryPolicy | None = None,
-    ) -> None:
+    def __init__(self, client: WebClient, cache: CrawlCache | None = None) -> None:
         self.client = client
         self.cache = cache
-        self.retry = retry if retry is not None else RetryPolicy()
         self.counters: Counter[str] = Counter()
-
-    def _fetch(self, url: str) -> str | None:
-        """One fetch under the retry policy (transient faults retried)."""
-        failed = 0
-        while True:
-            try:
-                faults.raise_if("web.fetch", "error", token=url)
-                if faults.should("web.fetch", "timeout", token=url):
-                    raise TimeoutError("injected fetch timeout")
-                return self.retry.call(self.client.fetch, url)  # type: ignore[return-value]
-            except _TRANSIENT:
-                failed += 1
-                self.counters["fetch_transient"] += 1
-                if failed >= self.retry.attempts:
-                    self.counters["fetch_exhausted"] += 1
-                    return None
-                self.counters["fetch_retried"] += 1
-                self.retry.wait(failed, token=url)
 
     def scrape_url(self, url: str) -> datetime.date | None:
         """Fetch one URL and extract its disclosure date, if any."""
@@ -258,7 +224,7 @@ class ReferenceCrawler:
                 self.counters["cache_revalidate"] += 1
             else:
                 self.counters["cache_miss"] += 1
-        page = self._fetch(url)
+        page = self.client.fetch(url)
         if page is None:
             date = None
             outcome = "fetch_failed"

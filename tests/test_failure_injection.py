@@ -1,29 +1,20 @@
-"""Robustness under degraded inputs and injected faults: flaky web,
-garbage pages, bad feeds, torn writes, dead workers, failed reloads."""
+"""Robustness under degraded inputs and crashes: flaky web, garbage
+pages, bad feeds, torn writes, failed saves, failed reloads and dead
+workers.  Each recovery path is driven directly: the test tears the
+file, makes the call raise, or kills the process itself."""
 
 import datetime
 import gzip
 import json
 import shutil
 
+import numpy as np
 import pytest
 
-from repro import faults, perf
+from repro import perf
 from repro.core import estimate_disclosure
 from repro.nvd import CveEntry, Reference, entries_from_feed
-from repro.web import CrawlCache, ReferenceCrawler, RetryPolicy, TransientFetchError
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_fault_plan():
-    """Every test in this module starts and ends fault-free."""
-    faults.clear()
-    yield
-    faults.clear()
-
-
-def install_plan(text, seed=0):
-    return faults.install(faults.FaultPlan.parse(text, seed=seed))
+from repro.web import CrawlCache, ReferenceCrawler
 
 
 class FlakyWeb:
@@ -72,6 +63,32 @@ class TestFlakyFetches:
         for _ in range(4):
             crawler.scrape_url("https://www.securityfocus.com/missing")
         assert crawler.counters["fetch_failed"] >= 1
+
+    def test_fetch_failed_cache_entries_are_revalidated(self, tmp_path):
+        url = "https://www.securityfocus.com/bid/4"
+        cache = CrawlCache(tmp_path / "cache.json")
+        broken = ReferenceCrawler(GarbageWeb({}), cache=cache)
+        assert broken.scrape_url(url) is None
+        assert cache.get(url) == ("fetch_failed", None)
+        attempts, when = cache.failure(url)
+        assert attempts == 1 and when > 0
+
+        healed = ReferenceCrawler(
+            GarbageWeb({url: "<html>Published: 2013-06-03</html>"}), cache=cache
+        )
+        assert healed.scrape_url(url) == datetime.date(2013, 6, 3)
+        assert healed.counters["cache_revalidate"] == 1
+        assert cache.get(url) != ("fetch_failed", None)
+        assert cache.failure(url) is None
+
+    def test_estimate_all_records_one_attempt_per_failed_fetch(self, tmp_path):
+        from repro.core.dates import estimate_all
+        from repro.nvd import NvdSnapshot
+
+        url = "https://www.securityfocus.com/bid/5"
+        cache = CrawlCache(tmp_path / "cache.json")
+        estimate_all(NvdSnapshot([make_entry([url])]), GarbageWeb({}), cache=cache)
+        assert cache.failure(url)[0] == 1
 
 
 class TestGarbagePages:
@@ -146,175 +163,6 @@ class TestMalformedFeeds:
         assert parsed[0].cvss_v2 is None
 
 
-# ---------------------------------------------------------------------------
-# The fault plane itself.
-# ---------------------------------------------------------------------------
-
-
-class TestFaultPlan:
-    def test_grammar_round_trips(self):
-        text = "web.fetch:error=0.2;store.write:torn=1;cache.save:torn=0.5@4"
-        plan = faults.FaultPlan.parse(text, seed=3)
-        assert plan.to_spec() == text
-        assert faults.FaultPlan.parse(plan.to_spec(), seed=3).to_spec() == text
-
-    @pytest.mark.parametrize(
-        "bad", ["", "web.fetch", "web.fetch:error", "web.fetch:error=x",
-                "UPPER:case=1", "a:b=1@0"]
-    )
-    def test_bad_clauses_rejected(self, bad):
-        with pytest.raises(ValueError):
-            faults.FaultPlan.parse(bad)
-
-    def test_duplicate_clause_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            faults.FaultPlan.parse("a.b:c=1;a.b:c=0.5")
-
-    def test_count_mode_fires_exactly_n_times(self):
-        plan = faults.FaultPlan.parse("serve.worker:kill=2")
-        fired = [plan.should("serve.worker", "kill") for _ in range(10)]
-        assert fired == [True, True] + [False] * 8
-        assert plan.fired("serve.worker", "kill") == 2
-
-    def test_probability_mode_is_seed_deterministic(self):
-        draws = []
-        for _ in range(2):
-            plan = faults.FaultPlan.parse("web.fetch:error=0.5@99", seed=11)
-            draws.append([plan.should("web.fetch", "error", token="u") for _ in range(40)])
-        assert draws[0] == draws[1]
-        assert any(draws[0]) and not all(draws[0])
-
-    def test_consecutive_fires_capped_per_token(self):
-        plan = faults.FaultPlan.parse("web.fetch:error=0.99", seed=1)
-        streak = longest = 0
-        for _ in range(60):
-            if plan.should("web.fetch", "error", token="url"):
-                streak += 1
-                longest = max(longest, streak)
-            else:
-                streak = 0
-        assert longest <= faults.DEFAULT_CAP
-        assert plan.fired("web.fetch", "error") > 0
-
-    def test_unlisted_site_never_fires(self):
-        plan = faults.FaultPlan.parse("web.fetch:error=1")
-        assert plan.should("store.write", "torn") is False
-
-    def test_plan_resolves_from_environment(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_PLAN, "env.site:boom=1")
-        monkeypatch.setenv(faults.ENV_SEED, "9")
-        faults.reset()  # force a re-read of the environment
-        plan = faults.active()
-        assert plan is not None and plan.seed == 9
-        assert faults.should("env.site", "boom") is True
-        assert faults.should("env.site", "boom") is False
-
-    def test_raise_if_raises_tagged_error(self):
-        install_plan("a.b:c=1")
-        with pytest.raises(faults.FaultInjected) as excinfo:
-            faults.raise_if("a.b", "c")
-        assert (excinfo.value.site, excinfo.value.kind) == ("a.b", "c")
-
-    def test_no_plan_is_a_cheap_no(self):
-        assert faults.should("web.fetch", "error") is False
-
-
-# ---------------------------------------------------------------------------
-# Retry / backoff / fetch-failure revalidation.
-# ---------------------------------------------------------------------------
-
-
-class _TransientThenPage:
-    """Raises TransientFetchError ``failures`` times, then serves."""
-
-    def __init__(self, failures, page="<html>Published: 2013-06-03</html>"):
-        self.failures = failures
-        self.page = page
-        self.calls = 0
-
-    def fetch(self, url):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise TransientFetchError("flaky")
-        return self.page
-
-
-def fast_retry(**kwargs):
-    kwargs.setdefault("sleep", lambda delay: None)
-    return RetryPolicy(**kwargs)
-
-
-class TestRetryAndBackoff:
-    def test_backoff_is_seeded_and_bounded(self):
-        policy = RetryPolicy(base_delay=0.01, max_delay=0.25, seed=5)
-        delays = [policy.backoff(n, token="u") for n in range(1, 8)]
-        assert delays == [policy.backoff(n, token="u") for n in range(1, 8)]
-        assert all(0 < delay <= 0.25 for delay in delays)
-        # exponential growth until the ceiling
-        assert delays[2] > delays[0]
-
-    def test_transient_errors_are_retried_to_success(self):
-        client = _TransientThenPage(failures=2)
-        crawler = ReferenceCrawler(client, retry=fast_retry(attempts=3))
-        assert crawler.scrape_url("https://www.securityfocus.com/bid/1") == (
-            datetime.date(2013, 6, 3)
-        )
-        assert client.calls == 3
-        assert crawler.counters["fetch_transient"] == 2
-        assert crawler.counters["fetch_retried"] == 2
-
-    def test_exhausted_retries_fail_permanently_for_this_run(self):
-        client = _TransientThenPage(failures=99)
-        crawler = ReferenceCrawler(client, retry=fast_retry(attempts=3))
-        assert crawler.scrape_url("https://www.securityfocus.com/bid/2") is None
-        assert client.calls == 3
-        assert crawler.counters["fetch_exhausted"] == 1
-
-    def test_injected_fetch_faults_drain_within_the_retry_budget(self):
-        install_plan("web.fetch:error=2")
-        client = _TransientThenPage(failures=0)
-        crawler = ReferenceCrawler(client, retry=fast_retry(attempts=3))
-        assert crawler.scrape_url("https://www.securityfocus.com/bid/3") == (
-            datetime.date(2013, 6, 3)
-        )
-        assert faults.active().fired("web.fetch", "error") == 2
-
-    def test_fetch_failed_cache_entries_are_revalidated(self, tmp_path):
-        url = "https://www.securityfocus.com/bid/4"
-        cache = CrawlCache(tmp_path / "cache.json")
-        broken = ReferenceCrawler(
-            _TransientThenPage(failures=99), cache=cache, retry=fast_retry(attempts=2)
-        )
-        assert broken.scrape_url(url) is None
-        assert cache.get(url) == ("fetch_failed", None)
-        attempts, when = cache.failure(url)
-        assert attempts == 1 and when > 0
-
-        healed = ReferenceCrawler(
-            _TransientThenPage(failures=0), cache=cache, retry=fast_retry()
-        )
-        assert healed.scrape_url(url) == datetime.date(2013, 6, 3)
-        assert healed.counters["cache_revalidate"] == 1
-        assert cache.get(url) != ("fetch_failed", None)
-        assert cache.failure(url) is None
-
-    def test_estimate_all_records_one_attempt_per_failed_fetch(self, tmp_path):
-        from repro.core.dates import estimate_all
-        from repro.nvd import NvdSnapshot
-
-        url = "https://www.securityfocus.com/bid/5"
-        cache = CrawlCache(tmp_path / "cache.json")
-        estimate_all(NvdSnapshot([make_entry([url])]), GarbageWeb({}), cache=cache)
-        assert cache.failure(url)[0] == 1
-
-    def test_per_fetch_timeout_raises_timeout_error(self):
-        import time as _time
-
-        policy = RetryPolicy(timeout=0.05)
-        with pytest.raises(TimeoutError):
-            policy.call(_time.sleep, 0.5)
-
-
 class TestTornCacheWrites:
     def test_torn_save_is_retryable_and_never_half_loaded(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -322,16 +170,49 @@ class TestTornCacheWrites:
         cache.put(
             "https://example.org/a", "date_extracted", datetime.date(2013, 1, 2)
         )
-        install_plan("cache.save:torn=1")
-        with pytest.raises(faults.FaultInjected):
-            cache.save()
-        with pytest.raises(json.JSONDecodeError):  # the tear is real
-            json.loads(path.read_text(encoding="utf-8"))
-        assert cache.save() is not None  # budget spent: retry succeeds
-        assert CrawlCache(path).get("https://example.org/a") == (
-            "date_extracted",
-            datetime.date(2013, 1, 2),
+        cache.save()
+        document = path.read_text(encoding="utf-8")
+        path.write_text(document[: len(document) // 2], encoding="utf-8")
+
+        torn = CrawlCache(path)
+        assert len(torn) == 0  # a torn file loads as an empty cache
+        torn.put("https://example.org/b", "no_date_found", None)
+        assert torn.save() == path
+        assert CrawlCache(path).get("https://example.org/b") == (
+            "no_date_found",
+            None,
         )
+
+    def test_failed_save_keeps_results_and_the_old_file(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.core.dates import estimate_all
+        from repro.nvd import NvdSnapshot
+
+        path = tmp_path / "cache.json"
+        old = CrawlCache(path)
+        old.put("https://example.org/old", "no_date_found", None)
+        old.save()
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("repro.web.cache.os.replace", failing_replace)
+        url = "https://www.securityfocus.com/bid/6"
+        client = GarbageWeb({url: "<html>Published: 2013-05-04</html>"})
+        recorder = perf.get_recorder()
+        failed_before = recorder.counters.get("dates.cache_save_failed", 0)
+        estimates = estimate_all(
+            NvdSnapshot([make_entry([url])]), client, cache=CrawlCache(path)
+        )
+        assert estimates["CVE-2013-0001"].estimated_disclosure == (
+            datetime.date(2013, 5, 4)
+        )
+        failed = recorder.counters.get("dates.cache_save_failed", 0)
+        assert failed - failed_before == 1
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +247,11 @@ class TestTornArtifactWrites:
         )
 
         root = _copy_store(artifact_root, tmp_path)
-        install_plan("store.write:torn=1")
+        _clone_version(root, "v0001", "v0002")
+        # a writer that crashed mid-publish, one data file short
+        (root / "v0002" / "predictions.json.gz").unlink()
         version = small_rectified.export_artifacts(root)
-        # the torn directory consumed v0002; the export claimed v0003
+        # the torn directory holds v0002; the export claimed v0003
         assert version == "v0003"
         assert read_current(root) == "v0003"
         assert not (root / "v0002" / "predictions.json.gz").exists()
@@ -379,6 +262,65 @@ class TestTornArtifactWrites:
         assert (root / ".quarantine" / "v0002").is_dir()
         assert list_versions(root) == ["v0001", "v0003"]
         assert read_current(root) == "v0003"
+
+
+def _version_data(root):
+    """Every data file of the ``CURRENT`` version, with container noise
+    (gzip mtimes, npz zip dates) stripped.  ``manifest.json`` is left
+    out: it names the version number and its parent."""
+    from repro.artifacts import read_current
+
+    version_dir = root / read_current(root)
+    data = {}
+    for path in sorted(version_dir.rglob("*")):
+        if not path.is_file() or path.name == "manifest.json":
+            continue
+        name = str(path.relative_to(version_dir))
+        if path.name.endswith(".gz"):
+            with gzip.open(path, "rb") as handle:
+                data[name] = handle.read()
+        elif path.suffix == ".npz":
+            with np.load(path) as archive:
+                data[name] = {key: archive[key].tobytes() for key in archive.files}
+        else:
+            data[name] = path.read_bytes()
+    return data
+
+
+class TestCrashConsistency:
+    def test_crashed_writer_debris_leaves_the_final_version_identical(
+        self, artifact_root, tmp_path, small_rectified
+    ):
+        """Export then ingest over a crashed writer's leftovers: the
+        final ``CURRENT`` data equals a run over an untouched store."""
+        import importlib.util
+        import pathlib
+
+        from repro.artifacts import ingest_delta, list_versions, load_artifacts
+
+        tool = pathlib.Path(__file__).parent.parent / "tools" / "make_delta_feed.py"
+        spec = importlib.util.spec_from_file_location("make_delta_feed", tool)
+        make_delta_feed = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_delta_feed)
+        base = load_artifacts(artifact_root).snapshot.entries
+        delta = make_delta_feed.build_delta(base, 20, 10, seed=7)
+
+        clean_root = _copy_store(artifact_root, tmp_path / "clean")
+        crashed_root = _copy_store(artifact_root, tmp_path / "crashed")
+        shutil.copytree(crashed_root / "v0001", crashed_root / ".stage-dead.tmp")
+        _clone_version(crashed_root, "v0001", "v0002")
+        (crashed_root / "v0002" / "snapshot.json.gz").unlink()
+
+        for root in (clean_root, crashed_root):
+            small_rectified.export_artifacts(root)
+            ingest_delta(root, delta)
+
+        assert list_versions(clean_root) == ["v0001", "v0002", "v0003"]
+        # ingest's entry sweep removed the debris before loading its parent
+        assert list_versions(crashed_root) == ["v0001", "v0003", "v0004"]
+        assert not (crashed_root / ".stage-dead.tmp").exists()
+        assert (crashed_root / ".quarantine" / "v0002").is_dir()
+        assert _version_data(crashed_root) == _version_data(clean_root)
 
 
 class TestRecoverySweep:
@@ -485,17 +427,30 @@ class TestCircuitBreaker:
         assert service.metrics_payload()["breaker"]["consecutive_failures"] == 0
 
     def test_injected_reload_fault_counts_then_recovers(
-        self, artifact_root, tmp_path
+        self, artifact_root, tmp_path, monkeypatch
     ):
+        from repro.artifacts import ArtifactError
+        from repro.service.state import ServiceState
+
         root = _copy_store(artifact_root, tmp_path)
         service = self._service(root)
         _clone_version(root, "v0001", "v0002")
         (root / "CURRENT").write_text("v0002\n", encoding="utf-8")
-        install_plan("serve.reload:error=1")
-        assert service.maybe_reload() is False  # the injected failure
+        load = ServiceState.load
+        calls = []
+
+        def load_failing_once(root, version=None):
+            calls.append(version)
+            if len(calls) == 1:
+                raise ArtifactError("store changed under the reader")
+            return load(root, version)
+
+        monkeypatch.setattr(ServiceState, "load", staticmethod(load_failing_once))
+        assert service.maybe_reload() is False  # the failed load
         assert service.metrics_payload()["counters"]["reload_failures"] == 1
-        assert service.maybe_reload() is True  # budget spent: swap lands
+        assert service.maybe_reload() is True  # the retry swaps
         assert service.state.version == "v0002"
+        assert calls == ["v0002", "v0002"]
 
     def test_degraded_follows_supervisor_status_file(
         self, artifact_root, tmp_path

@@ -259,18 +259,18 @@ class TestPrometheusRendering:
 class TestPerfBridge:
     def test_counter_name_convention(self):
         assert (
-            counter_metric_name("dates.fetch_retried")
-            == "repro_dates_fetch_retried_total"
+            counter_metric_name("dates.fetch_failed")
+            == "repro_dates_fetch_failed_total"
         )
         assert counter_metric_name("weird name!") == "repro_weird_name__total"
 
     def test_counters_and_phases_bridge(self):
         recorder = PerfRecorder()
-        recorder.add_counter("dates.fetch_retried", 4)
+        recorder.add_counter("dates.fetch_failed", 4)
         with recorder.phase("toplevel"):
             pass
         registry = registry_from_perf(recorder)
-        assert registry.get("repro_dates_fetch_retried_total").value() == 4
+        assert registry.get("repro_dates_fetch_failed_total").value() == 4
         seconds = registry.get("repro_phase_seconds_total")
         assert seconds.value("toplevel") >= 0
         assert registry.get("repro_phase_calls_total").value("toplevel") == 1

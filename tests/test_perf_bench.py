@@ -89,7 +89,10 @@ class TestBenchSchema:
         return run
 
     def test_valid_document(self):
-        document = {"schema": bench.SCHEMA, "runs": [self._run()]}
+        document = {
+            "schema": bench.SCHEMA,
+            "runs": [self._run(), self._run(model_used="cnn", nproc=2)],
+        }
         assert bench.validate(document) == []
 
     def test_rejects_wrong_schema_tag(self):
@@ -104,6 +107,8 @@ class TestBenchSchema:
             "runs": [self._run(phases={"dates": "quick"})],
         }
         assert any("phases" in e for e in bench.validate(document))
+        document = {"schema": bench.SCHEMA, "runs": [self._run(nproc="2")]}
+        assert any("nproc" in e for e in bench.validate(document))
 
     def test_rejects_empty_runs(self):
         assert bench.validate({"schema": bench.SCHEMA, "runs": []})
@@ -119,13 +124,6 @@ class TestBenchSchema:
         bad.write_text("{}")
         assert bench.main(["--check-schema", str(bad)]) == 1
         assert bench.main(["--check-schema", str(tmp_path / "missing.json")]) == 1
-
-    def test_compare_renders_speedup(self):
-        before = self._run(label="before", wall_s=3.0)
-        after = self._run(label="after", wall_s=1.0)
-        text = bench.compare(before, after)
-        assert "TOTAL clean()" in text
-        assert "3.00x" in text
 
     def test_committed_trajectory_is_valid_if_present(self):
         path = pathlib.Path(__file__).parent.parent / "BENCH_pipeline.json"

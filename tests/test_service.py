@@ -750,7 +750,8 @@ class TestMultiProcessServing:
                 thread.join(timeout=5)
 
     def test_serve_workers_cli(self, store):
-        """`repro serve --workers 2` fans across processes on one port."""
+        """`repro serve --workers 2` fans across processes on one port,
+        respawns a SIGKILLed worker, and shuts down cleanly on SIGINT."""
         import os
         import pathlib
         import signal
@@ -798,6 +799,22 @@ class TestMultiProcessServing:
                 pytest.fail(f"server never came up: {last_error}")
             statuses = [get(url, "/v1/stats")[0] for _ in range(10)]
             assert statuses == [200] * 10
+
+            status_path = pathlib.Path(store) / ".supervisor.json"
+            victim = get(url, "/v1/metrics")[1]["pid"]
+            os.kill(victim, signal.SIGKILL)
+            status = {}
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                try:
+                    status = json.loads(status_path.read_text(encoding="utf-8"))
+                except (OSError, ValueError):
+                    pass  # mid-replace
+                if status.get("restarts") == 1 and status.get("alive") == 2:
+                    break
+                time.sleep(0.1)
+            assert (status.get("restarts"), status.get("alive")) == (1, 2), status
+            assert get(url, "/healthz")[0] == 200
         finally:
             process.send_signal(signal.SIGINT)
             try:
@@ -806,6 +823,7 @@ class TestMultiProcessServing:
                 process.kill()
                 process.wait(timeout=10)
         assert process.returncode == 0
+        assert not status_path.exists()
 
 
 class TestTelemetryPlane:

@@ -5,8 +5,10 @@ Runs the full cleaning pipeline (``repro.core.clean``) at one or more
 ``REPRO_SCALE`` factors, collects per-phase wall times from the
 :mod:`repro.perf` recorder plus peak RSS, and appends the measurements
 to ``BENCH_pipeline.json`` so the perf trajectory accumulates across
-changes.  After each run it prints a before/after comparison against
-the most recent earlier run at the same scale.
+changes.  Each entry records the model ``clean()``'s held-out selection
+picked and the host's core count.  Entries come from different hosts and
+dates, so judge a change by fresh parent/change runs on one host, not
+against an earlier entry.
 
 Every run is made under a named scenario (default ``baseline``, the
 distribution every pre-engine number used); ``--scenario`` picks one
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import pathlib
 import sys
 import time
@@ -59,6 +62,8 @@ _RUN_FIELDS = {
     "peak_rss_mb": (int, float),
     "phases": dict,
 }
+#: keys checked only when present: older entries predate them.
+_OPTIONAL_FIELDS = {"model_used": str, "nproc": int}
 
 
 def validate(data: object) -> list[str]:
@@ -79,6 +84,9 @@ def validate(data: object) -> list[str]:
             if field not in run:
                 errors.append(f"runs[{i}] missing field {field!r}")
             elif not isinstance(run[field], types):
+                errors.append(f"runs[{i}].{field} has wrong type")
+        for field, types in _OPTIONAL_FIELDS.items():
+            if field in run and not isinstance(run[field], types):
                 errors.append(f"runs[{i}].{field} has wrong type")
         phases = run.get("phases")
         if isinstance(phases, dict):
@@ -136,7 +144,7 @@ def bench_one(
         generate_s = time.perf_counter() - t_generate
 
         t_clean = time.perf_counter()
-        clean(
+        rectified = clean(
             bundle.snapshot,
             bundle.web,
             from_ground_truth(bundle.truth.vendor_map),
@@ -158,30 +166,12 @@ def bench_one(
         "epochs": epochs,
         "wall_s": round(wall_s, 3),
         "peak_rss_mb": perf.peak_rss_mb(),
+        "model_used": rectified.report.model_used,
+        "nproc": os.cpu_count(),
         "phases": phases,
         "counters": recorder.counters,
         "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
-
-
-def compare(before: dict, after: dict) -> str:
-    """A before/after table over wall time and shared phases."""
-    lines = [
-        f"before ({before['label']}) vs after ({after['label']}) "
-        f"at scale {after['scale']}, "
-        f"scenario {after.get('scenario', 'baseline')}:",
-        f"  {'phase':<24}{'before_s':>10}{'after_s':>10}{'speedup':>9}",
-    ]
-
-    def row(name: str, b: float, a: float) -> str:
-        speedup = f"{b / a:6.2f}x" if a > 0 else "    n/a"
-        return f"  {name:<24}{b:>10.3f}{a:>10.3f}{speedup:>9}"
-
-    lines.append(row("TOTAL clean()", before["wall_s"], after["wall_s"]))
-    shared = [k for k in after["phases"] if k in before["phases"]]
-    for name in sorted(shared):
-        lines.append(row(name, before["phases"][name], after["phases"][name]))
-    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -282,21 +272,12 @@ def main(argv: list[str] | None = None) -> int:
                 crawl_cache=args.crawl_cache,
                 trace_path=trace_path,
             )
-            earlier = [
-                r
-                for r in document["runs"]
-                if r.get("scale") == scale
-                and r.get("epochs") == run["epochs"]
-                and r.get("scenario", "baseline") == run["scenario"]
-            ]
             document["runs"].append(run)
             print(
                 f"[bench] scale={scale} scenario={run['scenario']}: "
-                f"clean() {run['wall_s']}s, "
+                f"clean() {run['wall_s']}s with {run['model_used']}, "
                 f"peak RSS {run['peak_rss_mb']} MiB"
             )
-            if earlier:
-                print(compare(earlier[-1], run))
 
     errors = validate(document)
     if errors:  # defensive: never write a file CI would reject
