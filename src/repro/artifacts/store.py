@@ -4,7 +4,9 @@ A cleaning run (``repro.core.clean``) is expensive — at paper scale it
 crawls half a million URLs and trains four models.  The artifact store
 persists everything a serving front end needs so the run happens once:
 
-- the cleaned snapshot (NVD JSON feed format, gzip),
+- the cleaned snapshot (NVD JSON feed format, gzip level 6, written
+  and read by the streaming :func:`repro.nvd.save_feed` /
+  :func:`repro.nvd.load_feed`),
 - the trained severity models (``save``/``load`` weight serialization
   on each ``ml/`` model, bit-identical on round-trip),
 - the vendor/product alias maps and per-CVE disclosure estimates,
@@ -57,6 +59,7 @@ from repro.core.severity import (
 from repro.cvss import Severity
 from repro.ml import LinearRegression, Sequential, SupportVectorRegressor
 from repro.nvd import NvdSnapshot, load_feed, save_feed
+from repro.nvd.feed import GZIP_LEVEL
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -133,7 +136,7 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
 def _write_json(path: pathlib.Path, payload: Any) -> None:
     text = json.dumps(payload, indent=1, sort_keys=True)
     if path.suffix == ".gz":
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
+        with gzip.open(path, "wt", encoding="utf-8", compresslevel=GZIP_LEVEL) as handle:
             handle.write(text)
     else:
         path.write_text(text, encoding="utf-8")

@@ -131,6 +131,8 @@ def _unbind_fs_value(text: str) -> Attribute:
         return ANY
     if text == "-":
         return NA
+    if "\\" not in text:  # nothing escaped (most NVD names)
+        return text.lower()
     return _unescape_fs(text).lower()
 
 
@@ -142,6 +144,8 @@ def bind_to_formatted_string(name: CpeName) -> str:
 
 def _split_fs(text: str) -> list[str]:
     """Split a 2.3 formatted string on unescaped colons."""
+    if "\\" not in text:  # no escapes: every colon separates
+        return text.split(":")
     parts: list[str] = []
     current: list[str] = []
     escaped = False

@@ -8,6 +8,7 @@ exactly so that scores computed here match the official calculator.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 __all__ = [
     "CvssV2Metrics",
@@ -77,6 +78,12 @@ _OPTIONAL_FIELD_TO_TABLE = {
     "integrity_req": SECURITY_REQUIREMENT,
     "availability_req": SECURITY_REQUIREMENT,
 }
+
+#: entries kept by each memoized parse/score/render function: a snapshot
+#: repeats a few hundred of the 729 base vectors across thousands of
+#: entries.  Results are frozen or strings, so callers can share them; a
+#: failed parse raises and is never cached.
+_CACHE_SIZE = 4096
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -180,6 +187,7 @@ def _environmental(metrics: CvssV2Metrics) -> float:
     return _round1((adjusted_temporal + (10 - adjusted_temporal) * cdp) * td)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def score_v2(metrics: CvssV2Metrics) -> CvssV2Scores:
     """Compute all CVSS v2 scores for a metric selection.
 
@@ -216,6 +224,7 @@ def score_v2(metrics: CvssV2Metrics) -> CvssV2Scores:
     )
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def v2_vector_string(metrics: CvssV2Metrics, include_optional: bool = False) -> str:
     """Render the canonical v2 vector string, e.g. ``AV:N/AC:L/Au:N/C:P/I:P/A:P``."""
     parts = [
@@ -243,6 +252,7 @@ def v2_vector_string(metrics: CvssV2Metrics, include_optional: bool = False) -> 
     return "/".join(parts)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def parse_v2_vector(vector: str) -> CvssV2Metrics:
     """Parse a CVSS v2 vector string into metrics.
 

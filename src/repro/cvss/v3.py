@@ -9,6 +9,7 @@ scope modified-impact formula; both behaviours are selectable via the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 __all__ = [
@@ -70,6 +71,12 @@ _VECTOR_KEYS = {
     "IR": "integrity_req",
     "AR": "availability_req",
 }
+
+#: entries kept by each memoized parse/score/render function: a snapshot
+#: repeats a few hundred of the 2,592 base vectors across thousands of
+#: entries.  Results are frozen or strings, so callers can share them; a
+#: failed parse raises and is never cached.
+_CACHE_SIZE = 4096
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -224,6 +231,7 @@ def _environmental_score(metrics: CvssV3Metrics, spec: str) -> float:
     return roundup(inner * trc, spec)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def score_v3(metrics: CvssV3Metrics, spec: str = "3.1") -> CvssV3Scores:
     """Compute CVSS v3 scores; ``spec`` selects 3.0 or 3.1 behaviour."""
     if spec not in ("3.0", "3.1"):
@@ -245,6 +253,7 @@ def score_v3(metrics: CvssV3Metrics, spec: str = "3.1") -> CvssV3Scores:
     )
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def v3_vector_string(
     metrics: CvssV3Metrics, spec: str = "3.1", include_optional: bool = False
 ) -> str:
@@ -275,6 +284,7 @@ def v3_vector_string(
     return "/".join(parts)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def parse_v3_vector(vector: str) -> CvssV3Metrics:
     """Parse a ``CVSS:3.x/...`` vector string into metrics."""
     parts = vector.strip().split("/")

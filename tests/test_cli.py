@@ -173,6 +173,34 @@ class TestServingCommands:
         assert "v0002" in out
         assert load_artifacts(store).snapshot.get("CVE-2018-88888") is not None
 
+    def test_ingest_skips_malformed_items_and_cpes(self, store, tmp_path, capsys):
+        """A bad CPE or publication date in a delta costs that field or
+        item; the rest ingests and the command succeeds."""
+        import gzip
+
+        from repro.artifacts import load_artifacts
+        from repro.nvd import entries_to_feed
+
+        base = load_artifacts(store).snapshot.entries[0]
+        ids = ("CVE-2018-88881", "CVE-2018-88882", "CVE-2018-88883")
+        feed = entries_to_feed([base.replace(cve_id=cve_id) for cve_id in ids])
+        bad_cpe, bad_date, _ = feed["CVE_Items"]
+        bad_cpe["configurations"] = {
+            "nodes": [{"cpe_match": [{"cpe23Uri": "cpe:2.3:x:acme"}]}]
+        }
+        bad_date["publishedDate"] = "2019-13-45T00:00Z"
+        delta_path = tmp_path / "delta.json.gz"
+        with gzip.open(delta_path, "wt", encoding="utf-8") as handle:
+            json.dump(feed, handle)
+
+        code = main(["ingest", str(delta_path), "--artifacts", str(store)])
+        assert code == 0
+        assert "v0002" in capsys.readouterr().out
+        snapshot = load_artifacts(store).snapshot
+        assert snapshot.get(ids[0]).cpes == ()
+        assert snapshot.get(ids[1]) is None
+        assert snapshot.get(ids[2]) is not None
+
     def test_serve_requires_artifacts(self):
         with pytest.raises(SystemExit):
             main(["serve"])

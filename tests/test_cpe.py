@@ -1,6 +1,9 @@
 """CPE WFN model and bindings."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cpe import (
     ANY,
@@ -12,6 +15,7 @@ from repro.cpe import (
     parse_formatted_string,
     parse_uri,
 )
+from repro.cpe.wfn import _split_fs, _unbind_fs_value
 
 
 class TestWfn:
@@ -128,3 +132,79 @@ class TestParseDispatch:
     def test_rejects_unknown(self):
         with pytest.raises(ValueError, match="unrecognized"):
             parse_cpe("not-a-cpe")
+
+
+def reference_split_fs(text: str) -> list[str]:
+    """Per-character split on unescaped colons: the oracle for
+    ``_split_fs`` and its escape-free fast path."""
+    parts: list[str] = []
+    current: list[str] = []
+    escaped = False
+    for char in text:
+        if escaped:
+            current.append(char)
+            escaped = False
+        elif char == "\\":
+            current.append(char)
+            escaped = True
+        elif char == ":":
+            parts.append("".join(current))
+            current = []
+        else:
+            current.append(char)
+    parts.append("".join(current))
+    return parts
+
+
+def reference_unbind_fs_value(text: str):
+    """Always-unescape unbinding: the oracle for ``_unbind_fs_value``."""
+    if text == "*":
+        return ANY
+    if text == "-":
+        return NA
+    return re.sub(r"\\(.)", r"\1", text).lower()
+
+
+# Raw characters NVD names use, plus escape sequences of the specials
+# (and a stray backslash-newline, which the unescape regex leaves alone).
+fs_raw = st.sampled_from(list("abcXYZ019._-"))
+fs_escaped = st.sampled_from(["\\:", "\\\\", "\\*", "\\!", "\\/", "\\ ", "\\\n"])
+fs_value = st.one_of(
+    st.just("*"),
+    st.just("-"),
+    st.lists(fs_raw, min_size=1, max_size=8).map("".join),
+    st.lists(st.one_of(fs_raw, fs_escaped), min_size=1, max_size=8).map("".join),
+)
+fs_body = st.tuples(
+    st.sampled_from(["a", "o", "h", "x"]), st.lists(fs_value, min_size=10, max_size=10)
+).map(lambda parts: ":".join([parts[0], *parts[1]]))
+
+
+class TestFormattedStringFastPathOracle:
+    @given(fs_body)
+    @settings(max_examples=300)
+    def test_split_matches_reference_on_cpe_strings(self, body):
+        assert _split_fs(body) == reference_split_fs(body)
+
+    @given(st.text(alphabet="ab:\\*-", max_size=30))
+    def test_split_matches_reference_on_any_text(self, text):
+        assert _split_fs(text) == reference_split_fs(text)
+
+    @given(fs_value)
+    def test_unbind_matches_reference(self, value):
+        assert _unbind_fs_value(value) == reference_unbind_fs_value(value)
+
+    @given(fs_body)
+    def test_parse_agrees_with_reference_components(self, body):
+        text = "cpe:2.3:" + body
+        components = reference_split_fs(body)
+        try:
+            expected = CpeName(
+                components[0],
+                *(reference_unbind_fs_value(c) for c in components[1:]),
+            )
+        except (TypeError, ValueError) as error:
+            with pytest.raises(type(error)):
+                parse_formatted_string(text)
+        else:
+            assert parse_formatted_string(text) == expected

@@ -13,6 +13,7 @@ import pytest
 
 from repro import perf
 from repro.core import estimate_disclosure
+from repro.cvss import CvssV2Metrics
 from repro.nvd import CveEntry, Reference, entries_from_feed
 from repro.web import CrawlCache, ReferenceCrawler
 
@@ -39,6 +40,10 @@ class GarbageWeb:
 
     def fetch(self, url):
         return self.pages.get(url)
+
+
+def _counter(name):
+    return perf.get_recorder().counters.get(name, 0)
 
 
 def make_entry(urls):
@@ -126,10 +131,86 @@ class TestMalformedFeeds:
     def test_missing_items_treated_as_empty(self):
         assert entries_from_feed({"CVE_data_type": "CVE"}) == []
 
-    def test_malformed_item_raises(self):
+    def test_malformed_item_is_skipped_and_counted(self):
         feed = {"CVE_data_type": "CVE", "CVE_Items": [{"not": "an item"}]}
-        with pytest.raises(KeyError):
-            entries_from_feed(feed)
+        before = _counter("feed.malformed_item")
+        assert entries_from_feed(feed) == []
+        assert _counter("feed.malformed_item") - before == 1
+
+    @pytest.mark.parametrize(
+        "field,garble",
+        [
+            ("publishedDate", "2019-13-45T00:00Z"),
+            ("publishedDate", None),
+            ("lastModifiedDate", "yesterday"),
+            ("ID", "CVE-19-1"),
+            ("ID", None),
+        ],
+    )
+    def test_item_with_bad_id_or_date_is_skipped(self, field, garble):
+        """One unreadable ID or date costs that item, not the feed."""
+        from repro.nvd import entries_to_feed
+
+        good = CveEntry(
+            cve_id="CVE-2013-0004",
+            published=datetime.date(2013, 1, 1),
+            descriptions=("kept",),
+        )
+        bad = good.replace(cve_id="CVE-2013-0005", modified=datetime.date(2013, 2, 1))
+        feed = entries_to_feed([bad, good])
+        item = feed["CVE_Items"][0]
+        if field == "ID":
+            item["cve"]["CVE_data_meta"]["ID"] = garble
+        else:
+            item[field] = garble
+        before = _counter("feed.malformed_item")
+        assert entries_from_feed(feed) == [good]
+        assert _counter("feed.malformed_item") - before == 1
+
+    @pytest.mark.parametrize(
+        "garble", ["cpe:2.3:x:acme", "cpe:2.3:a::x:*:*:*:*:*:*:*:*", "cpe:/q:acme", 7]
+    )
+    def test_malformed_cpe_is_dropped_and_counted(self, garble):
+        """A bad CPE name costs that applicability entry, not the item."""
+        from repro.cpe import CpeName
+        from repro.nvd import entries_to_feed
+
+        keep = CpeName("a", "acme", "widget")
+        entry = CveEntry(
+            cve_id="CVE-2013-0006",
+            published=datetime.date(2013, 1, 1),
+            descriptions=("d",),
+            cpes=(keep, CpeName("a", "acme", "gadget")),
+        )
+        feed = entries_to_feed([entry])
+        feed["CVE_Items"][0]["configurations"]["nodes"][0]["cpe_match"][1][
+            "cpe23Uri"
+        ] = garble
+        before = _counter("feed.malformed_cpe")
+        assert entries_from_feed(feed) == [entry.replace(cpes=(keep,))]
+        assert _counter("feed.malformed_cpe") - before == 1
+
+    def test_repeated_malformed_vector_counts_every_item(self):
+        """A bad vector seen twice is counted twice: the memoized parser
+        caches results, never the exception."""
+        from repro.nvd import entries_to_feed
+
+        entries = [
+            CveEntry(
+                cve_id=f"CVE-2013-000{n}",
+                published=datetime.date(2013, 1, 1),
+                descriptions=("d",),
+                cvss_v2=CvssV2Metrics("N", "L", "N", "P", "P", "P"),
+            )
+            for n in (7, 8)
+        ]
+        feed = entries_to_feed(entries)
+        for item in feed["CVE_Items"]:
+            item["impact"]["baseMetricV2"]["cvssV2"]["vectorString"] = "AV:N/AC:L"
+        before = _counter("feed.malformed_cvss")
+        parsed = entries_from_feed(feed)
+        assert [e.cvss_v2 for e in parsed] == [None, None]
+        assert _counter("feed.malformed_cvss") - before == 2
 
     def test_json_round_trip_preserves_unicode(self):
         entry = CveEntry(

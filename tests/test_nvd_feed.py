@@ -1,8 +1,13 @@
 """NVD JSON feed serialisation round-trips."""
 
 import datetime
+import gc
+import gzip
+import hashlib
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cpe import CpeName
 from repro.cvss import CvssV2Metrics, CvssV3Metrics
@@ -14,6 +19,7 @@ from repro.nvd import (
     load_feed,
     save_feed,
 )
+from repro.nvd.feed import _DATE_FORMAT, _parse_date
 
 
 @pytest.fixture()
@@ -84,3 +90,193 @@ class TestFiles:
         path = tmp_path / "subset.json"
         save_feed(entries, path)
         assert load_feed(path) == entries
+
+
+def _written_digest(path):
+    """sha256 of a written feed's decompressed bytes (a digest keeps a
+    failing comparison of two multi-megabyte strings cheap to report)."""
+    data = path.read_bytes()
+    if path.suffix == ".gz":
+        data = gzip.decompress(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestStreamingWriter:
+    @pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+    @pytest.mark.parametrize("count", [0, 1, None])
+    def test_bytes_equal_whole_document_dump(self, snapshot, tmp_path, suffix, count):
+        entries = snapshot.entries if count is None else snapshot.entries[:count]
+        path = tmp_path / f"feed{suffix}"
+        save_feed(entries, path)
+        expected = json.dumps(entries_to_feed(entries)).encode("utf-8")
+        assert _written_digest(path) == hashlib.sha256(expected).hexdigest()
+
+
+class TestLoadGcPause:
+    @pytest.fixture()
+    def feed_file(self, rich_entry, tmp_path):
+        path = tmp_path / "feed.json.gz"
+        save_feed([rich_entry], path)
+        return path
+
+    @pytest.fixture()
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_restored(self, feed_file, restore_gc, enabled):
+        (gc.enable if enabled else gc.disable)()
+        load_feed(feed_file)
+        assert gc.isenabled() is enabled
+
+    def test_gc_state_restored_when_parse_raises(self, tmp_path, restore_gc):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({"something": "else"}), encoding="utf-8")
+        gc.enable()
+        with pytest.raises(ValueError, match="not an NVD"):
+            load_feed(path)
+        assert gc.isenabled()
+
+
+def _strptime_date(text):
+    return datetime.datetime.strptime(text, _DATE_FORMAT).date()
+
+
+# A written date with one piece replaced: a digit run of any width
+# (non-ASCII digits included) or another separator, in either case.
+_WRITTEN_PIECES = ("2019", "-", "02", "-", "28", "T", "23", ":", "59", "Z")
+
+
+def _one_piece_replaced(index, replacement):
+    pieces = list(_WRITTEN_PIECES)
+    pieces[index] = replacement
+    return "".join(pieces)
+
+
+near_dates = st.builds(
+    _one_piece_replaced,
+    st.integers(0, len(_WRITTEN_PIECES) - 1),
+    st.one_of(
+        st.text(alphabet="0123456789\u0663", min_size=1, max_size=5),
+        st.sampled_from(["", " ", "t", "z", "-", ":", "Z\n"]),
+    ),
+)
+# The exact written shape, with every field drawn around its valid range
+# (year 0, month 13, 31 February, hour 24, minute 60, ...).
+exact_dates = st.builds(
+    lambda y, mo, d, h, mi: f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}Z",
+    st.one_of(st.integers(0, 2), st.integers(1999, 2001), st.just(9999)),
+    st.integers(0, 13),
+    st.one_of(st.integers(0, 1), st.integers(28, 32)),
+    st.one_of(st.integers(0, 1), st.integers(22, 25)),
+    st.one_of(st.integers(0, 1), st.integers(58, 61)),
+)
+
+
+def _assert_parses_like_strptime(text):
+    try:
+        expected = _strptime_date(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _parse_date(text)
+    else:
+        assert _parse_date(text) == expected
+
+
+class TestDateFastPathOracle:
+    @given(st.one_of(st.text(max_size=24), near_dates))
+    @settings(max_examples=1000)
+    def test_any_text_parses_like_strptime(self, text):
+        _assert_parses_like_strptime(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "999-02-28T23:59Z",  # 3-digit year
+            "02019-02-28T23:59Z",
+            "2019-2-28T23:59Z",  # 1-digit month, day, hour, minute
+            "2019-02-8T23:59Z",
+            "2019-02-28T3:59Z",
+            "2019-02-28T23:5Z",
+            "2019-02-28T23:059Z",  # 3-digit minute
+            "2019-02-28T24:00Z",
+            "2019-02-28T23:60Z",
+            "2019-02-29T00:00Z",  # not a leap year
+            "2020-02-29T00:00Z",
+            "0000-01-01T00:00Z",
+            "2019-02-28t23:59z",
+            "2019-02-28T23:59Z\n",
+            "\u0662\u0660\u0661\u0669-02-28T23:59Z",
+        ],
+    )
+    def test_edge_strings_parse_like_strptime(self, text):
+        _assert_parses_like_strptime(text)
+
+    @given(exact_dates)
+    @settings(max_examples=300)
+    def test_written_shape_parses_like_strptime(self, text):
+        _assert_parses_like_strptime(text)
+
+    def test_written_dates_take_the_fast_path(self):
+        assert _parse_date("2019-02-28T00:00Z") == datetime.date(2019, 2, 28)
+        with pytest.raises(ValueError):
+            _parse_date("2019-13-45T00:00Z")
+
+
+# Any JSON value, to drop into one field of an otherwise valid item.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+_ITEM_PATHS = (
+    (),
+    ("cve",),
+    ("cve", "CVE_data_meta", "ID"),
+    ("publishedDate",),
+    ("lastModifiedDate",),
+    ("cve", "description", "description_data"),
+    ("cve", "references", "reference_data"),
+    ("cve", "problemtype", "problemtype_data"),
+    ("configurations",),
+    ("configurations", "nodes"),
+    ("impact",),
+    ("impact", "baseMetricV2", "cvssV2", "vectorString"),
+    ("impact", "baseMetricV3"),
+)
+
+
+class TestTotalParsing:
+    @given(st.sampled_from(_ITEM_PATHS), json_values)
+    def test_garbled_item_degrades_never_raises(self, path, value):
+        """Whatever one field of an item holds, parsing the feed returns
+        (the item kept, possibly minus that field) or skips the item and
+        counts it; it never raises."""
+        from repro import perf
+
+        entry = CveEntry(
+            cve_id="CVE-2018-0102",
+            published=datetime.date(2018, 1, 29),
+            descriptions=("d",),
+            cvss_v2=CvssV2Metrics("N", "L", "N", "C", "C", "C"),
+            cvss_v3=CvssV3Metrics("N", "L", "N", "N", "U", "H", "H", "H"),
+            cpes=(CpeName("a", "cisco", "asa"),),
+            modified=datetime.date(2018, 2, 2),
+        )
+        feed = entries_to_feed([entry])
+        if path:
+            parent = feed["CVE_Items"][0]
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+        else:
+            feed["CVE_Items"][0] = value
+        counters = perf.get_recorder().counters
+        before = counters.get("feed.malformed_item", 0)
+        parsed = entries_from_feed(feed)
+        skipped = perf.get_recorder().counters.get("feed.malformed_item", 0) - before
+        assert len(parsed) + skipped == 1
+        assert all(isinstance(e, CveEntry) for e in parsed)
