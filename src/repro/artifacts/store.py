@@ -59,7 +59,7 @@ from repro.core.severity import (
 from repro.cvss import Severity
 from repro.ml import LinearRegression, Sequential, SupportVectorRegressor
 from repro.nvd import NvdSnapshot, load_feed, save_feed
-from repro.nvd.feed import GZIP_LEVEL
+from repro.nvd.feed import open_text_writer
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -134,12 +134,8 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
 
 
 def _write_json(path: pathlib.Path, payload: Any) -> None:
-    text = json.dumps(payload, indent=1, sort_keys=True)
-    if path.suffix == ".gz":
-        with gzip.open(path, "wt", encoding="utf-8", compresslevel=GZIP_LEVEL) as handle:
-            handle.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
+    with open_text_writer(path) as handle:
+        handle.write(json.dumps(payload, indent=1, sort_keys=True))
 
 
 def _read_json(path: pathlib.Path) -> Any:

@@ -9,16 +9,17 @@ models that step as a callable oracle; two implementations:
   variant maps, playing the analysts' role in experiments;
 - :func:`heuristic_vendor_confirm` / :func:`heuristic_product_confirm`
   — a no-ground-truth approximation using the signals Table 2 found
-  most reliable (token identity and prefix/shared-product pairs with a
-  long substring match confirm in ≥90% of cases), for users running
-  the tool on real data without an analyst in the loop.
+  most reliable (token identity, and prefix pairs with a ≥3-character
+  substring match, which confirm in ≥90% of cases), for users running
+  the tool on real data without an analyst in the loop.  Neither
+  needs a substring scan: for a prefix pair the longest common
+  substring is the shorter name.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.core.vendors import longest_common_substring
 from repro.synth.names import tokenize_name
 
 __all__ = [
@@ -74,17 +75,17 @@ def heuristic_vendor_confirm(name_a: str, name_b: str) -> bool:
 
     Token identity was matching in 100% of observed pairs; prefix
     pairs with a ≥3-character substring match confirmed in over 90% of
-    cases.  Everything else is left unconfirmed (precision over
-    recall: a bad merge corrupts the database).
+    cases.  When one name is a prefix of the other, their longest
+    common substring is the shorter name, so that match is ≥3 exactly
+    when the shorter name is.  Everything else is left unconfirmed
+    (precision over recall: a bad merge corrupts the database).
     """
     tokens_a, tokens_b = tokenize_name(name_a), tokenize_name(name_b)
     if tokens_a and tokens_a == tokens_b:
         return True
-    if longest_common_substring(name_a, name_b) >= 3 and (
+    return min(len(name_a), len(name_b)) >= 3 and (
         name_a.startswith(name_b) or name_b.startswith(name_a)
-    ):
-        return True
-    return False
+    )
 
 
 def heuristic_product_confirm(vendor: str, name_a: str, name_b: str) -> bool:

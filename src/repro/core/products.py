@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Callable
 
+from repro.core.vendors import _canonical_map
 from repro.nvd import CveEntry, NvdSnapshot
 from repro.synth.names import abbreviate, tokenize_name
 
@@ -166,39 +167,16 @@ def analyze_products(
         pair for pair in candidates if confirm(pair.vendor, pair.name_a, pair.name_b)
     ]
 
-    cve_counts = snapshot.product_cve_counts()
-    # Group per vendor with union-find over confirmed pairs.
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def find(item: tuple[str, str]) -> tuple[str, str]:
-        parent.setdefault(item, item)
-        root = item
-        while parent[root] != root:
-            root = parent[root]
-        while parent[item] != root:
-            parent[item], item = root, parent[item]
-        return root
-
-    for pair in confirmed:
-        a = (pair.vendor, pair.name_a)
-        b = (pair.vendor, pair.name_b)
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_b] = root_a
-
-    members: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for pair in confirmed:
-        for key in ((pair.vendor, pair.name_a), (pair.vendor, pair.name_b)):
-            root = find(key)
-            if key not in members.setdefault(root, []):
-                members[root].append(key)
-
-    mapping: dict[tuple[str, str], str] = {}
-    for group in members.values():
-        canonical = max(group, key=lambda key: (cve_counts.get(key, 0), key[1]))
-        for key in group:
-            if key != canonical:
-                mapping[key] = canonical[1]
+    # Pairs never cross vendors, so each group shares one vendor and
+    # the canonical key's product name is the canonical product.
+    canonical_of = _canonical_map(
+        [
+            ((pair.vendor, pair.name_a), (pair.vendor, pair.name_b))
+            for pair in confirmed
+        ],
+        snapshot.product_cve_counts(),
+    )
+    mapping = {key: canonical[1] for key, canonical in canonical_of.items()}
     n_products = len({p for products in products_by_vendor.values() for p in products})
     return ProductAnalysis(
         candidates=candidates,

@@ -17,13 +17,20 @@ Pairwise comparison over ~19K names is infeasible, so candidates are
 *blocked*: token-identity keys, shared-product indices, vendor-name
 tries for prefixes, abbreviation lookups, and character-4-gram buckets
 for misspellings.  Table 2's pattern taxonomy (Tokens / #MP / Pref /
-PaV × longest-substring-match ≥3 or <3) is computed per pair.
+PaV × longest-substring-match ≥3 or <3) is computed per pair.  Only
+the ≥3/<3 band is ever read, so a pair is tested for a shared
+3-character substring (3-gram sets, linear in the names' lengths)
+rather than measuring its longest common substring.
+
+Grouping confirmed pairs and picking each group's canonical name is
+done by :func:`_canonical_map`, which product consolidation shares.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Mapping, Sequence
+from typing import TypeVar
 
 from repro.nvd import CveEntry, NvdSnapshot
 from repro.synth.names import abbreviate, tokenize_name
@@ -34,29 +41,11 @@ __all__ = [
     "analyze_vendors",
     "apply_vendor_mapping",
     "candidate_pairs",
-    "longest_common_substring",
     "pattern_of",
 ]
 
 ConfirmOracle = Callable[[str, str], bool]
-
-
-def longest_common_substring(a: str, b: str) -> int:
-    """Length of the longest common substring (Table 2's signifier)."""
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
-    best = 0
-    for i in range(1, len(a) + 1):
-        current = [0] * (len(b) + 1)
-        char_a = a[i - 1]
-        for j in range(1, len(b) + 1):
-            if char_a == b[j - 1]:
-                current[j] = previous[j - 1] + 1
-                if current[j] > best:
-                    best = current[j]
-        previous = current
-    return best
+K = TypeVar("K", bound=Hashable)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -69,11 +58,9 @@ class PairFeatures:
     matching_products: int
     is_prefix: bool
     product_as_vendor: bool
-    lcs_length: int
-
-    @property
-    def lcs_at_least_3(self) -> bool:
-        return self.lcs_length >= 3
+    #: the names share a 3-character substring (Table 2's "longest
+    #: substring match >= 3").
+    lcs_at_least_3: bool
 
 
 def pattern_of(features: PairFeatures) -> str:
@@ -140,6 +127,12 @@ def _vendor_products(snapshot: NvdSnapshot) -> dict[str, set[str]]:
     return snapshot.vendor_products()
 
 
+def _char_3grams(name: str) -> frozenset[str]:
+    """Every 3-character substring of the raw name.  Two names share
+    one exactly when their longest common substring is >= 3 long."""
+    return frozenset(name[i : i + 3] for i in range(len(name) - 2))
+
+
 def _char_4grams(name: str) -> set[str]:
     stripped = "".join(char for char in name if char.isalnum())
     if len(stripped) < 4:
@@ -164,6 +157,7 @@ def candidate_pairs(
     # than string pairs when the heuristics overlap heavily.
     index_of = {vendor: i for i, vendor in enumerate(vendors)}
     tokens_of = [tokenize_name(vendor) for vendor in vendors]
+    grams_of = [_char_3grams(vendor) for vendor in vendors]
     pairs: set[tuple[int, int]] = set()
 
     def add(a: str, b: str) -> None:
@@ -267,8 +261,7 @@ def candidate_pairs(
         if smaller >= 5 and shared >= max(1, smaller - 5):
             add(a, b)
 
-    # Score pairs in name order.  The longest-common-substring scan is
-    # the quadratic heart of §4.2's scoring.
+    # Score pairs in name order.
     empty: set[str] = set()
     features: list[PairFeatures] = []
     for ia, ib in sorted(pairs, key=lambda p: (vendors[p[0]], vendors[p[1]])):
@@ -284,7 +277,7 @@ def candidate_pairs(
                 matching_products=len(products_a & products_b),
                 is_prefix=a.startswith(b) or b.startswith(a),
                 product_as_vendor=(a in products_b) or (b in products_a),
-                lcs_length=longest_common_substring(a, b),
+                lcs_at_least_3=not grams_of[ia].isdisjoint(grams_of[ib]),
             )
         )
     return features
@@ -292,9 +285,9 @@ def candidate_pairs(
 
 class _UnionFind:
     def __init__(self) -> None:
-        self.parent: dict[str, str] = {}
+        self.parent: dict[Hashable, Hashable] = {}
 
-    def find(self, item: str) -> str:
+    def find(self, item: Hashable) -> Hashable:
         self.parent.setdefault(item, item)
         root = item
         while self.parent[root] != root:
@@ -303,10 +296,36 @@ class _UnionFind:
             self.parent[item], item = root, self.parent[item]
         return root
 
-    def union(self, a: str, b: str) -> None:
+    def union(self, a: Hashable, b: Hashable) -> None:
         root_a, root_b = self.find(a), self.find(b)
         if root_a != root_b:
             self.parent[root_b] = root_a
+
+
+def _canonical_map(
+    pairs: Sequence[tuple[K, K]], weights: Mapping[K, int]
+) -> dict[K, K]:
+    """Group keys linked by ``pairs`` and map each non-canonical member
+    of a group to its canonical: the member with the largest
+    ``(weight, key)``, so equal weights pick the larger key.
+
+    Groups and their members keep first-seen order, which fixes the
+    mapping's insertion order.
+    """
+    groups = _UnionFind()
+    for a, b in pairs:
+        groups.union(a, b)
+    members: dict[Hashable, dict[K, None]] = {}
+    for pair in pairs:
+        for key in pair:
+            members.setdefault(groups.find(key), {})[key] = None
+    mapping: dict[K, K] = {}
+    for group in members.values():
+        canonical = max(group, key=lambda key: (weights.get(key, 0), key))
+        for key in group:
+            if key != canonical:
+                mapping[key] = canonical
+    return mapping
 
 
 def analyze_vendors(
@@ -329,23 +348,10 @@ def analyze_vendors(
         if confirm(features.name_a, features.name_b)
     ]
 
-    groups = _UnionFind()
-    for features in confirmed:
-        groups.union(features.name_a, features.name_b)
-    members: dict[str, list[str]] = {}
-    for features in confirmed:
-        for name in (features.name_a, features.name_b):
-            root = groups.find(name)
-            if name not in members.setdefault(root, []):
-                members[root].append(name)
-
-    cve_counts = snapshot.vendor_cve_counts()
-    mapping: dict[str, str] = {}
-    for group in members.values():
-        canonical = max(group, key=lambda name: (cve_counts.get(name, 0), name))
-        for name in group:
-            if name != canonical:
-                mapping[name] = canonical
+    mapping = _canonical_map(
+        [(features.name_a, features.name_b) for features in confirmed],
+        snapshot.vendor_cve_counts(),
+    )
     return VendorAnalysis(
         candidates=candidates,
         confirmed=confirmed,

@@ -11,8 +11,9 @@ pipeline touches.
 Parsing is total over items: a malformed CVSS vector or CPE name costs
 that one field (counted under the ``feed.malformed_cvss`` and
 ``feed.malformed_cpe`` perf counters), and an item whose ID, dates or
-other required structure cannot be read is skipped (counted under
-``feed.malformed_item``); the rest of the feed still parses.
+other required structure cannot be read, or that holds a non-string
+description, reference URL, tag or CWE value, is skipped (counted
+under ``feed.malformed_item``); the rest of the feed still parses.
 
 Every incremental ingest reads and rewrites the whole stored snapshot
 through this module, so both directions are kept cheap:
@@ -32,7 +33,10 @@ through this module, so both directions are kept cheap:
   falls back to ``strptime``, so the accepted set is unchanged.  CVSS
   vectors and scores are memoized in :mod:`repro.cvss` (a feed holds
   only a few hundred distinct vectors).
-- ``.gz`` files are written at gzip level :data:`GZIP_LEVEL`.
+- ``.gz`` files are written at gzip level :data:`GZIP_LEVEL`, with a
+  zero modification time in the gzip header, so the same entries always
+  give the same bytes (:func:`open_text_writer`, which the artifact
+  store writes through too).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import datetime
 import gc
 import gzip
+import io
 import json
 import pathlib
 import re
@@ -62,6 +67,7 @@ __all__ = [
     "entries_from_feed",
     "entries_to_feed",
     "load_feed",
+    "open_text_writer",
     "save_feed",
 ]
 
@@ -209,6 +215,14 @@ def _lenient_cpes(item: dict[str, Any]) -> tuple[CpeName, ...]:
     return tuple(cpes)
 
 
+def _text(value: Any) -> str:
+    """``value`` if it is a string; anything else makes the item
+    malformed (downstream text handling assumes strings)."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__}")
+    return value
+
+
 def _item_to_entry(item: dict[str, Any]) -> CveEntry:
     cve = item["cve"]
     cve_id = cve["CVE_data_meta"]["ID"]
@@ -217,17 +231,20 @@ def _item_to_entry(item: dict[str, Any]) -> CveEntry:
     if "lastModifiedDate" in item:
         modified = _parse_date(item["lastModifiedDate"])
     descriptions = tuple(
-        block["value"] for block in cve["description"]["description_data"]
+        _text(block["value"]) for block in cve["description"]["description_data"]
     )
     references = tuple(
-        Reference(url=block["url"], tags=tuple(block.get("tags", ())))
+        Reference(
+            url=_text(block["url"]),
+            tags=tuple(_text(tag) for tag in block.get("tags", ())),
+        )
         for block in cve.get("references", {}).get("reference_data", ())
     )
     cwe_ids: list[str] = []
     for ptype in cve.get("problemtype", {}).get("problemtype_data", ()):
         for block in ptype.get("description", ()):
             value = block.get("value")
-            if value:
+            if value is not None and _text(value):
                 cwe_ids.append(value)
     impact = item.get("impact", {})
     cvss_v2 = _lenient_metric(impact, "baseMetricV2", "cvssV2", parse_v2_vector)
@@ -288,14 +305,19 @@ def _write_feed(entries: list[CveEntry], handle: TextIO) -> None:
     handle.write("]" + tail)
 
 
+def open_text_writer(path: pathlib.Path) -> TextIO:
+    """Open ``path`` to write UTF-8 text; ``.gz`` paths are compressed
+    at :data:`GZIP_LEVEL` with header mtime 0, so equal text written at
+    any time gives equal bytes."""
+    if path.suffix == ".gz":
+        binary = gzip.GzipFile(path, "wb", compresslevel=GZIP_LEVEL, mtime=0)
+        return io.TextIOWrapper(binary, encoding="utf-8")
+    return path.open("w", encoding="utf-8")
+
+
 def save_feed(entries: list[CveEntry], path: str | pathlib.Path) -> None:
     """Write entries as a feed file; ``.gz`` paths are gzip-compressed."""
-    path = pathlib.Path(path)
-    if path.suffix == ".gz":
-        handle = gzip.open(path, "wt", encoding="utf-8", compresslevel=GZIP_LEVEL)
-    else:
-        handle = path.open("w", encoding="utf-8")
-    with handle:
+    with open_text_writer(pathlib.Path(path)) as handle:
         _write_feed(entries, handle)
 
 

@@ -23,10 +23,10 @@ must never be able to break a pipeline run.
 The cache tracks which entries are new since the last load or save,
 so a fully warm run leaves the file untouched.
 
-``fetch_failed`` entries are *revalidatable*, not terminal: the cache
-keeps a per-URL failure record (attempt count + timestamp, persisted
-alongside the entries) and the crawler re-attempts such URLs on replay
-instead of treating one transient outage as a permanent verdict.
+``fetch_failed`` entries are *revalidatable*, not terminal: the crawler
+re-attempts such URLs on replay instead of treating one transient
+outage as a permanent verdict.  The file holds nothing but the
+entries, so the same crawl always writes the same bytes.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import json
 import os
 import pathlib
 import tempfile
-import time
 
 __all__ = ["CACHE_SCHEMA", "CrawlCache"]
 
@@ -57,10 +56,6 @@ class CrawlCache:
         self.path = pathlib.Path(path) if path is not None else None
         self._entries: dict[str, tuple[str, datetime.date | None]] = {}
         self._new: dict[str, tuple[str, datetime.date | None]] = {}
-        #: URL → (attempt count, unix timestamp) for fetch_failed
-        #: entries — kept apart from the entry tuples so the cached
-        #: outcome shape is unchanged.
-        self._failures: dict[str, tuple[int, float]] = {}
         self.hits = 0
         self.misses = 0
         if self.path is not None and self.path.exists():
@@ -110,19 +105,6 @@ class CrawlCache:
                 except (TypeError, ValueError):
                     continue
             self._entries[url] = (outcome, date)
-        failures = document.get("failures")
-        if isinstance(failures, dict):
-            for url, record in failures.items():
-                entry = self._entries.get(url)
-                if entry is None or entry[0] != "fetch_failed":
-                    continue
-                if not (isinstance(record, list) and len(record) == 2):
-                    continue
-                attempts, stamp = record
-                try:
-                    self._failures[url] = (int(attempts), float(stamp))
-                except (TypeError, ValueError):
-                    continue
 
     def save(self) -> pathlib.Path | None:
         """Atomically write the cache; returns the path (None in-memory).
@@ -141,11 +123,6 @@ class CrawlCache:
                 for url, (outcome, date) in sorted(self._entries.items())
             },
         }
-        if self._failures:
-            document["failures"] = {
-                url: [attempts, stamp]
-                for url, (attempts, stamp) in sorted(self._failures.items())
-            }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
             dir=self.path.parent, prefix=self.path.name, suffix=".tmp"
@@ -186,24 +163,9 @@ class CrawlCache:
         return entry
 
     def put(self, url: str, outcome: str, date: datetime.date | None) -> None:
-        """Record one scrape outcome (validated against the outcome set).
-
-        A ``fetch_failed`` outcome also bumps the URL's failure record
-        (attempts + timestamp); any other outcome clears it — the URL
-        recovered, so the failure history is no longer interesting.
-        """
+        """Record one scrape outcome (validated against the outcome set)."""
         if outcome not in _OUTCOMES:
             raise ValueError(f"unknown crawl outcome {outcome!r}")
         entry = (outcome, date)
         self._entries[url] = entry
         self._new[url] = entry
-        if outcome == "fetch_failed":
-            attempts = self._failures.get(url, (0, 0.0))[0] + 1
-            self._failures[url] = (attempts, time.time())
-        else:
-            self._failures.pop(url, None)
-
-    def failure(self, url: str) -> tuple[int, float] | None:
-        """The ``(attempts, last unix timestamp)`` failure record for a
-        ``fetch_failed`` URL, or None if it never failed / recovered."""
-        return self._failures.get(url)

@@ -211,6 +211,13 @@ class TestAnalyzeAndApply:
         counts = remapped.product_cve_counts()
         assert counts[("nativesolutions", "the_banner_engine")] == 3
 
+    def test_equal_cve_counts_pick_the_larger_name(self, inconsistent_snapshot):
+        analysis = analyze_products(inconsistent_snapshot, lambda v, a, b: True)
+        assert analysis.mapping == {
+            ("nativesolutions", "tbe_banner_engine"): "the_banner_engine",
+            ("cisco", "ucs-e140dp-m1_firmware"): "ucs-e160dp-m1_firmware",
+        }
+
     def test_rejecting_oracle_changes_nothing(self, inconsistent_snapshot):
         analysis = analyze_products(inconsistent_snapshot, lambda v, a, b: False)
         assert analysis.mapping == {}

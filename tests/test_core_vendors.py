@@ -3,16 +3,18 @@
 import datetime
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import analyze_vendors, apply_vendor_mapping, from_ground_truth
-from repro.core.vendors import (
-    PairFeatures,
-    candidate_pairs,
-    longest_common_substring,
-    pattern_of,
+from repro.core import (
+    analyze_vendors,
+    apply_vendor_mapping,
+    from_ground_truth,
+    heuristic_vendor_confirm,
 )
+from repro.core.vendors import PairFeatures, _char_3grams, candidate_pairs, pattern_of
 from repro.cpe import CpeName
 from repro.nvd import CveEntry, NvdSnapshot
+from repro.synth.names import tokenize_name
 
 
 def entry(cve_id, vendor, product, year=2015):
@@ -22,6 +24,34 @@ def entry(cve_id, vendor, product, year=2015):
         descriptions=("d",),
         cpes=(CpeName("a", vendor, product),),
     )
+
+
+def longest_common_substring(a: str, b: str) -> int:
+    """Length of the longest common substring, by the O(n*m) DP: the
+    oracle for the shared-3-gram test that Table 2's ">= 3" band uses."""
+    if not a or not b:
+        return 0
+    previous = [0] * (len(b) + 1)
+    best = 0
+    for i in range(1, len(a) + 1):
+        current = [0] * (len(b) + 1)
+        char_a = a[i - 1]
+        for j in range(1, len(b) + 1):
+            if char_a == b[j - 1]:
+                current[j] = previous[j - 1] + 1
+                if current[j] > best:
+                    best = current[j]
+        previous = current
+    return best
+
+
+def shares_3gram(a: str, b: str) -> bool:
+    return not _char_3grams(a).isdisjoint(_char_3grams(b))
+
+
+# A small alphabet with the separators vendor names carry makes shared
+# runs of every length common; "é" covers non-ASCII code points.
+near_names = st.text(alphabet="ab_-é", min_size=0, max_size=8)
 
 
 class TestLcs:
@@ -44,21 +74,62 @@ class TestLcs:
         )
 
 
+class TestShared3Gram:
+    @settings(max_examples=500)
+    @given(near_names, near_names)
+    def test_matches_reference_lcs(self, a, b):
+        assert shares_3gram(a, b) == (longest_common_substring(a, b) >= 3)
+
+    def test_candidate_bands_match_reference_lcs(self, bundle):
+        vendors = bundle.snapshot.vendors()
+        pairs = candidate_pairs(vendors, bundle.snapshot.vendor_products())
+        assert pairs
+        for features in pairs:
+            assert features.lcs_at_least_3 == (
+                longest_common_substring(features.name_a, features.name_b) >= 3
+            )
+
+    @settings(max_examples=500)
+    @given(near_names, st.data())
+    def test_heuristic_confirm_matches_lcs_form(self, a, data):
+        # Draw b as a's extension or prefix two times in three, so prefix
+        # pairs (the branch the LCS used to gate) come up often.
+        b = data.draw(
+            st.one_of(
+                near_names,
+                near_names.map(lambda tail: a + tail),
+                st.integers(0, len(a)).map(lambda n: a[:n]),
+            )
+        )
+        tokens_a, tokens_b = tokenize_name(a), tokenize_name(b)
+        lcs_form = bool(tokens_a and tokens_a == tokens_b) or (
+            longest_common_substring(a, b) >= 3
+            and (a.startswith(b) or b.startswith(a))
+        )
+        assert heuristic_vendor_confirm(a, b) == lcs_form
+        assert heuristic_vendor_confirm(b, a) == lcs_form
+
+
 class TestPatternClassification:
     def test_tokens_pattern(self):
-        features = PairFeatures("avast", "avast!", True, 0, True, False, 5)
+        features = PairFeatures("avast", "avast!", True, 0, True, False, True)
         assert pattern_of(features) == "Tokens"
 
     def test_pav_pattern(self):
-        features = PairFeatures("microsoft", "windows", False, 0, False, True, 2)
+        features = PairFeatures("microsoft", "windows", False, 0, False, True, False)
         assert pattern_of(features) == "PaV"
 
     def test_pref_pattern(self):
-        features = PairFeatures("lynx", "lynx_project", False, 0, True, False, 4)
+        features = PairFeatures("lynx", "lynx_project", False, 0, True, False, True)
         assert pattern_of(features) == "Pref"
 
     def test_mp_patterns(self):
-        base = dict(tokens_identical=False, is_prefix=False, product_as_vendor=False, lcs_length=4)
+        base = dict(
+            tokens_identical=False,
+            is_prefix=False,
+            product_as_vendor=False,
+            lcs_at_least_3=True,
+        )
         assert pattern_of(PairFeatures("a", "b", matching_products=0, **base)) == "#MP=0"
         assert pattern_of(PairFeatures("a", "b", matching_products=1, **base)) == "#MP=1"
         assert pattern_of(PairFeatures("a", "b", matching_products=3, **base)) == "#MP>1"
@@ -155,6 +226,16 @@ class TestAnalyzeAndApply:
         assert analysis.mapping == {"bea": "bea_systems"}
         assert analysis.n_impacted_names == 2
         assert analysis.n_consistent_names == 1
+
+    def test_equal_cve_counts_pick_the_larger_name(self):
+        snapshot = NvdSnapshot(
+            [
+                entry("CVE-2015-1001", "bea", "weblogic_server"),
+                entry("CVE-2015-1002", "bea_systems", "weblogic_server"),
+            ]
+        )
+        analysis = analyze_vendors(snapshot, lambda a, b: True)
+        assert analysis.mapping == {"bea": "bea_systems"}
 
     def test_oracle_rejection_blocks_merge(self, inconsistent_snapshot):
         analysis = analyze_vendors(inconsistent_snapshot, lambda a, b: False)

@@ -112,6 +112,33 @@ class TestStreamingWriter:
         assert _written_digest(path) == hashlib.sha256(expected).hexdigest()
 
 
+class TestReproducibleGzip:
+    @pytest.mark.parametrize("writer", ["save_feed", "store"])
+    def test_writes_at_different_times_are_byte_identical(
+        self, rich_entry, tmp_path, monkeypatch, writer
+    ):
+        """gzip stamps the write time into its header unless told not
+        to; a file must depend on its content only."""
+        import time
+
+        from repro.artifacts.store import _write_json
+
+        def write(path):
+            if writer == "save_feed":
+                save_feed([rich_entry], path)
+            else:
+                _write_json(path, {"cve": rich_entry.cve_id})
+
+        written = []
+        for stamp, directory in ((1.0e9, "first"), (2.0e9, "second")):
+            monkeypatch.setattr(time, "time", lambda: stamp)
+            path = tmp_path / directory / "file.json.gz"
+            path.parent.mkdir()
+            write(path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
+
 class TestLoadGcPause:
     @pytest.fixture()
     def feed_file(self, rich_entry, tmp_path):
@@ -240,6 +267,7 @@ _ITEM_PATHS = (
     ("lastModifiedDate",),
     ("cve", "description", "description_data"),
     ("cve", "references", "reference_data"),
+    ("cve", "references", "reference_data", 0, "tags"),
     ("cve", "problemtype", "problemtype_data"),
     ("configurations",),
     ("configurations", "nodes"),
@@ -249,34 +277,60 @@ _ITEM_PATHS = (
 )
 
 
+# The string leaves of an item: a non-string value at any of them skips
+# the item (downstream text handling assumes strings).
+_TEXT_PATHS = (
+    ("cve", "description", "description_data", 0, "value"),
+    ("cve", "references", "reference_data", 0, "url"),
+    ("cve", "references", "reference_data", 0, "tags", 0),
+    ("cve", "problemtype", "problemtype_data", 0, "description", 0, "value"),
+)
+
+
+def _parse_garbled(path, value):
+    """Parse a one-item feed whose field at ``path`` holds ``value``;
+    returns the parsed entries and how many items were skipped."""
+    from repro import perf
+
+    entry = CveEntry(
+        cve_id="CVE-2018-0102",
+        published=datetime.date(2018, 1, 29),
+        descriptions=("d",),
+        references=(Reference("https://example.com/advisory", ("Patch",)),),
+        cwe_ids=("CWE-79",),
+        cvss_v2=CvssV2Metrics("N", "L", "N", "C", "C", "C"),
+        cvss_v3=CvssV3Metrics("N", "L", "N", "N", "U", "H", "H", "H"),
+        cpes=(CpeName("a", "cisco", "asa"),),
+        modified=datetime.date(2018, 2, 2),
+    )
+    feed = entries_to_feed([entry])
+    if path:
+        parent = feed["CVE_Items"][0]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        feed["CVE_Items"][0] = value
+    before = perf.get_recorder().counters.get("feed.malformed_item", 0)
+    parsed = entries_from_feed(feed)
+    return parsed, perf.get_recorder().counters.get("feed.malformed_item", 0) - before
+
+
 class TestTotalParsing:
-    @given(st.sampled_from(_ITEM_PATHS), json_values)
+    @given(st.sampled_from(_ITEM_PATHS + _TEXT_PATHS), json_values)
     def test_garbled_item_degrades_never_raises(self, path, value):
         """Whatever one field of an item holds, parsing the feed returns
         (the item kept, possibly minus that field) or skips the item and
-        counts it; it never raises."""
-        from repro import perf
+        counts it; it never raises, and neither does §4.4 on the result."""
+        from repro.core import extract_cwe_fixes
+        from repro.nvd import NvdSnapshot
 
-        entry = CveEntry(
-            cve_id="CVE-2018-0102",
-            published=datetime.date(2018, 1, 29),
-            descriptions=("d",),
-            cvss_v2=CvssV2Metrics("N", "L", "N", "C", "C", "C"),
-            cvss_v3=CvssV3Metrics("N", "L", "N", "N", "U", "H", "H", "H"),
-            cpes=(CpeName("a", "cisco", "asa"),),
-            modified=datetime.date(2018, 2, 2),
-        )
-        feed = entries_to_feed([entry])
-        if path:
-            parent = feed["CVE_Items"][0]
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = value
-        else:
-            feed["CVE_Items"][0] = value
-        counters = perf.get_recorder().counters
-        before = counters.get("feed.malformed_item", 0)
-        parsed = entries_from_feed(feed)
-        skipped = perf.get_recorder().counters.get("feed.malformed_item", 0) - before
+        parsed, skipped = _parse_garbled(path, value)
         assert len(parsed) + skipped == 1
         assert all(isinstance(e, CveEntry) for e in parsed)
+        extract_cwe_fixes(NvdSnapshot(parsed))
+
+    @pytest.mark.parametrize("path", _TEXT_PATHS)
+    @pytest.mark.parametrize("value", [5, ["x"], {"value": "x"}])
+    def test_non_string_text_skips_the_item(self, path, value):
+        assert _parse_garbled(path, value) == ([], 1)

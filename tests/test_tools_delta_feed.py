@@ -60,22 +60,31 @@ class TestBuildDelta:
 
 
 class TestDeltaFeedCli:
-    def test_writes_ingestable_feed(self, artifact_root, tmp_path):
+    def test_writes_ingestable_feed(self, artifact_root, tmp_path, monkeypatch):
         import shutil
+        import time
 
         store = tmp_path / "store"
         shutil.copytree(artifact_root, store)
-        out = tmp_path / "delta.json.gz"
-        assert (
-            make_delta_feed.main(
-                [
-                    "--artifacts", str(store),
-                    "--out", str(out),
-                    "--new", "12", "--mutate", "6",
-                ]
+        written = []
+        # The same arguments give byte-identical files, also when the
+        # runs are far apart in time.
+        for stamp, directory in ((1.0e9, "first"), (2.0e9, "second")):
+            monkeypatch.setattr(time, "time", lambda: stamp)
+            out = tmp_path / directory / "delta.json.gz"
+            out.parent.mkdir()
+            assert (
+                make_delta_feed.main(
+                    [
+                        "--artifacts", str(store),
+                        "--out", str(out),
+                        "--new", "12", "--mutate", "6",
+                    ]
+                )
+                == 0
             )
-            == 0
-        )
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
         entries = load_feed(out)
         assert len(entries) == 18
         result = ingest_delta(store, entries)

@@ -53,10 +53,16 @@ class TestCrawlCachePersistence:
         path = tmp_path / "cache.json"
         cache = CrawlCache(path)
         cache.put("u1", "date_extracted", DATE)
+        cache.put("u2", "fetch_failed", None)
         cache.save()
         document = json.loads(path.read_text())
-        assert document["schema"] == CACHE_SCHEMA
-        assert document["entries"]["u1"] == ["date_extracted", "2018-03-14"]
+        assert document == {
+            "schema": CACHE_SCHEMA,
+            "entries": {
+                "u1": ["date_extracted", "2018-03-14"],
+                "u2": ["fetch_failed", None],
+            },
+        }
 
     def test_in_memory_cache_never_saves(self):
         cache = CrawlCache()
@@ -85,6 +91,8 @@ class TestCrawlCachePersistence:
                         "bad-date": ["date_extracted", "yesterday"],
                         "bad-shape": "nope",
                     },
+                    # Older files also recorded per-URL fetch failures.
+                    "failures": {"bad-outcome": [1, 1.5e9]},
                 }
             )
         )
