@@ -13,6 +13,12 @@ persists everything a serving front end needs so the run happens once:
 - the backported v3 scores/severities and the cleaning report,
 - the engine config plus its fingerprint, in a schema-checked manifest.
 
+The JSON files (``manifest.json``, ``engine.json``, ``maps.json``,
+``report.json`` and the gzip-compressed ``estimates``/``predictions``)
+are written compact, with sorted keys and no indentation, so ``json``'s
+C encoder writes them; any JSON text loads, so stores written indented
+by earlier versions still load.
+
 Layout — one immutable directory per version, plus an atomic pointer::
 
     ROOT/
@@ -135,7 +141,7 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
 
 def _write_json(path: pathlib.Path, payload: Any) -> None:
     with open_text_writer(path) as handle:
-        handle.write(json.dumps(payload, indent=1, sort_keys=True))
+        handle.write(json.dumps(payload, sort_keys=True))
 
 
 def _read_json(path: pathlib.Path) -> Any:

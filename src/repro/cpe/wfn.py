@@ -111,6 +111,8 @@ class CpeName:
 
 
 def _escape_fs(value: str) -> str:
+    if _FS_SPECIAL.search(value) is None:  # nothing to escape (most NVD names)
+        return value
     return _FS_SPECIAL.sub(r"\\\1", value)
 
 

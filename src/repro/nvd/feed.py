@@ -12,18 +12,26 @@ Parsing is total over items: a malformed CVSS vector or CPE name costs
 that one field (counted under the ``feed.malformed_cvss`` and
 ``feed.malformed_cpe`` perf counters), and an item whose ID, dates or
 other required structure cannot be read, or that holds a non-string
-description, reference URL, tag or CWE value, is skipped (counted
-under ``feed.malformed_item``); the rest of the feed still parses.
+description, reference URL, tag or CWE value, or reference ``tags``
+that are not a list, is skipped (counted under ``feed.malformed_item``);
+the rest of the feed still parses.
 
 Every incremental ingest reads and rewrites the whole stored snapshot
 through this module, so both directions are kept cheap:
 
-- :func:`save_feed` streams: it encodes one item at a time and writes
-  it between the feed's header and footer, never building the whole
-  feed document or its whole text.  The output is byte-identical to
-  ``json.dumps(entries_to_feed(entries))``, but without half a million
-  live containers that would set off repeated full garbage-collection
-  passes over everything already in memory.
+- :func:`save_feed` streams: it writes one item's JSON text at a time
+  between the feed's header and footer, never building the whole feed
+  document or its whole text, nor any item's dict.  Each item's text
+  comes straight from the entry (``_item_text``, the one definition of
+  the item format): constant fragments are literals, every string goes
+  through ``json``'s own C string encoder, dates are formatted without
+  ``strftime``, and each ``impact`` block (it depends on its CVSS
+  vector alone) is rendered once per distinct vector.  The byte
+  contract: the file's text is exactly ``json.dumps(entries_to_feed(
+  entries))`` with ``json``'s default settings, so a snapshot keeps the
+  bytes earlier versions of this writer gave it.  :func:`entries_to_feed`
+  is derived from the writer (it parses each item's text), so the two
+  cannot drift apart.
 - :func:`load_feed` pauses the cyclic garbage collector while it
   decodes the JSON and builds the entries (neither step creates
   reference cycles) and restores the previous state afterwards.  The
@@ -42,6 +50,7 @@ through this module, so both directions are kept cheap:
 from __future__ import annotations
 
 import datetime
+import functools
 import gc
 import gzip
 import io
@@ -53,10 +62,14 @@ from typing import Any, TextIO
 from repro import perf
 from repro.cpe import CpeName, bind_to_formatted_string, parse_cpe
 from repro.cvss import (
+    CvssV2Metrics,
+    CvssV3Metrics,
     parse_v2_vector,
     parse_v3_vector,
     score_v2,
     score_v3,
+    severity_v2,
+    severity_v3,
     v2_vector_string,
     v3_vector_string,
 )
@@ -76,13 +89,21 @@ __all__ = [
 #: about half the time of level 9 for a file about 5.5% larger.
 GZIP_LEVEL = 6
 
+#: bound on each memoized ``impact`` block cache (one entry per distinct
+#: CVSS vector; the 8,040-CVE store holds 128 of each version).
+_CACHE_SIZE = 4096
+
 _DATE_FORMAT = "%Y-%m-%dT%H:%MZ"
-#: exactly the shape :func:`_format_date` writes, in ASCII digits.
+#: the shape :func:`_format_date` writes for four-digit years, in ASCII
+#: digits (shorter years take the ``strptime`` fallback).
 _DATE_RE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2})Z")
 
 
 def _format_date(value: datetime.date) -> str:
-    return datetime.datetime(value.year, value.month, value.day).strftime(_DATE_FORMAT)
+    """``value`` at midnight in :data:`_DATE_FORMAT`, as glibc's
+    ``strftime`` writes it: ``%Y`` is the year unpadded (year 5 is
+    ``5-01-02T00:00Z``)."""
+    return f"{value.year}-{value.month:02d}-{value.day:02d}T00:00Z"
 
 
 def _parse_date(text: str) -> datetime.date:
@@ -101,82 +122,91 @@ def _parse_date(text: str) -> datetime.date:
     return datetime.datetime.strptime(text, _DATE_FORMAT).date()
 
 
-def _entry_to_item(entry: CveEntry) -> dict[str, Any]:
-    item: dict[str, Any] = {
-        "cve": {
-            "data_type": "CVE",
-            "data_format": "MITRE",
-            "data_version": "4.0",
-            "CVE_data_meta": {"ID": entry.cve_id, "ASSIGNER": "cve@mitre.org"},
-            "problemtype": {
-                "problemtype_data": [
-                    {
-                        "description": [
-                            {"lang": "en", "value": cwe_id}
-                            for cwe_id in entry.cwe_ids
-                        ]
-                    }
-                ]
-            },
-            "references": {
-                "reference_data": [
-                    {"url": ref.url, "tags": list(ref.tags)}
-                    for ref in entry.references
-                ]
-            },
-            "description": {
-                "description_data": [
-                    {"lang": "en", "value": text} for text in entry.descriptions
-                ]
-            },
+#: ``json.dumps`` of one string: quoted, with non-ASCII and control
+#: characters escaped (the C function ``json.dumps`` itself calls).
+_quote = json.encoder.encode_basestring_ascii
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _v2_block_text(metrics: CvssV2Metrics) -> str:
+    """The ``"baseMetricV2"`` member of an item's ``impact``; it depends
+    on the vector alone."""
+    scores = score_v2(metrics)
+    block = {
+        "cvssV2": {
+            "version": "2.0",
+            "vectorString": v2_vector_string(metrics),
+            "baseScore": scores.base,
         },
-        "configurations": {
-            "CVE_data_version": "4.0",
-            "nodes": [
-                {
-                    "operator": "OR",
-                    "cpe_match": [
-                        {
-                            "vulnerable": True,
-                            "cpe23Uri": bind_to_formatted_string(cpe),
-                        }
-                        for cpe in entry.cpes
-                    ],
-                }
-            ]
-            if entry.cpes
-            else [],
-        },
-        "impact": {},
-        "publishedDate": _format_date(entry.published),
+        "severity": severity_v2(scores.base).value,
+        "impactScore": scores.impact,
+        "exploitabilityScore": scores.exploitability,
     }
-    if entry.modified is not None:
-        item["lastModifiedDate"] = _format_date(entry.modified)
+    return '"baseMetricV2": ' + json.dumps(block)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _v3_block_text(metrics: CvssV3Metrics) -> str:
+    """The ``"baseMetricV3"`` member of an item's ``impact``; it depends
+    on the vector alone."""
+    scores = score_v3(metrics)
+    block = {
+        "cvssV3": {
+            "version": "3.1",
+            "vectorString": v3_vector_string(metrics),
+            "baseScore": scores.base,
+            "baseSeverity": severity_v3(scores.base).value,
+        },
+        "impactScore": scores.impact,
+        "exploitabilityScore": scores.exploitability,
+    }
+    return '"baseMetricV3": ' + json.dumps(block)
+
+
+def _item_text(entry: CveEntry) -> str:
+    """The JSON text of ``entry``'s feed item, exactly as ``json.dumps``
+    (default settings) writes the item object.  This is the one
+    definition of the item format; :func:`entries_to_feed` parses it."""
+    cwes = ", ".join(['{"lang": "en", "value": ' + _quote(c) + "}" for c in entry.cwe_ids])
+    references = ", ".join(
+        [
+            '{"url": ' + _quote(ref.url) + ', "tags": [' + ", ".join(map(_quote, ref.tags)) + "]}"
+            for ref in entry.references
+        ]
+    )
+    descriptions = ", ".join(
+        ['{"lang": "en", "value": ' + _quote(text) + "}" for text in entry.descriptions]
+    )
+    if entry.cpes:
+        matches = ", ".join(
+            [
+                '{"vulnerable": true, "cpe23Uri": ' + _quote(bind_to_formatted_string(cpe)) + "}"
+                for cpe in entry.cpes
+            ]
+        )
+        nodes = '[{"operator": "OR", "cpe_match": [' + matches + "]}]"
+    else:
+        nodes = "[]"
+    impact = []
     if entry.cvss_v2 is not None:
-        scores = score_v2(entry.cvss_v2)
-        item["impact"]["baseMetricV2"] = {
-            "cvssV2": {
-                "version": "2.0",
-                "vectorString": v2_vector_string(entry.cvss_v2),
-                "baseScore": scores.base,
-            },
-            "severity": entry.v2_severity.value if entry.v2_severity else None,
-            "impactScore": scores.impact,
-            "exploitabilityScore": scores.exploitability,
-        }
+        impact.append(_v2_block_text(entry.cvss_v2))
     if entry.cvss_v3 is not None:
-        scores = score_v3(entry.cvss_v3)
-        item["impact"]["baseMetricV3"] = {
-            "cvssV3": {
-                "version": "3.1",
-                "vectorString": v3_vector_string(entry.cvss_v3),
-                "baseScore": scores.base,
-                "baseSeverity": entry.v3_severity.value if entry.v3_severity else None,
-            },
-            "impactScore": scores.impact,
-            "exploitabilityScore": scores.exploitability,
-        }
-    return item
+        impact.append(_v3_block_text(entry.cvss_v3))
+    modified = (
+        ""
+        if entry.modified is None
+        else ', "lastModifiedDate": "' + _format_date(entry.modified) + '"'
+    )
+    return (
+        '{"cve": {"data_type": "CVE", "data_format": "MITRE", "data_version": "4.0", '
+        '"CVE_data_meta": {"ID": ' + _quote(entry.cve_id) + ', "ASSIGNER": "cve@mitre.org"}, '
+        '"problemtype": {"problemtype_data": [{"description": [' + cwes + "]}]}, "
+        '"references": {"reference_data": [' + references + "]}, "
+        '"description": {"description_data": [' + descriptions + "]}}, "
+        '"configurations": {"CVE_data_version": "4.0", "nodes": ' + nodes + "}, "
+        '"impact": {' + ", ".join(impact) + "}, "
+        '"publishedDate": "' + _format_date(entry.published) + '"' + modified + "}"
+    )
 
 
 def _lenient_metric(impact: dict[str, Any], block_key: str, metric_key: str, parser):
@@ -223,6 +253,15 @@ def _text(value: Any) -> str:
     return value
 
 
+def _texts(value: Any) -> tuple[str, ...]:
+    """``value`` if it is a list of strings (a JSON array); anything
+    else makes the item malformed (a string or an object would
+    otherwise iterate into characters or keys)."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return tuple(_text(element) for element in value)
+
+
 def _item_to_entry(item: dict[str, Any]) -> CveEntry:
     cve = item["cve"]
     cve_id = cve["CVE_data_meta"]["ID"]
@@ -236,7 +275,7 @@ def _item_to_entry(item: dict[str, Any]) -> CveEntry:
     references = tuple(
         Reference(
             url=_text(block["url"]),
-            tags=tuple(_text(tag) for tag in block.get("tags", ())),
+            tags=_texts(block.get("tags", [])),
         )
         for block in cve.get("references", {}).get("reference_data", ())
     )
@@ -273,8 +312,9 @@ def _feed_document(n_entries: int, items: list[Any]) -> dict[str, Any]:
 
 
 def entries_to_feed(entries: list[CveEntry]) -> dict[str, Any]:
-    """Serialise entries into an NVD JSON feed document."""
-    return _feed_document(len(entries), [_entry_to_item(entry) for entry in entries])
+    """Serialise entries into an NVD JSON feed document (each item is
+    the parsed text :func:`save_feed` writes for it)."""
+    return _feed_document(len(entries), [json.loads(_item_text(entry)) for entry in entries])
 
 
 def entries_from_feed(feed: dict[str, Any]) -> list[CveEntry]:
@@ -301,7 +341,7 @@ def _write_feed(entries: list[CveEntry], handle: TextIO) -> None:
     for index, entry in enumerate(entries):
         if index:
             handle.write(", ")
-        handle.write(json.dumps(_entry_to_item(entry)))
+        handle.write(_item_text(entry))
     handle.write("]" + tail)
 
 

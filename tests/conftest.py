@@ -1,10 +1,33 @@
-"""Shared fixtures: one small synthetic bundle per test session."""
+"""Shared fixtures: one small synthetic bundle per test session.
+
+``--shuffle-seed N`` runs the collected tests in an order shuffled by
+``random.Random(N)``, so an order dependence between tests shows up as
+a failure that the same seed reproduces.
+"""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
 from repro.synth import GeneratorConfig, generate
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--shuffle-seed",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run the tests in an order shuffled by random.Random(N)",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    seed = config.getoption("--shuffle-seed")
+    if seed is not None:
+        random.Random(seed).shuffle(items)
 
 
 @pytest.fixture(scope="session")

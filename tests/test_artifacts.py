@@ -1,6 +1,7 @@
 """Versioned artifact store: export, load, verify, ingest."""
 
 import datetime
+import gzip
 import hashlib
 import json
 import shutil
@@ -122,6 +123,35 @@ class TestLoad:
         manifest_path.write_text(json.dumps(manifest))
         loaded = load_artifacts(store)
         assert loaded.config == load_artifacts(artifact_root).config
+
+    def test_store_written_with_indented_json_loads(self, store, artifact_root):
+        """Stores written before the JSON files became compact hold them
+        indented (``indent=1``); they load to the same values, and an
+        ingest on top of them succeeds."""
+        version_dir = store / "v0001"
+        manifest_path = version_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        for name in ("engine.json", "maps.json", "estimates.json.gz",
+                     "predictions.json.gz", "report.json"):
+            path = version_dir / name
+            opener = gzip.open if path.suffix == ".gz" else open
+            with opener(path, "rt", encoding="utf-8") as handle:
+                document = json.load(handle)
+            with opener(path, "wt", encoding="utf-8") as handle:
+                handle.write(json.dumps(document, indent=1, sort_keys=True))
+            manifest["files"][name] = {
+                "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+                "bytes": path.stat().st_size,
+            }
+        manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        loaded, fresh = load_artifacts(store), load_artifacts(artifact_root)
+        assert loaded.estimates == fresh.estimates
+        assert loaded.pv3_scores == fresh.pv3_scores
+        assert loaded.pv3_severity == fresh.pv3_severity
+        entry = loaded.snapshot.entries[0]
+        result = ingest_delta(store, [entry.replace(cve_id="CVE-2018-99003")])
+        assert (result.version, result.n_new) == ("v0002", 1)
+        assert "CVE-2018-99003" in load_artifacts(store).pv3_scores
 
 
 class TestRejection:

@@ -15,7 +15,7 @@ from repro.cpe import (
     parse_formatted_string,
     parse_uri,
 )
-from repro.cpe.wfn import _split_fs, _unbind_fs_value
+from repro.cpe.wfn import _escape_fs, _split_fs, _unbind_fs_value
 
 
 class TestWfn:
@@ -165,6 +165,11 @@ def reference_unbind_fs_value(text: str):
     return re.sub(r"\\(.)", r"\1", text).lower()
 
 
+def reference_escape_fs(value: str) -> str:
+    """Always-substitute escaping: the oracle for ``_escape_fs``."""
+    return re.sub(r"([^A-Za-z0-9._-])", r"\\\1", value)
+
+
 # Raw characters NVD names use, plus escape sequences of the specials
 # (and a stray backslash-newline, which the unescape regex leaves alone).
 fs_raw = st.sampled_from(list("abcXYZ019._-"))
@@ -189,6 +194,10 @@ class TestFormattedStringFastPathOracle:
     @given(st.text(alphabet="ab:\\*-", max_size=30))
     def test_split_matches_reference_on_any_text(self, text):
         assert _split_fs(text) == reference_split_fs(text)
+
+    @given(st.one_of(st.text(alphabet="abcXYZ019._-"), st.text()))
+    def test_escape_matches_reference(self, value):
+        assert _escape_fs(value) == reference_escape_fs(value)
 
     @given(fs_value)
     def test_unbind_matches_reference(self, value):

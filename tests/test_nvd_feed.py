@@ -7,10 +7,17 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.cpe import CpeName
-from repro.cvss import CvssV2Metrics, CvssV3Metrics
+from repro.cpe import ANY, NA, CpeName, bind_to_formatted_string
+from repro.cvss import (
+    CvssV2Metrics,
+    CvssV3Metrics,
+    score_v2,
+    score_v3,
+    v2_vector_string,
+    v3_vector_string,
+)
 from repro.nvd import (
     CveEntry,
     Reference,
@@ -19,7 +26,7 @@ from repro.nvd import (
     load_feed,
     save_feed,
 )
-from repro.nvd.feed import _DATE_FORMAT, _parse_date
+from repro.nvd.feed import _DATE_FORMAT, _item_text, _parse_date
 
 
 @pytest.fixture()
@@ -110,6 +117,156 @@ class TestStreamingWriter:
         save_feed(entries, path)
         expected = json.dumps(entries_to_feed(entries)).encode("utf-8")
         assert _written_digest(path) == hashlib.sha256(expected).hexdigest()
+
+
+def _strftime(value):
+    return datetime.datetime(value.year, value.month, value.day).strftime(_DATE_FORMAT)
+
+
+def reference_entry_to_item(entry):
+    """The feed item as a dict, built field by field: the oracle whose
+    ``json.dumps`` the writer's direct item text must equal."""
+    item = {
+        "cve": {
+            "data_type": "CVE",
+            "data_format": "MITRE",
+            "data_version": "4.0",
+            "CVE_data_meta": {"ID": entry.cve_id, "ASSIGNER": "cve@mitre.org"},
+            "problemtype": {
+                "problemtype_data": [
+                    {
+                        "description": [
+                            {"lang": "en", "value": cwe_id}
+                            for cwe_id in entry.cwe_ids
+                        ]
+                    }
+                ]
+            },
+            "references": {
+                "reference_data": [
+                    {"url": ref.url, "tags": list(ref.tags)}
+                    for ref in entry.references
+                ]
+            },
+            "description": {
+                "description_data": [
+                    {"lang": "en", "value": text} for text in entry.descriptions
+                ]
+            },
+        },
+        "configurations": {
+            "CVE_data_version": "4.0",
+            "nodes": [
+                {
+                    "operator": "OR",
+                    "cpe_match": [
+                        {
+                            "vulnerable": True,
+                            "cpe23Uri": bind_to_formatted_string(cpe),
+                        }
+                        for cpe in entry.cpes
+                    ],
+                }
+            ]
+            if entry.cpes
+            else [],
+        },
+        "impact": {},
+        "publishedDate": _strftime(entry.published),
+    }
+    if entry.modified is not None:
+        item["lastModifiedDate"] = _strftime(entry.modified)
+    if entry.cvss_v2 is not None:
+        scores = score_v2(entry.cvss_v2)
+        item["impact"]["baseMetricV2"] = {
+            "cvssV2": {
+                "version": "2.0",
+                "vectorString": v2_vector_string(entry.cvss_v2),
+                "baseScore": scores.base,
+            },
+            "severity": entry.v2_severity.value if entry.v2_severity else None,
+            "impactScore": scores.impact,
+            "exploitabilityScore": scores.exploitability,
+        }
+    if entry.cvss_v3 is not None:
+        scores = score_v3(entry.cvss_v3)
+        item["impact"]["baseMetricV3"] = {
+            "cvssV3": {
+                "version": "3.1",
+                "vectorString": v3_vector_string(entry.cvss_v3),
+                "baseScore": scores.base,
+                "baseSeverity": entry.v3_severity.value if entry.v3_severity else None,
+            },
+            "impactScore": scores.impact,
+            "exploitabilityScore": scores.exploitability,
+        }
+    return item
+
+
+# Any text, lone surrogates, control and non-ASCII characters included.
+any_text = st.text(st.characters(exclude_categories=()), max_size=10)
+# A CPE attribute: ANY, NA, or a lowercase value, which may need
+# backslash escapes in the formatted string.
+cpe_values = st.one_of(
+    st.just(ANY),
+    st.just(NA),
+    st.text(alphabet="az09._-", min_size=1, max_size=6),
+    any_text.map(str.lower).filter(lambda v: v and v == v.lower()),
+)
+feed_dates = st.one_of(st.dates(max_value=datetime.date(999, 12, 31)), st.dates())
+feed_entries = st.builds(
+    CveEntry,
+    cve_id=st.builds("CVE-{}-{:04d}".format, st.integers(1999, 2030), st.integers(0, 10**6)),
+    published=feed_dates,
+    descriptions=st.lists(any_text, max_size=3).map(tuple),
+    references=st.lists(
+        st.builds(Reference, any_text, st.lists(any_text, max_size=3).map(tuple)),
+        max_size=3,
+    ).map(tuple),
+    cwe_ids=st.lists(any_text, max_size=3).map(tuple),
+    # Each metric drawn from its one-letter values.
+    cvss_v2=st.none()
+    | st.builds(CvssV2Metrics, *map(st.sampled_from, ("LAN", "HML", "MSN", "NPC", "NPC", "NPC"))),
+    cvss_v3=st.none()
+    | st.builds(
+        CvssV3Metrics,
+        *map(st.sampled_from, ("NALP", "LH", "NLH", "NR", "UC", "HLN", "HLN", "HLN")),
+    ),
+    cpes=st.lists(
+        st.builds(CpeName, st.sampled_from("aoh"), *[cpe_values] * 10), max_size=3
+    ).map(tuple),
+    modified=st.none() | feed_dates,
+)
+
+
+class TestItemEncoderOracle:
+    @given(feed_entries)
+    @settings(max_examples=500)
+    @example(
+        CveEntry(
+            cve_id="CVE-2000-0001",
+            published=datetime.date(5, 1, 2),
+            descriptions=("caf\u00e9 \x00\x1f \ud800 \U0001f600",),
+            references=(Reference("https://example.com/\u00e9?q=\"x\"", ("Patch\n",)),),
+            cwe_ids=("CWE-79",),
+            cvss_v3=CvssV3Metrics("N", "L", "N", "N", "U", "H", "H", "H"),
+            cpes=(CpeName("a", "acme:co", "bad\\name", version=NA, update="1.0*"),),
+        )
+    )
+    @example(CveEntry(cve_id="CVE-1999-0001", published=datetime.date(999, 12, 31), descriptions=()))
+    def test_item_text_equals_dump_of_reference_item(self, entry):
+        assert _item_text(entry) == json.dumps(reference_entry_to_item(entry))
+
+    def test_year_is_written_unpadded(self):
+        entry = CveEntry(
+            cve_id="CVE-2000-0001",
+            published=datetime.date(5, 1, 2),
+            descriptions=(),
+            modified=datetime.date(999, 1, 2),
+        )
+        item = json.loads(_item_text(entry))
+        assert item["publishedDate"] == "5-01-02T00:00Z"
+        assert item["lastModifiedDate"] == "999-01-02T00:00Z"
 
 
 class TestReproducibleGzip:
@@ -334,3 +491,21 @@ class TestTotalParsing:
     @pytest.mark.parametrize("value", [5, ["x"], {"value": "x"}])
     def test_non_string_text_skips_the_item(self, path, value):
         assert _parse_garbled(path, value) == ([], 1)
+
+    @pytest.mark.parametrize("tags", ["Patch", {"Patch": 1}])
+    def test_non_list_tags_skip_the_item(self, tags):
+        """A string or an object would iterate into its characters or
+        keys, every one a string."""
+        path = ("cve", "references", "reference_data", 0, "tags")
+        assert _parse_garbled(path, tags) == ([], 1)
+
+    def test_missing_tags_mean_no_tags(self):
+        entry = CveEntry(
+            cve_id="CVE-2018-0103",
+            published=datetime.date(2018, 1, 29),
+            descriptions=("d",),
+            references=(Reference("https://example.com/advisory"),),
+        )
+        feed = entries_to_feed([entry])
+        del feed["CVE_Items"][0]["cve"]["references"]["reference_data"][0]["tags"]
+        assert entries_from_feed(feed) == [entry]
