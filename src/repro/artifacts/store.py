@@ -95,7 +95,7 @@ assert set(_MODEL_LOADERS) == set(SUPPORTED_MODELS)
 
 #: engine-config keys older stores persisted for settings that no
 #: longer exist; dropped on load so those stores stay loadable.
-_RETIRED_CONFIG_KEYS = ("numeric_backend", "data_parallel", "workers", "backend")
+_RETIRED_CONFIG_KEYS = ("numeric_backend", "data_parallel", "workers", "backend", "nn_dtype")
 
 
 class ArtifactError(RuntimeError):

@@ -19,7 +19,6 @@ import os
 from collections.abc import Callable
 
 from repro import perf
-from repro.obs.trace import maybe_trace
 from repro.cvss import Severity, severity_v3
 from repro.core.cwefix import CweFixResult, apply_cwe_fixes, extract_cwe_fixes
 from repro.core.dates import DisclosureEstimate, estimate_all
@@ -141,7 +140,7 @@ def clean(
     # spans and writes a Perfetto-loadable trace on exit.  A no-op
     # when tracing is off or an outer session (bench) already traces.
     trace = contextlib.ExitStack()
-    trace.enter_context(maybe_trace())
+    trace.enter_context(perf.maybe_trace())
     try:
         # §4.1 — disclosure dates.
         with recorder.phase("dates"):

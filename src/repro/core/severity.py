@@ -76,6 +76,12 @@ _PRIVILEGE_CWES = frozenset(
 #: alone: numpy scores one row with a dot product, not a gemv.
 GEMV_ROW_GROUP = 16
 
+#: numpy dtype the neural networks train and predict in.  float32
+#: halves the memory traffic of every layer and optimizer step (~2x
+#: wall time at paper scale) and is far above the precision the
+#: 13-feature regression needs.
+NN_DTYPE = np.dtype(np.float32)
+
 FEATURE_NAMES = (
     "access_vector",
     "access_complexity",
@@ -160,11 +166,6 @@ class EngineConfig:
     svr_gamma: float = 0.1
     svr_max_support: int = 1500
     models: tuple[str, ...] = ("lr", "svr", "cnn", "dnn")
-    #: numpy dtype the neural networks train in.  float32 halves the
-    #: memory traffic of every layer and optimizer step (~2x wall time
-    #: at paper scale) and is far above the precision the 13-feature
-    #: regression needs; set "float64" to reproduce full precision.
-    nn_dtype: str = "float32"
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -308,7 +309,7 @@ class SeverityPredictionEngine:
                     batch_size=config.batch_size,
                     learning_rate=config.learning_rate,
                     seed=config.seed,
-                    dtype=np.dtype(config.nn_dtype),
+                    dtype=NN_DTYPE,
                 )
                 self._models[name] = model
         return self
@@ -322,7 +323,7 @@ class SeverityPredictionEngine:
         if model_name in ("cnn", "dnn"):
             # Match the training precision so prediction runs the
             # same all-float32 path instead of upcasting every layer.
-            x = np.asarray(x, dtype=np.dtype(self.config.nn_dtype))
+            x = np.asarray(x, dtype=NN_DTYPE)
             batched = x[:, :, None] if model_name == "cnn" else x
             raw = model.predict(batched).reshape(-1).astype(float) * 10.0
         else:

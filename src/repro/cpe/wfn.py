@@ -140,8 +140,21 @@ def _unbind_fs_value(text: str) -> Attribute:
 
 def bind_to_formatted_string(name: CpeName) -> str:
     """Bind a WFN to a CPE 2.3 formatted string."""
-    values = [_bind_fs_value(v) if i else str(v) for i, v in enumerate(name.attributes().values())]
-    return "cpe:2.3:" + ":".join(values)
+    bind = _bind_fs_value
+    return ":".join((
+        "cpe:2.3",
+        str(name.part),
+        bind(name.vendor),
+        bind(name.product),
+        bind(name.version),
+        bind(name.update),
+        bind(name.edition),
+        bind(name.language),
+        bind(name.sw_edition),
+        bind(name.target_sw),
+        bind(name.target_hw),
+        bind(name.other),
+    ))
 
 
 def _split_fs(text: str) -> list[str]:

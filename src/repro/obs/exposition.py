@@ -8,32 +8,23 @@ deterministic — families sort by name, series by label values, and
 numbers format through one shared function — so golden tests can pin
 exact bytes.
 
-:func:`registry_from_perf` bridges the pipeline's ad-hoc
-:class:`~repro.perf.PerfRecorder` counters and phase timers into
-registry form.  Naming convention: a dotted perf counter
-``dates.fetch_failed`` becomes ``repro_dates_fetch_failed_total``;
-phase timers fold into two labelled families,
-``repro_phase_seconds_total{phase="..."}`` and
-``repro_phase_calls_total{phase="..."}``.
+The pipeline's phase timers and counters are a registry too
+(:attr:`repro.perf.PerfRecorder.registry`) and render through the same
+function.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.perf import PerfRecorder
 
 __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
-    "registry_from_perf",
     "render_prometheus",
 ]
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-_INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def _format_value(value: float) -> str:
@@ -93,35 +84,3 @@ def render_prometheus(*registries: MetricsRegistry) -> str:
                     lines.append(f"{metric.name}{block} {_format_value(series.value)}")
     return "\n".join(lines) + "\n"
 
-
-def counter_metric_name(perf_name: str) -> str:
-    """Map a dotted perf counter name onto the Prometheus convention.
-
-    ``dates.fetch_failed`` → ``repro_dates_fetch_failed_total``.
-    """
-    sanitised = _INVALID_NAME_CHARS.sub("_", perf_name.replace(".", "_"))
-    return f"repro_{sanitised}_total"
-
-
-def registry_from_perf(
-    recorder: PerfRecorder, registry: MetricsRegistry | None = None
-) -> MetricsRegistry:
-    """Snapshot a perf recorder's counters and phases into a registry."""
-    registry = registry or MetricsRegistry()
-    for name in sorted(recorder.counters):
-        metric = registry.counter(counter_metric_name(name), f"Pipeline counter {name}.")
-        metric.inc(recorder.counters[name])
-    phases = recorder.phases
-    if phases:
-        seconds = registry.counter(
-            "repro_phase_seconds_total", "Accumulated wall seconds per pipeline phase.",
-            labels=("phase",),
-        )
-        calls = registry.counter(
-            "repro_phase_calls_total", "Accumulated calls per pipeline phase.",
-            labels=("phase",),
-        )
-        for name in sorted(phases):
-            seconds.labels(name).inc(phases[name].seconds)
-            calls.labels(name).inc(phases[name].calls)
-    return registry

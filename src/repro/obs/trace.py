@@ -1,45 +1,37 @@
-"""Chrome trace-event export for :class:`~repro.perf.Span` records.
+"""Chrome trace-event export for :class:`Span` records.
 
-Spans collected by a :class:`~repro.perf.PerfRecorder` render as
-Chrome trace-event JSON — the ``[{...},{...}]`` array format that
-Perfetto and ``chrome://tracing`` load directly.  Each process gets its
-own pid lane, named via ``"M"`` metadata events; spans are ``"X"``
-complete events with microsecond timestamps.
+A :class:`Span` is one completed phase occurrence;
+:class:`~repro.perf.PerfRecorder` collects them while a trace is active.
+Spans render as Chrome trace-event JSON — the ``[{...},{...}]`` array
+format that Perfetto and ``chrome://tracing`` load directly.  Each
+process gets its own pid lane, named via ``"M"`` metadata events; spans
+are ``"X"`` complete events with microsecond timestamps.
 
 :class:`TraceWriter` streams events one JSON object per line.  The
 file is a strictly valid JSON array after :meth:`TraceWriter.close`,
 but the trace-event format tolerates a missing ``]`` — a crashed run
 still loads (and :func:`load_trace` repairs it the same way).
 
-Entry points:
-
-- :func:`trace_session` — context manager: start a trace on the
-  default recorder, write the file on exit.  Used by ``--trace`` in
-  the CLI and tools.
-- :func:`maybe_trace` — like :func:`trace_session` but a no-op when
-  ``REPRO_TRACE`` is unset or a trace is already active; ``clean()``
-  wraps itself in this so any entry point gets tracing for free.
+This module is the file format only; :func:`repro.perf.trace_session`
+and :func:`repro.perf.maybe_trace` drive the default recorder and write
+its spans here.
 """
 
 from __future__ import annotations
 
-import contextlib
+import dataclasses
 import json
 import os
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from pathlib import Path
-
-from repro import perf
-from repro.perf import Span
 
 __all__ = [
     "TRACE_ENV",
+    "Span",
     "TraceWriter",
     "load_trace",
-    "maybe_trace",
     "span_event",
-    "trace_session",
     "trace_target",
     "write_trace",
 ]
@@ -50,6 +42,25 @@ TRACE_ENV = "REPRO_TRACE"
 def trace_target() -> str | None:
     """The trace output path from ``REPRO_TRACE``, if set."""
     return os.environ.get(TRACE_ENV) or None
+
+
+@dataclasses.dataclass(frozen=True)
+class Span:
+    """One completed phase occurrence inside a trace.
+
+    Timestamps are microseconds on the ``time.perf_counter`` clock,
+    which on Linux is system-wide monotonic.
+    """
+
+    name: str
+    trace_id: str
+    span_id: str
+    parent_id: str | None
+    start_us: int
+    dur_us: int
+    pid: int
+    tid: int
+    category: str = "phase"
 
 
 def span_event(span: Span) -> dict[str, object]:
@@ -150,27 +161,3 @@ def load_trace(path: str | Path) -> list[dict[str, object]]:
         raise ValueError(f"{path}: trace root is not an array")
     return events
 
-
-@contextlib.contextmanager
-def trace_session(path: str | Path) -> Iterator[str]:
-    """Collect spans on the default recorder; write the file on exit."""
-    recorder = perf.get_recorder()
-    trace_id = recorder.start_trace()
-    try:
-        yield trace_id
-    finally:
-        spans = recorder.stop_trace()
-        write_trace(path, spans)
-
-
-@contextlib.contextmanager
-def maybe_trace(path: str | Path | None = None) -> Iterator[str | None]:
-    """Trace if ``path`` or ``REPRO_TRACE`` names a target and no trace
-    is already active; otherwise a no-op (so nesting never re-enters)."""
-    target = str(path) if path else trace_target()
-    recorder = perf.get_recorder()
-    if not target or recorder.trace_id is not None:
-        yield None
-        return
-    with trace_session(target) as trace_id:
-        yield trace_id

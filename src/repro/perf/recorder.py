@@ -1,46 +1,63 @@
 """Phase timers, counters, and spans for the cleaning pipeline.
 
-A :class:`PerfRecorder` accumulates named phase timings (wall seconds,
-via :func:`time.perf_counter`) and integer counters.  Phases nest: a
+A :class:`PerfRecorder` records named phase timings (wall seconds, via
+:func:`time.perf_counter`) and integer counters straight into its own
+:class:`~repro.obs.metrics.MetricsRegistry` — the one store that
+``/metrics`` renders and the bench harness reads.  Phases nest: a
 phase entered while another is open records under a dotted path
-(``severity.fit``), so a report reads like a call tree without any
-tracing machinery.
+(``severity.fit``), so the phase list reads like a call tree without
+any tracing machinery.
+
+Naming: a dotted counter ``dates.fetch_failed`` is the registry
+counter ``repro_dates_fetch_failed_total`` (:func:`counter_metric_name`)
+with HELP ``Pipeline counter dates.fetch_failed.``; phase timers fold
+into two labelled counters, ``repro_phase_seconds_total{phase="..."}``
+and ``repro_phase_calls_total{phase="..."}``.
 
 When a trace is active (:meth:`PerfRecorder.start_trace`), every phase
-additionally records a :class:`Span` — name, trace/span/parent ids,
-start and duration in microseconds, and the recording pid/tid — which
-:mod:`repro.obs.trace` exports as Chrome trace-event JSON.  Tracing is
-opt-in; with no trace active a phase stays a ``perf_counter`` pair and
-a dict update.
+additionally records a :class:`~repro.obs.trace.Span` — name,
+trace/span/parent ids, start and duration in microseconds, and the
+recording pid/tid — which :mod:`repro.obs.trace` exports as Chrome
+trace-event JSON.  Tracing is opt-in; with no trace active a phase is a
+``perf_counter`` pair and two counter increments.
 
 The module keeps one process-wide default recorder; library code uses
-the module-level :func:`phase` / :func:`add_counter` helpers so callers
-that never look at the recorder pay only a dict update per phase.
+the module-level :func:`phase` / :func:`add_counter` helpers, and
+:func:`trace_session` / :func:`maybe_trace` trace it to a file.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import os
+import re
 import secrets
 import sys
 import threading
 import time
 from collections.abc import Iterator
+from pathlib import Path
+
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Span, trace_target, write_trace
 
 __all__ = [
     "PerfRecorder",
-    "PhaseStats",
-    "Span",
     "add_counter",
+    "counter_metric_name",
     "get_recorder",
+    "maybe_trace",
     "new_span_id",
     "new_trace_id",
     "peak_rss_mb",
     "phase",
     "reset",
+    "trace_session",
 ]
+
+_PHASE_SECONDS = "repro_phase_seconds_total"
+_COUNTER_HELP_PREFIX = "Pipeline counter "
+_INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
 def new_trace_id() -> str:
@@ -53,48 +70,27 @@ def new_span_id() -> str:
     return secrets.token_hex(4)
 
 
-@dataclasses.dataclass(frozen=True)
-class Span:
-    """One completed phase occurrence inside a trace.
+def counter_metric_name(perf_name: str) -> str:
+    """Map a dotted perf counter name onto the Prometheus convention.
 
-    Timestamps are microseconds on the ``time.perf_counter`` clock,
-    which on Linux is system-wide monotonic.
+    ``dates.fetch_failed`` → ``repro_dates_fetch_failed_total``.
     """
-
-    name: str
-    trace_id: str
-    span_id: str
-    parent_id: str | None
-    start_us: int
-    dur_us: int
-    pid: int
-    tid: int
-    category: str = "phase"
-
-
-@dataclasses.dataclass
-class PhaseStats:
-    """Accumulated wall time for one named phase."""
-
-    seconds: float = 0.0
-    calls: int = 0
-
-    def add(self, seconds: float) -> None:
-        self.seconds += seconds
-        self.calls += 1
+    sanitised = _INVALID_NAME_CHARS.sub("_", perf_name.replace(".", "_"))
+    return f"repro_{sanitised}_total"
 
 
 class PerfRecorder:
-    """Accumulates phase timings, counters, and (optionally) spans."""
+    """Records phase timings and counters into :attr:`registry`, and
+    (optionally) spans.
+
+    The registry's series locks make counter and phase updates safe
+    from the threaded HTTP server's request threads; the phase *stack*
+    stays main-thread-only (documented limit).
+    """
 
     def __init__(self) -> None:
-        self._phases: dict[str, PhaseStats] = {}
-        self._counters: dict[str, int] = {}
+        self.registry = MetricsRegistry()
         self._stack: list[str] = []
-        # Counter/phase updates may arrive from the threaded HTTP
-        # server's request threads; the phase *stack* stays
-        # main-thread-only (documented limit).
-        self._lock = threading.Lock()
         self.trace_id: str | None = None
         self._span_stack: list[str] = []
         self._spans: list[Span] = []
@@ -116,8 +112,15 @@ class PerfRecorder:
         finally:
             elapsed = time.perf_counter() - start
             self._stack.pop()
-            with self._lock:
-                self._phases.setdefault(path, PhaseStats()).add(elapsed)
+            registry = self.registry
+            registry.counter(
+                _PHASE_SECONDS, "Accumulated wall seconds per pipeline phase.",
+                labels=("phase",),
+            ).labels(path).inc(elapsed)
+            registry.counter(
+                "repro_phase_calls_total", "Accumulated calls per pipeline phase.",
+                labels=("phase",),
+            ).labels(path).inc()
             if span_id is not None:
                 self._span_stack.pop()
                 parent = self._span_stack[-1] if self._span_stack else None
@@ -136,14 +139,13 @@ class PerfRecorder:
 
     def add_counter(self, name: str, value: int = 1) -> None:
         """Bump an integer counter (e.g. entries processed)."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
+        self.registry.counter(
+            counter_metric_name(name), f"{_COUNTER_HELP_PREFIX}{name}."
+        ).inc(value)
 
     def reset(self) -> None:
-        """Clear all recorded phases, counters, spans, and trace state."""
-        with self._lock:
-            self._phases.clear()
-            self._counters.clear()
+        """Drop everything recorded: a fresh registry, no spans, no trace."""
+        self.registry = MetricsRegistry()
         self._stack.clear()
         self.trace_id = None
         self._span_stack.clear()
@@ -163,34 +165,24 @@ class PerfRecorder:
         self.trace_id = None
         return spans
 
-    def take_spans(self) -> list[Span]:
-        """Drain collected spans without ending the trace."""
-        spans, self._spans = self._spans, []
-        return spans
-
     # -- reading -------------------------------------------------------------
 
     @property
-    def phases(self) -> dict[str, PhaseStats]:
-        return dict(self._phases)
-
-    @property
     def counters(self) -> dict[str, int]:
-        return dict(self._counters)
+        """Dotted counter name → count.  The name is read back from the
+        HELP text :meth:`add_counter` registered."""
+        return {
+            metric.help_text[len(_COUNTER_HELP_PREFIX):-1]: int(metric.value())
+            for metric in self.registry.metrics()
+            if metric.help_text.startswith(_COUNTER_HELP_PREFIX)
+        }
 
     def phase_seconds(self) -> dict[str, float]:
         """Phase path → accumulated wall seconds."""
-        return {name: stats.seconds for name, stats in self._phases.items()}
-
-    def report(self) -> dict[str, object]:
-        """A JSON-serialisable summary of everything recorded."""
-        return {
-            "phases": {
-                name: {"seconds": round(stats.seconds, 6), "calls": stats.calls}
-                for name, stats in self._phases.items()
-            },
-            "counters": dict(self._counters),
-        }
+        family = self.registry.get(_PHASE_SECONDS)
+        if family is None:
+            return {}
+        return {series.labels[0]: series.value for series in family.series()}
 
 
 _DEFAULT = PerfRecorder()
@@ -214,6 +206,28 @@ def add_counter(name: str, value: int = 1) -> None:
 def reset() -> None:
     """Clear the default recorder (bench harness calls this per run)."""
     _DEFAULT.reset()
+
+
+@contextlib.contextmanager
+def trace_session(path: str | Path) -> Iterator[str]:
+    """Collect spans on the default recorder; write the file on exit."""
+    trace_id = _DEFAULT.start_trace()
+    try:
+        yield trace_id
+    finally:
+        write_trace(path, _DEFAULT.stop_trace())
+
+
+@contextlib.contextmanager
+def maybe_trace(path: str | Path | None = None) -> Iterator[str | None]:
+    """Trace if ``path`` or ``REPRO_TRACE`` names a target and no trace
+    is already active; otherwise a no-op (so nesting never re-enters)."""
+    target = str(path) if path else trace_target()
+    if not target or _DEFAULT.trace_id is not None:
+        yield None
+        return
+    with trace_session(target) as trace_id:
+        yield trace_id
 
 
 def peak_rss_mb(children: bool = True) -> float:

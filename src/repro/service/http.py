@@ -54,7 +54,7 @@ import urllib.parse
 
 from repro import perf
 from repro.artifacts import ArtifactError, read_current
-from repro.obs import MetricsRegistry, TraceWriter, registry_from_perf, render_prometheus
+from repro.obs import MetricsRegistry, TraceWriter, render_prometheus
 from repro.obs.trace import process_name_event
 from repro.service.routes import (
     JSON_CONTENT_TYPE,
@@ -459,9 +459,9 @@ class NvdService:
         """The Prometheus exposition for ``/metrics``.
 
         Gauges refresh at render time (uptime, cache size, breaker and
-        supervisor state); the perf recorder's pipeline counters append
-        under their own ``repro_*`` families via the bridge, so any
-        in-process pipeline work (ingest, warmup) is visible too.
+        supervisor state); the perf recorder's registry renders after
+        this service's, so the pipeline counters and phase timers of any
+        in-process work (ingest, warmup) are visible too.
         """
         state = self._state
         self._g_uptime.set(round(time.time() - self._started, 3))
@@ -478,4 +478,4 @@ class NvdService:
         if supervisor is not None:
             self._g_sup_alive.set(supervisor.get("alive", 0))
             self._g_sup_restarts.set(supervisor.get("restarts", 0))
-        return render_prometheus(self.registry, registry_from_perf(perf.get_recorder()))
+        return render_prometheus(self.registry, perf.get_recorder().registry)

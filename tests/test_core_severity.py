@@ -79,7 +79,7 @@ class TestEngineConfig:
     def test_config_round_trips_through_asdict(self):
         import dataclasses
 
-        config = EngineConfig(epochs=3, nn_dtype="float64")
+        config = EngineConfig(epochs=3, models=("lr", "dnn"))
         doc = dataclasses.asdict(config)
         assert EngineConfig(**doc) == config
 

@@ -15,7 +15,7 @@ from repro.cpe import (
     parse_formatted_string,
     parse_uri,
 )
-from repro.cpe.wfn import _escape_fs, _split_fs, _unbind_fs_value
+from repro.cpe.wfn import _bind_fs_value, _escape_fs, _split_fs, _unbind_fs_value
 
 
 class TestWfn:
@@ -170,6 +170,13 @@ def reference_escape_fs(value: str) -> str:
     return re.sub(r"([^A-Za-z0-9._-])", r"\\\1", value)
 
 
+def reference_bind_to_formatted_string(name: CpeName) -> str:
+    """Bind by enumerating ``attributes()``: the oracle for
+    ``bind_to_formatted_string``, which reads the attributes by name."""
+    values = [_bind_fs_value(v) if i else str(v) for i, v in enumerate(name.attributes().values())]
+    return "cpe:2.3:" + ":".join(values)
+
+
 # Raw characters NVD names use, plus escape sequences of the specials
 # (and a stray backslash-newline, which the unescape regex leaves alone).
 fs_raw = st.sampled_from(list("abcXYZ019._-"))
@@ -183,6 +190,16 @@ fs_value = st.one_of(
 fs_body = st.tuples(
     st.sampled_from(["a", "o", "h", "x"]), st.lists(fs_value, min_size=10, max_size=10)
 ).map(lambda parts: ":".join([parts[0], *parts[1]]))
+
+# Unbound WFN attribute values: the logical ANY/NA, names whose binding
+# needs backslash escapes, and arbitrary lowercase text.
+wfn_value = st.one_of(
+    st.just(ANY),
+    st.just(NA),
+    st.text(alphabet="abz019._-:\\*?!/ ~é", min_size=1, max_size=8),
+    st.text(min_size=1, max_size=8).map(str.lower).filter(lambda v: v == v.lower()),
+)
+wfn_name = st.builds(CpeName, st.sampled_from("aoh"), *[wfn_value] * 10)
 
 
 class TestFormattedStringFastPathOracle:
@@ -198,6 +215,11 @@ class TestFormattedStringFastPathOracle:
     @given(st.one_of(st.text(alphabet="abcXYZ019._-"), st.text()))
     def test_escape_matches_reference(self, value):
         assert _escape_fs(value) == reference_escape_fs(value)
+
+    @given(wfn_name)
+    @settings(max_examples=300)
+    def test_bind_matches_reference(self, name):
+        assert bind_to_formatted_string(name) == reference_bind_to_formatted_string(name)
 
     @given(fs_value)
     def test_unbind_matches_reference(self, value):

@@ -1,4 +1,4 @@
-"""The unified telemetry plane: registry, exposition, bridge, tracing.
+"""The unified telemetry plane: registry, exposition, recorder, tracing.
 
 The contracts pinned here:
 
@@ -18,6 +18,7 @@ import importlib.util
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -30,15 +31,11 @@ from repro.obs import (
     MetricsRegistry,
     TraceWriter,
     load_trace,
-    maybe_trace,
-    registry_from_perf,
     render_prometheus,
     span_event,
-    trace_session,
     write_trace,
 )
-from repro.obs.exposition import counter_metric_name
-from repro.perf import PerfRecorder, Span
+from repro.perf import PerfRecorder, Span, counter_metric_name, maybe_trace, trace_session
 
 TOOLS = pathlib.Path(__file__).parent.parent / "tools"
 
@@ -252,11 +249,65 @@ class TestPrometheusRendering:
 
 
 # ---------------------------------------------------------------------------
-# Perf-recorder bridge.
+# The perf recorder's registry.
 # ---------------------------------------------------------------------------
 
+#: The exposition of :func:`_feed_golden_recorder`'s calls: the family
+#: names, HELP strings, labels and counts that ``/metrics`` scrapers
+#: read.  Phase wall seconds vary run to run, so their values are masked.
+_GOLDEN_PERF_EXPOSITION = """\
+# HELP repro_clean_n_cves_total Pipeline counter clean.n_cves.
+# TYPE repro_clean_n_cves_total counter
+repro_clean_n_cves_total 8040
+# HELP repro_dates_cache_save_failed_total Pipeline counter dates.cache_save_failed.
+# TYPE repro_dates_cache_save_failed_total counter
+repro_dates_cache_save_failed_total 0
+# HELP repro_dates_fetch_failed_total Pipeline counter dates.fetch_failed.
+# TYPE repro_dates_fetch_failed_total counter
+repro_dates_fetch_failed_total 7
+# HELP repro_feed_malformed_cpe_total Pipeline counter feed.malformed_cpe.
+# TYPE repro_feed_malformed_cpe_total counter
+repro_feed_malformed_cpe_total 1
+# HELP repro_phase_calls_total Accumulated calls per pipeline phase.
+# TYPE repro_phase_calls_total counter
+repro_phase_calls_total{phase="dates"} 1
+repro_phase_calls_total{phase="odd \\"phase\\" \\\\ name"} 1
+repro_phase_calls_total{phase="severity"} 2
+repro_phase_calls_total{phase="severity.fit"} 2
+repro_phase_calls_total{phase="severity.predict"} 2
+# HELP repro_phase_seconds_total Accumulated wall seconds per pipeline phase.
+# TYPE repro_phase_seconds_total counter
+repro_phase_seconds_total{phase="dates"} <masked>
+repro_phase_seconds_total{phase="odd \\"phase\\" \\\\ name"} <masked>
+repro_phase_seconds_total{phase="severity"} <masked>
+repro_phase_seconds_total{phase="severity.fit"} <masked>
+repro_phase_seconds_total{phase="severity.predict"} <masked>
+# HELP repro_weird_name__total Pipeline counter weird name!.
+# TYPE repro_weird_name__total counter
+repro_weird_name__total 2
+"""
 
-class TestPerfBridge:
+
+def _feed_golden_recorder(recorder: PerfRecorder) -> None:
+    recorder.add_counter("clean.n_cves", 8040)
+    recorder.add_counter("dates.fetch_failed", 4)
+    recorder.add_counter("dates.fetch_failed", 3)
+    recorder.add_counter("dates.cache_save_failed", 0)
+    recorder.add_counter("feed.malformed_cpe")
+    recorder.add_counter("weird name!", 2)
+    with recorder.phase("dates"):
+        pass
+    for _ in range(2):
+        with recorder.phase("severity"):
+            with recorder.phase("fit"):
+                pass
+            with recorder.phase("predict"):
+                pass
+    with recorder.phase('odd "phase" \\ name'):
+        pass
+
+
+class TestRecorderRegistry:
     def test_counter_name_convention(self):
         assert (
             counter_metric_name("dates.fetch_failed")
@@ -264,17 +315,31 @@ class TestPerfBridge:
         )
         assert counter_metric_name("weird name!") == "repro_weird_name__total"
 
-    def test_counters_and_phases_bridge(self):
+    def test_counters_and_phases_record_into_registry(self):
         recorder = PerfRecorder()
         recorder.add_counter("dates.fetch_failed", 4)
         with recorder.phase("toplevel"):
             pass
-        registry = registry_from_perf(recorder)
+        registry = recorder.registry
         assert registry.get("repro_dates_fetch_failed_total").value() == 4
         seconds = registry.get("repro_phase_seconds_total")
-        assert seconds.value("toplevel") >= 0
+        assert seconds.value("toplevel") == recorder.phase_seconds()["toplevel"] >= 0
         assert registry.get("repro_phase_calls_total").value("toplevel") == 1
+        assert recorder.counters == {"dates.fetch_failed": 4}
         assert check_metrics.lint_exposition(render_prometheus(registry)) == []
+
+    def test_exposition_matches_golden_text(self):
+        recorder = PerfRecorder()
+        _feed_golden_recorder(recorder)
+        text = render_prometheus(recorder.registry)
+        masked = re.sub(
+            r"(?m)^(repro_phase_seconds_total\{.*\}) \S+$", r"\1 <masked>", text
+        )
+        assert masked == _GOLDEN_PERF_EXPOSITION
+        assert check_metrics.lint_exposition(text) == []
+
+    def test_empty_recorder_renders_nothing(self):
+        assert render_prometheus(PerfRecorder().registry) == "\n"
 
 
 # ---------------------------------------------------------------------------

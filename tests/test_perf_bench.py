@@ -30,34 +30,50 @@ class TestPerfRecorder:
         for _ in range(3):
             with recorder.phase("work"):
                 time.sleep(0.001)
-        stats = recorder.phases["work"]
-        assert stats.calls == 3
-        assert stats.seconds > 0
+        calls = recorder.registry.get("repro_phase_calls_total")
+        assert calls.value("work") == 3
+        assert recorder.phase_seconds()["work"] > 0
+        seconds = recorder.registry.get("repro_phase_seconds_total")
+        assert seconds.value("work") == recorder.phase_seconds()["work"]
 
     def test_nested_phases_record_dotted_paths(self):
         recorder = perf.PerfRecorder()
         with recorder.phase("outer"):
             with recorder.phase("inner"):
+                with recorder.phase("leaf"):
+                    pass
+            with recorder.phase("inner"):
                 pass
-        assert set(recorder.phase_seconds()) == {"outer", "outer.inner"}
+        assert set(recorder.phase_seconds()) == {"outer", "outer.inner", "outer.inner.leaf"}
+        calls = recorder.registry.get("repro_phase_calls_total")
+        assert calls.value("outer.inner") == 2
+        assert calls.value("outer.inner.leaf") == 1
 
-    def test_counters_and_report(self):
+    def test_counters_accumulate_as_ints(self):
         recorder = perf.PerfRecorder()
         recorder.add_counter("entries", 5)
         recorder.add_counter("entries", 2)
+        recorder.add_counter("dates.fetch_failed")
+        recorder.add_counter("dates.none_found", 0)
         with recorder.phase("p"):
             pass
-        report = recorder.report()
-        assert report["counters"] == {"entries": 7}
-        assert report["phases"]["p"]["calls"] == 1
-        json.dumps(report)  # must be serialisable
+        counters = recorder.counters
+        assert counters == {"entries": 7, "dates.fetch_failed": 1, "dates.none_found": 0}
+        assert all(type(value) is int for value in counters.values())
+        assert recorder.registry.get("repro_entries_total").value() == 7
+        assert recorder.registry.get("repro_dates_fetch_failed_total").value() == 1
 
     def test_reset(self):
         recorder = perf.PerfRecorder()
         with recorder.phase("p"):
             recorder.add_counter("c")
+        before = recorder.registry
         recorder.reset()
-        assert recorder.phases == {} and recorder.counters == {}
+        assert recorder.registry is not before
+        assert recorder.registry.metrics() == []
+        assert recorder.phase_seconds() == {} and recorder.counters == {}
+        recorder.add_counter("c", 3)
+        assert recorder.counters == {"c": 3}
 
     def test_default_recorder_helpers(self):
         perf.reset()
@@ -109,6 +125,23 @@ class TestBenchSchema:
         assert any("phases" in e for e in bench.validate(document))
         document = {"schema": bench.SCHEMA, "runs": [self._run(nproc="2")]}
         assert any("nproc" in e for e in bench.validate(document))
+
+    def test_counters_must_be_ints(self):
+        document = {
+            "schema": bench.SCHEMA,
+            "runs": [self._run(counters={"clean.n_cves": 8040, "dates.ok": 0})],
+        }
+        assert bench.validate(document) == []
+        for bad in (8040.0, True, "8040", None):
+            document = {
+                "schema": bench.SCHEMA,
+                "runs": [self._run(counters={"clean.n_cves": bad})],
+            }
+            assert bench.validate(document) == [
+                "runs[0].counters['clean.n_cves'] must be an integer"
+            ]
+        document = {"schema": bench.SCHEMA, "runs": [self._run(counters=[1])]}
+        assert bench.validate(document) == ["runs[0].counters must be an object"]
 
     def test_rejects_empty_runs(self):
         assert bench.validate({"schema": bench.SCHEMA, "runs": []})

@@ -93,6 +93,15 @@ def validate(data: object) -> list[str]:
             bad = [k for k, v in phases.items() if not isinstance(v, (int, float))]
             for key in bad:
                 errors.append(f"runs[{i}].phases[{key!r}] must be a number")
+        counters = run.get("counters")
+        if counters is not None and not isinstance(counters, dict):
+            errors.append(f"runs[{i}].counters must be an object")
+        elif counters:
+            # a count is an int: not a bool, and not a float leaking
+            # from the recorder's registry
+            for key, value in counters.items():
+                if not isinstance(key, str) or type(value) is not int:
+                    errors.append(f"runs[{i}].counters[{key!r}] must be an integer")
     return errors
 
 
@@ -115,7 +124,6 @@ def bench_one(
     """Run generate + clean at one (scale, scenario) and return the run
     record."""
     from repro import perf
-    from repro.obs import trace_session
     from repro.core import (
         EngineConfig,
         clean,
@@ -136,7 +144,7 @@ def bench_one(
         f"epochs={epochs} ..."
     )
     trace_ctx = (
-        trace_session(trace_path) if trace_path else contextlib.nullcontext()
+        perf.trace_session(trace_path) if trace_path else contextlib.nullcontext()
     )
     with trace_ctx:
         t_generate = time.perf_counter()
