@@ -15,9 +15,16 @@ artifact of the original run instead of recomputing it:
   not fetched (a delta feed has no synthetic web corpus), so the
   estimate falls back to the NVD publication date.
 
-The rectified delta then merges into the stored snapshot by CVE id and
-the result is exported as a new artifact version; the ``CURRENT``
-pointer flips atomically, which is what a running server hot-swaps on.
+The rectified delta is written as one **segment** version on top of the
+stored one: its entries, estimates, predictions and id-index rows, plus
+the updated report (see :mod:`repro.artifacts.store`).  The ingest
+reads the manifest, the alias maps, the models, the estimates and the
+id index of the stored chain — never its entries or predictions — so
+its cost follows the delta, not the store.  Once a chain holds
+:data:`MAX_SEGMENTS` segments, or the stored version predates the id
+index, the ingest instead loads everything and writes a fresh full
+base.  Either way the ``CURRENT`` pointer flips atomically, which is
+what a running server hot-swaps on.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import os
 from collections.abc import Iterable
 
 from repro.artifacts.recovery import recover_store
-from repro.artifacts.store import export_run, load_artifacts
+from repro.artifacts.store import export_run, index_row, load_artifacts
 from repro.core.cwefix import apply_cwe_fixes, extract_cwe_fixes
 from repro.core.dates import DisclosureEstimate
 from repro.core.products import apply_product_mapping
@@ -36,7 +43,13 @@ from repro.cvss import severity_v3
 from repro.nvd import CveEntry, NvdSnapshot
 from repro.web import CrawlCache
 
-__all__ = ["IngestResult", "ingest_delta"]
+__all__ = ["MAX_SEGMENTS", "IngestResult", "ingest_delta"]
+
+#: segments a chain may hold; the ingest onto a chain this long writes
+#: a fresh full base instead of another segment.  A load replays every
+#: segment, so the bound caps what a run of ingests adds to a cold
+#: start.
+MAX_SEGMENTS = 8
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -90,14 +103,23 @@ def ingest_delta(
     Ingest is transactional: entry starts with a recovery sweep — a
     previous writer's crash debris (leaked staging dirs, torn version
     directories, a dangling ``CURRENT``) is quarantined/repaired before
-    the parent version is loaded — and the export itself publishes via
-    the store's staged-rename protocol, so a crash mid-ingest leaves
-    the parent version live and the next ingest able to proceed.
+    the parent version is read, and every file of the parent's chain is
+    checked against its hash — and the export itself publishes via the
+    store's staged-rename protocol, so a crash mid-ingest leaves the
+    parent version live and the next ingest able to proceed.
     """
     recover_store(root)
     artifacts = load_artifacts(root)
     delta = NvdSnapshot(delta_entries)  # validates duplicate delta ids
     cache = CrawlCache.resolve(crawl_cache)
+
+    # A segment on the parent, unless the chain is full or predates the
+    # id index: then a fresh full base (an old store's index is built
+    # from its entries).
+    rebase = artifacts.index is None or artifacts.n_segments >= MAX_SEGMENTS
+    index = artifacts.index
+    if index is None:
+        index = {entry.cve_id: index_row(entry) for entry in artifacts.snapshot.entries}
 
     # §4.2 — replay the persisted alias maps (no re-analysis).
     after_vendors = apply_vendor_mapping(delta, artifacts.vendor_map)
@@ -113,9 +135,12 @@ def ingest_delta(
     # estimate wins: it may encode a live crawl this path cannot redo.
     new_estimates = {}
     n_date_improved = 0  # improvements from *this* run's cached scrapes
+    n_improved_replaced = 0  # stored improved estimates the delta replaces
     for entry in delta.entries:
         estimate = _estimate_from_cache(entry, cache)
-        stored = artifacts.estimates.get(entry.cve_id)
+        stored = artifacts.estimate(entry.cve_id)
+        if stored is not None and stored.improved:
+            n_improved_replaced += 1
         if (
             estimate.n_reference_dates == 0
             and stored is not None
@@ -140,34 +165,39 @@ def ingest_delta(
             if not entry.has_v3:
                 n_predicted += 1
 
-    # Merge into the stored state and roll a new version.
-    n_updated = sum(1 for e in delta.entries if e.cve_id in artifacts.snapshot)
-    snapshot = artifacts.snapshot.merge(rectified_delta.entries)
-    estimates = {**artifacts.estimates, **new_estimates}
-    pv3_scores = {**artifacts.pv3_scores, **new_scores}
-    pv3_severity = {**artifacts.pv3_severity, **new_severity}
-
-    n_v3_predicted = sum(
-        1
-        for entry in snapshot.entries
-        if entry.cvss_v2 is not None and not entry.has_v3
-    )
+    # The counts come from the stored index rows of the delta's ids.
+    updated_rows = [index[e.cve_id] for e in delta.entries if e.cve_id in index]
+    n_updated = len(updated_rows)
+    n_total = len(index) + len(delta) - n_updated
     # Count a CWE fix toward the cumulative report only when it adds
     # labels the stored entry lacked — re-ingesting the same delta (or
     # an already-rectified CVE) must not inflate the tally.
     n_cwe_newly_fixed = 0
     for cve_id, found in cwe_fixes.fixes.items():
-        stored = artifacts.snapshot.get(cve_id)
-        if stored is None or any(label not in stored.cwe_ids for label in found):
+        stored_row = index.get(cve_id)
+        if stored_row is None or any(label not in stored_row[1] for label in found):
             n_cwe_newly_fixed += 1
+    # The parent's counts, adjusted by the rows the delta replaces and adds.
     report = dict(artifacts.report)
     report.update(
-        n_cves=len(snapshot),
-        n_improved_dates=sum(1 for e in estimates.values() if e.improved),
-        n_v3_predicted=n_v3_predicted,
+        n_cves=n_total,
+        n_improved_dates=int(report.get("n_improved_dates", 0))
+        - n_improved_replaced
+        + sum(1 for e in new_estimates.values() if e.improved),
+        n_v3_predicted=int(report.get("n_v3_predicted", 0))
+        - sum(row[0] for row in updated_rows)
+        + sum(index_row(e)[0] for e in rectified_delta.entries),
         n_cwe_fixed=int(report.get("n_cwe_fixed", 0)) + n_cwe_newly_fixed,
     )
 
+    if rebase:  # the whole merged store, as a fresh base
+        snapshot = artifacts.snapshot.merge(rectified_delta.entries)
+        estimates = {**artifacts.estimates, **new_estimates}
+        pv3_scores = {**artifacts.pv3_scores, **new_scores}
+        pv3_severity = {**artifacts.pv3_severity, **new_severity}
+    else:  # the delta's rows only
+        snapshot, estimates = rectified_delta, new_estimates
+        pv3_scores, pv3_severity = new_scores, new_severity
     version = export_run(
         root,
         snapshot=snapshot,
@@ -181,6 +211,7 @@ def ingest_delta(
         report=report,
         source="ingest",
         parent=artifacts.version,
+        segment_of=None if rebase else artifacts,
     )
     return IngestResult(
         version=version,
@@ -191,6 +222,6 @@ def ingest_delta(
         n_predicted=n_predicted,
         n_cwe_fixed=cwe_fixes.n_fixed,
         n_date_improved=n_date_improved,
-        n_total=len(snapshot),
+        n_total=n_total,
         model_used=model_used,
     )

@@ -12,16 +12,19 @@ is lost — the newest-version fallback could land on a torn directory.
 
 1. **staging cleanup** — leftover ``.stage-*.tmp`` directories are
    deleted (they were never visible to readers);
-2. **quarantine** — every version directory is validated against its
-   manifest (file presence always; content hashes with
-   ``verify_hashes=True``); invalid ones are *moved* to
-   ``ROOT/.quarantine/`` rather than deleted, so a forensic look at
-   what went wrong stays possible;
+2. **quarantine** — every version directory is validated, oldest
+   first, against its manifest: every file of its chain — its own and
+   those it inherits from its base and earlier segments — must be
+   present (and match its hash with ``verify_hashes=True``).  Invalid
+   ones are *moved* to ``ROOT/.quarantine/`` rather than deleted, so a
+   forensic look at what went wrong stays possible; a segment version
+   whose base was quarantined loses inherited files and follows it;
 3. **pointer repair** — if ``CURRENT`` is missing or names a version
    that did not survive validation, it is rewritten to the newest
    valid version (or removed when none survive);
 4. **GC** — with ``keep=N``, valid versions beyond the newest ``N``
-   (the ``CURRENT`` target is always protected) are deleted.
+   are deleted, except the ``CURRENT`` target and every version the
+   chain of a kept version names.
 
 The sweep is idempotent and cheap enough to run on every ingest entry;
 ``repro recover`` exposes it on the command line.
@@ -108,7 +111,8 @@ def recover_store(
 
     Safe on a missing or empty store (reports nothing to do).  With
     ``keep=N`` the sweep also garbage-collects valid versions beyond
-    the newest ``N``; the ``CURRENT`` target is never collected.
+    the newest ``N``; neither the ``CURRENT`` target nor a version
+    whose files a kept version reads is ever collected.
     """
     root = pathlib.Path(root)
     current_before = read_current(root)
@@ -130,16 +134,17 @@ def recover_store(
             staging_removed.append(child.name)
 
     quarantined = []
-    valid = []
+    chains: dict[str, list[str]] = {}  # valid version -> versions it reads
     for version in list_versions(root):
         version_dir = root / version
         try:
-            _verify_manifest(version_dir, version, verify_hashes)
+            manifest = _verify_manifest(version_dir, version, verify_hashes)
         except ArtifactError:
             _quarantine(root, version_dir)
             quarantined.append(version)
         else:
-            valid.append(version)
+            chains[version] = manifest.get("chain", [])
+    valid = list(chains)
 
     current_after = current_before
     if current_before not in valid:
@@ -152,9 +157,10 @@ def recover_store(
 
     gc_removed = []
     if keep is not None and keep >= 1 and len(valid) > keep:
-        protected = set(valid[-keep:])
+        kept = set(valid[-keep:])
         if current_after is not None:
-            protected.add(current_after)
+            kept.add(current_after)
+        protected = kept.union(*(chains[version] for version in kept))
         for version in valid:
             if version not in protected:
                 shutil.rmtree(root / version, ignore_errors=True)

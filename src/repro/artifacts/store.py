@@ -11,40 +11,70 @@ persists everything a serving front end needs so the run happens once:
   on each ``ml/`` model, bit-identical on round-trip),
 - the vendor/product alias maps and per-CVE disclosure estimates,
 - the backported v3 scores/severities and the cleaning report,
+- a per-CVE id index: whether the CVE's v3 score is predicted (v2
+  scored, no v3 vector) and its CWE labels,
 - the engine config plus its fingerprint, in a schema-checked manifest.
 
 The JSON files (``manifest.json``, ``engine.json``, ``maps.json``,
-``report.json`` and the gzip-compressed ``estimates``/``predictions``)
-are written compact, with sorted keys and no indentation, so ``json``'s
-C encoder writes them; any JSON text loads, so stores written indented
-by earlier versions still load.
+``report.json`` and the gzip-compressed ``estimates``/``predictions``/
+``index``) are written compact, with sorted keys and no indentation,
+so ``json``'s C encoder writes them; any JSON text loads, so stores
+written indented by earlier versions still load.
 
-Layout — one immutable directory per version, plus an atomic pointer::
+Layout — one immutable directory per version, plus an atomic pointer.
+:func:`export_run` writes either kind.  A **base** version (from
+``clean()``, or when an ingest rebases) holds everything.  A
+**segment** version (``segment_of=`` the loaded parent, one per ingest)
+holds only the rectified delta and its per-CVE rows, plus the new
+report::
 
     ROOT/
       CURRENT            # text file naming the live version
-      v0001/
-        manifest.json    # schema, fingerprint, per-file sha256
+      v0001/             # base
+        manifest.json    # schema, fingerprint, chain, per-file sha256
         snapshot.json.gz
         models/cnn.npz …
         engine.json
         maps.json
         estimates.json.gz
         predictions.json.gz
+        index.json.gz
         report.json
+      v0002/             # segment on v0001
+        manifest.json
+        delta.json.gz    # the delta's items, same encoder as snapshot
+        estimates.json.gz
+        predictions.json.gz
+        index.json.gz
+        report.json
+
+A manifest's ``chain`` names the versions it builds on: its base, then
+the segments before it, in order (empty for a base).  ``files`` lists
+only the bytes the version wrote; ``inherited`` lists every file it
+reads from its chain (``v0001/snapshot.json.gz`` …) with the sha256
+copied from the parent's manifest.  :func:`load_artifacts` replays the
+chain as an upsert by CVE id — base entries, then each segment's — the
+order :meth:`repro.nvd.NvdSnapshot.merge` gives; it decodes the
+per-CVE files only when a caller first reads them.  An ingest onto a
+chain of :data:`repro.artifacts.ingest.MAX_SEGMENTS` segments writes a
+fresh base instead, so no chain grows past that.  Recovery
+(:mod:`repro.artifacts.recovery`) treats a version as valid only when
+every file of its chain is, and its GC never deletes a version a kept
+version's chain names.
 
 Writers stage into a temp directory and ``os.rename`` it into place,
 then rewrite ``CURRENT`` via temp-file + ``os.replace`` — a reader (or
 a crash) never observes a half-written version, and a running server
 hot-swaps by re-reading the pointer.  Loaders verify the manifest
-schema and every file hash; corruption raises :class:`ArtifactError`
-instead of serving wrong answers.
+schema and every file hash of the chain; corruption raises
+:class:`ArtifactError` instead of serving wrong answers.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import gzip
 import hashlib
 import json
@@ -64,8 +94,8 @@ from repro.core.severity import (
 )
 from repro.cvss import Severity
 from repro.ml import LinearRegression, Sequential, SupportVectorRegressor
-from repro.nvd import NvdSnapshot, load_feed, save_feed
-from repro.nvd.feed import open_text_writer
+from repro.nvd import CveEntry, NvdSnapshot, load_feed, save_feed
+from repro.nvd.feed import gc_paused, open_text_writer
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -73,6 +103,7 @@ __all__ = [
     "LoadedArtifacts",
     "config_fingerprint",
     "export_run",
+    "index_row",
     "list_versions",
     "load_artifacts",
     "read_current",
@@ -82,6 +113,10 @@ ARTIFACT_SCHEMA = "repro-artifacts/1"
 CURRENT_POINTER = "CURRENT"
 
 _VERSION_RE = re.compile(r"v(\d{4,})")
+
+#: the entries file of a base version and of a segment version.
+BASE_ITEMS = "snapshot.json.gz"
+SEGMENT_ITEMS = "delta.json.gz"
 
 #: loader for each persisted model file (``models/<name>.npz``); keys
 #: must cover :data:`repro.core.severity.SUPPORTED_MODELS` exactly.
@@ -195,67 +230,27 @@ def _resolve_version(root: pathlib.Path, version: str | None) -> str:
 # -- export -------------------------------------------------------------------
 
 
-def export_run(
-    root: str | os.PathLike[str],
-    *,
-    snapshot: NvdSnapshot,
-    engine: SeverityPredictionEngine,
-    model_used: str,
-    vendor_map: dict[str, str],
-    product_map: dict[tuple[str, str], str],
+def index_row(entry: CveEntry) -> list[Any]:
+    """One CVE's id-index row: ``[predicted, cwe_ids]``, where
+    ``predicted`` is 1 when its v3 score is predicted (v2 scored, no v3
+    vector).  An ingest counts from these rows instead of the entries."""
+    return [int(entry.cvss_v2 is not None and not entry.has_v3), list(entry.cwe_ids)]
+
+
+def _write_entries(
+    staging: pathlib.Path,
+    items_name: str,
+    entries: list[CveEntry],
     estimates: dict[str, DisclosureEstimate],
     pv3_scores: dict[str, float],
     pv3_severity: dict[str, Severity | str],
-    report: Any,
-    source: str = "clean",
-    parent: str | None = None,
-) -> str:
-    """Persist one cleaning run as a new artifact version.
-
-    Returns the new version name (``v0001``, …) after atomically
-    renaming the staged directory into place and repointing
-    ``CURRENT``.  ``report`` may be a :class:`CleaningReport` or a
-    plain dict (the ingest path re-exports the loaded dict).
-    """
-    root = pathlib.Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    staging = pathlib.Path(
-        tempfile.mkdtemp(dir=root, prefix=".stage-", suffix=".tmp")
-    )
-    try:
-        save_feed(snapshot.entries, staging / "snapshot.json.gz")
-
-        models_dir = staging / "models"
-        models_dir.mkdir()
-        models = engine.models
-        for name, model in sorted(models.items()):
-            model.save(models_dir / f"{name}.npz")
-
-        config = engine.config
-        if model_used not in models:
-            raise ArtifactError(
-                f"model_used {model_used!r} is not among the trained models "
-                f"{sorted(models)}"
-            )
-        _write_json(
-            staging / "engine.json",
-            {
-                "config": dataclasses.asdict(config),
-                "fingerprint": config_fingerprint(config),
-                "model_used": model_used,
-                "models": sorted(models),
-            },
-        )
-        _write_json(
-            staging / "maps.json",
-            {
-                "vendor": vendor_map,
-                "product": [
-                    [vendor, product, canonical]
-                    for (vendor, product), canonical in sorted(product_map.items())
-                ],
-            },
-        )
+) -> None:
+    """The per-CVE files of one base or segment: entries, estimates,
+    predictions and the id index."""
+    # One new container per CVE; the collector would rescan every
+    # object the caller holds (a whole loaded store, on a rebase).
+    with gc_paused():
+        save_feed(entries, staging / items_name)
         _write_json(
             staging / "estimates.json.gz",
             {
@@ -277,11 +272,109 @@ def export_run(
                 },
             },
         )
-        report_dict = (
-            dict(report)
-            if isinstance(report, dict)
-            else dataclasses.asdict(report)
+        _write_json(
+            staging / "index.json.gz",
+            {entry.cve_id: index_row(entry) for entry in entries},
         )
+
+
+def _chain_files(version: str, manifest: dict[str, Any]) -> dict[str, Any]:
+    """Every file ``version`` reads, by path under the store root: its
+    own ``files`` and the ``inherited`` ones of its chain."""
+    files = {f"{version}/{relpath}": meta for relpath, meta in manifest["files"].items()}
+    files.update(manifest.get("inherited", {}))
+    return files
+
+
+def export_run(
+    root: str | os.PathLike[str],
+    *,
+    snapshot: NvdSnapshot,
+    engine: SeverityPredictionEngine,
+    model_used: str,
+    vendor_map: dict[str, str],
+    product_map: dict[tuple[str, str], str],
+    estimates: dict[str, DisclosureEstimate],
+    pv3_scores: dict[str, float],
+    pv3_severity: dict[str, Severity | str],
+    report: Any,
+    source: str = "clean",
+    parent: str | None = None,
+    segment_of: LoadedArtifacts | None = None,
+) -> str:
+    """Persist one cleaning run as a new artifact version.
+
+    Returns the new version name (``v0001``, …) after atomically
+    renaming the staged directory into place and repointing
+    ``CURRENT``.  ``report`` may be a :class:`CleaningReport` or a
+    plain dict (the ingest path passes the loaded dict, updated).
+
+    By default the version is a full base.  With ``segment_of`` (the
+    loaded parent version) it is one segment on the parent's chain:
+    ``snapshot``, ``estimates`` and the predictions hold only the
+    delta's rows, and the parent's models and maps — which ``engine``,
+    ``vendor_map`` and ``product_map`` must be — are inherited, not
+    written again.
+    """
+    root = pathlib.Path(root)
+    models = engine.models
+    if model_used not in models:
+        raise ArtifactError(
+            f"model_used {model_used!r} is not among the trained models "
+            f"{sorted(models)}"
+        )
+    config = engine.config
+    report_dict = dict(report) if isinstance(report, dict) else dataclasses.asdict(report)
+    fields: dict[str, Any] = {
+        "source": source,
+        "parent": parent,
+        "fingerprint": config_fingerprint(config),
+        "model_used": model_used,
+    }
+    root.mkdir(parents=True, exist_ok=True)
+    staging = pathlib.Path(
+        tempfile.mkdtemp(dir=root, prefix=".stage-", suffix=".tmp")
+    )
+    try:
+        if segment_of is None:
+            _write_entries(
+                staging, BASE_ITEMS, snapshot.entries, estimates, pv3_scores, pv3_severity
+            )
+            models_dir = staging / "models"
+            models_dir.mkdir()
+            for name, model in sorted(models.items()):
+                model.save(models_dir / f"{name}.npz")
+            _write_json(
+                staging / "engine.json",
+                {
+                    "config": dataclasses.asdict(config),
+                    "fingerprint": config_fingerprint(config),
+                    "model_used": model_used,
+                    "models": sorted(models),
+                },
+            )
+            _write_json(
+                staging / "maps.json",
+                {
+                    "vendor": vendor_map,
+                    "product": [
+                        [vendor, product, canonical]
+                        for (vendor, product), canonical in sorted(product_map.items())
+                    ],
+                },
+            )
+            fields.update(n_cves=len(snapshot), chain=[])
+        else:
+            _write_entries(
+                staging, SEGMENT_ITEMS, snapshot.entries, estimates, pv3_scores, pv3_severity
+            )
+            inherited = _chain_files(segment_of.version, segment_of.manifest)
+            del inherited[f"{segment_of.version}/report.json"]  # superseded
+            fields.update(
+                n_cves=report_dict["n_cves"],
+                chain=[*segment_of.manifest.get("chain", ()), segment_of.version],
+                inherited=inherited,
+            )
         _write_json(staging / "report.json", report_dict)
 
         files = {
@@ -303,12 +396,8 @@ def export_run(
             manifest = {
                 "schema": ARTIFACT_SCHEMA,
                 "version": version,
-                "source": source,
-                "parent": parent,
                 "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                "fingerprint": config_fingerprint(config),
-                "n_cves": len(snapshot),
-                "model_used": model_used,
+                **fields,
                 "files": files,
             }
             _write_json(staging / "manifest.json", manifest)
@@ -329,9 +418,29 @@ def export_run(
 # -- load ---------------------------------------------------------------------
 
 
+def _estimate(version_dir: pathlib.Path, cve_id: str, row: Any) -> DisclosureEstimate:
+    try:
+        published, estimated, n_dates = row
+        return DisclosureEstimate(
+            cve_id=cve_id,
+            published=datetime.date.fromisoformat(published),
+            estimated_disclosure=datetime.date.fromisoformat(estimated),
+            n_reference_dates=int(n_dates),
+        )
+    except (TypeError, ValueError) as error:
+        raise ArtifactError(f"{version_dir}: bad estimates: {error}") from None
+
+
 @dataclasses.dataclass
 class LoadedArtifacts:
     """One artifact version, rehydrated for serving — no retraining.
+
+    :func:`load_artifacts` reads the manifest, models, maps and report.
+    The per-CVE data of the chain — ``snapshot``, ``estimates``, the
+    predictions and the id ``index`` — is decoded on first use, so a
+    caller pays only for what it reads: an ingest never decodes the
+    snapshot.  Version directories are immutable, so a later read sees
+    the bytes the load verified.
 
     ``pv3_severity`` holds label strings (``"HIGH"``, …), the shape the
     service responds with; the ingest path converts fresh predictions
@@ -341,15 +450,13 @@ class LoadedArtifacts:
     root: pathlib.Path
     version: str
     manifest: dict[str, Any]
-    snapshot: NvdSnapshot
     engine: SeverityPredictionEngine
     model_used: str
     vendor_map: dict[str, str]
     product_map: dict[tuple[str, str], str]
-    estimates: dict[str, DisclosureEstimate]
-    pv3_scores: dict[str, float]
-    pv3_severity: dict[str, str]
     report: dict[str, Any]
+    #: the directory of the base, then of each segment, oldest first.
+    chain_dirs: list[pathlib.Path] = dataclasses.field(repr=False)
 
     @property
     def config(self) -> EngineConfig:
@@ -358,6 +465,76 @@ class LoadedArtifacts:
     @property
     def fingerprint(self) -> str:
         return self.manifest["fingerprint"]
+
+    @property
+    def n_segments(self) -> int:
+        """Segments in this version's chain (0 for a base)."""
+        return len(self.manifest.get("chain", ()))
+
+    def _upserted(self, name: str) -> dict[str, Any]:
+        """The JSON object ``name`` of every chain link, later ones winning."""
+        merged: dict[str, Any] = {}
+        for link_dir in self.chain_dirs:
+            merged.update(_read_json(link_dir / name))
+        return merged
+
+    @functools.cached_property
+    def snapshot(self) -> NvdSnapshot:
+        base_dir, *segment_dirs = self.chain_dirs
+        snapshot = NvdSnapshot(load_feed(base_dir / BASE_ITEMS))
+        for segment_dir in segment_dirs:
+            snapshot = snapshot.merge(load_feed(segment_dir / SEGMENT_ITEMS))
+        return snapshot
+
+    @functools.cached_property
+    def estimate_rows(self) -> dict[str, list[Any]]:
+        """CVE id → ``[published, estimated, n_reference_dates]``."""
+        return self._upserted("estimates.json.gz")
+
+    @functools.cached_property
+    def estimates(self) -> dict[str, DisclosureEstimate]:
+        return {
+            cve_id: _estimate(self.root / self.version, cve_id, row)
+            for cve_id, row in self.estimate_rows.items()
+        }
+
+    def estimate(self, cve_id: str) -> DisclosureEstimate | None:
+        """One CVE's stored estimate, without decoding the others."""
+        row = self.estimate_rows.get(cve_id)
+        return None if row is None else _estimate(self.root / self.version, cve_id, row)
+
+    @functools.cached_property
+    def _predictions(self) -> tuple[dict[str, float], dict[str, str]]:
+        scores: dict[str, float] = {}
+        severities: dict[str, str] = {}
+        for link_dir in self.chain_dirs:
+            predictions = _read_json(link_dir / "predictions.json.gz")
+            scores.update(
+                (cve_id, float(score))
+                for cve_id, score in predictions.get("scores", {}).items()
+            )
+            severities.update(
+                (cve_id, str(label))
+                for cve_id, label in predictions.get("severities", {}).items()
+            )
+        return scores, severities
+
+    @property
+    def pv3_scores(self) -> dict[str, float]:
+        return self._predictions[0]
+
+    @property
+    def pv3_severity(self) -> dict[str, str]:
+        return self._predictions[1]
+
+    @functools.cached_property
+    def index(self) -> dict[str, list[Any]] | None:
+        """CVE id → :func:`index_row` over the whole chain; None when a
+        link was written before the index existed."""
+        listed = _chain_files(self.version, self.manifest)
+        if any(f"{link.name}/index.json.gz" not in listed for link in self.chain_dirs):
+            return None
+        return self._upserted("index.json.gz")
 
 
 def _verify_manifest(
@@ -382,8 +559,16 @@ def _verify_manifest(
     files = manifest.get("files")
     if not isinstance(files, dict) or not files:
         raise ArtifactError(f"{manifest_path}: manifest lists no files")
-    for relpath, meta in files.items():
-        path = version_dir / relpath
+    chain = manifest.get("chain", [])
+    if not (
+        isinstance(chain, list)
+        and all(isinstance(link, str) and _VERSION_RE.fullmatch(link) for link in chain)
+        and isinstance(manifest.get("inherited", {}), dict)
+    ):
+        raise ArtifactError(f"{manifest_path}: malformed chain")
+    root = version_dir.parent
+    for relpath, meta in _chain_files(version, manifest).items():
+        path = root / relpath
         if not path.is_file():
             raise ArtifactError(f"{version_dir}: missing artifact file {relpath}")
         if verify_hashes and _sha256(path) != meta.get("sha256"):
@@ -404,8 +589,10 @@ def load_artifacts(
 
     This is the serving cold-start path: the snapshot, alias maps,
     estimates, predictions and trained models are all read from disk —
-    no crawling, no pair scoring, no training.  ``verify=True`` (the
-    default) checks every file against its manifest sha256 first.
+    no crawling, no pair scoring, no training.  A segment version's
+    chain replays as an upsert by CVE id, base first.  ``verify=True``
+    (the default) checks every file of the chain against its manifest
+    sha256 first.
     """
     root = pathlib.Path(root)
     version = _resolve_version(root, version)
@@ -413,8 +600,10 @@ def load_artifacts(
     if not version_dir.is_dir():
         raise ArtifactError(f"artifact version {version!r} not found under {root}")
     manifest = _verify_manifest(version_dir, version, verify)
+    chain_dirs = [root / link for link in (*manifest.get("chain", ()), version)]
+    base_dir = chain_dirs[0]
 
-    engine_doc = _read_json(version_dir / "engine.json")
+    engine_doc = _read_json(base_dir / "engine.json")
     config_doc = dict(engine_doc["config"])
     config_doc["models"] = tuple(config_doc.get("models", ()))
     for retired in _RETIRED_CONFIG_KEYS:
@@ -422,69 +611,37 @@ def load_artifacts(
     try:
         config = EngineConfig(**config_doc)
     except TypeError as error:
-        raise ArtifactError(f"{version_dir}: bad engine config: {error}") from None
+        raise ArtifactError(f"{base_dir}: bad engine config: {error}") from None
     models: dict[str, object] = {}
     for name in engine_doc["models"]:
         loader = _MODEL_LOADERS.get(name)
         if loader is None:
-            raise ArtifactError(f"{version_dir}: unknown persisted model {name!r}")
+            raise ArtifactError(f"{base_dir}: unknown persisted model {name!r}")
         try:
-            models[name] = loader(version_dir / "models" / f"{name}.npz")
+            models[name] = loader(base_dir / "models" / f"{name}.npz")
         except (OSError, ValueError, KeyError) as error:
             raise ArtifactError(
-                f"{version_dir}: cannot load model {name!r}: {error}"
+                f"{base_dir}: cannot load model {name!r}: {error}"
             ) from None
     engine = SeverityPredictionEngine.from_models(config, models)
     model_used = engine_doc["model_used"]
     if model_used not in models:
         raise ArtifactError(
-            f"{version_dir}: model_used {model_used!r} has no persisted weights"
+            f"{base_dir}: model_used {model_used!r} has no persisted weights"
         )
 
-    maps_doc = _read_json(version_dir / "maps.json")
-    vendor_map = dict(maps_doc.get("vendor", {}))
-    product_map = {
-        (vendor, product): canonical
-        for vendor, product, canonical in maps_doc.get("product", ())
-    }
-
-    estimates_doc = _read_json(version_dir / "estimates.json.gz")
-    try:
-        estimates = {
-            cve_id: DisclosureEstimate(
-                cve_id=cve_id,
-                published=datetime.date.fromisoformat(published),
-                estimated_disclosure=datetime.date.fromisoformat(estimated),
-                n_reference_dates=int(n_dates),
-            )
-            for cve_id, (published, estimated, n_dates) in estimates_doc.items()
-        }
-    except (TypeError, ValueError) as error:
-        raise ArtifactError(f"{version_dir}: bad estimates: {error}") from None
-
-    predictions = _read_json(version_dir / "predictions.json.gz")
-    pv3_scores = {
-        cve_id: float(score) for cve_id, score in predictions.get("scores", {}).items()
-    }
-    pv3_severity = {
-        cve_id: str(label)
-        for cve_id, label in predictions.get("severities", {}).items()
-    }
-
-    snapshot = NvdSnapshot(load_feed(version_dir / "snapshot.json.gz"))
-    report = _read_json(version_dir / "report.json")
-
+    maps_doc = _read_json(base_dir / "maps.json")
     return LoadedArtifacts(
         root=root,
         version=version,
         manifest=manifest,
-        snapshot=snapshot,
         engine=engine,
         model_used=model_used,
-        vendor_map=vendor_map,
-        product_map=product_map,
-        estimates=estimates,
-        pv3_scores=pv3_scores,
-        pv3_severity=pv3_severity,
-        report=report,
+        vendor_map=dict(maps_doc.get("vendor", {})),
+        product_map={
+            (vendor, product): canonical
+            for vendor, product, canonical in maps_doc.get("product", ())
+        },
+        report=_read_json(version_dir / "report.json"),
+        chain_dirs=chain_dirs,
     )

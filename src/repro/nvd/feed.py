@@ -49,6 +49,7 @@ through this module, so both directions are kept cheap:
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import functools
 import gc
@@ -57,6 +58,7 @@ import io
 import json
 import pathlib
 import re
+from collections.abc import Iterator
 from typing import Any, TextIO
 
 from repro import perf
@@ -79,6 +81,7 @@ __all__ = [
     "GZIP_LEVEL",
     "entries_from_feed",
     "entries_to_feed",
+    "gc_paused",
     "load_feed",
     "open_text_writer",
     "save_feed",
@@ -361,19 +364,29 @@ def save_feed(entries: list[CveEntry], path: str | pathlib.Path) -> None:
         _write_feed(entries, handle)
 
 
-def load_feed(path: str | pathlib.Path) -> list[CveEntry]:
-    """Read a feed file written by :func:`save_feed` (or NVD itself)."""
-    path = pathlib.Path(path)
-    # Decoding allocates hundreds of thousands of acyclic containers;
-    # each collection would rescan everything already live.  The
-    # document is freed before the collector's prior state is restored.
+@contextlib.contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector, restoring its prior state on exit.
+
+    Building one container per CVE allocates hundreds of thousands of
+    acyclic objects; each collection would rescan everything already
+    live, so bulk decoders and encoders run with it paused.
+    """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return entries_from_feed(_read_document(path))
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+def load_feed(path: str | pathlib.Path) -> list[CveEntry]:
+    """Read a feed file written by :func:`save_feed` (or NVD itself)."""
+    path = pathlib.Path(path)
+    # The document is freed before the collector's prior state is restored.
+    with gc_paused():
+        return entries_from_feed(_read_document(path))
 
 
 def _read_document(path: pathlib.Path) -> Any:

@@ -242,11 +242,31 @@ class MetricsRegistry:
             self._metrics[metric.name] = metric
             return metric
 
+    @staticmethod
+    def _matching(metric: _Metric, signature: tuple[object, ...]) -> _Metric:
+        """``metric``, found registered under ``signature``'s name, if it
+        has that signature.  The lookup path builds no instrument, so
+        declaring a metric at every use (as ``repro.perf``'s recorder
+        does) stays cheap."""
+        if metric.signature() != signature:
+            raise MetricError(f"conflicting re-registration of {metric.name!r}")
+        return metric
+
     def counter(self, name: str, help_text: str, labels: tuple[str, ...] = ()) -> Counter:
-        return self._register(Counter(name, help_text, tuple(labels)))
+        metric = self._metrics.get(name)
+        if metric is None:
+            return self._register(Counter(name, help_text, tuple(labels)))
+        return self._matching(
+            metric, ("counter", name, " ".join(help_text.split()), tuple(labels))
+        )
 
     def gauge(self, name: str, help_text: str, labels: tuple[str, ...] = ()) -> Gauge:
-        return self._register(Gauge(name, help_text, tuple(labels)))
+        metric = self._metrics.get(name)
+        if metric is None:
+            return self._register(Gauge(name, help_text, tuple(labels)))
+        return self._matching(
+            metric, ("gauge", name, " ".join(help_text.split()), tuple(labels))
+        )
 
     def histogram(
         self,
@@ -255,7 +275,16 @@ class MetricsRegistry:
         buckets: tuple[float, ...],
         labels: tuple[str, ...] = (),
     ) -> Histogram:
-        return self._register(Histogram(name, help_text, tuple(buckets), tuple(labels)))
+        metric = self._metrics.get(name)
+        if metric is None:
+            return self._register(
+                Histogram(name, help_text, tuple(buckets), tuple(labels))
+            )
+        return self._matching(
+            metric,
+            ("histogram", name, " ".join(help_text.split()), tuple(labels),
+             tuple(float(b) for b in buckets)),
+        )
 
     def metrics(self) -> list[_Metric]:
         """All registered metrics, sorted by name — the rendering order."""

@@ -4,6 +4,7 @@ import datetime
 import gzip
 import hashlib
 import json
+import random
 import shutil
 
 import numpy as np
@@ -40,6 +41,7 @@ class TestExport:
             "maps.json",
             "estimates.json.gz",
             "predictions.json.gz",
+            "index.json.gz",
             "report.json",
         ):
             assert (version_dir / name).is_file(), name
@@ -302,3 +304,185 @@ class TestIngest:
         entry = artifacts.snapshot.entries[0]
         with pytest.raises(ValueError, match="duplicate"):
             ingest_delta(store, [entry, entry])
+
+
+def _make_delta_feed():
+    import importlib.util
+    import pathlib
+
+    tool = pathlib.Path(__file__).parent.parent / "tools" / "make_delta_feed.py"
+    spec = importlib.util.spec_from_file_location("make_delta_feed", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _manifest(root, version):
+    return json.loads((root / version / "manifest.json").read_text())
+
+
+class TestExportGc:
+    def test_export_pauses_gc_and_restores_it_when_it_raises(
+        self, store, small_rectified, monkeypatch
+    ):
+        import gc
+
+        from repro.artifacts import store as store_module
+
+        write_json = store_module._write_json
+        collector_on = []
+
+        def failing_write(path, payload):
+            collector_on.append(gc.isenabled())
+            if path.name == "predictions.json.gz":
+                raise OSError("disk full")
+            write_json(path, payload)
+
+        monkeypatch.setattr(store_module, "_write_json", failing_write)
+        try:
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                with pytest.raises(OSError, match="disk full"):
+                    small_rectified.export_artifacts(store)
+                assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert collector_on == [False, False, False, False]  # paused while building
+        assert list_versions(store) == ["v0001"]
+        assert not list(store.glob(".stage-*"))
+
+
+class TestSegments:
+    """An ingest writes one segment; a load replays base then segments."""
+
+    @pytest.fixture()
+    def cache(self, artifact_root, tmp_path):
+        """Scrape outcomes for every stored reference, half before the
+        publication date (an improved estimate) and half after."""
+        cache = CrawlCache(tmp_path / "crawl.json")
+        for n, entry in enumerate(load_artifacts(artifact_root).snapshot.entries):
+            shift = datetime.timedelta(days=-20 if n % 2 else 20)
+            for reference in entry.references:
+                cache.put(reference.url, "date_extracted", entry.published + shift)
+        return cache
+
+    @staticmethod
+    def _delta(entries, seed):
+        """Revisions and new CVEs, plus one CVE losing its v3 vector and
+        one losing its v2 vector, so the predicted count moves both ways."""
+        delta = _make_delta_feed().build_delta(entries, 6, 4, seed=seed)
+        taken = {entry.cve_id for entry in delta}
+        rng = random.Random(seed)
+        pool = [e for e in entries if e.cve_id not in taken]
+        dual = rng.choice([e for e in pool if e.has_v3 and e.cvss_v2 is not None])
+        v2_only = rng.choice(
+            [e for e in pool if e.cvss_v2 is not None and not e.has_v3 and e is not dual]
+        )
+        return [*delta, dual.replace(cvss_v3=None), v2_only.replace(cvss_v2=None)]
+
+    def test_chain_loads_like_a_full_rewrite(
+        self, artifact_root, tmp_path, cache, monkeypatch
+    ):
+        from repro.artifacts import ingest as ingest_module
+
+        chained = tmp_path / "chained"
+        rewritten = tmp_path / "rewritten"
+        shutil.copytree(artifact_root, chained)
+        shutil.copytree(artifact_root, rewritten)
+        for step in range(5):
+            delta = self._delta(load_artifacts(chained).snapshot.entries, step)
+            monkeypatch.setattr(ingest_module, "MAX_SEGMENTS", 3)
+            segment = ingest_delta(chained, delta, crawl_cache=cache)
+            monkeypatch.setattr(ingest_module, "MAX_SEGMENTS", 0)  # always a base
+            full = ingest_delta(rewritten, delta, crawl_cache=cache)
+            assert segment == full
+            ours, theirs = load_artifacts(chained), load_artifacts(rewritten)
+            assert ours.snapshot.entries == theirs.snapshot.entries
+            assert ours.estimates == theirs.estimates
+            assert ours.pv3_scores == theirs.pv3_scores
+            assert ours.pv3_severity == theirs.pv3_severity
+            assert ours.report == theirs.report
+            # the adjusted counts equal a recount of the whole store
+            assert ours.report["n_cves"] == len(ours.snapshot) == segment.n_total
+            assert ours.report["n_v3_predicted"] == sum(
+                1 for e in ours.snapshot.entries
+                if e.cvss_v2 is not None and not e.has_v3
+            )
+            assert ours.report["n_improved_dates"] == sum(
+                1 for e in ours.estimates.values() if e.improved
+            )
+
+        # v0002-v0004 are segments on v0001; v0005 crossed the cap and
+        # rebased; v0006 is a segment on it.
+        chains = {v: _manifest(chained, v)["chain"] for v in list_versions(chained)}
+        assert chains == {
+            "v0001": [],
+            "v0002": ["v0001"],
+            "v0003": ["v0001", "v0002"],
+            "v0004": ["v0001", "v0002", "v0003"],
+            "v0005": [],
+            "v0006": ["v0005"],
+        }
+        assert all(
+            _manifest(rewritten, v)["chain"] == [] for v in list_versions(rewritten)
+        )
+
+    def test_segment_writes_only_the_delta(self, store):
+        base = _manifest(store, "v0001")
+        entry = load_artifacts(store).snapshot.entries[0]
+        ingest_delta(store, [entry.replace(cve_id="CVE-2018-99004")])
+        manifest = _manifest(store, "v0002")
+        assert sorted(manifest["files"]) == [
+            "delta.json.gz", "estimates.json.gz", "index.json.gz",
+            "predictions.json.gz", "report.json",
+        ]
+        # every base file but its report is inherited, hash included
+        assert manifest["inherited"] == {
+            f"v0001/{name}": meta
+            for name, meta in base["files"].items()
+            if name != "report.json"
+        }
+        written = sum(meta["bytes"] for meta in manifest["files"].values())
+        assert written < 0.05 * sum(meta["bytes"] for meta in base["files"].values())
+
+    @pytest.mark.parametrize(
+        "target",
+        ["v0001/snapshot.json.gz", "v0001/maps.json", "v0002/delta.json.gz",
+         "v0002/index.json.gz"],
+    )
+    def test_corrupt_chain_file_rejected(self, store, target):
+        entries = load_artifacts(store).snapshot.entries
+        for n in (5, 6):
+            ingest_delta(store, [entries[n].replace(cve_id=f"CVE-2018-9900{n}")])
+        assert _manifest(store, "v0003")["chain"] == ["v0001", "v0002"]
+        path = store / target
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(ArtifactError, match="checksum mismatch"):
+            load_artifacts(store)
+        with pytest.raises(ArtifactError, match="checksum mismatch"):
+            ingest_delta(store, [entries[7].replace(cve_id="CVE-2018-99007")])
+        assert read_current(store) == "v0003"
+
+    def test_store_without_index_rebases(self, store, artifact_root, tmp_path):
+        """A version written before the id index existed: the ingest
+        loads it whole and writes a fresh base, with the same results."""
+        manifest = _manifest(store, "v0001")
+        del manifest["files"]["index.json.gz"]
+        del manifest["chain"]
+        (store / "v0001" / "index.json.gz").unlink()
+        (store / "v0001" / "manifest.json").write_text(json.dumps(manifest))
+        intact = tmp_path / "intact"
+        shutil.copytree(artifact_root, intact)
+
+        entries = load_artifacts(store).snapshot.entries
+        delta = [entries[0].replace(cve_id="CVE-2018-99008"), entries[1].replace()]
+        result = ingest_delta(store, delta)
+        assert result == ingest_delta(intact, delta)
+        rebased = _manifest(store, "v0002")
+        assert rebased["chain"] == []
+        assert {"snapshot.json.gz", "index.json.gz"} <= set(rebased["files"])
+        assert load_artifacts(store).snapshot.entries == (
+            load_artifacts(intact).snapshot.entries
+        )

@@ -452,6 +452,69 @@ class TestRecoverySweep:
         assert report.valid_versions == ()
 
 
+def _ingest_new_cves(root, count):
+    """``count`` ingests of one new CVE each: segments on the base."""
+    from repro.artifacts import ingest_delta, load_artifacts
+
+    entries = load_artifacts(root).snapshot.entries
+    for n in range(count):
+        ingest_delta(root, [entries[n].replace(cve_id=f"CVE-2018-9910{n}")])
+
+
+class TestChainedStoreRecovery:
+    def test_gc_never_collects_a_kept_versions_chain(
+        self, artifact_root, tmp_path, small_rectified
+    ):
+        from repro.artifacts import list_versions, load_artifacts, recover_store
+
+        root = _copy_store(artifact_root, tmp_path)
+        _ingest_new_cves(root, 2)  # v0002, v0003: segments on v0001
+
+        report = recover_store(root, keep=1)
+        assert report.gc_removed == ()  # v0003 reads v0001 and v0002
+        assert list_versions(root) == ["v0001", "v0002", "v0003"]
+        assert "CVE-2018-99101" in load_artifacts(root).snapshot
+
+        small_rectified.export_artifacts(root)  # v0004: a fresh base
+        report = recover_store(root, keep=1, verify_hashes=True)
+        assert report.gc_removed == ("v0001", "v0002", "v0003")
+        assert load_artifacts(root).version == "v0004"
+
+    def test_torn_base_quarantines_the_segments_on_it(
+        self, artifact_root, tmp_path, small_rectified
+    ):
+        from repro.artifacts import list_versions, load_artifacts, recover_store
+
+        root = _copy_store(artifact_root, tmp_path)
+        small_rectified.export_artifacts(root)  # v0002: a base
+        _ingest_new_cves(root, 2)  # v0003, v0004: segments on v0002
+        (root / "v0002" / "snapshot.json.gz").unlink()  # torn
+
+        report = recover_store(root)
+        assert report.quarantined == ("v0002", "v0003", "v0004")
+        assert report.current_after == "v0001"
+        assert list_versions(root) == ["v0001"]
+        assert load_artifacts(root).version == "v0001"
+
+    def test_corrupt_base_quarantines_the_segments_on_it(
+        self, artifact_root, tmp_path, small_rectified
+    ):
+        from repro.artifacts import recover_store
+
+        root = _copy_store(artifact_root, tmp_path)
+        small_rectified.export_artifacts(root)
+        _ingest_new_cves(root, 1)  # v0003: a segment on v0002
+        model = next((root / "v0002" / "models").glob("*.npz"))
+        data = bytearray(model.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        model.write_bytes(bytes(data))
+
+        assert not recover_store(root).quarantined  # files are all present
+        report = recover_store(root, verify_hashes=True)
+        assert report.quarantined == ("v0002", "v0003")
+        assert report.current_after == "v0001"
+
+
 # ---------------------------------------------------------------------------
 # Serving: reload circuit breaker and supervised workers.
 # ---------------------------------------------------------------------------

@@ -118,6 +118,31 @@ class TestMetricsRegistry:
         with pytest.raises(MetricError, match="conflicting"):
             registry.histogram("repro_h", "H.", buckets=(1.0, 2.0))
 
+    def test_reregistration_builds_no_instrument(self, monkeypatch):
+        """A name hit returns the registered metric without constructing
+        (and validating) a new one; a conflicting hit still raises."""
+        from repro.obs import metrics as metrics_module
+
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_x_total", "X.", labels=("a",))
+        gauge = registry.gauge("repro_g", "G.")
+        histogram = registry.histogram("repro_h", "H.", buckets=(1, 2))
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a new instrument was built on a name hit")
+
+        monkeypatch.setattr(metrics_module._Metric, "__init__", refuse)
+        monkeypatch.setattr(metrics_module.Histogram, "__init__", refuse)
+        assert registry.counter("repro_x_total", "X.", labels=("a",)) is counter
+        assert registry.gauge("repro_g", "G.") is gauge
+        assert registry.histogram("repro_h", "H.", buckets=(1.0, 2.0)) is histogram
+        with pytest.raises(MetricError, match="conflicting"):
+            registry.counter("repro_x_total", "X.", labels=("b",))
+        with pytest.raises(MetricError, match="conflicting"):
+            registry.gauge("repro_x_total", "X.", labels=("a",))
+        with pytest.raises(MetricError, match="conflicting"):
+            registry.histogram("repro_h", "H.", buckets=(1.0, 3.0))
+
 
 # ---------------------------------------------------------------------------
 # Histogram bucket semantics.

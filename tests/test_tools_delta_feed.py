@@ -94,6 +94,32 @@ class TestDeltaFeedCli:
         reloaded = load_artifacts(store)
         assert reloaded.version == result.version
 
+    def test_reads_a_store_with_ingest_segments(self, artifact_root, tmp_path):
+        """After two ingests the CURRENT version is a segment on a base;
+        ``--artifacts`` reads its whole snapshot, ingested CVEs too."""
+        import json
+        import shutil
+
+        store = tmp_path / "store"
+        shutil.copytree(artifact_root, store)
+        for seed in (1, 2):
+            base = load_artifacts(store).snapshot.entries
+            ingest_delta(store, make_delta_feed.build_delta(base, 4, 2, seed=seed))
+        manifest = json.loads((store / "v0003" / "manifest.json").read_text())
+        assert manifest["chain"] == ["v0001", "v0002"]
+
+        out = tmp_path / "delta.json.gz"
+        assert (
+            make_delta_feed.main(
+                ["--artifacts", str(store), "--out", str(out),
+                 "--new", "3", "--mutate", "2"]
+            )
+            == 0
+        )
+        chained = load_artifacts(store).snapshot.entries
+        assert len(chained) == len(load_artifacts(artifact_root).snapshot) + 8
+        assert load_feed(out) == make_delta_feed.build_delta(chained, 3, 2, seed=2018)
+
 
 class TestIngestBenchSchema:
     BASE = {
@@ -126,25 +152,32 @@ class TestIngestBenchSchema:
         }
         assert any("kind" in error for error in bench_service.validate(document))
 
+    SERVING = {
+        "label": "x",
+        "scenario": "baseline",
+        "requests": 10,
+        "clients": 2,
+        "n_cves": 100,
+        "version": "v0001",
+        "wall_s": 1.0,
+        "rps": 10.0,
+        "p50_ms": 1.0,
+        "p95_ms": 2.0,
+        "endpoints": {"cve": {"count": 10, "p50_ms": 1.0, "p95_ms": 2.0}},
+    }
+
     def test_serving_runs_still_validate(self):
-        document = {
-            "schema": bench_service.SCHEMA,
-            "runs": [
-                {
-                    "label": "x",
-                    "scenario": "baseline",
-                    "requests": 10,
-                    "clients": 2,
-                    "n_cves": 100,
-                    "version": "v0001",
-                    "wall_s": 1.0,
-                    "rps": 10.0,
-                    "p50_ms": 1.0,
-                    "p95_ms": 2.0,
-                    "endpoints": {
-                        "cve": {"count": 10, "p50_ms": 1.0, "p95_ms": 2.0}
-                    },
-                }
-            ],
-        }
+        document = {"schema": bench_service.SCHEMA, "runs": [dict(self.SERVING)]}
         assert bench_service.validate(document) == []
+
+    def test_loadgen_cpu_is_optional_and_typed(self):
+        """Sweep runs record the load generator's CPU per request; runs
+        committed before it existed still validate."""
+        run = {**self.SERVING, "workers": 2, "loadgen_cpu_us_per_req": 412.5}
+        document = {"schema": bench_service.SCHEMA, "runs": [run]}
+        assert bench_service.validate(document) == []
+        run["loadgen_cpu_us_per_req"] = "412"
+        assert any(
+            "loadgen_cpu_us_per_req" in error
+            for error in bench_service.validate(document)
+        )

@@ -81,12 +81,15 @@ _RUN_FIELDS = {
 #: optional serving-run keys added by the workers sweep (schema /3);
 #: typed when present, absent on in-process runs.  ``cache`` and
 #: ``shared_cache`` only appear on older sweeps, which also ran a
-#: since-removed shared-memory cache.
+#: since-removed shared-memory cache; ``loadgen_cpu_us_per_req`` (this
+#: process's CPU time over the replay, per request: the load
+#: generator's share of the cores) only on newer ones.
 _OPTIONAL_RUN_FIELDS = {
     "workers": int,
     "cache": str,
     "cache_hit_ratio": (int, float),
     "shared_cache": dict,
+    "loadgen_cpu_us_per_req": (int, float),
 }
 
 #: required keys of one ``kind: "ingest"`` run entry.
@@ -372,7 +375,9 @@ def bench_workers_sweep(
             print(
                 f"[bench-service] sweep: workers={workers} at {base_url}"
             )
+            cpu_started = time.process_time()
             results, wall_s = replay(base_url, workload, clients)
+            loadgen_cpu_s = time.process_time() - cpu_started
             per_worker = _collect_worker_metrics(base_url, workers)
         finally:
             proc.send_signal(signal.SIGINT)
@@ -401,6 +406,7 @@ def bench_workers_sweep(
             **latency_fields(results, wall_s),
             "cache_hit_ratio": round(hits / lookups, 4) if lookups else None,
             "workers_reporting": len(per_worker),
+            "loadgen_cpu_us_per_req": round(loadgen_cpu_s / len(results) * 1e6, 1),
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
         print(

@@ -15,7 +15,9 @@ a workload shaped like NVD's daily "modified" feed:
   v3 vector — exactly the rows the persisted §4.3 model backports.
 
 The base comes from ``--base feed.json.gz`` or from the ``CURRENT``
-version of an artifact store (``--artifacts DIR``).  Everything is
+version of an artifact store (``--artifacts DIR``, read through
+``repro.artifacts.load_artifacts``, so a version that is a base plus
+ingest segments gives its whole snapshot).  Everything is
 seeded, so the same arguments produce byte-identical feeds.
 
 Usage::
@@ -94,16 +96,16 @@ def build_delta(
 
 
 def load_base(base: pathlib.Path | None, artifacts: pathlib.Path | None) -> list:
-    from repro.artifacts import read_current
+    from repro.artifacts import ArtifactError, load_artifacts
     from repro.nvd import load_feed
 
     if base is not None:
         return load_feed(base)
     assert artifacts is not None
-    version = read_current(artifacts)
-    if version is None:
-        raise SystemExit(f"[delta] no CURRENT version under {artifacts}")
-    return load_feed(artifacts / version / "snapshot.json.gz")
+    try:  # replays a segment version's chain onto its base
+        return load_artifacts(artifacts).snapshot.entries
+    except ArtifactError as error:
+        raise SystemExit(f"[delta] {error}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
