@@ -85,6 +85,11 @@ class ServiceState:
         self.artifacts = artifacts
         self.version = artifacts.version
         self.snapshot = artifacts.snapshot
+        # A load decodes per-CVE data on first read: read it here, on
+        # the loading thread, not inside the first request.
+        self.estimates = artifacts.estimates
+        self.pv3_scores = artifacts.pv3_scores
+        self.pv3_severity = artifacts.pv3_severity
         self.model_used = artifacts.model_used
         self._predict_lock = threading.Lock()
         # Eager cold-start: build the shared snapshot indices and stats
@@ -121,7 +126,6 @@ class ServiceState:
         entry = self.snapshot.get(cve_id)
         if entry is None:
             raise ServiceError(404, f"unknown CVE id {cve_id!r}")
-        arts = self.artifacts
         payload: dict = {
             "cve_id": entry.cve_id,
             "published": entry.published.isoformat(),
@@ -146,16 +150,16 @@ class ServiceState:
                 "base_score": entry.v3_score,
                 "severity": entry.v3_severity.value,
             }
-        estimate = arts.estimates.get(cve_id)
+        estimate = self.estimates.get(cve_id)
         if estimate is not None:
             payload["estimated_disclosure"] = (
                 estimate.estimated_disclosure.isoformat()
             )
             payload["lag_days"] = estimate.lag_days
-        score = arts.pv3_scores.get(cve_id)
+        score = self.pv3_scores.get(cve_id)
         if score is not None:
             payload["predicted_v3_score"] = score
-            payload["predicted_v3_severity"] = arts.pv3_severity.get(cve_id)
+            payload["predicted_v3_severity"] = self.pv3_severity.get(cve_id)
             payload["v3_backported"] = not entry.has_v3
         return payload
 

@@ -106,6 +106,23 @@ class TestCveEndpoint:
             )
             assert payload["v3_backported"] == (entry.cvss_v3 is None)
 
+    def test_state_holds_every_answer_once_loaded(
+        self, artifact_root, tmp_path, small_rectified
+    ):
+        """A load decodes per-CVE data lazily; the served state reads it
+        all at construction, so no request decodes files, and a GC of
+        the version under a running server leaves its answers intact."""
+        from repro.service.state import ServiceState
+
+        root = tmp_path / "store"
+        shutil.copytree(artifact_root, root)
+        state = ServiceState.load(root)
+        shutil.rmtree(root / "v0001")
+        entry = next(e for e in small_rectified.snapshot.entries if e.cvss_v2)
+        payload = state.cve_payload(entry.cve_id)
+        assert payload["estimated_disclosure"] <= payload["published"]
+        assert payload["predicted_v3_score"] == small_rectified.pv3_scores[entry.cve_id]
+
     def test_unknown_cve_404(self, base_url):
         status, payload = get(base_url, "/v1/cve/CVE-1999-99999")
         assert status == 404
