@@ -133,12 +133,13 @@ def ingest_delta(
     # delta carries no new evidence for an already-estimated CVE (no
     # cached reference dates, same publication date), the stored
     # estimate wins: it may encode a live crawl this path cannot redo.
+    stored_estimates = artifacts.estimates_of(e.cve_id for e in delta.entries)
     new_estimates = {}
     n_date_improved = 0  # improvements from *this* run's cached scrapes
     n_improved_replaced = 0  # stored improved estimates the delta replaces
     for entry in delta.entries:
         estimate = _estimate_from_cache(entry, cache)
-        stored = artifacts.estimate(entry.cve_id)
+        stored = stored_estimates.get(entry.cve_id)
         if stored is not None and stored.improved:
             n_improved_replaced += 1
         if (

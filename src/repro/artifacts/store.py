@@ -84,6 +84,7 @@ import re
 import shutil
 import tempfile
 import time
+from collections.abc import Iterable
 from typing import Any
 
 from repro.core.dates import DisclosureEstimate
@@ -474,8 +475,9 @@ class LoadedArtifacts:
     def _upserted(self, name: str) -> dict[str, Any]:
         """The JSON object ``name`` of every chain link, later ones winning."""
         merged: dict[str, Any] = {}
-        for link_dir in self.chain_dirs:
-            merged.update(_read_json(link_dir / name))
+        with gc_paused():
+            for link_dir in self.chain_dirs:
+                merged.update(_read_json(link_dir / name))
         return merged
 
     @functools.cached_property
@@ -487,36 +489,39 @@ class LoadedArtifacts:
         return snapshot
 
     @functools.cached_property
-    def estimate_rows(self) -> dict[str, list[Any]]:
-        """CVE id → ``[published, estimated, n_reference_dates]``."""
-        return self._upserted("estimates.json.gz")
-
-    @functools.cached_property
     def estimates(self) -> dict[str, DisclosureEstimate]:
-        return {
-            cve_id: _estimate(self.root / self.version, cve_id, row)
-            for cve_id, row in self.estimate_rows.items()
-        }
+        rows = self._upserted("estimates.json.gz")
+        with gc_paused():
+            return {
+                cve_id: _estimate(self.root / self.version, cve_id, row)
+                for cve_id, row in rows.items()
+            }
 
-    def estimate(self, cve_id: str) -> DisclosureEstimate | None:
-        """One CVE's stored estimate, without decoding the others."""
-        row = self.estimate_rows.get(cve_id)
-        return None if row is None else _estimate(self.root / self.version, cve_id, row)
+    def estimates_of(self, cve_ids: Iterable[str]) -> dict[str, DisclosureEstimate]:
+        """The stored estimates of those ``cve_ids`` that have one,
+        decoding only their rows."""
+        rows = self._upserted("estimates.json.gz")
+        return {
+            cve_id: _estimate(self.root / self.version, cve_id, rows[cve_id])
+            for cve_id in cve_ids
+            if cve_id in rows
+        }
 
     @functools.cached_property
     def _predictions(self) -> tuple[dict[str, float], dict[str, str]]:
         scores: dict[str, float] = {}
         severities: dict[str, str] = {}
-        for link_dir in self.chain_dirs:
-            predictions = _read_json(link_dir / "predictions.json.gz")
-            scores.update(
-                (cve_id, float(score))
-                for cve_id, score in predictions.get("scores", {}).items()
-            )
-            severities.update(
-                (cve_id, str(label))
-                for cve_id, label in predictions.get("severities", {}).items()
-            )
+        with gc_paused():
+            for link_dir in self.chain_dirs:
+                predictions = _read_json(link_dir / "predictions.json.gz")
+                scores.update(
+                    (cve_id, float(score))
+                    for cve_id, score in predictions.get("scores", {}).items()
+                )
+                severities.update(
+                    (cve_id, str(label))
+                    for cve_id, label in predictions.get("severities", {}).items()
+                )
         return scores, severities
 
     @property
