@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from collections.abc import Callable
 
 __all__ = [
     "Counter",
@@ -38,6 +39,22 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 class MetricError(ValueError):
     """Invalid metric name, labels, buckets, or conflicting registration."""
+
+
+def _signature(
+    kind: str,
+    name: str,
+    help_text: str,
+    label_names: tuple[str, ...],
+    buckets: tuple[float, ...] | None = None,
+) -> tuple[object, ...]:
+    """A metric's identity for conflict detection on re-registration:
+    kind, name, help text with whitespace folded, label names and (for a
+    histogram) the bucket bounds as floats."""
+    signature = (kind, name, " ".join(help_text.split()), tuple(label_names))
+    if buckets is None:
+        return signature
+    return (*signature, tuple(float(b) for b in buckets))
 
 
 class _Series:
@@ -101,6 +118,8 @@ class _Metric:
     """Base class: name/help/label-name validation plus series storage."""
 
     kind = "untyped"
+    #: bucket bounds, part of a histogram's identity (None otherwise).
+    upper_bounds: tuple[float, ...] | None = None
 
     def __init__(self, name: str, help_text: str, label_names: tuple[str, ...]) -> None:
         if not _NAME_RE.match(name):
@@ -115,6 +134,9 @@ class _Metric:
         self.label_names = label_names
         self._lock = threading.Lock()
         self._series: dict[tuple[str, ...], object] = {}
+        self._signature = _signature(
+            self.kind, name, help_text, label_names, self.upper_bounds
+        )
 
     def _new_series(self, values: tuple[str, ...]) -> object:
         return _Series(values, self._lock)
@@ -146,7 +168,7 @@ class _Metric:
 
     def signature(self) -> tuple[object, ...]:
         """Identity for conflict detection on re-registration."""
-        return (self.kind, self.name, self.help_text, self.label_names)
+        return self._signature
 
 
 class Counter(_Metric):
@@ -207,17 +229,14 @@ class Histogram(_Metric):
                 raise MetricError(f"{name}: bucket boundaries must be strictly increasing")
         if any(math.isinf(b) or math.isnan(b) for b in bounds):
             raise MetricError(f"{name}: bucket boundaries must be finite (+Inf is implicit)")
-        super().__init__(name, help_text, label_names)
         self.upper_bounds = bounds
+        super().__init__(name, help_text, label_names)
 
     def _new_series(self, values: tuple[str, ...]) -> object:
         return _HistogramSeries(values, self.upper_bounds, self._lock)
 
     def observe(self, value: float) -> None:
         self._default().observe(value)
-
-    def signature(self) -> tuple[object, ...]:
-        return (*super().signature(), self.upper_bounds)
 
 
 class MetricsRegistry:
@@ -242,30 +261,35 @@ class MetricsRegistry:
             self._metrics[metric.name] = metric
             return metric
 
-    @staticmethod
-    def _matching(metric: _Metric, signature: tuple[object, ...]) -> _Metric:
-        """``metric``, found registered under ``signature``'s name, if it
-        has that signature.  The lookup path builds no instrument, so
-        declaring a metric at every use (as ``repro.perf``'s recorder
-        does) stays cheap."""
+    def _declare(
+        self,
+        name: str,
+        make: Callable[[], _Metric],
+        signature: tuple[object, ...],
+    ) -> _Metric:
+        """The metric registered as ``name``, built by ``make()`` on a
+        miss.  A hit builds no instrument, so declaring
+        a metric at every use (as ``repro.perf``'s recorder does) stays
+        cheap; it must still match the registered signature."""
+        metric = self._metrics.get(name)
+        if metric is None:
+            return self._register(make())
         if metric.signature() != signature:
-            raise MetricError(f"conflicting re-registration of {metric.name!r}")
+            raise MetricError(f"conflicting re-registration of {name!r}")
         return metric
 
     def counter(self, name: str, help_text: str, labels: tuple[str, ...] = ()) -> Counter:
-        metric = self._metrics.get(name)
-        if metric is None:
-            return self._register(Counter(name, help_text, tuple(labels)))
-        return self._matching(
-            metric, ("counter", name, " ".join(help_text.split()), tuple(labels))
+        return self._declare(
+            name,
+            lambda: Counter(name, help_text, tuple(labels)),
+            _signature(Counter.kind, name, help_text, labels),
         )
 
     def gauge(self, name: str, help_text: str, labels: tuple[str, ...] = ()) -> Gauge:
-        metric = self._metrics.get(name)
-        if metric is None:
-            return self._register(Gauge(name, help_text, tuple(labels)))
-        return self._matching(
-            metric, ("gauge", name, " ".join(help_text.split()), tuple(labels))
+        return self._declare(
+            name,
+            lambda: Gauge(name, help_text, tuple(labels)),
+            _signature(Gauge.kind, name, help_text, labels),
         )
 
     def histogram(
@@ -275,15 +299,10 @@ class MetricsRegistry:
         buckets: tuple[float, ...],
         labels: tuple[str, ...] = (),
     ) -> Histogram:
-        metric = self._metrics.get(name)
-        if metric is None:
-            return self._register(
-                Histogram(name, help_text, tuple(buckets), tuple(labels))
-            )
-        return self._matching(
-            metric,
-            ("histogram", name, " ".join(help_text.split()), tuple(labels),
-             tuple(float(b) for b in buckets)),
+        return self._declare(
+            name,
+            lambda: Histogram(name, help_text, tuple(buckets), tuple(labels)),
+            _signature(Histogram.kind, name, help_text, labels, buckets),
         )
 
     def metrics(self) -> list[_Metric]:

@@ -143,6 +143,20 @@ class TestMetricsRegistry:
         with pytest.raises(MetricError, match="conflicting"):
             registry.histogram("repro_h", "H.", buckets=(1.0, 3.0))
 
+    def test_hit_normalizes_like_the_instrument(self):
+        """A name hit compares the same identity the instrument holds:
+        help text with whitespace folded, label names as a tuple and
+        histogram bounds as floats."""
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_x_total", "Some\n   help.", labels=["a"])
+        histogram = registry.histogram("repro_h", "H.", buckets=[1, 2])
+        assert registry.counter("repro_x_total", "Some help.", labels=("a",)) is counter
+        assert registry.histogram("repro_h", " H. ", buckets=(1.0, 2.0)) is histogram
+        with pytest.raises(MetricError, match="conflicting"):
+            registry.counter("repro_x_total", "Some help!", labels=("a",))
+        with pytest.raises(MetricError, match="conflicting"):
+            registry.gauge("repro_h", "H.")
+
 
 # ---------------------------------------------------------------------------
 # Histogram bucket semantics.
