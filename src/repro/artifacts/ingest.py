@@ -46,10 +46,14 @@ from repro.web import CrawlCache
 __all__ = ["MAX_SEGMENTS", "IngestResult", "ingest_delta"]
 
 #: segments a chain may hold; the ingest onto a chain this long writes
-#: a fresh full base instead of another segment.  A load replays every
-#: segment, so the bound caps what a run of ingests adds to a cold
-#: start.
-MAX_SEGMENTS = 8
+#: a fresh full base instead of another segment, so 1 ingest in
+#: ``MAX_SEGMENTS + 1`` pays a full rewrite.  A longer chain spreads
+#: that rewrite (16 s at 107,200 CVEs on 2 cores) over more ingests,
+#: but every segment adds to each later ingest's reads and to every
+#: load.  ``tools/bench_chain.py`` with 750-CVE deltas: at 8,040 CVEs a
+#: cold start of a 16-segment chain costs about 9% more CPU than a base
+#: holding the same entries, and a cap of 32 amortized no better.
+MAX_SEGMENTS = 16
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

@@ -54,7 +54,8 @@ only the bytes the version wrote; ``inherited`` lists every file it
 reads from its chain (``v0001/snapshot.json.gz`` …) with the sha256
 copied from the parent's manifest.  :func:`load_artifacts` replays the
 chain as an upsert by CVE id — base entries, then each segment's — the
-order :meth:`repro.nvd.NvdSnapshot.merge` gives; it decodes the
+order :meth:`repro.nvd.NvdSnapshot.merge` gives, decoding only each
+id's newest item (:func:`repro.nvd.feed.load_feeds`); it decodes the
 per-CVE files only when a caller first reads them.  An ingest onto a
 chain of :data:`repro.artifacts.ingest.MAX_SEGMENTS` segments writes a
 fresh base instead, so no chain grows past that.  Recovery
@@ -95,8 +96,8 @@ from repro.core.severity import (
 )
 from repro.cvss import Severity
 from repro.ml import LinearRegression, Sequential, SupportVectorRegressor
-from repro.nvd import CveEntry, NvdSnapshot, load_feed, save_feed
-from repro.nvd.feed import gc_paused, open_text_writer
+from repro.nvd import CveEntry, NvdSnapshot, save_feed
+from repro.nvd.feed import gc_paused, load_feeds, open_text_writer
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -483,26 +484,26 @@ class LoadedArtifacts:
     @functools.cached_property
     def snapshot(self) -> NvdSnapshot:
         base_dir, *segment_dirs = self.chain_dirs
-        snapshot = NvdSnapshot(load_feed(base_dir / BASE_ITEMS))
-        for segment_dir in segment_dirs:
-            snapshot = snapshot.merge(load_feed(segment_dir / SEGMENT_ITEMS))
-        return snapshot
+        return NvdSnapshot(
+            load_feeds([base_dir / BASE_ITEMS, *(d / SEGMENT_ITEMS for d in segment_dirs)])
+        )
 
     @functools.cached_property
     def estimates(self) -> dict[str, DisclosureEstimate]:
         rows = self._upserted("estimates.json.gz")
+        version_dir = self.root / self.version
         with gc_paused():
             return {
-                cve_id: _estimate(self.root / self.version, cve_id, row)
-                for cve_id, row in rows.items()
+                cve_id: _estimate(version_dir, cve_id, row) for cve_id, row in rows.items()
             }
 
     def estimates_of(self, cve_ids: Iterable[str]) -> dict[str, DisclosureEstimate]:
         """The stored estimates of those ``cve_ids`` that have one,
         decoding only their rows."""
         rows = self._upserted("estimates.json.gz")
+        version_dir = self.root / self.version
         return {
-            cve_id: _estimate(self.root / self.version, cve_id, rows[cve_id])
+            cve_id: _estimate(version_dir, cve_id, rows[cve_id])
             for cve_id in cve_ids
             if cve_id in rows
         }

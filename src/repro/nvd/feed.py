@@ -58,7 +58,7 @@ import io
 import json
 import pathlib
 import re
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import Any, TextIO
 
 from repro import perf
@@ -83,6 +83,7 @@ __all__ = [
     "entries_to_feed",
     "gc_paused",
     "load_feed",
+    "load_feeds",
     "open_text_writer",
     "save_feed",
 ]
@@ -320,21 +321,28 @@ def entries_to_feed(entries: list[CveEntry]) -> dict[str, Any]:
     return _feed_document(len(entries), [json.loads(_item_text(entry)) for entry in entries])
 
 
+def _feed_items(feed: dict[str, Any]) -> Any:
+    if feed.get("CVE_data_type") != "CVE":
+        raise ValueError("not an NVD JSON feed (CVE_data_type != 'CVE')")
+    return feed.get("CVE_Items", ())
+
+
 def entries_from_feed(feed: dict[str, Any]) -> list[CveEntry]:
     """Parse an NVD JSON feed document into entries.
 
     Items that cannot be parsed are skipped and counted under the
     ``feed.malformed_item`` perf counter.
     """
-    if feed.get("CVE_data_type") != "CVE":
-        raise ValueError("not an NVD JSON feed (CVE_data_type != 'CVE')")
-    entries = []
-    for item in feed.get("CVE_Items", ()):
-        try:
-            entries.append(_item_to_entry(item))
-        except (AttributeError, KeyError, TypeError, ValueError):
-            perf.add_counter("feed.malformed_item", 1)
-    return entries
+    return [entry for item in _feed_items(feed) if (entry := _decoded(item)) is not None]
+
+
+def _decoded(item: Any) -> CveEntry | None:
+    """``item`` as an entry, or None (counted) when it cannot be parsed."""
+    try:
+        return _item_to_entry(item)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        perf.add_counter("feed.malformed_item", 1)
+        return None
 
 
 def _write_feed(entries: list[CveEntry], handle: TextIO) -> None:
@@ -387,6 +395,39 @@ def load_feed(path: str | pathlib.Path) -> list[CveEntry]:
     # The document is freed before the collector's prior state is restored.
     with gc_paused():
         return entries_from_feed(_read_document(path))
+
+
+def load_feeds(paths: Iterable[str | pathlib.Path]) -> list[CveEntry]:
+    """Read feed files in order as one upsert by CVE id.
+
+    The result equals starting from the first file's entries and
+    merging each later file's (:meth:`repro.nvd.NvdSnapshot.merge`): a
+    later item replaces an earlier one of the same id in place, and new
+    ids append in file order.  Files are read newest first and only
+    each id's last item is decoded, so replaying a chain of files costs
+    what its surviving entries cost, holding one document at a time.
+    An undecodable item is skipped and counted, as in :func:`load_feed`,
+    and still supersedes its id's earlier items.
+    """
+    decoded: dict[str, CveEntry | None] = {}
+    id_lists: list[list[str]] = []  # each file's ids, newest file first
+    with gc_paused():
+        for path in reversed(list(paths)):
+            ids = []
+            for item in reversed(_feed_items(_read_document(pathlib.Path(path)))):
+                try:
+                    cve_id = item["cve"]["CVE_data_meta"]["ID"]
+                except (KeyError, TypeError):
+                    cve_id = None
+                if not isinstance(cve_id, str):  # CveEntry would reject it
+                    perf.add_counter("feed.malformed_item", 1)
+                    continue
+                ids.append(cve_id)
+                if cve_id not in decoded:
+                    decoded[cve_id] = _decoded(item)
+            id_lists.append(ids[::-1])
+        order = dict.fromkeys(cve_id for ids in reversed(id_lists) for cve_id in ids)
+        return [entry for cve_id in order if (entry := decoded[cve_id]) is not None]
 
 
 def _read_document(path: pathlib.Path) -> Any:

@@ -1,5 +1,6 @@
 """NVD JSON feed serialisation round-trips."""
 
+import dataclasses
 import datetime
 import gc
 import gzip
@@ -9,6 +10,7 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import perf
 from repro.cpe import ANY, NA, CpeName, bind_to_formatted_string
 from repro.cvss import (
     CvssV2Metrics,
@@ -20,13 +22,14 @@ from repro.cvss import (
 )
 from repro.nvd import (
     CveEntry,
+    NvdSnapshot,
     Reference,
     entries_from_feed,
     entries_to_feed,
     load_feed,
     save_feed,
 )
-from repro.nvd.feed import _DATE_FORMAT, _item_text, _parse_date
+from repro.nvd.feed import _DATE_FORMAT, _item_text, _parse_date, load_feeds
 
 
 @pytest.fixture()
@@ -97,6 +100,64 @@ class TestFiles:
         path = tmp_path / "subset.json"
         save_feed(entries, path)
         assert load_feed(path) == entries
+
+
+class TestLoadFeeds:
+    """``load_feeds`` reads files as one upsert by CVE id: equal to
+    merging each file's entries in order, decoding each id once."""
+
+    @pytest.fixture()
+    def chain(self, snapshot, tmp_path):
+        def revise(entries, text):
+            return [
+                dataclasses.replace(entry, descriptions=(*entry.descriptions, text))
+                for entry in entries
+            ]
+
+        entries = snapshot.entries[:60]
+        # Revisions of base ids, of ids an earlier revision touched, and
+        # of ids the second file added.
+        files = [
+            entries[:40],
+            [*revise(entries[10:30:4], "Revised."), *entries[40:50]],
+            [*revise(entries[18:50:4], "Revised again."), *entries[50:]],
+        ]
+        paths = []
+        for n, part in enumerate(files):
+            paths.append(tmp_path / f"part{n}.json.gz")
+            save_feed(part, paths[-1])
+        return files, paths
+
+    def test_equals_sequential_merge(self, chain):
+        files, paths = chain
+        merged = NvdSnapshot(files[0])
+        for part in files[1:]:
+            merged = merged.merge(part)
+        assert load_feeds(paths) == merged.entries
+        assert load_feeds(paths[:1]) == load_feed(paths[0])
+
+    def test_decodes_only_surviving_items(self, chain, monkeypatch):
+        from repro.nvd import feed
+
+        files, paths = chain
+        decoded = []
+        item_to_entry = feed._item_to_entry
+        monkeypatch.setattr(
+            feed, "_item_to_entry", lambda item: decoded.append(item) or item_to_entry(item)
+        )
+        entries = load_feeds(paths)
+        assert len(decoded) == len(entries) < sum(len(part) for part in files)
+
+    def test_undecodable_item_supersedes_then_counts(self, rich_entry, tmp_path):
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_feed([rich_entry], first)
+        document = entries_to_feed([rich_entry])
+        document["CVE_Items"][0]["publishedDate"] = "not a date"
+        document["CVE_Items"].append("not an item")
+        second.write_text(json.dumps(document), encoding="utf-8")
+        before = perf.get_recorder().counters.get("feed.malformed_item", 0)
+        assert load_feeds([first, second]) == []
+        assert perf.get_recorder().counters.get("feed.malformed_item", 0) == before + 2
 
 
 def _written_digest(path):

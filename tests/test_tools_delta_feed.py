@@ -1,8 +1,9 @@
-"""The delta-feed generator and the ingest-bench schema."""
+"""The delta-feed generator, the chain bench and the ingest-bench schema."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -22,6 +23,7 @@ def _load_tool(name: str):
 
 make_delta_feed = _load_tool("make_delta_feed")
 bench_service = _load_tool("bench_service")
+bench_chain = _load_tool("bench_chain")
 
 
 class TestBuildDelta:
@@ -119,6 +121,40 @@ class TestDeltaFeedCli:
         chained = load_artifacts(store).snapshot.entries
         assert len(chained) == len(load_artifacts(artifact_root).snapshot) + 8
         assert load_feed(out) == make_delta_feed.build_delta(chained, 3, 2, seed=2018)
+
+
+class TestBenchChain:
+    def test_times_segments_the_rebase_and_cold_starts(
+        self, artifact_root, tmp_path, monkeypatch
+    ):
+        """Successive ingests walk the chain up to the cap and rebase;
+        cold starts run at the chain lengths asked for, the rebased base
+        included; the input store is left as it was."""
+        from repro.artifacts import ingest as ingest_module
+
+        monkeypatch.setattr(ingest_module, "MAX_SEGMENTS", 2)
+        before = sorted(path.name for path in artifact_root.iterdir())
+        out = tmp_path / "chain.json"
+        argv = [
+            "--artifacts", str(artifact_root), "--ingests", "3",
+            "--new", "4", "--mutate", "2", "--repeats", "1",
+            "--cold-start", "0,2", "--cold-repeats", "1", "--output", str(out),
+        ]
+        assert bench_chain.main(argv) == 0
+        record = json.loads(out.read_text())
+        assert record["max_segments"] == 2
+        assert [(row["chain_before"], row["rebased"]) for row in record["ingests"]] == [
+            (0, False), (1, False), (2, True),
+        ]
+        n_cves = len(load_artifacts(artifact_root).snapshot)
+        assert [row["n_total"] for row in record["ingests"]] == [
+            n_cves + 4, n_cves + 8, n_cves + 12,
+        ]
+        assert [
+            (row["after_step"], row["chain"], row["n_cves"]) for row in record["cold_starts"]
+        ] == [(0, 0, n_cves), (2, 2, n_cves + 8), (3, 0, n_cves + 12)]
+        assert all(row["median_s"] > 0 for row in record["cold_starts"])
+        assert sorted(path.name for path in artifact_root.iterdir()) == before
 
 
 class TestIngestBenchSchema:
