@@ -30,7 +30,6 @@ import argparse
 import gc
 import json
 import pathlib
-import resource
 import shutil
 import statistics
 import subprocess
@@ -51,6 +50,20 @@ def _chain_length(store: pathlib.Path) -> int:
     return len(manifest.get("chain", ()))
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set (Linux ``VmHWM``), in MiB.
+
+    Not ``ru_maxrss``: a spawned child's counts the resident set its
+    parent had at the spawn, and this tool's own process holds a whole
+    decoded snapshot by then.
+    """
+    with open("/proc/self/status", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith("VmHWM:"):
+                return int(line.split()[1]) / 1024
+    raise RuntimeError("no VmHWM in /proc/self/status")
+
+
 def _probe(store: pathlib.Path) -> None:
     """One cold start, in this process: print its seconds and peak RSS."""
     from repro.artifacts import load_artifacts
@@ -61,7 +74,7 @@ def _probe(store: pathlib.Path) -> None:
     elapsed = time.perf_counter() - started
     print(json.dumps({
         "cold_start_s": round(elapsed, 4),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(_peak_rss_mb(), 1),
         "n_cves": len(state.snapshot),
     }))
 
