@@ -5,8 +5,8 @@ crawls half a million URLs and trains four models.  The artifact store
 persists everything a serving front end needs so the run happens once:
 
 - the cleaned snapshot (NVD JSON feed format, gzip level 6, written
-  and read by the streaming :func:`repro.nvd.save_feed` /
-  :func:`repro.nvd.load_feed`),
+  by the streaming :func:`repro.nvd.save_feed` and read by
+  :func:`repro.nvd.feed.load_feeds`),
 - the trained severity models (``save``/``load`` weight serialization
   on each ``ml/`` model, bit-identical on round-trip),
 - the vendor/product alias maps and per-CVE disclosure estimates,
@@ -97,7 +97,12 @@ from repro.core.severity import (
 from repro.cvss import Severity
 from repro.ml import LinearRegression, Sequential, SupportVectorRegressor
 from repro.nvd import CveEntry, NvdSnapshot, save_feed
-from repro.nvd.feed import gc_paused, load_feeds, open_text_writer
+from repro.nvd.feed import (
+    gc_paused,
+    load_feeds,
+    open_text_writer,
+    read_document,
+)
 
 __all__ = [
     "ARTIFACT_SCHEMA",
@@ -183,10 +188,7 @@ def _write_json(path: pathlib.Path, payload: Any) -> None:
 
 def _read_json(path: pathlib.Path) -> Any:
     try:
-        if path.suffix == ".gz":
-            with gzip.open(path, "rt", encoding="utf-8") as handle:
-                return json.load(handle)
-        return json.loads(path.read_text(encoding="utf-8"))
+        return read_document(path)
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, gzip.BadGzipFile) as error:
         raise ArtifactError(f"unreadable artifact file {path}: {error}") from None
 

@@ -72,6 +72,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
+#: what reading a feed file can raise: ``OSError`` for a missing file
+#: or a ``.gz`` that is not gzip, ``EOFError`` for a cut-off gzip
+#: stream, ``ValueError`` for text that is not JSON, not an NVD feed,
+#: or that holds a CVE id twice.
+_FEED_ERRORS = (OSError, EOFError, ValueError)
+
+
+def _input_error(path: str, error: Exception) -> int:
+    """Print ``error: <path>: <reason>``; the exit code for bad input."""
+    # An OSError's str() repeats the path; its strerror does not.
+    reason = getattr(error, "strerror", None) or str(error)
+    print(f"error: {path}: {reason}", file=sys.stderr)
+    return 2
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
     bundle = generate(GeneratorConfig(n_cves=args.n_cves, seed=args.seed))
     save_feed(bundle.snapshot.entries, args.out)
@@ -134,7 +149,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    snapshot = NvdSnapshot(load_feed(args.feed))
+    try:
+        snapshot = NvdSnapshot(load_feed(args.feed))
+    except _FEED_ERRORS as error:
+        return _input_error(args.feed, error)
     stats = snapshot.stats()
     if args.json:
         # Exactly the shape the service's /v1/stats endpoint returns.
@@ -155,7 +173,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_fix_cwe(args: argparse.Namespace) -> int:
-    snapshot = NvdSnapshot(load_feed(args.feed))
+    try:
+        snapshot = NvdSnapshot(load_feed(args.feed))
+    except _FEED_ERRORS as error:
+        return _input_error(args.feed, error)
     result = extract_cwe_fixes(snapshot)
     fixed = apply_cwe_fixes(snapshot, result)
     save_feed(fixed.entries, args.out)
@@ -236,12 +257,18 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.artifacts import ingest_delta
+    from repro.artifacts import ArtifactError, ingest_delta
 
-    entries = load_feed(args.feed)
-    result = ingest_delta(
-        args.artifacts, entries, crawl_cache=args.crawl_cache
-    )
+    try:
+        delta = NvdSnapshot(load_feed(args.feed))
+    except _FEED_ERRORS as error:
+        return _input_error(args.feed, error)
+    try:
+        result = ingest_delta(
+            args.artifacts, delta.entries, crawl_cache=args.crawl_cache
+        )
+    except ArtifactError as error:
+        return _input_error(args.artifacts, error)
     rows = [
         ["delta CVEs", result.n_delta],
         ["... new", result.n_new],
@@ -268,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a Chrome trace-event file (loadable in Perfetto) "
-        "covering the command's pipeline phases and worker task spans; "
-        "same effect as the REPRO_TRACE environment variable",
+        "covering the command's pipeline phases, or serve's per-request "
+        "spans (PATH.w<index> per worker); same effect as the REPRO_TRACE "
+        "environment variable",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 

@@ -206,4 +206,4 @@ def apply_product_mapping(
 
     if not mapping:
         return snapshot  # snapshots are immutable; nothing to remap
-    return snapshot.map_entries(remap, names_only=True)
+    return snapshot.map_entries(remap)

@@ -123,10 +123,6 @@ class VendorAnalysis:
         return table
 
 
-def _vendor_products(snapshot: NvdSnapshot) -> dict[str, set[str]]:
-    return snapshot.vendor_products()
-
-
 def _char_3grams(name: str) -> frozenset[str]:
     """Every 3-character substring of the raw name.  Two names share
     one exactly when their longest common substring is >= 3 long."""
@@ -340,8 +336,9 @@ def analyze_vendors(
     per candidate pair, in pair order.
     """
     vendors = snapshot.vendors()
-    vendor_products = _vendor_products(snapshot)
-    candidates = candidate_pairs(vendors, vendor_products, max_bucket=max_bucket)
+    candidates = candidate_pairs(
+        vendors, snapshot.vendor_products(), max_bucket=max_bucket
+    )
     confirmed = [
         features
         for features in candidates
@@ -378,4 +375,4 @@ def apply_vendor_mapping(
 
     if not mapping:
         return snapshot  # snapshots are immutable; nothing to remap
-    return snapshot.map_entries(remap, names_only=True)
+    return snapshot.map_entries(remap)

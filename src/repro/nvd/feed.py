@@ -85,6 +85,7 @@ __all__ = [
     "load_feed",
     "load_feeds",
     "open_text_writer",
+    "read_document",
     "save_feed",
 ]
 
@@ -321,10 +322,13 @@ def entries_to_feed(entries: list[CveEntry]) -> dict[str, Any]:
     return _feed_document(len(entries), [json.loads(_item_text(entry)) for entry in entries])
 
 
-def _feed_items(feed: dict[str, Any]) -> Any:
-    if feed.get("CVE_data_type") != "CVE":
+def _feed_items(feed: Any) -> list[Any]:
+    if not isinstance(feed, dict) or feed.get("CVE_data_type") != "CVE":
         raise ValueError("not an NVD JSON feed (CVE_data_type != 'CVE')")
-    return feed.get("CVE_Items", ())
+    items = feed.get("CVE_Items", [])
+    if not isinstance(items, list):
+        raise ValueError("not an NVD JSON feed (CVE_Items is not a list)")
+    return items
 
 
 def entries_from_feed(feed: dict[str, Any]) -> list[CveEntry]:
@@ -394,7 +398,7 @@ def load_feed(path: str | pathlib.Path) -> list[CveEntry]:
     path = pathlib.Path(path)
     # The document is freed before the collector's prior state is restored.
     with gc_paused():
-        return entries_from_feed(_read_document(path))
+        return entries_from_feed(read_document(path))
 
 
 def load_feeds(paths: Iterable[str | pathlib.Path]) -> list[CveEntry]:
@@ -414,7 +418,7 @@ def load_feeds(paths: Iterable[str | pathlib.Path]) -> list[CveEntry]:
     with gc_paused():
         for path in reversed(list(paths)):
             ids = []
-            for item in reversed(_feed_items(_read_document(pathlib.Path(path)))):
+            for item in reversed(_feed_items(read_document(pathlib.Path(path)))):
                 try:
                     cve_id = item["cve"]["CVE_data_meta"]["ID"]
                 except (KeyError, TypeError):
@@ -430,7 +434,8 @@ def load_feeds(paths: Iterable[str | pathlib.Path]) -> list[CveEntry]:
         return [entry for cve_id in order if (entry := decoded[cve_id]) is not None]
 
 
-def _read_document(path: pathlib.Path) -> Any:
+def read_document(path: pathlib.Path) -> Any:
+    """Parse the JSON document in ``path``; ``.gz`` paths are gunzipped."""
     if path.suffix == ".gz":
         with gzip.open(path, "rt", encoding="utf-8") as handle:
             return json.load(handle)

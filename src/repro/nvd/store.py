@@ -2,17 +2,15 @@
 
 The paper's study operates on "a snapshot of NVD captured on May 21,
 2018" (§3).  :class:`NvdSnapshot` is that snapshot as an object: it
-indexes entries by id, year, vendor, product, and CWE, exposes the §3
-scale statistics, and supports the name-remapping operation the
-cleaning pipeline applies.
+indexes entries by id and by name, exposes the §3 scale statistics,
+and supports the name-remapping operation the cleaning pipeline
+applies.
 
-All indices are built lazily in **one shared pass** over the entries:
-the first query that needs any index materialises all of them (vendor,
-product, year, CWE, and vendor→product pair counts) together with the
-scalar statistics, so repeated ``stats()`` / count queries never
-re-scan the snapshot.  Name-only remaps (vendor/product consolidation)
-reuse the indices that renames cannot change instead of rebuilding
-everything.
+The one index is over names, built lazily in one pass over the
+entries: vendor, product and (vendor, product) pair → CVE ids.  Every
+name query and count reads it.  ``stats()`` computes its other scalars
+in a pass of its own, once.  The year and CWE queries are plain scans:
+neither the pipeline nor the service asks them.
 """
 
 from __future__ import annotations
@@ -55,29 +53,16 @@ class SnapshotStats:
 
 
 @dataclasses.dataclass
-class _BaseIndices:
-    """Indices and scalars that renaming vendors/products cannot change."""
-
-    by_year: dict[int, list[str]]
-    by_cwe: dict[str, list[str]]
-    n_cwe_types: int
-    n_with_v3: int
-    n_with_v2: int
-    n_references: int
-    year_range: tuple[int, int]
-
-
-@dataclasses.dataclass
 class _NameIndices:
-    """Indices keyed by vendor/product names."""
+    """CVE ids keyed by vendor, by product and by (vendor, product)."""
 
     by_vendor: dict[str, list[str]]
     by_product: dict[str, list[str]]
-    pair_counts: dict[tuple[str, str], int]
+    by_pair: dict[tuple[str, str], list[str]]
 
 
 class NvdSnapshot:
-    """An immutable collection of CVE entries with lookup indices."""
+    """An immutable collection of CVE entries with a name index."""
 
     def __init__(self, entries: Iterable[CveEntry]) -> None:
         self._entries: dict[str, CveEntry] = {}
@@ -86,7 +71,6 @@ class NvdSnapshot:
                 raise ValueError(f"duplicate CVE id {entry.cve_id}")
             self._entries[entry.cve_id] = entry
         self._entry_list: list[CveEntry] | None = None
-        self._base: _BaseIndices | None = None
         self._names: _NameIndices | None = None
         self._stats: SnapshotStats | None = None
 
@@ -94,14 +78,12 @@ class NvdSnapshot:
     def _from_trusted(cls, entries: dict[str, CveEntry]) -> "NvdSnapshot":
         """Build a snapshot from an id→entry dict known to be consistent.
 
-        Used by :meth:`map_entries` when the transform preserves CVE
-        ids, so the duplicate-id validation of ``__init__`` is already
-        guaranteed by the source snapshot.
+        Used by :meth:`merge`, whose upsert by CVE id cannot produce a
+        duplicate, so the validation of ``__init__`` is not needed.
         """
         snapshot = cls.__new__(cls)
         snapshot._entries = entries
         snapshot._entry_list = None
-        snapshot._base = None
         snapshot._names = None
         snapshot._stats = None
         return snapshot
@@ -130,136 +112,88 @@ class NvdSnapshot:
             self._entry_list = list(self._entries.values())
         return self._entry_list
 
-    # -- indices --------------------------------------------------------------
+    # -- name index -----------------------------------------------------------
 
-    def _build_indices(self) -> None:
-        """Build every missing index group in one shared pass."""
-        need_base = self._base is None
-        need_names = self._names is None
-        if not (need_base or need_names):
-            return
-        if need_base:
-            by_year: dict[int, list[str]] = {}
-            by_cwe: dict[str, list[str]] = {}
-            concrete_cwes: set[str] = set()
-            n_with_v3 = n_with_v2 = n_references = 0
-            min_year = max_year = 0
-        if need_names:
+    def _name_index(self) -> _NameIndices:
+        """The vendor, product and pair id lists, built in one pass on
+        first use.  Each list holds a CVE id at most once, in snapshot
+        order."""
+        if self._names is None:
             by_vendor: dict[str, list[str]] = {}
             by_product: dict[str, list[str]] = {}
-            pair_counts: dict[tuple[str, str], int] = {}
-        for entry in self.entries:
-            cve_id = entry.cve_id
-            if need_base:
-                year = entry.published.year
-                by_year.setdefault(year, []).append(cve_id)
-                if min_year == 0 or year < min_year:
-                    min_year = year
-                if year > max_year:
-                    max_year = year
-                for cwe_id in entry.cwe_ids:
-                    by_cwe.setdefault(cwe_id, []).append(cve_id)
-                    if not is_sentinel(cwe_id):
-                        concrete_cwes.add(cwe_id)
-                if entry.cvss_v3 is not None:
-                    n_with_v3 += 1
-                if entry.cvss_v2 is not None:
-                    n_with_v2 += 1
-                n_references += len(entry.references)
-            if need_names:
+            by_pair: dict[tuple[str, str], list[str]] = {}
+            for entry in self.entries:
+                cve_id = entry.cve_id
                 for vendor in entry.vendors:
                     by_vendor.setdefault(vendor, []).append(cve_id)
                 for product in entry.products:
                     by_product.setdefault(product, []).append(cve_id)
                 for pair in entry.vendor_products():
-                    pair_counts[pair] = pair_counts.get(pair, 0) + 1
-        if need_base:
-            self._base = _BaseIndices(
-                by_year=by_year,
-                by_cwe=by_cwe,
-                n_cwe_types=len(concrete_cwes),
-                n_with_v3=n_with_v3,
-                n_with_v2=n_with_v2,
-                n_references=n_references,
-                year_range=(min_year, max_year),
-            )
-        if need_names:
-            self._names = _NameIndices(
-                by_vendor=by_vendor,
-                by_product=by_product,
-                pair_counts=pair_counts,
-            )
-
-    def _vendor_index(self) -> dict[str, list[str]]:
-        self._build_indices()
-        assert self._names is not None
-        return self._names.by_vendor
-
-    def _product_index(self) -> dict[str, list[str]]:
-        self._build_indices()
-        assert self._names is not None
-        return self._names.by_product
-
-    def _year_index(self) -> dict[int, list[str]]:
-        self._build_indices()
-        assert self._base is not None
-        return self._base.by_year
-
-    def _cwe_index(self) -> dict[str, list[str]]:
-        self._build_indices()
-        assert self._base is not None
-        return self._base.by_cwe
-
-    def _pair_counts(self) -> dict[tuple[str, str], int]:
-        self._build_indices()
-        assert self._names is not None
-        return self._names.pair_counts
+                    by_pair.setdefault(pair, []).append(cve_id)
+            self._names = _NameIndices(by_vendor, by_product, by_pair)
+        return self._names
 
     # -- queries ----------------------------------------------------------------
 
+    def vendor_cve_ids(self, vendor: str) -> list[str]:
+        """Ids of the entries whose CPE list names ``vendor``.
+
+        The list is the index's own (read it, do not mutate it).
+        """
+        return self._name_index().by_vendor.get(vendor, [])
+
+    def product_cve_ids(self, vendor: str, product: str) -> list[str]:
+        """Ids of the entries listing ``product`` under ``vendor``.
+
+        The list is the index's own (read it, do not mutate it).
+        """
+        return self._name_index().by_pair.get((vendor, product), [])
+
     def by_vendor(self, vendor: str) -> list[CveEntry]:
         """All entries whose CPE list names ``vendor``."""
-        return [self._entries[i] for i in self._vendor_index().get(vendor, ())]
+        return [self._entries[i] for i in self.vendor_cve_ids(vendor)]
 
     def by_product(self, product: str) -> list[CveEntry]:
         """All entries whose CPE list names ``product``."""
-        return [self._entries[i] for i in self._product_index().get(product, ())]
+        ids = self._name_index().by_product.get(product, ())
+        return [self._entries[i] for i in ids]
 
     def by_publication_year(self, year: int) -> list[CveEntry]:
         """All entries published (added to NVD) in ``year``."""
-        return [self._entries[i] for i in self._year_index().get(year, ())]
+        return [entry for entry in self.entries if entry.published.year == year]
 
     def by_cwe(self, cwe_id: str) -> list[CveEntry]:
         """All entries labelled with ``cwe_id`` (sentinels allowed)."""
-        return [self._entries[i] for i in self._cwe_index().get(cwe_id, ())]
+        return [entry for entry in self.entries if cwe_id in entry.cwe_ids]
 
     def vendors(self) -> list[str]:
         """All distinct vendor names."""
-        return sorted(self._vendor_index())
+        return sorted(self._name_index().by_vendor)
 
     def products(self) -> list[str]:
         """All distinct product names."""
-        return sorted(self._product_index())
+        return sorted(self._name_index().by_product)
 
     def vendor_cve_counts(self) -> dict[str, int]:
         """Vendor → number of associated CVEs."""
-        return {vendor: len(ids) for vendor, ids in self._vendor_index().items()}
+        by_vendor = self._name_index().by_vendor
+        return {vendor: len(ids) for vendor, ids in by_vendor.items()}
 
     def vendor_product_counts(self) -> dict[str, int]:
         """Vendor → number of distinct products listed under it."""
         counts: dict[str, int] = {}
-        for vendor, _ in self._pair_counts():
+        for vendor, _ in self._name_index().by_pair:
             counts[vendor] = counts.get(vendor, 0) + 1
         return counts
 
     def product_cve_counts(self) -> dict[tuple[str, str], int]:
         """(vendor, product) → number of associated CVEs."""
-        return dict(self._pair_counts())
+        return {pair: len(ids) for pair, ids in self._name_index().by_pair.items()}
 
     def vendor_products(self) -> dict[str, set[str]]:
         """Vendor → the set of product names listed under it."""
         products: dict[str, set[str]] = {}
-        for vendor, product in self._pair_counts():
+        for vendor, product in self._name_index().by_pair:
             products.setdefault(vendor, set()).add(product)
         return products
 
@@ -301,44 +235,43 @@ class NvdSnapshot:
         return NvdSnapshot._from_trusted(merged)
 
     def map_entries(
-        self,
-        transform: Callable[[CveEntry], CveEntry],
-        *,
-        names_only: bool = False,
+        self, transform: Callable[[CveEntry], CveEntry]
     ) -> "NvdSnapshot":
-        """A new snapshot with ``transform`` applied to every entry.
-
-        ``names_only`` declares that ``transform`` only rewrites CPE
-        vendor/product names — ids, dates, CWE labels, references and
-        CVSS vectors are untouched.  The new snapshot then skips the
-        duplicate-id validation and inherits the name-invariant indices
-        (year, CWE, scalar statistics) instead of rebuilding them.
-        """
-        if not names_only:
-            return NvdSnapshot(transform(entry) for entry in self.entries)
-        mapped = {
-            cve_id: transform(entry) for cve_id, entry in self._entries.items()
-        }
-        snapshot = NvdSnapshot._from_trusted(mapped)
-        snapshot._base = self._base  # shared: read-only once built
-        return snapshot
+        """A new snapshot with ``transform`` applied to every entry."""
+        return NvdSnapshot(transform(entry) for entry in self.entries)
 
     # -- statistics -----------------------------------------------------------
 
     def stats(self) -> SnapshotStats:
-        """The §3 scale summary (computed once from the shared indices)."""
+        """The §3 scale summary, computed once: the name counts from the
+        name index, the rest in one pass of its own."""
         if self._stats is None:
-            self._build_indices()
-            assert self._base is not None and self._names is not None
-            base = self._base
+            names = self._name_index()
+            concrete_cwes: set[str] = set()
+            n_with_v3 = n_with_v2 = n_references = 0
+            min_year = max_year = 0
+            for entry in self.entries:
+                year = entry.published.year
+                if min_year == 0 or year < min_year:
+                    min_year = year
+                if year > max_year:
+                    max_year = year
+                for cwe_id in entry.cwe_ids:
+                    if not is_sentinel(cwe_id):
+                        concrete_cwes.add(cwe_id)
+                if entry.cvss_v3 is not None:
+                    n_with_v3 += 1
+                if entry.cvss_v2 is not None:
+                    n_with_v2 += 1
+                n_references += len(entry.references)
             self._stats = SnapshotStats(
                 n_cves=len(self),
-                n_vendors=len(self._names.by_vendor),
-                n_products=len(self._names.by_product),
-                n_cwe_types=base.n_cwe_types,
-                n_with_v3=base.n_with_v3,
-                n_with_v2=base.n_with_v2,
-                n_references=base.n_references,
-                year_range=base.year_range if len(self) else (0, 0),
+                n_vendors=len(names.by_vendor),
+                n_products=len(names.by_product),
+                n_cwe_types=len(concrete_cwes),
+                n_with_v3=n_with_v3,
+                n_with_v2=n_with_v2,
+                n_references=n_references,
+                year_range=(min_year, max_year),
             )
         return self._stats

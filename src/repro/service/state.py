@@ -3,9 +3,10 @@
 :class:`ServiceState` wraps a :class:`repro.artifacts.LoadedArtifacts`
 and answers the query endpoints as plain JSON-ready dicts.  A state is
 immutable once built — hot-swapping replaces the whole object — and
-eager about its indices: the snapshot's vendor/product/year/CWE lookup
-tables and the §3 stats are materialised at load time so the first
-request is as fast as the thousandth.
+eager about its indices: the snapshot's name index, the §3 stats and
+each vendor's sorted product list are materialised at load time so
+the first request is as fast as the thousandth.  Vendor and product
+pages slice the snapshot's id lists directly.
 
 The only mutable corner is neural-network prediction:
 ``ml.nn.Sequential`` layers cache forward state, so concurrent
@@ -92,24 +93,20 @@ class ServiceState:
         self.pv3_severity = artifacts.pv3_severity
         self.model_used = artifacts.model_used
         self._predict_lock = threading.Lock()
-        # Eager cold-start: build the shared snapshot indices and stats
+        # Eager cold-start: build the snapshot's name index and stats
         # now, not on the first query.
         self.stats = self.snapshot.stats().as_dict()
+        #: canonical vendor → its sorted product names.
+        self.products_by_vendor: dict[str, list[str]] = {
+            vendor: sorted(products)
+            for vendor, products in self.snapshot.vendor_products().items()
+        }
         #: canonical vendor → sorted alias names (reverse alias map).
         self.vendor_aliases: dict[str, list[str]] = {}
         for alias, canonical in artifacts.vendor_map.items():
             self.vendor_aliases.setdefault(canonical, []).append(alias)
         for aliases in self.vendor_aliases.values():
             aliases.sort()
-        # Per-name id-list memos: the first page of a vendor/product
-        # walk materialises the ordered id list (and the vendor's
-        # product set) once; every later page — cursor or offset — is
-        # a pure O(page) slice.  Keyed per immutable state, so a hot
-        # swap drops them with the state object.  Plain dict writes
-        # are atomic under the GIL and rebuilds are idempotent, so no
-        # lock is needed.
-        self._vendor_pages: dict[str, tuple[list[str], list[str]]] = {}
-        self._product_pages: dict[tuple[str, str], list[str]] = {}
 
     @classmethod
     def load(
@@ -163,45 +160,11 @@ class ServiceState:
             payload["v3_backported"] = not entry.has_v3
         return payload
 
-    def _vendor_lists(self, canonical: str) -> tuple[list[str], list[str]]:
-        """(ordered cve ids, sorted products) for a canonical vendor —
-        built once per state, O(page) on every later request."""
-        cached = self._vendor_pages.get(canonical)
-        if cached is not None:
-            return cached
-        entries = self.snapshot.by_vendor(canonical)
-        if not entries:
-            return [], []
-        ids = [entry.cve_id for entry in entries]
-        products = sorted(
-            {
-                product
-                for entry in entries
-                for vendor, product in entry.vendor_products()
-                if vendor == canonical
-            }
-        )
-        self._vendor_pages[canonical] = (ids, products)
-        return ids, products
-
-    def _product_ids(self, pair: tuple[str, str]) -> list[str]:
-        """Ordered cve ids for a canonical (vendor, product) pair."""
-        cached = self._product_pages.get(pair)
-        if cached is not None:
-            return cached
-        ids = [
-            entry.cve_id
-            for entry in self.snapshot.by_product(pair[1])
-            if pair in entry.vendor_products()
-        ]
-        self._product_pages[pair] = ids
-        return ids
-
     def vendor_payload(
         self, name: str, offset: int = 0, limit: int = MAX_IDS
     ) -> dict:
         canonical = self.artifacts.vendor_map.get(name, name)
-        ids, products = self._vendor_lists(canonical)
+        ids = self.snapshot.vendor_cve_ids(canonical)
         if not ids:
             raise ServiceError(404, f"unknown vendor {name!r}")
         return {
@@ -209,7 +172,7 @@ class ServiceState:
             "queried": name,
             "aliases": self.vendor_aliases.get(canonical, []),
             **_page(ids, offset, limit, self.version),
-            "products": products,
+            "products": self.products_by_vendor.get(canonical, []),
         }
 
     def product_payload(
@@ -219,8 +182,7 @@ class ServiceState:
         canonical_product = self.artifacts.product_map.get(
             (canonical_vendor, product), product
         )
-        pair = (canonical_vendor, canonical_product)
-        ids = self._product_ids(pair)
+        ids = self.snapshot.product_cve_ids(canonical_vendor, canonical_product)
         if not ids:
             raise ServiceError(404, f"unknown product {vendor!r}/{product!r}")
         return {

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import gzip
 import json
 
 import pytest
@@ -50,8 +51,6 @@ class TestSynth:
         assert code == 0
         # gzip headers embed the file name; the decompressed feeds must
         # match byte for byte (the engine generalizes the default path).
-        import gzip
-
         assert gzip.decompress(out.read_bytes()) == gzip.decompress(
             feed_path.read_bytes()
         )
@@ -105,6 +104,59 @@ class TestFixCwe:
         assert len(fixed) == len(original)
         assert len(fixed.missing_cwe()) <= len(original.missing_cwe())
         assert "CWE recovery" in capsys.readouterr().out
+
+
+class TestInputErrors:
+    """Unreadable input is one ``error: <path>: <reason>`` line, exit 2."""
+
+    @pytest.fixture(params=["stats", "fix-cwe", "ingest"])
+    def run(self, request, tmp_path):
+        def run(path):
+            argv = [request.param, str(path)]
+            if request.param == "fix-cwe":
+                argv += ["--out", str(tmp_path / "fixed.json")]
+            if request.param == "ingest":
+                argv += ["--artifacts", str(tmp_path / "store")]
+            return main(argv)
+
+        return run
+
+    def assert_error(self, capsys, path, reason):
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: ")
+        assert reason in captured.err
+
+    @pytest.mark.parametrize("document", [{"CVE_data_type": "CPE"}, []])
+    def test_not_an_nvd_feed(self, run, tmp_path, capsys, document):
+        path = tmp_path / "feed.json"
+        path.write_text(json.dumps(document))
+        assert run(path) == 2
+        self.assert_error(capsys, path, "not an NVD JSON feed")
+
+    def test_gz_file_that_is_not_gzip(self, run, feed_path, tmp_path, capsys):
+        path = tmp_path / "plain.json.gz"
+        path.write_bytes(gzip.decompress(feed_path.read_bytes()))
+        assert run(path) == 2
+        self.assert_error(capsys, path, "Not a gzipped file")
+
+    def test_duplicate_cve_id(self, run, feed_path, tmp_path, capsys):
+        feed = json.loads(gzip.decompress(feed_path.read_bytes()))
+        feed["CVE_Items"].append(feed["CVE_Items"][0])
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(feed))
+        assert run(path) == 2
+        self.assert_error(capsys, path, "duplicate CVE id")
+
+    def test_missing_file(self, run, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert run(path) == 2
+        self.assert_error(capsys, path, "No such file or directory")
+
+    def test_ingest_into_directory_without_store(self, feed_path, tmp_path, capsys):
+        root = tmp_path / "empty"
+        root.mkdir()
+        assert main(["ingest", str(feed_path), "--artifacts", str(root)]) == 2
+        self.assert_error(capsys, root, "no artifact versions")
 
 
 class TestDemo:

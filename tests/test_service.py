@@ -18,7 +18,7 @@ import urllib.request
 import pytest
 
 from repro.artifacts import ingest_delta, load_artifacts
-from repro.service import NvdService, create_server
+from repro.service import NvdService, ServiceState, create_server
 from repro.service.routes import ROUTES
 from repro.service.server import MAX_BODY_BYTES, ApiHandler
 
@@ -112,8 +112,6 @@ class TestCveEndpoint:
         """A load decodes per-CVE data lazily; the served state reads it
         all at construction, so no request decodes files, and a GC of
         the version under a running server leaves its answers intact."""
-        from repro.service.state import ServiceState
-
         root = tmp_path / "store"
         shutil.copytree(artifact_root, root)
         state = ServiceState.load(root)
@@ -739,6 +737,64 @@ class TestPagination:
         status, payload = get(base_url, f"/v1/vendor/{vendor}?{query}")
         assert status == 400
         assert "query parameter" in payload["error"]
+
+
+class TestPagesMatchScan:
+    """Every vendor and product page walk equals a plain scan of the
+    snapshot's entries, in snapshot order."""
+
+    LIMIT = 3
+
+    @pytest.fixture(scope="class")
+    def state(self, artifact_root):
+        return ServiceState.load(artifact_root)
+
+    def walk(self, payload_at):
+        ids: list[str] = []
+        offset = 0
+        while offset is not None:
+            page = payload_at(offset)
+            assert page["n_cves"] > 0
+            ids.extend(page["cve_ids"])
+            offset = page["next_offset"]
+        assert len(ids) == page["n_cves"]
+        return ids, page
+
+    def test_every_vendor_by_name_and_alias(self, state):
+        entries = state.snapshot.entries
+        vendor_map = state.artifacts.vendor_map
+        names: dict[str, list[str]] = {}
+        for entry in entries:
+            for vendor in entry.vendors:
+                names.setdefault(vendor, [vendor])
+        for alias, canonical in vendor_map.items():
+            names.setdefault(canonical, [canonical]).append(alias)
+        assert len(names) > 100 and len(vendor_map) > 0
+        for canonical, queried in names.items():
+            expected_ids = [e.cve_id for e in entries if canonical in e.vendors]
+            expected_products = sorted(
+                {p for e in entries for v, p in e.vendor_products() if v == canonical}
+            )
+            for name in queried:
+                ids, page = self.walk(
+                    lambda offset: state.vendor_payload(name, offset, self.LIMIT)
+                )
+                assert page["vendor"] == canonical
+                assert ids == expected_ids
+                assert page["products"] == expected_products
+
+    def test_every_vendor_product_pair(self, state):
+        entries = state.snapshot.entries
+        pairs = {pair for e in entries for pair in e.vendor_products()}
+        assert len(pairs) > 100
+        for vendor, product in pairs:
+            ids, page = self.walk(
+                lambda offset: state.product_payload(vendor, product, offset, self.LIMIT)
+            )
+            assert (page["vendor"], page["product"]) == (vendor, product)
+            assert ids == [
+                e.cve_id for e in entries if (vendor, product) in e.vendor_products()
+            ]
 
 
 class TestMultiProcessServing:
