@@ -6,8 +6,10 @@ artifact of the original run instead of recomputing it:
 
 - **names (§4.2)** — the persisted vendor/product alias maps remap the
   delta entries; no pair generation, scoring or confirmation reruns;
-- **severity (§4.3)** — the persisted winning model predicts v3 scores
-  for the delta's v2-scored entries; no retraining;
+- **severity (§4.3)** — a delta entry whose feature row the store has
+  scored before takes the stored row score; the persisted winning model
+  scores only the rest, and is read only when such a row exists; no
+  retraining;
 - **cwe (§4.4)** — the regex recovery runs on the delta descriptions
   (it is per-entry and cheap);
 - **dates (§4.1)** — reference URLs replay through an optional
@@ -16,11 +18,12 @@ artifact of the original run instead of recomputing it:
   estimate falls back to the NVD publication date.
 
 The rectified delta is written as one **segment** version on top of the
-stored one: its entries, estimates, predictions and id-index rows, plus
-the updated report (see :mod:`repro.artifacts.store`).  The ingest
-reads the manifest, the alias maps, the models, the estimates and the
-id index of the stored chain — never its entries or predictions — so
-its cost follows the delta, not the store.  Once a chain holds
+stored one: its entries, estimates, predictions, id-index rows and the
+feature rows it scored, plus the updated report (see
+:mod:`repro.artifacts.store`).  The ingest reads the manifest, the alias
+maps, the estimates, the id index and the row scores of the stored chain
+— never its entries or predictions — so its cost follows the delta, not
+the store.  Once a chain holds
 :data:`MAX_SEGMENTS` segments, or the stored version predates the id
 index, the ingest instead loads everything and writes a fresh full
 base.  Either way the ``CURRENT`` pointer flips atomically, which is
@@ -38,6 +41,7 @@ from repro.artifacts.store import export_run, index_row, load_artifacts
 from repro.core.cwefix import apply_cwe_fixes, extract_cwe_fixes
 from repro.core.dates import DisclosureEstimate
 from repro.core.products import apply_product_mapping
+from repro.core.severity import RowKey
 from repro.core.vendors import apply_vendor_mapping
 from repro.cvss import severity_v3
 from repro.nvd import CveEntry, NvdSnapshot
@@ -156,14 +160,18 @@ def ingest_delta(
             n_date_improved += 1
         new_estimates[entry.cve_id] = estimate
 
-    # §4.3 — persisted winning model, no retrain.
+    # §4.3 — persisted winning model, no retrain.  Rows the store has
+    # scored keep their stored scores; only the rest reach the model.
     scored = [e for e in rectified_delta.entries if e.cvss_v2 is not None]
     model_used = artifacts.model_used
     new_scores: dict[str, float] = {}
     new_severity: dict[str, str] = {}
+    new_rows: dict[RowKey, float] = {}
     n_predicted = 0
     if scored:
-        predictions = artifacts.engine.predict_scores(scored, model=model_used)
+        predictions = artifacts.engine.predict_scores(
+            scored, model=model_used, known=artifacts.row_scores, scored=new_rows
+        )
         for entry, score in zip(scored, predictions):
             new_scores[entry.cve_id] = float(score)
             new_severity[entry.cve_id] = severity_v3(float(score)).value
@@ -200,9 +208,11 @@ def ingest_delta(
         estimates = {**artifacts.estimates, **new_estimates}
         pv3_scores = {**artifacts.pv3_scores, **new_scores}
         pv3_severity = {**artifacts.pv3_severity, **new_severity}
+        row_scores = {**artifacts.row_scores, **new_rows}
     else:  # the delta's rows only
         snapshot, estimates = rectified_delta, new_estimates
         pv3_scores, pv3_severity = new_scores, new_severity
+        row_scores = new_rows
     version = export_run(
         root,
         snapshot=snapshot,
@@ -213,6 +223,7 @@ def ingest_delta(
         estimates=estimates,
         pv3_scores=pv3_scores,
         pv3_severity=pv3_severity,
+        row_scores=row_scores,
         report=report,
         source="ingest",
         parent=artifacts.version,

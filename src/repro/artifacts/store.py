@@ -13,13 +13,16 @@ persists everything a serving front end needs so the run happens once:
 - the backported v3 scores/severities and the cleaning report,
 - a per-CVE id index: whether the CVE's v3 score is predicted (v2
   scored, no v3 vector) and its CWE labels,
+- the row table: every feature row (v2 vector, first concrete CWE)
+  the version's prediction scored, with its score, so a later ingest
+  or predict on that row looks the score up instead of running a model,
 - the engine config plus its fingerprint, in a schema-checked manifest.
 
 The JSON files (``manifest.json``, ``engine.json``, ``maps.json``,
 ``report.json`` and the gzip-compressed ``estimates``/``predictions``/
-``index``) are written compact, with sorted keys and no indentation,
-so ``json``'s C encoder writes them; any JSON text loads, so stores
-written indented by earlier versions still load.
+``index``/``row_scores``) are written compact, with sorted keys and no
+indentation, so ``json``'s C encoder writes them; any JSON text loads,
+so stores written indented by earlier versions still load.
 
 Layout — one immutable directory per version, plus an atomic pointer.
 :func:`export_run` writes either kind.  A **base** version (from
@@ -39,6 +42,7 @@ report::
         estimates.json.gz
         predictions.json.gz
         index.json.gz
+        row_scores.json.gz  # [[v2 vector, CWE label or null, score], …]
         report.json
       v0002/             # segment on v0001
         manifest.json
@@ -46,6 +50,7 @@ report::
         estimates.json.gz
         predictions.json.gz
         index.json.gz
+        row_scores.json.gz  # only the rows this ingest scored
         report.json
 
 A manifest's ``chain`` names the versions it builds on: its base, then
@@ -56,7 +61,11 @@ copied from the parent's manifest.  :func:`load_artifacts` replays the
 chain as an upsert by CVE id — base entries, then each segment's — the
 order :meth:`repro.nvd.NvdSnapshot.merge` gives, decoding only each
 id's newest item (:func:`repro.nvd.feed.load_feeds`); it decodes the
-per-CVE files only when a caller first reads them.  An ingest onto a
+per-CVE files only when a caller first reads them.  The row tables
+upsert the same way, by row; a link written before the table existed
+adds no rows.  A load checks every model file's hash but reads a model
+only when something first scores with it (or a rebase writes it
+again).  An ingest onto a
 chain of :data:`repro.artifacts.ingest.MAX_SEGMENTS` segments writes a
 fresh base instead, so no chain grows past that.  Recovery
 (:mod:`repro.artifacts.recovery`) treats a version as valid only when
@@ -85,13 +94,14 @@ import re
 import shutil
 import tempfile
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
 from repro.core.dates import DisclosureEstimate
 from repro.core.severity import (
     SUPPORTED_MODELS,
     EngineConfig,
+    RowKey,
     SeverityPredictionEngine,
 )
 from repro.cvss import Severity
@@ -124,6 +134,8 @@ _VERSION_RE = re.compile(r"v(\d{4,})")
 #: the entries file of a base version and of a segment version.
 BASE_ITEMS = "snapshot.json.gz"
 SEGMENT_ITEMS = "delta.json.gz"
+#: the feature rows a version's prediction scored, with their scores.
+ROW_SCORES = "row_scores.json.gz"
 
 #: loader for each persisted model file (``models/<name>.npz``); keys
 #: must cover :data:`repro.core.severity.SUPPORTED_MODELS` exactly.
@@ -248,9 +260,10 @@ def _write_entries(
     estimates: dict[str, DisclosureEstimate],
     pv3_scores: dict[str, float],
     pv3_severity: dict[str, Severity | str],
+    row_scores: Mapping[RowKey, float],
 ) -> None:
     """The per-CVE files of one base or segment: entries, estimates,
-    predictions and the id index."""
+    predictions and the id index, plus the scored feature rows."""
     # One new container per CVE; the collector would rescan every
     # object the caller holds (a whole loaded store, on a rebase).
     with gc_paused():
@@ -280,6 +293,10 @@ def _write_entries(
             staging / "index.json.gz",
             {entry.cve_id: index_row(entry) for entry in entries},
         )
+        _write_json(
+            staging / ROW_SCORES,
+            [[vector, cwe, score] for (vector, cwe), score in row_scores.items()],
+        )
 
 
 def _chain_files(version: str, manifest: dict[str, Any]) -> dict[str, Any]:
@@ -301,6 +318,7 @@ def export_run(
     estimates: dict[str, DisclosureEstimate],
     pv3_scores: dict[str, float],
     pv3_severity: dict[str, Severity | str],
+    row_scores: Mapping[RowKey, float],
     report: Any,
     source: str = "clean",
     parent: str | None = None,
@@ -313,19 +331,22 @@ def export_run(
     ``CURRENT``.  ``report`` may be a :class:`CleaningReport` or a
     plain dict (the ingest path passes the loaded dict, updated).
 
+    ``row_scores`` maps each feature row ``model_used`` scored to its
+    score (:meth:`SeverityPredictionEngine.predict_scores`'s
+    ``scored``).
+
     By default the version is a full base.  With ``segment_of`` (the
     loaded parent version) it is one segment on the parent's chain:
-    ``snapshot``, ``estimates`` and the predictions hold only the
-    delta's rows, and the parent's models and maps — which ``engine``,
-    ``vendor_map`` and ``product_map`` must be — are inherited, not
-    written again.
+    ``snapshot``, ``estimates``, the predictions and ``row_scores``
+    hold only the delta's rows, and the parent's models and maps —
+    which ``engine``, ``vendor_map`` and ``product_map`` must be — are
+    inherited, not written, so no model is read.
     """
     root = pathlib.Path(root)
-    models = engine.models
-    if model_used not in models:
+    if model_used not in engine.model_names:
         raise ArtifactError(
             f"model_used {model_used!r} is not among the trained models "
-            f"{sorted(models)}"
+            f"{sorted(engine.model_names)}"
         )
     config = engine.config
     report_dict = dict(report) if isinstance(report, dict) else dataclasses.asdict(report)
@@ -342,11 +363,12 @@ def export_run(
     try:
         if segment_of is None:
             _write_entries(
-                staging, BASE_ITEMS, snapshot.entries, estimates, pv3_scores, pv3_severity
+                staging, BASE_ITEMS, snapshot.entries, estimates, pv3_scores,
+                pv3_severity, row_scores,
             )
             models_dir = staging / "models"
             models_dir.mkdir()
-            for name, model in sorted(models.items()):
+            for name, model in sorted(engine.models.items()):
                 model.save(models_dir / f"{name}.npz")
             _write_json(
                 staging / "engine.json",
@@ -354,7 +376,7 @@ def export_run(
                     "config": dataclasses.asdict(config),
                     "fingerprint": config_fingerprint(config),
                     "model_used": model_used,
-                    "models": sorted(models),
+                    "models": sorted(engine.model_names),
                 },
             )
             _write_json(
@@ -370,7 +392,8 @@ def export_run(
             fields.update(n_cves=len(snapshot), chain=[])
         else:
             _write_entries(
-                staging, SEGMENT_ITEMS, snapshot.entries, estimates, pv3_scores, pv3_severity
+                staging, SEGMENT_ITEMS, snapshot.entries, estimates, pv3_scores,
+                pv3_severity, row_scores,
             )
             inherited = _chain_files(segment_of.version, segment_of.manifest)
             del inherited[f"{segment_of.version}/report.json"]  # superseded
@@ -435,16 +458,51 @@ def _estimate(version_dir: pathlib.Path, cve_id: str, row: Any) -> DisclosureEst
         raise ArtifactError(f"{version_dir}: bad estimates: {error}") from None
 
 
+class _StoredModels(Mapping[str, object]):
+    """A base's persisted models by name, each read from its
+    ``models/<name>.npz`` the first time it is looked up."""
+
+    def __init__(self, base_dir: pathlib.Path, names: Iterable[str]) -> None:
+        self._base_dir = base_dir
+        self._names = tuple(names)
+        self._read: dict[str, object] = {}
+
+    def __getitem__(self, name: str) -> object:
+        model = self._read.get(name)
+        if model is None:
+            if name not in self._names:
+                raise KeyError(name)
+            try:
+                model = _MODEL_LOADERS[name](self._base_dir / "models" / f"{name}.npz")
+            except (OSError, ValueError, KeyError) as error:
+                raise ArtifactError(
+                    f"{self._base_dir}: cannot load model {name!r}: {error}"
+                ) from None
+            self._read[name] = model
+        return model
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+
 @dataclasses.dataclass
 class LoadedArtifacts:
     """One artifact version, rehydrated for serving — no retraining.
 
-    :func:`load_artifacts` reads the manifest, models, maps and report.
-    The per-CVE data of the chain — ``snapshot``, ``estimates``, the
-    predictions and the id ``index`` — is decoded on first use, so a
-    caller pays only for what it reads: an ingest never decodes the
-    snapshot.  Version directories are immutable, so a later read sees
-    the bytes the load verified.
+    :func:`load_artifacts` reads the manifest, maps and report.  The
+    engine reads each model on first use, and the per-CVE data of the
+    chain — ``snapshot``, ``estimates``, the predictions, the id
+    ``index`` and the ``row_scores`` table — is decoded on first use,
+    so a caller pays only for what it reads: an ingest never decodes
+    the snapshot, and reads a model only for rows the table lacks.
+    Version directories are immutable, so a later read sees the bytes
+    the load verified.
 
     ``pv3_severity`` holds label strings (``"HIGH"``, …), the shape the
     service responds with; the ingest path converts fresh predictions
@@ -535,14 +593,34 @@ class LoadedArtifacts:
     def pv3_severity(self) -> dict[str, str]:
         return self._predictions[1]
 
+    def _links_with(self, name: str) -> list[pathlib.Path]:
+        """The chain links that wrote a file ``name``."""
+        listed = _chain_files(self.version, self.manifest)
+        return [link for link in self.chain_dirs if f"{link.name}/{name}" in listed]
+
     @functools.cached_property
     def index(self) -> dict[str, list[Any]] | None:
         """CVE id → :func:`index_row` over the whole chain; None when a
         link was written before the index existed."""
-        listed = _chain_files(self.version, self.manifest)
-        if any(f"{link.name}/index.json.gz" not in listed for link in self.chain_dirs):
+        if len(self._links_with("index.json.gz")) < len(self.chain_dirs):
             return None
         return self._upserted("index.json.gz")
+
+    @functools.cached_property
+    def row_scores(self) -> dict[RowKey, float]:
+        """Feature row → the score ``model_used`` gave it, over every
+        row the chain's predictions scored.  A link written before the
+        table existed adds no rows."""
+        table: dict[RowKey, float] = {}
+        for link_dir in self._links_with(ROW_SCORES):
+            try:
+                table.update(
+                    ((vector, cwe), float(score))
+                    for vector, cwe, score in _read_json(link_dir / ROW_SCORES)
+                )
+            except (TypeError, ValueError) as error:
+                raise ArtifactError(f"{link_dir}: bad row scores: {error}") from None
+        return table
 
 
 def _verify_manifest(
@@ -597,10 +675,10 @@ def load_artifacts(
 
     This is the serving cold-start path: the snapshot, alias maps,
     estimates, predictions and trained models are all read from disk —
-    no crawling, no pair scoring, no training.  A segment version's
-    chain replays as an upsert by CVE id, base first.  ``verify=True``
-    (the default) checks every file of the chain against its manifest
-    sha256 first.
+    no crawling, no pair scoring, no training — each when first used.
+    A segment version's chain replays as an upsert by CVE id, base
+    first.  ``verify=True`` (the default) checks every file of the
+    chain, model files included, against its manifest sha256 first.
     """
     root = pathlib.Path(root)
     version = _resolve_version(root, version)
@@ -620,17 +698,10 @@ def load_artifacts(
         config = EngineConfig(**config_doc)
     except TypeError as error:
         raise ArtifactError(f"{base_dir}: bad engine config: {error}") from None
-    models: dict[str, object] = {}
-    for name in engine_doc["models"]:
-        loader = _MODEL_LOADERS.get(name)
-        if loader is None:
-            raise ArtifactError(f"{base_dir}: unknown persisted model {name!r}")
-        try:
-            models[name] = loader(base_dir / "models" / f"{name}.npz")
-        except (OSError, ValueError, KeyError) as error:
-            raise ArtifactError(
-                f"{base_dir}: cannot load model {name!r}: {error}"
-            ) from None
+    unknown = [name for name in engine_doc["models"] if name not in _MODEL_LOADERS]
+    if unknown:
+        raise ArtifactError(f"{base_dir}: unknown persisted model {unknown[0]!r}")
+    models = _StoredModels(base_dir, engine_doc["models"])
     engine = SeverityPredictionEngine.from_models(config, models)
     model_used = engine_doc["model_used"]
     if model_used not in models:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 from collections.abc import Sequence
 
@@ -79,7 +80,7 @@ def _positive_int(text: str) -> int:
 _FEED_ERRORS = (OSError, EOFError, ValueError)
 
 
-def _input_error(path: str, error: Exception) -> int:
+def _input_error(path: str, error: Exception | str) -> int:
     """Print ``error: <path>: <reason>``; the exit code for bad input."""
     # An OSError's str() repeats the path; its strerror does not.
     reason = getattr(error, "strerror", None) or str(error)
@@ -87,7 +88,19 @@ def _input_error(path: str, error: Exception) -> int:
     return 2
 
 
+def _missing_out_dir(path: str) -> bool:
+    """Report an ``--out`` path whose directory does not exist, before
+    any work is done; True when it was reported."""
+    directory = pathlib.Path(path).parent
+    if directory.is_dir():
+        return False
+    _input_error(path, f"directory {str(directory)!r} does not exist")
+    return True
+
+
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if _missing_out_dir(args.out):
+        return 2
     bundle = generate(GeneratorConfig(n_cves=args.n_cves, seed=args.seed))
     save_feed(bundle.snapshot.entries, args.out)
     print(f"wrote {len(bundle.snapshot)} CVEs to {args.out}")
@@ -134,6 +147,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if not args.out:
         print("error: --out is required (or use --list / --show)", file=sys.stderr)
         return 2
+    if _missing_out_dir(args.out):
+        return 2
 
     try:
         bundle = scenario.generate(args.n_cves, args.seed)
@@ -173,6 +188,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_fix_cwe(args: argparse.Namespace) -> int:
+    if _missing_out_dir(args.out):
+        return 2
     try:
         snapshot = NvdSnapshot(load_feed(args.feed))
     except _FEED_ERRORS as error:
@@ -194,6 +211,8 @@ def _cmd_fix_cwe(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
+    if args.out and _missing_out_dir(args.out):
+        return 2
     bundle = generate(GeneratorConfig(n_cves=args.n_cves, seed=args.seed))
     rectified = clean(
         bundle.snapshot,
@@ -240,6 +259,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_recover(args: argparse.Namespace) -> int:
     from repro.artifacts import recover_store
 
+    if not pathlib.Path(args.artifacts).is_dir():
+        # The sweep reads a missing store as a clean, empty one.
+        return _input_error(args.artifacts, "no such directory")
     report = recover_store(
         args.artifacts, keep=args.keep, verify_hashes=args.verify_hashes
     )

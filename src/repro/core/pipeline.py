@@ -27,7 +27,7 @@ from repro.core.products import (
     analyze_products,
     apply_product_mapping,
 )
-from repro.core.severity import EngineConfig, SeverityPredictionEngine
+from repro.core.severity import EngineConfig, RowKey, SeverityPredictionEngine
 from repro.core.vendors import VendorAnalysis, analyze_vendors, apply_vendor_mapping
 from repro.nvd import NvdSnapshot
 from repro.web import CrawlCache, WebClient
@@ -67,6 +67,8 @@ class RectifiedNvd:
     engine: SeverityPredictionEngine
     pv3_scores: dict[str, float]
     pv3_severity: dict[str, Severity]
+    #: the score of every feature row the prediction computed.
+    row_scores: dict[RowKey, float]
     #: the CWE recovery outcome (§4.4).
     cwe_fixes: CweFixResult
     report: CleaningReport
@@ -92,6 +94,7 @@ class RectifiedNvd:
             estimates=self.estimates,
             pv3_scores=self.pv3_scores,
             pv3_severity=self.pv3_severity,
+            row_scores=self.row_scores,
             report=self.report,
         )
 
@@ -163,7 +166,10 @@ def clean(
             with recorder.phase("select"):
                 model = prediction_model or engine.best_model()
             with recorder.phase("predict"):
-                predictions = engine.predict_scores(scored, model=model)
+                row_scores: dict[RowKey, float] = {}
+                predictions = engine.predict_scores(
+                    scored, model=model, scored=row_scores
+                )
                 pv3_scores = {
                     entry.cve_id: float(score)
                     for entry, score in zip(scored, predictions)
@@ -206,6 +212,7 @@ def clean(
         engine=engine,
         pv3_scores=pv3_scores,
         pv3_severity=pv3_severity,
+        row_scores=row_scores,
         cwe_fixes=cwe_fixes,
         report=report,
     )

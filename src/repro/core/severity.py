@@ -15,17 +15,19 @@ three privilege-obtained flags, and the CWE id.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Mapping
 
 import numpy as np
 
+from repro import perf
 from repro.cvss import Severity, severity_v3
 from repro.cvss.v2 import (
     ACCESS_COMPLEXITY,
     ACCESS_VECTOR,
     AUTHENTICATION,
     IMPACT,
-    CvssV2Metrics,
     score_v2,
+    v2_vector_string,
 )
 from repro.cwe import CWE_LABEL
 from repro.ml import (
@@ -49,8 +51,10 @@ from repro.nvd import CveEntry
 __all__ = [
     "EngineConfig",
     "ModelScores",
+    "RowKey",
     "SUPPORTED_MODELS",
     "SeverityPredictionEngine",
+    "row_key",
     "transition_table",
     "v2_features",
 ]
@@ -108,6 +112,23 @@ def _concrete_cwe(entry: CveEntry) -> str | None:
     crashing the feature build.
     """
     return next((cwe for cwe in entry.cwe_ids if CWE_LABEL.fullmatch(cwe)), None)
+
+
+#: one feature row: the v2 base vector string and the first concrete
+#: CWE label (None without one).  :func:`v2_features` reads nothing
+#: else, so every entry with the same key scores the same.
+RowKey = tuple[str, str | None]
+
+
+def row_key(entry: CveEntry) -> RowKey:
+    """The feature row ``entry`` scores as.
+
+    Raises :class:`ValueError` when the entry has no v2 vector, as
+    :func:`v2_features` does.
+    """
+    if entry.cvss_v2 is None:
+        raise ValueError(f"{entry.cve_id} has no CVSS v2 vector")
+    return v2_vector_string(entry.cvss_v2), _concrete_cwe(entry)
 
 
 def v2_features(entry: CveEntry) -> np.ndarray:
@@ -222,7 +243,7 @@ class SeverityPredictionEngine:
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
-        self._models: dict[str, object] = {}
+        self._models: Mapping[str, object] = {}
         self._train_idx: np.ndarray | None = None
         self._test_idx: np.ndarray | None = None
         self._x: np.ndarray | None = None
@@ -233,7 +254,7 @@ class SeverityPredictionEngine:
     def from_models(
         cls,
         config: EngineConfig,
-        models: dict[str, object],
+        models: Mapping[str, object],
     ) -> "SeverityPredictionEngine":
         """An engine restored from persisted models — no training data.
 
@@ -247,12 +268,20 @@ class SeverityPredictionEngine:
         if unknown:
             raise ValueError(f"unknown model {unknown[0]!r}")
         engine = cls(config)
-        engine._models = dict(models)
+        # Kept, not copied: a store's mapping reads each model file on
+        # first access, so a model nothing scores with is never read.
+        engine._models = models
         return engine
 
     @property
+    def model_names(self) -> tuple[str, ...]:
+        """The names of the trained models, reading none of them."""
+        return tuple(self._models)
+
+    @property
     def models(self) -> dict[str, object]:
-        """The trained models by name (a copy; used for persistence)."""
+        """The trained models by name (a copy, reading every model not
+        yet read; used for persistence)."""
         return dict(self._models)
 
     # -- training ----------------------------------------------------------
@@ -282,6 +311,7 @@ class SeverityPredictionEngine:
         y_train = self._y[self._train_idx]
         rng = np.random.default_rng(self.config.seed)
 
+        models: dict[str, object] = {}
         networks: dict[str, Sequential] = {}
         for name in self.config.models:
             if name == "cnn":
@@ -291,9 +321,9 @@ class SeverityPredictionEngine:
         config = self.config
         for name in config.models:
             if name == "lr":
-                self._models[name] = LinearRegression().fit(x_train, y_train)
+                models[name] = LinearRegression().fit(x_train, y_train)
             elif name == "svr":
-                self._models[name] = SupportVectorRegressor(
+                models[name] = SupportVectorRegressor(
                     c=config.svr_c,
                     gamma=config.svr_gamma,
                     max_support=config.svr_max_support,
@@ -311,15 +341,21 @@ class SeverityPredictionEngine:
                     seed=config.seed,
                     dtype=NN_DTYPE,
                 )
-                self._models[name] = model
+                models[name] = model
+        self._models = models
         return self
 
     # -- prediction ----------------------------------------------------------
 
-    def _predict_matrix(self, x: np.ndarray, model_name: str) -> np.ndarray:
-        model = self._models.get(model_name)
+    def model(self, name: str) -> object:
+        """The trained model ``name`` (read now if it was not yet)."""
+        model = self._models.get(name)
         if model is None:
-            raise RuntimeError(f"model {model_name!r} is not trained")
+            raise RuntimeError(f"model {name!r} is not trained")
+        return model
+
+    def _predict_matrix(self, x: np.ndarray, model_name: str) -> np.ndarray:
+        model = self.model(model_name)
         if model_name in ("cnn", "dnn"):
             # Match the training precision so prediction runs the
             # same all-float32 path instead of upcasting every layer.
@@ -331,34 +367,60 @@ class SeverityPredictionEngine:
         return np.clip(raw, 0.0, 10.0)
 
     def predict_scores(
-        self, entries: list[CveEntry], model: str = "cnn"
+        self,
+        entries: list[CveEntry],
+        model: str = "cnn",
+        *,
+        known: Mapping[RowKey, float] | None = None,
+        scored: dict[RowKey, float] | None = None,
     ) -> np.ndarray:
         """Predicted v3 base scores for arbitrary v2-scored entries.
 
-        The features are a function of the v2 vector and the first
-        concrete CWE only, so entries sharing both share one feature
-        row: each distinct row is built and scored once, and the scores
-        are scattered back in entry order.  At paper scale 107,200
-        entries hold ~4,600 distinct rows.  Padding the rows to a whole
-        number of :data:`GEMV_ROW_GROUP` rows makes each score a function
-        of its row alone: bit-identical to a full pass over every entry
-        whose row count is a whole number of BLAS row groups.
+        The features are a function of the entry's :func:`row_key`
+        only, so each distinct row is built and scored once, and the
+        scores are scattered back in entry order.  At paper scale
+        107,200 entries hold ~4,600 distinct rows.
+
+        ``known`` maps rows to the scores ``model`` gave them before (a
+        store's row table): those rows are not scored again, and when
+        every row is known no model is read.  ``scored``, when given,
+        receives the score of every row this call computed.
+
+        Padding the rows to a whole number of :data:`GEMV_ROW_GROUP`
+        rows makes each score a function of its row alone: bit-identical
+        to a full pass over every entry whose row count is a whole number
+        of BLAS row groups, and so to a ``known`` score.  Only a call on
+        one distinct row goes unpadded (a lone row scores through a dot
+        product); a lone unknown row among known ones is padded, as it
+        would be without the table.
         """
-        rows: dict[tuple[CvssV2Metrics | None, str | None], int] = {}
-        distinct: list[CveEntry] = []
+        known = known if known is not None else {}
+        rows: dict[RowKey, int] = {}
+        values: list[float] = []  # per distinct row; 0.0 until scored
+        fresh: dict[RowKey, CveEntry] = {}  # one entry per row ``known`` lacks
         index: list[int] = []
         for entry in entries:
-            key = (entry.cvss_v2, _concrete_cwe(entry))
+            key = row_key(entry)
             row = rows.get(key)
             if row is None:
-                row = rows[key] = len(distinct)
-                distinct.append(entry)
+                row = rows[key] = len(values)
+                value = known.get(key)
+                if value is None:
+                    fresh[key] = entry
+                values.append(0.0 if value is None else value)
             index.append(row)
-        x = feature_matrix(distinct)
-        if len(distinct) > 1:
-            pad = -len(distinct) % GEMV_ROW_GROUP
-            x = np.concatenate([x, np.repeat(x[-1:], pad, axis=0)])
-        scores = self._predict_matrix(x, model)
+        perf.add_counter("severity.rows_reused", len(rows) - len(fresh))
+        perf.add_counter("severity.rows_scored", len(fresh))
+        scores = np.array(values, dtype=float)
+        if fresh:
+            x = feature_matrix(list(fresh.values()))
+            if len(rows) > 1:
+                pad = -len(fresh) % GEMV_ROW_GROUP
+                x = np.concatenate([x, np.repeat(x[-1:], pad, axis=0)])
+            fresh_scores = self._predict_matrix(x, model)[: len(fresh)]
+            scores[[rows[key] for key in fresh]] = fresh_scores
+            if scored is not None:
+                scored.update(zip(fresh, fresh_scores.tolist()))
         return scores[np.array(index, dtype=np.intp)]
 
     def predict_severities(

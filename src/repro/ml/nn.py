@@ -57,18 +57,33 @@ ADAM_BLOCK = 65_536
 
 
 class Parameter:
-    """A trainable tensor with the gradient of the last backward pass."""
+    """A trainable tensor with the gradient of the last backward pass.
 
-    __slots__ = ("value", "grad")
+    The gradient buffer is allocated (zeroed) on first use, so a model
+    that only predicts, such as a loaded one, never pays for it.
+    """
+
+    __slots__ = ("value", "_grad")
 
     def __init__(self, value: np.ndarray) -> None:
         self.value = value
-        self.grad = np.zeros_like(value)
+        self._grad: np.ndarray | None = None
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray) -> None:
+        self._grad = grad
 
     def astype(self, dtype: np.dtype | type) -> None:
         """Cast the value and gradient buffers in place."""
         self.value = np.asarray(self.value, dtype=dtype)
-        self.grad = np.asarray(self.grad, dtype=dtype)
+        if self._grad is not None:
+            self._grad = np.asarray(self._grad, dtype=dtype)
 
 
 class Layer:
@@ -109,13 +124,25 @@ class Dense(Layer):
         dtype: np.dtype | type = np.float64,
     ) -> None:
         limit = scale * np.sqrt(6.0 / in_features)
-        self.weight = Parameter(
+        self._set_weights(
             rng.uniform(-limit, limit, size=(in_features, out_features)).astype(
                 dtype, copy=False
-            )
+            ),
+            np.zeros(out_features, dtype=dtype),
         )
-        self.bias = Parameter(np.zeros(out_features, dtype=dtype))
+
+    def _set_weights(self, weight: np.ndarray, bias: np.ndarray) -> None:
+        self.weight = Parameter(weight)
+        self.bias = Parameter(bias)
         self._input: np.ndarray | None = None
+
+    @classmethod
+    def from_arrays(cls, weight: np.ndarray, bias: np.ndarray) -> "Dense":
+        """A layer holding ``weight`` and ``bias`` as given, drawing no
+        initial weights (:meth:`Sequential.load` builds through this)."""
+        layer = cls.__new__(cls)
+        layer._set_weights(weight, bias)
+        return layer
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -160,13 +187,19 @@ class Conv1D(Layer):
             raise ValueError("Conv1D requires an odd kernel size for 'same' padding")
         fan_in = kernel_size * in_channels
         limit = np.sqrt(6.0 / fan_in)
-        self.kernel_size = kernel_size
-        self.weight = Parameter(
+        self._set_weights(
             rng.uniform(
                 -limit, limit, size=(kernel_size, in_channels, out_channels)
-            ).astype(dtype, copy=False)
+            ).astype(dtype, copy=False),
+            np.zeros(out_channels, dtype=dtype),
         )
-        self.bias = Parameter(np.zeros(out_channels, dtype=dtype))
+
+    def _set_weights(self, weight: np.ndarray, bias: np.ndarray) -> None:
+        """Take ``weight`` (``(kernel_size, in_channels, out_channels)``)
+        and ``bias``; the layer's shape is read off the kernel."""
+        self.kernel_size, self._in_channels, _ = weight.shape
+        self.weight = Parameter(weight)
+        self.bias = Parameter(bias)
         # Persistent scratch, reallocated only when the batch shape or
         # dtype changes (in training: twice per epoch, for the final
         # short batch).  The padded buffers are written only in their
@@ -177,7 +210,18 @@ class Conv1D(Layer):
         self._grad_padded: np.ndarray | None = None
         self._batch = 0
         self._input_length = 0
-        self._in_channels = in_channels
+
+    @classmethod
+    def from_arrays(cls, weight: np.ndarray, bias: np.ndarray) -> "Conv1D":
+        """A layer holding ``weight`` and ``bias`` as given, drawing no
+        initial weights (:meth:`Sequential.load` builds through this)."""
+        if weight.ndim != 3 or weight.shape[0] % 2 != 1:
+            raise ValueError(
+                f"Conv1D kernel of shape {weight.shape} is not (odd, in, out)"
+            )
+        layer = cls.__new__(cls)
+        layer._set_weights(weight, bias)
+        return layer
 
     def parameters(self) -> list[Parameter]:
         return [self.weight, self.bias]
@@ -363,50 +407,45 @@ class Sequential(Layer):
     def load(cls, path: str | os.PathLike[str]) -> "Sequential":
         """Rebuild a model saved by :meth:`save`.
 
-        Raises :class:`ValueError` for unknown layer types or a
-        parameter count that does not match the stored architecture
-        (a truncated or foreign file).
+        Each weighted layer is built straight from its stored arrays
+        (``from_arrays``), so a load draws no initial weights.  Raises
+        :class:`ValueError` for unknown layer types, a parameter count
+        that does not match the stored architecture (a truncated or
+        foreign file), or a kernel whose shape disagrees with its spec.
         """
         with np.load(path, allow_pickle=False) as data:
             specs = json.loads(str(data["arch"][()]))
-            rng = np.random.default_rng(0)  # placeholder init, overwritten below
+            stored = sum(1 for name in data.files if name.startswith("param_"))
+            declared = 2 * sum(
+                1 for spec in specs if spec.get("type") in ("Dense", "Conv1D")
+            )
+            if stored != declared:
+                raise ValueError(
+                    f"{path} stores {stored} parameters but the architecture "
+                    f"declares {declared}"
+                )
+            arrays = (np.ascontiguousarray(data[f"param_{i}"]) for i in range(stored))
             layers: list[Layer] = []
             for spec in specs:
                 kind = spec.get("type")
                 if kind == "Dense":
-                    layers.append(
-                        Dense(int(spec["in_features"]), int(spec["out_features"]), rng)
-                    )
+                    layer = Dense.from_arrays(next(arrays), next(arrays))
                 elif kind == "Conv1D":
-                    layers.append(
-                        Conv1D(
-                            int(spec["in_channels"]),
-                            int(spec["out_channels"]),
-                            int(spec["kernel_size"]),
-                            rng,
-                        )
-                    )
+                    layer = Conv1D.from_arrays(next(arrays), next(arrays))
                 elif kind == "Flatten":
-                    layers.append(Flatten())
+                    layer = Flatten()
                 elif kind == "ReLU":
-                    layers.append(ReLU())
+                    layer = ReLU()
                 elif kind == "Sigmoid":
-                    layers.append(Sigmoid())
+                    layer = Sigmoid()
                 else:
                     raise ValueError(f"unknown layer type {kind!r} in {path}")
-            model = cls(*layers)
-            parameters = model.parameters()
-            stored = sum(1 for name in data.files if name.startswith("param_"))
-            if stored != len(parameters):
-                raise ValueError(
-                    f"{path} stores {stored} parameters but the architecture "
-                    f"declares {len(parameters)}"
-                )
-            for i, param in enumerate(parameters):
-                value = np.ascontiguousarray(data[f"param_{i}"])
-                param.value = value
-                param.grad = np.zeros_like(value)
-        return model
+                if layer.spec() != spec:
+                    raise ValueError(
+                        f"{path}: weights of {layer.spec()} under a {spec} spec"
+                    )
+                layers.append(layer)
+        return cls(*layers)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Forward pass in :data:`PREDICT_BATCH_ROWS`-row batches.

@@ -8,12 +8,15 @@ each vendor's sorted product list are materialised at load time so
 the first request is as fast as the thousandth.  Vendor and product
 pages slice the snapshot's id lists directly.
 
-The only mutable corner is neural-network prediction:
-``ml.nn.Sequential`` layers cache forward state, so concurrent
-``/v1/severity/predict`` requests serialise on a lock, one row at a
-time.  (The linear and SVR models are stateless at predict time; the
-lock covers the common engine path uniformly because a single
-13-feature forward pass is microseconds — far below socket overhead.)
+A ``/v1/severity/predict`` body whose feature row is in the store's
+row table (:attr:`repro.artifacts.LoadedArtifacts.row_scores`) is
+answered with the stored score, the one the stored CVEs with that row
+were given.  Any other row runs a one-row forward.  That is the only
+mutable corner: ``ml.nn.Sequential`` layers cache forward state, so
+predicts serialise on a lock, one row at a time.  (The linear and SVR
+models are stateless at predict time; the lock covers the engine path
+uniformly because a lookup is microseconds and a single 13-feature
+forward pass well under a millisecond.)
 """
 
 from __future__ import annotations
@@ -91,7 +94,11 @@ class ServiceState:
         self.estimates = artifacts.estimates
         self.pv3_scores = artifacts.pv3_scores
         self.pv3_severity = artifacts.pv3_severity
+        self.row_scores = artifacts.row_scores
         self.model_used = artifacts.model_used
+        # The engine reads a model on first use: read it here, so no
+        # request pays for it.
+        artifacts.engine.model(self.model_used)
         self._predict_lock = threading.Lock()
         # Eager cold-start: build the snapshot's name index and stats
         # now, not on the first query.
@@ -244,7 +251,8 @@ class ServiceState:
 
         Returns one item per body, **in order**: a payload dict, or the
         :class:`ServiceError` that body earned.  Each body is scored on
-        its own, exactly as a lone request would be.
+        its own, exactly as a lone request would be: a row in the row
+        table takes its stored score, any other row one forward.
         """
         engine = self.artifacts.engine
         results: list[object] = []
@@ -255,7 +263,9 @@ class ServiceState:
                 results.append(error)
                 continue
             with self._predict_lock:
-                scores = engine.predict_scores([entry], model=self.model_used)
+                scores = engine.predict_scores(
+                    [entry], model=self.model_used, known=self.row_scores
+                )
             score = float(scores[0])
             results.append(
                 {

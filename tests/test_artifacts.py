@@ -18,6 +18,7 @@ from repro.artifacts import (
     load_artifacts,
     read_current,
 )
+from repro.core.severity import row_key
 from repro.web import CrawlCache
 
 
@@ -383,25 +384,33 @@ class TestSegments:
     def test_chain_loads_like_a_full_rewrite(
         self, artifact_root, tmp_path, cache, monkeypatch
     ):
+        from repro import perf
+        from repro.artifacts import LoadedArtifacts
         from repro.artifacts import ingest as ingest_module
 
         chained = tmp_path / "chained"
         rewritten = tmp_path / "rewritten"
-        shutil.copytree(artifact_root, chained)
-        shutil.copytree(artifact_root, rewritten)
+        untabled = tmp_path / "untabled"  # every delta row through the model
+        for root in (chained, rewritten, untabled):
+            shutil.copytree(artifact_root, root)
+        reused = perf.get_recorder().counters.get("severity.rows_reused", 0)
         for step in range(5):
             delta = self._delta(load_artifacts(chained).snapshot.entries, step)
             monkeypatch.setattr(ingest_module, "MAX_SEGMENTS", 3)
             segment = ingest_delta(chained, delta, crawl_cache=cache)
+            with monkeypatch.context() as patch:
+                patch.setattr(LoadedArtifacts, "row_scores", property(lambda self: {}))
+                unaided = ingest_delta(untabled, delta, crawl_cache=cache)
             monkeypatch.setattr(ingest_module, "MAX_SEGMENTS", 0)  # always a base
             full = ingest_delta(rewritten, delta, crawl_cache=cache)
-            assert segment == full
-            ours, theirs = load_artifacts(chained), load_artifacts(rewritten)
-            assert ours.snapshot.entries == theirs.snapshot.entries
-            assert ours.estimates == theirs.estimates
-            assert ours.pv3_scores == theirs.pv3_scores
-            assert ours.pv3_severity == theirs.pv3_severity
-            assert ours.report == theirs.report
+            assert segment == full == unaided
+            ours = load_artifacts(chained)
+            for theirs in (load_artifacts(rewritten), load_artifacts(untabled)):
+                assert ours.snapshot.entries == theirs.snapshot.entries
+                assert ours.estimates == theirs.estimates
+                assert ours.pv3_scores == theirs.pv3_scores
+                assert ours.pv3_severity == theirs.pv3_severity
+                assert ours.report == theirs.report
             # the adjusted counts equal a recount of the whole store
             assert ours.report["n_cves"] == len(ours.snapshot) == segment.n_total
             assert ours.report["n_v3_predicted"] == sum(
@@ -426,6 +435,71 @@ class TestSegments:
         assert all(
             _manifest(rewritten, v)["chain"] == [] for v in list_versions(rewritten)
         )
+        # the chained ingests took some delta rows from the table
+        assert perf.get_recorder().counters["severity.rows_reused"] > reused
+
+    def test_reingest_scores_no_rows_and_reads_no_model(self, store, monkeypatch):
+        from repro import perf
+        from repro.artifacts import store as store_module
+
+        delta = self._delta(load_artifacts(store).snapshot.entries, 7)
+        first = ingest_delta(store, delta)
+        assert first.n_predicted > 0
+
+        def unreadable(path):
+            raise AssertionError(f"read model {path}")
+
+        for name in list(store_module._MODEL_LOADERS):
+            monkeypatch.setitem(store_module._MODEL_LOADERS, name, unreadable)
+        counters = perf.get_recorder().counters
+        scored = counters.get("severity.rows_scored", 0)
+        reused = counters.get("severity.rows_reused", 0)
+        second = ingest_delta(store, delta)
+        counters = perf.get_recorder().counters
+        assert counters["severity.rows_scored"] == scored
+        assert counters["severity.rows_reused"] > reused
+        assert second.n_predicted == first.n_predicted
+        assert load_artifacts(store).pv3_scores == (
+            load_artifacts(store, first.version).pv3_scores
+        )
+
+    def test_row_table_holds_what_was_scored(self, store, small_rectified):
+        """The base's table is clean()'s scored rows; a segment adds the
+        rows its ingest scored and nothing else."""
+        base = load_artifacts(store)
+        assert base.row_scores == small_rectified.row_scores
+        entry = base.snapshot.entries[0]
+        delta = [entry.replace(cve_id="CVE-2018-99009", cwe_ids=("CWE-9999",))]
+        ingest_delta(store, delta)
+        after = load_artifacts(store)
+        key = row_key(delta[0])
+        assert key not in base.row_scores
+        score = after.pv3_scores["CVE-2018-99009"]
+        assert after.row_scores == {**base.row_scores, key: score}
+        written = store / "v0002" / "row_scores.json.gz"
+        assert json.loads(gzip.decompress(written.read_bytes())) == [[*key, score]]
+
+    def test_store_without_row_table_ingests_the_same(
+        self, store, artifact_root, tmp_path
+    ):
+        """A version written before the row table existed: every delta
+        row goes through the model, with the same results."""
+        manifest = _manifest(store, "v0001")
+        del manifest["files"]["row_scores.json.gz"]
+        (store / "v0001" / "row_scores.json.gz").unlink()
+        (store / "v0001" / "manifest.json").write_text(json.dumps(manifest))
+        intact = tmp_path / "intact"
+        shutil.copytree(artifact_root, intact)
+        assert load_artifacts(store).row_scores == {}
+
+        delta = self._delta(load_artifacts(store).snapshot.entries, 3)
+        assert ingest_delta(store, delta) == ingest_delta(intact, delta)
+        ours, theirs = load_artifacts(store), load_artifacts(intact)
+        assert ours.pv3_scores == theirs.pv3_scores
+        assert set(ours.row_scores) <= set(theirs.row_scores)
+        assert all(
+            theirs.row_scores[key] == score for key, score in ours.row_scores.items()
+        )
 
     def test_segment_writes_only_the_delta(self, store):
         base = _manifest(store, "v0001")
@@ -434,7 +508,7 @@ class TestSegments:
         manifest = _manifest(store, "v0002")
         assert sorted(manifest["files"]) == [
             "delta.json.gz", "estimates.json.gz", "index.json.gz",
-            "predictions.json.gz", "report.json",
+            "predictions.json.gz", "report.json", "row_scores.json.gz",
         ]
         # every base file but its report is inherited, hash included
         assert manifest["inherited"] == {

@@ -159,6 +159,41 @@ class TestInputErrors:
         self.assert_error(capsys, root, "no artifact versions")
 
 
+class TestPathErrors:
+    """An ``--out`` in a missing directory, or a missing store to
+    recover, is one ``error: <path>: <reason>`` line, exit 2, and
+    nothing written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--n-cves", "20"],
+            ["synth", "--n-cves", "20"],
+            ["fix-cwe", "FEED"],
+            ["demo", "--n-cves", "200", "--epochs", "1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_in_missing_directory(self, argv, feed_path, tmp_path, capsys):
+        out = tmp_path / "nodir" / "out.json"
+        argv = [str(feed_path) if arg == "FEED" else arg for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {out}: directory {str(out.parent)!r} does not exist\n"
+        )
+        assert captured.out == ""
+        assert not out.parent.exists()
+
+    def test_recover_missing_store(self, tmp_path, capsys):
+        root = tmp_path / "no-store"
+        assert main(["recover", "--artifacts", str(root)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {root}: no such directory\n"
+        assert captured.out == ""
+        assert not root.exists()
+
+
 class TestDemo:
     def test_runs_pipeline_and_reports(self, tmp_path, capsys):
         out_path = tmp_path / "rectified.json"

@@ -238,6 +238,38 @@ class TestSerialization:
         history = fit(loaded, x, y, epochs=3)
         assert len(history) == 3 and history[-1] <= history[0]
 
+    def test_load_draws_nothing_from_the_rng(self, tmp_path, monkeypatch):
+        """Layers are built from the stored arrays, not drawn and then
+        overwritten."""
+        rng = np.random.default_rng(4)
+        model = self._cnn(rng)
+        path = model.save(tmp_path / "cnn.npz")
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("Sequential.load asked for a random generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = Sequential.load(path)
+        x = rng.standard_normal((16, 13, 1))
+        assert np.array_equal(model.predict(x), loaded.predict(x))
+
+    def test_load_rejects_weights_that_disagree_with_the_spec(self, tmp_path):
+        import json
+
+        rng = np.random.default_rng(5)
+        path = tmp_path / "foreign.npz"
+        with open(path, "wb") as handle:
+            np.savez(
+                handle,
+                arch=json.dumps(
+                    [{"type": "Dense", "in_features": 3, "out_features": 2}]
+                ),
+                param_0=rng.standard_normal((4, 2)),
+                param_1=np.zeros(2),
+            )
+        with pytest.raises(ValueError, match="spec"):
+            Sequential.load(path)
+
     def test_load_rejects_unknown_layer(self, tmp_path):
         import json
 

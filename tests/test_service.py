@@ -254,6 +254,61 @@ class TestPredictEndpoint:
         assert json.loads(body)["error"]
 
 
+class TestPredictFromRowTable:
+    """A predict on a feature row the store scored answers with that
+    row's stored score; any other row runs a one-row forward."""
+
+    @pytest.fixture(scope="class", params=["cnn", "dnn"])
+    def state(self, request, bundle, tmp_path_factory):
+        from repro.core import (
+            EngineConfig,
+            clean,
+            from_ground_truth,
+            product_oracle_from_truth,
+        )
+
+        rectified = clean(
+            bundle.snapshot,
+            bundle.web,
+            from_ground_truth(bundle.truth.vendor_map),
+            product_oracle_from_truth(bundle.truth.product_map),
+            engine_config=EngineConfig(epochs=1, models=(request.param,), seed=2),
+        )
+        root = tmp_path_factory.mktemp(f"{request.param}-store")
+        rectified.export_artifacts(root)
+        state = ServiceState.load(root)
+        assert state.model_used == request.param
+        return state
+
+    def test_every_table_row(self, state):
+        from repro import perf
+        from repro.cvss import severity_v3
+
+        table = state.row_scores
+        assert len(table) > 100
+        bodies = [
+            {"cvss_v2": vector, "cwe_ids": [cwe] if cwe else []}
+            for vector, cwe in table
+        ]
+        scored = perf.get_recorder().counters.get("severity.rows_scored", 0)
+        payloads = state.predict_payloads(bodies)
+        assert perf.get_recorder().counters.get("severity.rows_scored", 0) == scored
+        for score, payload in zip(table.values(), payloads):
+            assert payload["score"] == round(score, 4)
+            assert payload["severity"] == severity_v3(score).value
+
+    def test_row_outside_the_table_runs_the_model(self, state):
+        from repro.core.severity import row_key
+
+        vector = next(iter(state.row_scores))[0]
+        body = {"cvss_v2": vector, "cwe_ids": ["CWE-9999"]}
+        entry = state._parse_predict_body(body)
+        assert row_key(entry) not in state.row_scores
+        engine = state.artifacts.engine
+        (score,) = engine.predict_scores([entry], model=state.model_used)
+        assert state.predict_payload(body)["score"] == round(float(score), 4)
+
+
 class _RecordingWriter:
     """A ``wfile`` stand-in that keeps every write."""
 
