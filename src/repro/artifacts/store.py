@@ -222,11 +222,12 @@ def list_versions(root: str | os.PathLike[str]) -> list[str]:
 
 
 def read_current(root: str | os.PathLike[str]) -> str | None:
-    """The version named by the ``CURRENT`` pointer (None when absent)."""
+    """The version named by the ``CURRENT`` pointer (None when absent or
+    not UTF-8 text: an undecodable pointer is as lost as a missing one)."""
     pointer = pathlib.Path(root) / CURRENT_POINTER
     try:
         name = pointer.read_text(encoding="utf-8").strip()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
     return name or None
 

@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--access-log", default=None, metavar="PATH",
         help="append one JSONL line per request (ts, method, path, "
-        "status, latency ms, cache hit, trace id); with --workers N "
+        "status, latency ms, trace id); with --workers N "
         "every worker appends to the same file",
     )
     cmd.set_defaults(func=_cmd_serve)

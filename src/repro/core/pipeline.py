@@ -192,6 +192,8 @@ def clean(
 
     recorder.add_counter("clean.n_scored", len(scored))
     recorder.add_counter("clean.n_v3_predicted", n_v3_predicted)
+    recorder.add_counter("vendors.n_candidate_pairs", len(vendor_analysis.candidates))
+    recorder.add_counter("vendors.n_confirmed_pairs", len(vendor_analysis.confirmed))
     report = CleaningReport(
         n_cves=len(snapshot),
         n_improved_dates=sum(1 for e in estimates.values() if e.improved),

@@ -13,8 +13,8 @@ Three pieces, all stdlib, none depending on the pipeline:
 :class:`repro.perf.PerfRecorder` builds on these: it records phase
 timers and counters into a registry of its own and collects spans when
 ``REPRO_TRACE`` / ``--trace`` is set (:func:`repro.perf.maybe_trace`).
-The service (:mod:`repro.service.http`) feeds its request, cache,
-breaker, and supervisor stats into a second registry and serves both
+The service (:mod:`repro.service.http`) feeds its request, breaker
+and supervisor stats into a second registry and serves both
 at ``/metrics``.
 """
 

@@ -1,16 +1,17 @@
 """The service object behind the HTTP API.
 
-A :class:`NvdService` owns the loaded :class:`ServiceState`, an LRU
-response cache, a metrics registry, the hot-swap logic and the
-per-request telemetry.  :meth:`NvdService.handle` looks the request up
-in the route table (:mod:`repro.service.routes`), so the whole API is
-unit-testable without sockets; the socket layer
-(:mod:`repro.service.server`) only frames requests and writes responses.
+A :class:`NvdService` owns the loaded :class:`ServiceState`, a metrics
+registry, the hot-swap logic and the per-request telemetry.
+:meth:`NvdService.handle` looks the request up in the route table
+(:mod:`repro.service.routes`), calls its handler and encodes the
+payload, so the whole API is unit-testable without sockets; the socket
+layer (:mod:`repro.service.server`) only frames requests and writes
+responses.
 
 Telemetry has one store, the service's
 :class:`repro.obs.MetricsRegistry`: request counts by endpoint and
-status, a fixed-bucket latency histogram, and cache, hot-swap, reload
-and breaker counters.  ``/metrics`` renders it as Prometheus text;
+status, a fixed-bucket latency histogram, and hot-swap, reload and
+breaker counters.  ``/metrics`` renders it as Prometheus text;
 ``/v1/metrics`` is a JSON view that sums its series into the
 long-standing counter keys.  A request is counted when it finishes, so a
 ``/v1/metrics`` response never counts itself.  Each request gets a trace
@@ -18,15 +19,14 @@ id (or honours one sent as ``X-Repro-Trace-Id``) which is echoed back in
 the ``X-Repro-Trace-Id`` response header; with a trace target configured
 the service streams one span per request into a Chrome trace-event file,
 and with ``--access-log`` it appends one JSONL line per request (ts,
-method, path, status, latency ms, cache hit, trace id) — the structured
+method, path, status, latency ms, trace id) — the structured
 replacement for the suppressed ``BaseHTTPRequestHandler`` stderr log.
 
 Hot swap: at most once per ``reload_interval`` seconds the service
 re-reads the store's ``CURRENT`` pointer; when it names a different
 version (after ``python -m repro ingest``), the new version loads and
 the state reference swaps atomically — in-flight requests finish on
-the old state, the response cache clears, and ``swaps`` increments in
-``/v1/metrics``.
+the old state, and ``swaps`` increments in ``/v1/metrics``.
 
 The reload path carries a **circuit breaker**: after
 ``BREAKER_THRESHOLD`` consecutive reload failures (mid-export store,
@@ -60,13 +60,12 @@ from repro.service.routes import (
     JSON_CONTENT_TYPE,
     SERVICE_NAME,
     Request,
-    ResponseCache,
     ServiceResponse,
     resolve,
 )
 from repro.service.state import ServiceError, ServiceState
 
-__all__ = ["NvdService", "ResponseCache", "ServiceResponse"]
+__all__ = ["NvdService", "ServiceResponse"]
 
 #: the supervisor's status drop-box, relative to the artifact root.
 SUPERVISOR_STATUS = ".supervisor.json"
@@ -87,7 +86,7 @@ _TRACE_ID_RE = re.compile(r"[0-9a-fA-F-]{1,64}")
 
 
 class NvdService:
-    """Routing, caching, metrics and hot-swap over a ServiceState."""
+    """Routing, metrics and hot-swap over a ServiceState."""
 
     def __init__(
         self,
@@ -103,7 +102,6 @@ class NvdService:
         self.pinned = version is not None
         self.reload_interval = float(reload_interval)
         self._state = ServiceState.load(self.root, version)
-        self._cache = ResponseCache()
         self._swap_lock = threading.Lock()
         self._last_check = time.monotonic()
         self._started = time.time()
@@ -135,11 +133,6 @@ class NvdService:
             REQUEST_LATENCY_BUCKETS,
             labels=("endpoint",),
         )
-        self._prom_cache = registry.counter(
-            "repro_http_cache_total",
-            "Response-cache lookups on cacheable routes.",
-            labels=("outcome",),
-        )
         self._prom_swaps = registry.counter(
             "repro_service_hot_swaps_total", "Completed hot swaps to a new artifact version."
         )
@@ -161,9 +154,6 @@ class NvdService:
         self._g_breaker_failures = registry.gauge(
             "repro_service_breaker_consecutive_failures",
             "Consecutive reload failures feeding the breaker.",
-        )
-        self._g_cache_entries = registry.gauge(
-            "repro_http_cache_entries", "Entries in the response cache."
         )
         self._g_uptime = registry.gauge(
             "repro_service_uptime_seconds", "Seconds since this worker started."
@@ -272,7 +262,6 @@ class NvdService:
             self._breaker_failures = 0
             self._breaker_open_until = None
             self._state = new_state
-            self._cache.clear()
             self._prom_swaps.inc()
             return True
         finally:
@@ -303,56 +292,29 @@ class NvdService:
         if trace_id is None or not _TRACE_ID_RE.fullmatch(trace_id):
             trace_id = perf.new_trace_id()
         self.maybe_reload()
-        # One state snapshot per request: the handler and the cache key
-        # use the same version, so a hot swap mid-request can at worst
-        # store an entry under the *old* version's key — never serve
-        # stale data under the new one.
-        state = self._state
         raw_path = path
         path, _, query = path.partition("?")
         route, args = resolve(method, path)
-        params = urllib.parse.parse_qs(query)
-        cache_key = cached = None
-        if route is not None and route.cacheable and read_error is None:
-            # The canonical query of the parameters the route reads
-            # joins the cache key: pages of one resource cache as
-            # distinct entries, never each other.
-            canonical_query = urllib.parse.urlencode(
-                sorted(
-                    (key, value)
-                    for key, values in params.items()
-                    if key in route.params
-                    for value in values
-                )
-            )
-            cache_key = f"{state.version}:{path}?{canonical_query}"
-            cached = self._cache.get(cache_key)
-            self._prom_cache.labels("miss" if cached is None else "hit").inc()
         content_type = JSON_CONTENT_TYPE
-        if cached is not None:
-            status, body_bytes = cached
+        try:
+            if read_error is not None:
+                raise read_error
+            if route is None:
+                raise ServiceError(404, f"no route for {method} {path}")
+            # One state per request: a hot swap mid-request leaves the
+            # handler answering wholly from the version it started on.
+            request = Request(self, self._state, args, urllib.parse.parse_qs(query), body)
+            status, payload = 200, route.handler(request)
             content_type = route.content_type
-        else:
-            try:
-                if read_error is not None:
-                    raise read_error
-                if route is None:
-                    raise ServiceError(404, f"no route for {method} {path}")
-                request = Request(self, state, args, params, body)
-                status, payload = 200, route.handler(request)
-                content_type = route.content_type
-            except ServiceError as error:
-                status, payload = error.status, {"error": error.message}
-            except Exception as error:  # never let a bug kill the worker thread
-                status, payload = 500, {"error": f"internal error: {error}"}
-            if content_type == JSON_CONTENT_TYPE:
-                payload = json.dumps(payload)
-            body_bytes = payload.encode("utf-8")
-            if cache_key is not None and status == 200:
-                self._cache.put(cache_key, (status, body_bytes))
-        response = ServiceResponse(status, body_bytes, content_type, trace_id)
+        except ServiceError as error:
+            status, payload = error.status, {"error": error.message}
+        except Exception as error:  # never let a bug kill the worker thread
+            status, payload = 500, {"error": f"internal error: {error}"}
+        if content_type == JSON_CONTENT_TYPE:
+            payload = json.dumps(payload)
+        response = ServiceResponse(status, payload.encode("utf-8"), content_type, trace_id)
         endpoint = route.endpoint if route is not None else "unknown"
-        self._finish(response, endpoint, method, raw_path, started, cached is not None)
+        self._finish(response, endpoint, method, raw_path, started)
         return response
 
     def _finish(
@@ -362,7 +324,6 @@ class NvdService:
         method: str,
         raw_path: str,
         started: float,
-        cache_hit: bool,
     ) -> None:
         """Per-request telemetry: registry series, access log, span."""
         elapsed = time.perf_counter() - started
@@ -375,7 +336,6 @@ class NvdService:
             "path": raw_path,
             "status": response.status,
             "latency_ms": round(elapsed * 1000.0, 3),
-            "cache_hit": cache_hit,
             "trace_id": response.trace_id,
         }
         if self._access_log is not None:
@@ -415,9 +375,6 @@ class NvdService:
             counters[f"responses_{int(status) // 100}xx"] += count
             if status == "500":
                 counters["errors_internal"] += count
-        for series in self._prom_cache.series():
-            name = "cache_hits" if series.labels == ("hit",) else "cache_misses"
-            counters[name] += int(series.value)
         for name, metric in (
             ("hot_swaps", self._prom_swaps),
             ("reload_failures", self._prom_reload_failures),
@@ -425,22 +382,12 @@ class NvdService:
         ):
             for series in metric.series():
                 counters[name] += int(series.value)
-        hits = counters.get("cache_hits", 0)
-        lookups = hits + counters.get("cache_misses", 0)
         payload = {
             "service": SERVICE_NAME,
             "pid": os.getpid(),
             "version": self._state.version,
             "model": self._state.model_used,
             "uptime_s": round(time.time() - self._started, 3),
-            "cache_entries": len(self._cache),
-            # hit_ratio is null until the first cacheable lookup
-            "cache": {
-                "entries": len(self._cache),
-                "hits": hits,
-                "misses": lookups - hits,
-                "hit_ratio": round(hits / lookups, 4) if lookups else None,
-            },
             "swaps": counters.get("hot_swaps", 0),
             "counters": dict(counters),
             "degraded": self.degraded,
@@ -458,14 +405,13 @@ class NvdService:
     def render_metrics_text(self) -> str:
         """The Prometheus exposition for ``/metrics``.
 
-        Gauges refresh at render time (uptime, cache size, breaker and
-        supervisor state); the perf recorder's registry renders after
+        Gauges refresh at render time (uptime, breaker and supervisor
+        state); the perf recorder's registry renders after
         this service's, so the pipeline counters and phase timers of any
         in-process work (ingest, warmup) are visible too.
         """
         state = self._state
         self._g_uptime.set(round(time.time() - self._started, 3))
-        self._g_cache_entries.set(len(self._cache))
         self._g_degraded.set(1.0 if self.degraded else 0.0)
         self._g_breaker_open.set(1.0 if self.breaker_open else 0.0)
         self._g_breaker_failures.set(self._breaker_failures)

@@ -1,5 +1,5 @@
-"""The HTTP API's route table (every endpoint, declared once), its
-request and response types, and the LRU that caches responses.
+"""The HTTP API's route table (every endpoint, declared once) and its
+request and response types.
 
 Endpoints::
 
@@ -19,10 +19,7 @@ path, gets a counted JSON ``404``.
 lookup :meth:`repro.service.http.NvdService.handle` does, so adding an
 endpoint means adding one :class:`Route`.  The endpoint label comes
 from the path *shape*, never from path values, so metric label
-cardinality stays bounded.  A cacheable route's responses go into the
-service's :class:`ResponseCache`; only the query parameters the route
-reads join their key, so junk parameters cannot mint fresh entries (and
-evict real ones) for identical responses.
+cardinality stays bounded.
 
 The vendor and product views page their id lists: ``?offset=N`` and
 ``?limit=N`` (1..500, default 500) select a window, ``next_offset`` in
@@ -40,9 +37,7 @@ state's predict lock.
 
 from __future__ import annotations
 
-import collections
 import json
-import threading
 import urllib.parse
 from collections.abc import Callable
 from typing import NamedTuple
@@ -51,14 +46,11 @@ from repro.obs import PROMETHEUS_CONTENT_TYPE
 from repro.service.cursor import CursorError, decode_cursor
 from repro.service.state import MAX_IDS, ServiceError, ServiceState
 
-__all__ = ["ROUTES", "Request", "ResponseCache", "Route", "ServiceResponse", "resolve"]
+__all__ = ["ROUTES", "Request", "Route", "ServiceResponse", "resolve"]
 
 SERVICE_NAME = "repro-nvd-service/1"
 
 JSON_CONTENT_TYPE = "application/json"
-
-#: entries in each service's response cache.
-CACHE_ENTRIES = 1024
 
 
 class Request(NamedTuple):
@@ -91,8 +83,6 @@ class Route(NamedTuple):
     path: str
     endpoint: str
     handler: Callable[[Request], object]
-    cacheable: bool = False
-    params: frozenset[str] = frozenset()  # the query parameters it reads
     content_type: str = JSON_CONTENT_TYPE
 
 
@@ -202,16 +192,14 @@ def _predict(request: Request) -> dict:
     return request.state.predict_payload(body)
 
 
-_PAGE_PARAMS = frozenset({"offset", "limit", "cursor"})
-
 ROUTES: tuple[Route, ...] = (
     Route("GET", "/healthz", "healthz", _healthz),
-    Route("GET", "/v1/stats", "stats", _stats, cacheable=True),
+    Route("GET", "/v1/stats", "stats", _stats),
     Route("GET", "/v1/metrics", "metrics", _metrics),
     Route("GET", "/metrics", "prometheus", _prometheus, content_type=PROMETHEUS_CONTENT_TYPE),
-    Route("GET", "/v1/cve/{id}", "cve", _cve, cacheable=True),
-    Route("GET", "/v1/vendor/{name}", "vendor", _vendor, cacheable=True, params=_PAGE_PARAMS),
-    Route("GET", "/v1/product/{vendor}/{product}", "product", _product, cacheable=True, params=_PAGE_PARAMS),
+    Route("GET", "/v1/cve/{id}", "cve", _cve),
+    Route("GET", "/v1/vendor/{name}", "vendor", _vendor),
+    Route("GET", "/v1/product/{vendor}/{product}", "product", _product),
     Route("POST", "/v1/severity/predict", "predict", _predict),
 )
 
@@ -236,35 +224,3 @@ def resolve(method: str, path: str) -> tuple[Route | None, list[str]]:
             return route, [part for segment, part in zip(shape, parts) if segment[0] == "{"]
     return None, []
 
-
-class ResponseCache:
-    """A small thread-safe LRU over serialized responses."""
-
-    def __init__(self, maxsize: int = CACHE_ENTRIES) -> None:
-        self.maxsize = max(0, int(maxsize))
-        self._lock = threading.Lock()
-        self._data: collections.OrderedDict[str, tuple[int, bytes]] = (
-            collections.OrderedDict()
-        )
-
-    def get(self, key: str) -> tuple[int, bytes] | None:
-        with self._lock:
-            value = self._data.get(key)
-            if value is not None:
-                self._data.move_to_end(key)
-            return value
-
-    def put(self, key: str, value: tuple[int, bytes]) -> None:
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)

@@ -2,7 +2,7 @@
 
 :class:`ApiHandler` frames each request, hands it to
 :meth:`repro.service.http.NvdService.handle`, and writes the answer;
-routing, caching and telemetry all live on the service.
+routing and telemetry live on the service.
 
 Request bodies follow one rule on every method: a ``Content-Length``
 body is read in full (so the next keep-alive request starts at its own

@@ -17,6 +17,7 @@ from repro.artifacts import (
     list_versions,
     load_artifacts,
     read_current,
+    recover_store,
 )
 from repro.core.severity import row_key
 from repro.web import CrawlCache
@@ -106,6 +107,17 @@ class TestLoad:
     def test_lost_pointer_falls_back_to_newest(self, store):
         (store / "CURRENT").unlink()
         assert load_artifacts(store).version == "v0001"
+
+    def test_undecodable_pointer_is_a_lost_one(self, store):
+        """A ``CURRENT`` that is not UTF-8 reads as no pointer: a load
+        falls back to the newest version and a recovery sweep rewrites
+        the pointer."""
+        (store / "CURRENT").write_bytes(b"\xff\xfe\n")
+        assert read_current(store) is None
+        assert load_artifacts(store).version == "v0001"
+        report = recover_store(store)
+        assert (report.current_before, report.current_after) == (None, "v0001")
+        assert read_current(store) == "v0001"
 
     def test_store_with_retired_config_keys_loads(self, store, artifact_root):
         """Stores written before the numeric-backend, data-parallel,

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import perf
 from repro.core import (
     EngineConfig,
     clean,
@@ -12,14 +13,26 @@ from repro.cwe import is_sentinel
 
 
 @pytest.fixture(scope="module")
-def rectified(bundle):
-    return clean(
+def clean_run(bundle):
+    """One ``clean()`` and the perf counters it added."""
+    before = perf.get_recorder().counters
+    result = clean(
         bundle.snapshot,
         bundle.web,
         from_ground_truth(bundle.truth.vendor_map),
         product_oracle_from_truth(bundle.truth.product_map),
         engine_config=EngineConfig(epochs=10, models=("lr", "dnn"), seed=2),
     )
+    added = {
+        name: count - before.get(name, 0)
+        for name, count in perf.get_recorder().counters.items()
+    }
+    return result, added
+
+
+@pytest.fixture(scope="module")
+def rectified(clean_run):
+    return clean_run[0]
 
 
 class TestReport:
@@ -34,6 +47,13 @@ class TestReport:
 
     def test_v3_predicted_covers_v2_only(self, rectified, bundle):
         assert rectified.report.n_v3_predicted == len(bundle.snapshot.v2_only())
+
+    def test_vendor_pair_counters(self, clean_run):
+        rectified, counters = clean_run
+        analysis = rectified.vendor_analysis
+        assert counters["vendors.n_candidate_pairs"] == len(analysis.candidates)
+        assert counters["vendors.n_confirmed_pairs"] == len(analysis.confirmed)
+        assert 0 < len(analysis.confirmed) <= len(analysis.candidates)
 
 
 class TestRectifiedSnapshot:

@@ -516,7 +516,6 @@ class TestMetricsAndCache:
     def test_response_class_counters_sum_to_requests(
         self, base_url, small_rectified
     ):
-        # exercise both a cache miss and a cache hit first
         cve_id = small_rectified.snapshot.entries[3].cve_id
         get(base_url, f"/v1/cve/{cve_id}")
         get(base_url, f"/v1/cve/{cve_id}")
@@ -527,15 +526,6 @@ class TestMetricsAndCache:
             if name.startswith("responses_")
         )
         assert responses == counters["requests_total"]
-
-    def test_repeated_get_hits_cache(self, base_url, small_rectified):
-        cve_id = small_rectified.snapshot.entries[1].cve_id
-        get(base_url, f"/v1/cve/{cve_id}")
-        before = get(base_url, "/v1/metrics")[1]["counters"].get("cache_hits", 0)
-        status, _ = get(base_url, f"/v1/cve/{cve_id}")
-        assert status == 200
-        after = get(base_url, "/v1/metrics")[1]["counters"]["cache_hits"]
-        assert after > before
 
 
 def _registry_totals(service):
@@ -554,9 +544,6 @@ def _registry_totals(service):
             add(f"endpoint_{endpoint}", series.value)
         if status == "500":
             add("errors_internal", series.value)
-    for series in service.registry.get("repro_http_cache_total").series():
-        outcome = {"hit": "cache_hits", "miss": "cache_misses"}[series.labels[0]]
-        add(outcome, series.value)
     for key, family in (
         ("hot_swaps", "repro_service_hot_swaps_total"),
         ("reload_failures", "repro_service_reload_failures_total"),
@@ -569,7 +556,7 @@ def _registry_totals(service):
 
 @pytest.fixture
 def fresh_service(store):
-    """A private in-process service with empty counters and cache."""
+    """A private in-process service with empty counters."""
     service = NvdService(store, version="v0001")
     yield service
     service.close()
@@ -580,9 +567,8 @@ class TestRouteTable:
     def test_every_route_counts_under_its_label(
         self, fresh_service, small_rectified, route
     ):
-        """Each table entry answers 200 with its content type, counts
-        under its endpoint label, and counts a cache lookup only when
-        it is cacheable."""
+        """Each table entry answers 200 with its content type and counts
+        under its endpoint label."""
         service = fresh_service
         entry = next(
             e for e in small_rectified.snapshot.entries if e.vendor_products()
@@ -598,7 +584,6 @@ class TestRouteTable:
         if route.method == "POST":
             body = json.dumps({"cvss_v2": TestPredictEndpoint.VECTOR}).encode()
         requests = service.registry.get("repro_http_requests_total")
-        cache = service.registry.get("repro_http_cache_total")
 
         response = service.handle(route.method, path, body)
         assert response.status == 200, response.body
@@ -606,27 +591,10 @@ class TestRouteTable:
         assert [(s.labels, s.value) for s in requests.series()] == [
             ((route.endpoint, "200"), 1)
         ]
-        assert sum(s.value for s in cache.series()) == int(route.cacheable)
 
 
 class TestOneCounterStore:
     """/v1/metrics is a view of the registry behind /metrics."""
-
-    def test_unrouted_paths_count_no_cache_lookup(self, fresh_service):
-        service = fresh_service
-        assert service.handle("GET", "/v1/stats", None).status == 200  # a miss
-        cache_family = service.registry.get("repro_http_cache_total")
-
-        def cache_state():
-            return (
-                [(s.labels, s.value) for s in cache_family.series()],
-                service.metrics_payload()["counters"].get("cache_misses", 0),
-            )
-
-        before = cache_state()
-        for path in ("/v1/statsjunk", "/v1/cve/a/b", "/v1/product/x"):
-            assert service.handle("GET", path, None).status == 404, path
-            assert cache_state() == before, path
 
     def test_v1_metrics_agrees_with_registry(
         self, fresh_service, small_rectified, monkeypatch
@@ -638,7 +606,7 @@ class TestOneCounterStore:
         entries = small_rectified.snapshot.entries
         cve = f"/v1/cve/{entries[0].cve_id}"
         assert service.handle("GET", cve, None).status == 200
-        assert service.handle("GET", cve, None).status == 200  # cache hit
+        assert service.handle("GET", cve, None).status == 200
         assert service.handle("GET", "/v1/nowhere", None).status == 404
         for code in (400, 413):
             response = service.handle(
@@ -665,8 +633,6 @@ class TestOneCounterStore:
             "responses_4xx": 3,
             "responses_5xx": 1,
             "errors_internal": 1,
-            "cache_hits": 1,
-            "cache_misses": 2,
         }
         assert counters["errors_internal"] == counters["responses_5xx"]
 
@@ -993,7 +959,6 @@ class TestTelemetryPlane:
         for family in (
             "repro_http_requests_total",
             "repro_http_request_seconds_bucket",
-            "repro_http_cache_total",
             "repro_service_uptime_seconds",
             "repro_service_info",
         ):
@@ -1024,13 +989,12 @@ class TestTelemetryPlane:
         status, payload = get(base_url, "/v1/metrics")
         assert status == 200
         for key in (
-            "service", "version", "model", "uptime_s", "cache_entries",
+            "service", "version", "model", "uptime_s",
             "swaps", "counters", "degraded", "breaker",
         ):
             assert key in payload, key
         assert isinstance(payload["counters"], dict)
-        assert set(payload["cache"]) == {"entries", "hits", "misses", "hit_ratio"}
-        assert payload["cache"]["hits"] == payload["counters"].get("cache_hits", 0)
+        assert not {"cache", "cache_entries"} & set(payload)
 
     def test_access_log_and_request_trace(self, store, tmp_path_factory):
         """A private server with --access-log/--trace wiring: every
@@ -1069,9 +1033,11 @@ class TestTelemetryPlane:
         ]
         assert [r["status"] for r in records] == [200, 200, 404]
         for record in records:
+            assert set(record) == {
+                "ts", "method", "path", "status", "latency_ms", "trace_id",
+            }
             assert record["method"] == "GET"
             assert record["latency_ms"] >= 0
-            assert record["cache_hit"] in (True, False)
             assert record["trace_id"]
             # ISO8601 UTC with explicit offset
             assert record["ts"].endswith("+00:00")

@@ -1,22 +1,24 @@
-"""Serve scale-out: response cache, cursors, concurrent predict.
+"""Serve scale-out: repeatable bodies, hot-swap freshness, cursors,
+concurrent predict.
 
-Covers the per-worker response LRU (and its coherence across a hot
-swap), opaque cursor pagination (round-trip, tamper, version expiry),
-predict under concurrency (bit-identity against the single-request
-reference), and the supervisor status-file staleness regression.
+Covers byte-identical answers to repeated GETs, two workers' freshness
+across a hot swap (and a pointer that will not decode), opaque cursor
+pagination (round-trip, tamper, version expiry), predict under
+concurrency (bit-identity against the single-request reference), and
+the supervisor status-file staleness regression.
 """
 
 import json
 import os
 import shutil
 import threading
+import urllib.parse
 
 import pytest
 
 from repro.artifacts import ingest_delta, load_artifacts
 from repro.service import NvdService, ServiceError
 from repro.service.cursor import CursorError, decode_cursor, encode_cursor
-from repro.service.http import ResponseCache
 
 
 PREDICT_VECTOR = "AV:N/AC:L/Au:N/C:C/I:C/A:C"
@@ -39,43 +41,33 @@ def store(artifact_root, tmp_path_factory):
     return root
 
 
-class TestResponseCache:
-    def test_put_get_roundtrip(self):
-        cache = ResponseCache(4)
-        cache.put("k1", (200, b'{"a":1}'))
-        assert cache.get("k1") == (200, b'{"a":1}')
+class TestRepeatedGets:
+    """Every GET route renders its body afresh on each request; a
+    repeated request must still get the same bytes."""
 
-    def test_absent_key_misses(self):
-        cache = ResponseCache(4)
-        cache.put("k1", (200, b'{"a":1}'))
-        assert cache.get("never-stored") is None
-
-    def test_len_counts_entries(self):
-        cache = ResponseCache(4)
-        assert len(cache) == 0
-        cache.put("a", (200, b"1"))
-        cache.put("b", (200, b"2"))
-        cache.put("a", (200, b"3"))  # overwrite, not a new entry
-        assert len(cache) == 2
-
-    def test_evicts_least_recently_used(self):
-        cache = ResponseCache(2)
-        cache.put("a", (200, b"1"))
-        cache.put("b", (200, b"2"))
-        cache.get("a")  # touch: "b" is now the oldest
-        cache.put("c", (200, b"3"))
-        assert len(cache) == 2
-        assert cache.get("b") is None
-        assert cache.get("a") == (200, b"1")
-
-    def test_clear_and_zero_size(self):
-        cache = ResponseCache(4)
-        cache.put("k", (200, b"payload"))
-        cache.clear()
-        assert cache.get("k") is None and len(cache) == 0
-        disabled = ResponseCache(0)
-        disabled.put("k", (200, b"payload"))
-        assert disabled.get("k") is None
+    def test_each_get_route_repeats_byte_identically(self, service):
+        snapshot = service.state.snapshot
+        entry = next(e for e in snapshot.entries if e.vendor_products())
+        vendor, product = (
+            urllib.parse.quote(name, safe="") for name in entry.vendor_products()[0]
+        )
+        counts = snapshot.vendor_cve_counts()
+        top = urllib.parse.quote(max(counts, key=counts.get), safe="")
+        first = json.loads(
+            service.handle("GET", f"/v1/vendor/{top}?limit=1", None).body
+        )
+        assert first["next_cursor"], "bundle too small for a second page"
+        for path in (
+            "/v1/stats",
+            f"/v1/cve/{entry.cve_id}",
+            f"/v1/vendor/{vendor}",
+            f"/v1/product/{vendor}/{product}",
+            f"/v1/vendor/{top}?limit=1&cursor={first['next_cursor']}",
+        ):
+            once = service.handle("GET", path, None)
+            again = service.handle("GET", path, None)
+            assert once.status == again.status == 200, path
+            assert once.body == again.body, path
 
 
 class TestCursorTokens:
@@ -255,24 +247,19 @@ class TestBatchedPredict:
         assert results[0] == service.state.predict_payload(good)
 
 
-class TestCacheCoherence:
-    def test_no_stale_version_response_across_hot_swap(self, store):
-        """Two workers over one store each keep a private cache; an
-        ingest-driven hot swap must clear both, and no request may ever
-        observe the old version's data under the new version."""
+class TestHotSwapFreshness:
+    def test_two_workers_serve_fresh_stats_after_hot_swap(self, store):
+        """Two workers over one store: after an ingest both answer from
+        the new version, and neither serves the old version's stats."""
         workers = [NvdService(store, reload_interval=0.0) for _ in range(2)]
 
         def get(service, path):
             return json.loads(service.handle("GET", path, None).body)
 
-        def hits(service):
-            return service.metrics_payload()["cache"]["hits"]
-
         try:
             v1 = workers[0].state.version
-            for service in workers * 2:  # a miss, then a hit, on each
+            for service in workers:
                 stats_v1 = get(service, "/v1/stats")
-            assert all(hits(w) >= 1 for w in workers)
             base = load_artifacts(store).snapshot.entries[0]
             result = ingest_delta(
                 store, [base.replace(cve_id="CVE-2018-99888", cvss_v3=None)]
@@ -282,26 +269,23 @@ class TestCacheCoherence:
                 assert get(service, "/healthz")["version"] == result.version
                 # the new version's stats must be fresh — n_cves moved
                 assert get(service, "/v1/stats")["n_cves"] == stats_v1["n_cves"] + 1
-                # and the cache repopulates under the new version
-                before = hits(service)
-                get(service, "/v1/stats")
-                assert hits(service) > before
         finally:
             for service in workers:
                 service.close()
 
-
-    def test_metrics_cache_block_counts_private_lru(self, store):
-        """/v1/metrics reports the worker's own LRU: its entries, hits,
-        misses and hit ratio, and names no cache backend."""
-        service = NvdService(store, reload_interval=0.0)
+    def test_undecodable_pointer_keeps_the_loaded_version(self, tmp_path, store):
+        """A ``CURRENT`` that is not UTF-8 reads as no pointer: the
+        worker keeps answering from the version it has loaded."""
+        root = tmp_path / "store"
+        shutil.copytree(store, root)
+        service = NvdService(root, reload_interval=0.0)
         try:
-            service.handle("GET", "/v1/stats", None)  # miss, then stored
-            service.handle("GET", "/v1/stats", None)  # hit
-            cache = service.metrics_payload()["cache"]
-            assert cache == {
-                "entries": 1, "hits": 1, "misses": 1, "hit_ratio": 0.5
-            }
+            loaded = service.state.version
+            (root / "CURRENT").write_bytes(b"\xff\xfe\n")
+            response = service.handle("GET", "/healthz", None)
+            assert response.status == 200
+            assert json.loads(response.body)["version"] == loaded
+            assert service.handle("GET", "/v1/stats", None).status == 200
         finally:
             service.close()
 

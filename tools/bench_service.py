@@ -16,9 +16,9 @@ The scenario is recorded in every run entry.
 ``--workers-sweep 1,2,4`` benchmarks the *multi-process* plane
 instead of the in-process server: for each worker count it launches
 ``repro serve --workers N`` as a subprocess, replays the same trace,
-aggregates every worker's ``/v1/metrics`` cache block by pid, and
-records one run per worker count — rps, p50/p95 and the summed cache
-hit ratio of the per-worker caches (schema ``repro-bench-service/3``).
+collects every worker's ``/v1/metrics`` by pid, and records one run per
+worker count — rps, p50/p95 and how many workers reported (schema
+``repro-bench-service/3``).
 
 ``--ingest DELTA_FEED`` benchmarks the *write* path instead: it times
 ``repro.artifacts.ingest_delta`` rolling the delta (typically from
@@ -81,7 +81,9 @@ _RUN_FIELDS = {
 #: optional serving-run keys added by the workers sweep (schema /3);
 #: typed when present, absent on in-process runs.  ``cache`` and
 #: ``shared_cache`` only appear on older sweeps, which also ran a
-#: since-removed shared-memory cache; ``loadgen_cpu_us_per_req`` (this
+#: since-removed shared-memory cache, and ``cache_hit_ratio`` only on
+#: sweeps from before the per-worker response cache was removed;
+#: ``loadgen_cpu_us_per_req`` (this
 #: process's CPU time over the replay, per request: the load
 #: generator's share of the cores) only on newer ones.
 _OPTIONAL_RUN_FIELDS = {
@@ -339,7 +341,7 @@ def bench_workers_sweep(
     Unlike :func:`bench` this drives real ``repro serve`` subprocesses
     — the supervisor and its ``SO_REUSEPORT`` workers are the
     production path.  The same trace replays against every worker
-    count, so hit ratios compare like for like.
+    count, so the counts compare like for like.
     """
     from repro.artifacts import load_artifacts, read_current
     from repro.synth import build_request_trace, get_scenario
@@ -386,15 +388,6 @@ def bench_workers_sweep(
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5)
-        hits = sum(
-            blob.get("cache", {}).get("hits", 0)
-            for blob in per_worker.values()
-        )
-        misses = sum(
-            blob.get("cache", {}).get("misses", 0)
-            for blob in per_worker.values()
-        )
-        lookups = hits + misses
         run = {
             "label": label,
             "scenario": scenario.name,
@@ -404,15 +397,14 @@ def bench_workers_sweep(
             "n_cves": len(artifacts.snapshot),
             "version": artifacts.version,
             **latency_fields(results, wall_s),
-            "cache_hit_ratio": round(hits / lookups, 4) if lookups else None,
             "workers_reporting": len(per_worker),
             "loadgen_cpu_us_per_req": round(loadgen_cpu_s / len(results) * 1e6, 1),
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
         print(
             f"[bench-service]   {run['rps']} req/s, p50 "
-            f"{run['p50_ms']}ms, p95 {run['p95_ms']}ms, hit ratio "
-            f"{run['cache_hit_ratio']}"
+            f"{run['p50_ms']}ms, p95 {run['p95_ms']}ms, "
+            f"{run['workers_reporting']} of {workers} workers reporting"
         )
         runs.append(run)
     return runs
@@ -478,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers-sweep", metavar="N,N,...",
         help="benchmark real `repro serve --workers N` subprocesses for "
         "each worker count (e.g. 1,2,4), recording per-count rps, "
-        "latency and cache hit ratio",
+        "latency and the number of workers that reported metrics",
     )
     parser.add_argument(
         "--scenario", default="baseline", metavar="NAME",
