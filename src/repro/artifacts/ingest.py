@@ -6,24 +6,23 @@ artifact of the original run instead of recomputing it:
 
 - **names (§4.2)** — the persisted vendor/product alias maps remap the
   delta entries; no pair generation, scoring or confirmation reruns;
-- **severity (§4.3)** — a delta entry whose feature row the store has
-  scored before takes the stored row score; the persisted winning model
-  scores only the rest, and is read only when such a row exists; no
-  retraining;
 - **cwe (§4.4)** — the regex recovery runs on the delta descriptions
   (it is per-entry and cheap);
+- **severity (§4.3)** — on the rectified delta, as ``clean()`` runs it:
+  the persisted winning model scores only the feature rows the store's
+  row table lacks, and is read only when such a row exists; no
+  retraining.  Those rows extend the table, the only stored score;
 - **dates (§4.1)** — reference URLs replay through an optional
   persistent crawl cache (``repro.web.CrawlCache``); uncached URLs are
   not fetched (a delta feed has no synthetic web corpus), so the
   estimate falls back to the NVD publication date.
 
 The rectified delta is written as one **segment** version on top of the
-stored one: its entries, estimates, predictions, id-index rows and the
-feature rows it scored, plus the updated report (see
-:mod:`repro.artifacts.store`).  The ingest reads the manifest, the alias
-maps, the estimates, the id index and the row scores of the stored chain
-— never its entries or predictions — so its cost follows the delta, not
-the store.  Once a chain holds
+stored one: its entries, estimates, id-index rows and the feature rows
+it scored, plus the updated report (see :mod:`repro.artifacts.store`).
+The ingest reads the manifest, the alias maps, the estimates, the id
+index and the row scores of the stored chain — never its entries — so
+its cost follows the delta, not the store.  Once a chain holds
 :data:`MAX_SEGMENTS` segments, or the stored version predates the id
 index, the ingest instead loads everything and writes a fresh full
 base.  Either way the ``CURRENT`` pointer flips atomically, which is
@@ -43,7 +42,6 @@ from repro.core.dates import DisclosureEstimate
 from repro.core.products import apply_product_mapping
 from repro.core.severity import RowKey
 from repro.core.vendors import apply_vendor_mapping
-from repro.cvss import severity_v3
 from repro.nvd import CveEntry, NvdSnapshot
 from repro.web import CrawlCache
 
@@ -160,25 +158,9 @@ def ingest_delta(
             n_date_improved += 1
         new_estimates[entry.cve_id] = estimate
 
-    # §4.3 — persisted winning model, no retrain.  Rows the store has
-    # scored keep their stored scores; only the rest reach the model.
-    scored = [e for e in rectified_delta.entries if e.cvss_v2 is not None]
-    model_used = artifacts.model_used
-    new_scores: dict[str, float] = {}
-    new_severity: dict[str, str] = {}
-    new_rows: dict[RowKey, float] = {}
-    n_predicted = 0
-    if scored:
-        predictions = artifacts.engine.predict_scores(
-            scored, model=model_used, known=artifacts.row_scores, scored=new_rows
-        )
-        for entry, score in zip(scored, predictions):
-            new_scores[entry.cve_id] = float(score)
-            new_severity[entry.cve_id] = severity_v3(float(score)).value
-            if not entry.has_v3:
-                n_predicted += 1
-
-    # The counts come from the stored index rows of the delta's ids.
+    # The counts come from the index rows of the delta and of the
+    # stored entries it replaces.
+    n_predicted = sum(index_row(e)[0] for e in rectified_delta.entries)
     updated_rows = [index[e.cve_id] for e in delta.entries if e.cve_id in index]
     n_updated = len(updated_rows)
     n_total = len(index) + len(delta) - n_updated
@@ -199,20 +181,28 @@ def ingest_delta(
         + sum(1 for e in new_estimates.values() if e.improved),
         n_v3_predicted=int(report.get("n_v3_predicted", 0))
         - sum(row[0] for row in updated_rows)
-        + sum(index_row(e)[0] for e in rectified_delta.entries),
+        + n_predicted,
         n_cwe_fixed=int(report.get("n_cwe_fixed", 0)) + n_cwe_newly_fixed,
     )
 
     if rebase:  # the whole merged store, as a fresh base
         snapshot = artifacts.snapshot.merge(rectified_delta.entries)
         estimates = {**artifacts.estimates, **new_estimates}
-        pv3_scores = {**artifacts.pv3_scores, **new_scores}
-        pv3_severity = {**artifacts.pv3_severity, **new_severity}
-        row_scores = {**artifacts.row_scores, **new_rows}
     else:  # the delta's rows only
         snapshot, estimates = rectified_delta, new_estimates
-        pv3_scores, pv3_severity = new_scores, new_severity
-        row_scores = new_rows
+
+    # §4.3 — persisted winning model, no retrain.  Only the rows the
+    # stored table lacks reach the model; they extend the table.  A
+    # rebase looks up every row of the merged store, so a base's table
+    # holds every row it serves, even when its parent's did not.
+    model_used = artifacts.model_used
+    scored = [e for e in snapshot.entries if e.cvss_v2 is not None]
+    new_rows: dict[RowKey, float] = {}
+    if scored:
+        artifacts.engine.predict_scores(
+            scored, model=model_used, known=artifacts.row_scores, scored=new_rows
+        )
+    row_scores = {**artifacts.row_scores, **new_rows} if rebase else new_rows
     version = export_run(
         root,
         snapshot=snapshot,
@@ -221,8 +211,6 @@ def ingest_delta(
         vendor_map=artifacts.vendor_map,
         product_map=artifacts.product_map,
         estimates=estimates,
-        pv3_scores=pv3_scores,
-        pv3_severity=pv3_severity,
         row_scores=row_scores,
         report=report,
         source="ingest",

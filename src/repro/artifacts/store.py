@@ -10,17 +10,18 @@ persists everything a serving front end needs so the run happens once:
 - the trained severity models (``save``/``load`` weight serialization
   on each ``ml/`` model, bit-identical on round-trip),
 - the vendor/product alias maps and per-CVE disclosure estimates,
-- the backported v3 scores/severities and the cleaning report,
+- the cleaning report,
 - a per-CVE id index: whether the CVE's v3 score is predicted (v2
   scored, no v3 vector) and its CWE labels,
 - the row table: every feature row (v2 vector, first concrete CWE)
-  the version's prediction scored, with its score, so a later ingest
-  or predict on that row looks the score up instead of running a model,
+  the version's prediction scored, with its score: the only stored
+  §4.3 score.  A CVE is served its row's score, and a later ingest or
+  predict on that row looks the score up instead of running a model,
 - the engine config plus its fingerprint, in a schema-checked manifest.
 
 The JSON files (``manifest.json``, ``engine.json``, ``maps.json``,
-``report.json`` and the gzip-compressed ``estimates``/``predictions``/
-``index``/``row_scores``) are written compact, with sorted keys and no
+``report.json`` and the gzip-compressed ``estimates``/``index``/
+``row_scores``) are written compact, with sorted keys and no
 indentation, so ``json``'s C encoder writes them; any JSON text loads,
 so stores written indented by earlier versions still load.
 
@@ -40,7 +41,6 @@ report::
         engine.json
         maps.json
         estimates.json.gz
-        predictions.json.gz
         index.json.gz
         row_scores.json.gz  # [[v2 vector, CWE label or null, score], …]
         report.json
@@ -48,7 +48,6 @@ report::
         manifest.json
         delta.json.gz    # the delta's items, same encoder as snapshot
         estimates.json.gz
-        predictions.json.gz
         index.json.gz
         row_scores.json.gz  # only the rows this ingest scored
         report.json
@@ -63,11 +62,13 @@ order :meth:`repro.nvd.NvdSnapshot.merge` gives, decoding only each
 id's newest item (:func:`repro.nvd.feed.load_feeds`); it decodes the
 per-CVE files only when a caller first reads them.  The row tables
 upsert the same way, by row; a link written before the table existed
-adds no rows.  A load checks every model file's hash but reads a model
-only when something first scores with it (or a rebase writes it
-again).  An ingest onto a
-chain of :data:`repro.artifacts.ingest.MAX_SEGMENTS` segments writes a
-fresh base instead, so no chain grows past that.  Recovery
+adds no rows.  A version written before the row table became the only
+stored score also holds a per-CVE ``predictions.json.gz``; it stays
+listed and hash-checked, but nothing reads it.  A load checks every
+model file's hash but reads a model only when something first scores
+with it (or a rebase writes it again).  An ingest onto a chain of
+:data:`repro.artifacts.ingest.MAX_SEGMENTS` segments writes a fresh
+base instead, so no chain grows past that.  Recovery
 (:mod:`repro.artifacts.recovery`) treats a version as valid only when
 every file of its chain is, and its GC never deletes a version a kept
 version's chain names.
@@ -104,7 +105,6 @@ from repro.core.severity import (
     RowKey,
     SeverityPredictionEngine,
 )
-from repro.cvss import Severity
 from repro.ml import LinearRegression, Sequential, SupportVectorRegressor
 from repro.nvd import CveEntry, NvdSnapshot, save_feed
 from repro.nvd.feed import (
@@ -259,12 +259,10 @@ def _write_entries(
     items_name: str,
     entries: list[CveEntry],
     estimates: dict[str, DisclosureEstimate],
-    pv3_scores: dict[str, float],
-    pv3_severity: dict[str, Severity | str],
     row_scores: Mapping[RowKey, float],
 ) -> None:
-    """The per-CVE files of one base or segment: entries, estimates,
-    predictions and the id index, plus the scored feature rows."""
+    """The per-CVE files of one base or segment: entries, estimates and
+    the id index, plus the scored feature rows."""
     # One new container per CVE; the collector would rescan every
     # object the caller holds (a whole loaded store, on a rebase).
     with gc_paused():
@@ -278,16 +276,6 @@ def _write_entries(
                     estimate.n_reference_dates,
                 ]
                 for cve_id, estimate in estimates.items()
-            },
-        )
-        _write_json(
-            staging / "predictions.json.gz",
-            {
-                "scores": pv3_scores,
-                "severities": {
-                    cve_id: getattr(severity, "value", severity)
-                    for cve_id, severity in pv3_severity.items()
-                },
             },
         )
         _write_json(
@@ -317,8 +305,6 @@ def export_run(
     vendor_map: dict[str, str],
     product_map: dict[tuple[str, str], str],
     estimates: dict[str, DisclosureEstimate],
-    pv3_scores: dict[str, float],
-    pv3_severity: dict[str, Severity | str],
     row_scores: Mapping[RowKey, float],
     report: Any,
     source: str = "clean",
@@ -334,12 +320,12 @@ def export_run(
 
     ``row_scores`` maps each feature row ``model_used`` scored to its
     score (:meth:`SeverityPredictionEngine.predict_scores`'s
-    ``scored``).
+    ``scored``); it is the only §4.3 output persisted.
 
     By default the version is a full base.  With ``segment_of`` (the
     loaded parent version) it is one segment on the parent's chain:
-    ``snapshot``, ``estimates``, the predictions and ``row_scores``
-    hold only the delta's rows, and the parent's models and maps —
+    ``snapshot``, ``estimates`` and ``row_scores`` hold only the
+    delta's rows, and the parent's models and maps —
     which ``engine``, ``vendor_map`` and ``product_map`` must be — are
     inherited, not written, so no model is read.
     """
@@ -363,10 +349,7 @@ def export_run(
     )
     try:
         if segment_of is None:
-            _write_entries(
-                staging, BASE_ITEMS, snapshot.entries, estimates, pv3_scores,
-                pv3_severity, row_scores,
-            )
+            _write_entries(staging, BASE_ITEMS, snapshot.entries, estimates, row_scores)
             models_dir = staging / "models"
             models_dir.mkdir()
             for name, model in sorted(engine.models.items()):
@@ -393,8 +376,7 @@ def export_run(
             fields.update(n_cves=len(snapshot), chain=[])
         else:
             _write_entries(
-                staging, SEGMENT_ITEMS, snapshot.entries, estimates, pv3_scores,
-                pv3_severity, row_scores,
+                staging, SEGMENT_ITEMS, snapshot.entries, estimates, row_scores
             )
             inherited = _chain_files(segment_of.version, segment_of.manifest)
             del inherited[f"{segment_of.version}/report.json"]  # superseded
@@ -498,16 +480,12 @@ class LoadedArtifacts:
 
     :func:`load_artifacts` reads the manifest, maps and report.  The
     engine reads each model on first use, and the per-CVE data of the
-    chain — ``snapshot``, ``estimates``, the predictions, the id
-    ``index`` and the ``row_scores`` table — is decoded on first use,
+    chain — ``snapshot``, ``estimates``, the id ``index`` and the
+    ``row_scores`` table — is decoded on first use,
     so a caller pays only for what it reads: an ingest never decodes
     the snapshot, and reads a model only for rows the table lacks.
     Version directories are immutable, so a later read sees the bytes
     the load verified.
-
-    ``pv3_severity`` holds label strings (``"HIGH"``, …), the shape the
-    service responds with; the ingest path converts fresh predictions
-    to the same shape before merging.
     """
 
     root: pathlib.Path
@@ -568,31 +546,6 @@ class LoadedArtifacts:
             for cve_id in cve_ids
             if cve_id in rows
         }
-
-    @functools.cached_property
-    def _predictions(self) -> tuple[dict[str, float], dict[str, str]]:
-        scores: dict[str, float] = {}
-        severities: dict[str, str] = {}
-        with gc_paused():
-            for link_dir in self.chain_dirs:
-                predictions = _read_json(link_dir / "predictions.json.gz")
-                scores.update(
-                    (cve_id, float(score))
-                    for cve_id, score in predictions.get("scores", {}).items()
-                )
-                severities.update(
-                    (cve_id, str(label))
-                    for cve_id, label in predictions.get("severities", {}).items()
-                )
-        return scores, severities
-
-    @property
-    def pv3_scores(self) -> dict[str, float]:
-        return self._predictions[0]
-
-    @property
-    def pv3_severity(self) -> dict[str, str]:
-        return self._predictions[1]
 
     def _links_with(self, name: str) -> list[pathlib.Path]:
         """The chain links that wrote a file ``name``."""
@@ -675,7 +628,7 @@ def load_artifacts(
     """Rehydrate one artifact version (default: the ``CURRENT`` one).
 
     This is the serving cold-start path: the snapshot, alias maps,
-    estimates, predictions and trained models are all read from disk —
+    estimates, row scores and trained models are all read from disk —
     no crawling, no pair scoring, no training — each when first used.
     A segment version's chain replays as an upsert by CVE id, base
     first.  ``verify=True`` (the default) checks every file of the

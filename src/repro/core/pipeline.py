@@ -1,10 +1,13 @@
 """End-to-end NVD rectification (§4 in full).
 
-``clean`` runs the four fixers in the paper's order — disclosure
-dates, vendor names, product names (after vendors, as §4.2 requires),
-severity backporting, and CWE recovery — and returns a
-:class:`RectifiedNvd` bundling the improved snapshot with every
-intermediate artifact the case studies (§5) consume.
+``clean`` runs the four fixers — disclosure dates, vendor names,
+product names (after vendors, as §4.2 requires), CWE recovery, and
+severity backporting — and returns a :class:`RectifiedNvd` bundling
+the improved snapshot with every intermediate artifact the case
+studies (§5) consume.  §4.4 runs before the §4.3 prediction, so each
+CVE is scored on the feature row (v2 vector, first concrete CWE) it is
+served with, as ``ingest_delta`` scores a delta; the models train on
+the snapshot's dual-scored entries as they were fed in.
 
 Every phase is timed through :mod:`repro.perf`; ``tools/bench.py``
 reads the recorder to emit the per-phase trajectory in
@@ -63,11 +66,13 @@ class RectifiedNvd:
     #: vendor/product consolidation artifacts (§4.2).
     vendor_analysis: VendorAnalysis
     product_analysis: ProductAnalysis
-    #: the trained severity engine and per-CVE predicted scores (§4.3).
+    #: the trained severity engine and per-CVE predicted scores (§4.3),
+    #: each its served feature row's score.
     engine: SeverityPredictionEngine
     pv3_scores: dict[str, float]
     pv3_severity: dict[str, Severity]
-    #: the score of every feature row the prediction computed.
+    #: the score of every feature row the prediction computed; the only
+    #: scores an export persists.
     row_scores: dict[RowKey, float]
     #: the CWE recovery outcome (§4.4).
     cwe_fixes: CweFixResult
@@ -92,8 +97,6 @@ class RectifiedNvd:
             vendor_map=self.vendor_analysis.mapping,
             product_map=self.product_analysis.mapping,
             estimates=self.estimates,
-            pv3_scores=self.pv3_scores,
-            pv3_severity=self.pv3_severity,
             row_scores=self.row_scores,
             report=self.report,
         )
@@ -124,20 +127,8 @@ def clean(
     recorder = perf.get_recorder()
     recorder.add_counter("clean.n_cves", len(snapshot))
 
-    # One shared pass partitions the snapshot into the §4.3 pools: the
-    # dual-scored training entries (v3) and the v2-scored prediction
-    # targets — with_v3() and the `scored` list used to require two
-    # full scans.
-    with_v3: list = []
-    scored: list = []
-    n_v3_predicted = 0
-    for entry in snapshot.entries:
-        if entry.has_v3:
-            with_v3.append(entry)
-        if entry.cvss_v2 is not None:
-            scored.append(entry)
-            if not entry.has_v3:
-                n_v3_predicted += 1
+    # The §4.3 training pool: the dual-scored entries as fed in.
+    with_v3 = [entry for entry in snapshot.entries if entry.has_v3]
 
     # With REPRO_TRACE (or --trace) set, the whole run records phase
     # spans and writes a Perfetto-loadable trace on exit.  A no-op
@@ -159,7 +150,15 @@ def clean(
                 after_vendors, product_analysis.mapping
             )
 
-        # §4.3 — severity backporting.
+        # §4.4 — CWE recovery.
+        with recorder.phase("cwe"):
+            cwe_fixes = extract_cwe_fixes(after_names)
+            rectified = apply_cwe_fixes(after_names, cwe_fixes)
+
+        # §4.3 — severity backporting onto the rectified v2-scored
+        # entries, so each is scored on the feature row it is served with.
+        scored = [entry for entry in rectified.entries if entry.cvss_v2 is not None]
+        n_v3_predicted = sum(1 for entry in scored if not entry.has_v3)
         with recorder.phase("severity"):
             with recorder.phase("fit"):
                 engine = SeverityPredictionEngine(config).fit(with_v3)
@@ -182,11 +181,6 @@ def clean(
                     entry.cve_id: severity_v3(score)
                     for entry, score in zip(scored, predictions)
                 }
-
-        # §4.4 — CWE recovery.
-        with recorder.phase("cwe"):
-            cwe_fixes = extract_cwe_fixes(after_names)
-            rectified = apply_cwe_fixes(after_names, cwe_fixes)
     finally:
         trace.close()
 

@@ -8,12 +8,15 @@ each vendor's sorted product list are materialised at load time so
 the first request is as fast as the thousandth.  Vendor and product
 pages slice the snapshot's id lists directly.
 
-A ``/v1/severity/predict`` body whose feature row is in the store's
-row table (:attr:`repro.artifacts.LoadedArtifacts.row_scores`) is
-answered with the stored score, the one the stored CVEs with that row
-were given.  Any other row runs a one-row forward.  That is the only
-mutable corner: ``ml.nn.Sequential`` layers cache forward state, so
-predicts serialise on a lock, one row at a time.  (The linear and SVR
+§4.3 scores come from one rule, :meth:`ServiceState.row_score`, for
+both a stored CVE's ``predicted_v3_score`` on ``/v1/cve`` and a
+``/v1/severity/predict`` body: a feature row in the store's row table
+(:attr:`repro.artifacts.LoadedArtifacts.row_scores`, the only stored
+score) takes its stored score; any other row runs a one-row forward.
+So a CVE is served its row's score, and a predict of its v2 vector and
+CWE labels answers the same.  The forward is the only mutable corner:
+``ml.nn.Sequential`` layers cache forward state, so forwards serialise
+on a lock, one row at a time.  (The linear and SVR
 models are stateless at predict time; the lock covers the engine path
 uniformly because a lookup is microseconds and a single 13-feature
 forward pass well under a millisecond.)
@@ -32,6 +35,7 @@ from repro.cvss import (
     v2_vector_string,
     v3_vector_string,
 )
+from repro.core.severity import row_key
 from repro.cwe import CWE_LABEL, MAX_CWE_DIGITS, extract_cwe_ids
 from repro.nvd import CveEntry
 from repro.service.cursor import encode_cursor
@@ -92,8 +96,6 @@ class ServiceState:
         # A load decodes per-CVE data on first read: read it here, on
         # the loading thread, not inside the first request.
         self.estimates = artifacts.estimates
-        self.pv3_scores = artifacts.pv3_scores
-        self.pv3_severity = artifacts.pv3_severity
         self.row_scores = artifacts.row_scores
         self.model_used = artifacts.model_used
         # The engine reads a model on first use: read it here, so no
@@ -160,10 +162,10 @@ class ServiceState:
                 estimate.estimated_disclosure.isoformat()
             )
             payload["lag_days"] = estimate.lag_days
-        score = self.pv3_scores.get(cve_id)
-        if score is not None:
+        if entry.cvss_v2 is not None:
+            score = self.row_score(entry)
             payload["predicted_v3_score"] = score
-            payload["predicted_v3_severity"] = self.pv3_severity.get(cve_id)
+            payload["predicted_v3_severity"] = severity_v3(score).value
             payload["v3_backported"] = not entry.has_v3
         return payload
 
@@ -246,15 +248,26 @@ class ServiceState:
             cvss_v2=metrics,
         )
 
+    def row_score(self, entry: CveEntry) -> float:
+        """The §4.3 score of ``entry``'s feature row: the row table's,
+        or else one forward of the served model under the predict lock.
+        ``entry`` must carry a v2 vector."""
+        score = self.row_scores.get(row_key(entry))
+        if score is None:
+            with self._predict_lock:
+                (score,) = self.artifacts.engine.predict_scores(
+                    [entry], model=self.model_used
+                )
+        return float(score)
+
     def predict_payloads(self, bodies: list[object]) -> list[object]:
         """§4.3 predictions for several posted bodies.
 
         Returns one item per body, **in order**: a payload dict, or the
         :class:`ServiceError` that body earned.  Each body is scored on
-        its own, exactly as a lone request would be: a row in the row
-        table takes its stored score, any other row one forward.
+        its own, exactly as a lone request would be, by
+        :meth:`row_score`.
         """
-        engine = self.artifacts.engine
         results: list[object] = []
         for body in bodies:
             try:
@@ -262,11 +275,7 @@ class ServiceState:
             except ServiceError as error:
                 results.append(error)
                 continue
-            with self._predict_lock:
-                scores = engine.predict_scores(
-                    [entry], model=self.model_used, known=self.row_scores
-                )
-            score = float(scores[0])
+            score = self.row_score(entry)
             results.append(
                 {
                     "model": self.model_used,

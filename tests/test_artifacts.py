@@ -31,6 +31,16 @@ def store(artifact_root, tmp_path):
     return root
 
 
+def _served_scores(loaded):
+    """Each v2-scored CVE's backported score: its feature row's score in
+    the version's row table (a KeyError when the table lacks the row)."""
+    return {
+        entry.cve_id: loaded.row_scores[row_key(entry)]
+        for entry in loaded.snapshot.entries
+        if entry.cvss_v2 is not None
+    }
+
+
 class TestExport:
     def test_layout_and_pointer(self, artifact_root):
         assert list_versions(artifact_root) == ["v0001"]
@@ -42,12 +52,13 @@ class TestExport:
             "engine.json",
             "maps.json",
             "estimates.json.gz",
-            "predictions.json.gz",
             "index.json.gz",
+            "row_scores.json.gz",
             "report.json",
         ):
             assert (version_dir / name).is_file(), name
         assert (version_dir / "models").is_dir()
+        assert not (version_dir / "predictions.json.gz").exists()
 
     def test_manifest_schema_and_fingerprint(self, artifact_root):
         manifest = json.loads(
@@ -148,7 +159,7 @@ class TestLoad:
         manifest_path = version_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         for name in ("engine.json", "maps.json", "estimates.json.gz",
-                     "predictions.json.gz", "report.json"):
+                     "row_scores.json.gz", "report.json"):
             path = version_dir / name
             opener = gzip.open if path.suffix == ".gz" else open
             with opener(path, "rt", encoding="utf-8") as handle:
@@ -162,12 +173,12 @@ class TestLoad:
         manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
         loaded, fresh = load_artifacts(store), load_artifacts(artifact_root)
         assert loaded.estimates == fresh.estimates
-        assert loaded.pv3_scores == fresh.pv3_scores
-        assert loaded.pv3_severity == fresh.pv3_severity
-        entry = loaded.snapshot.entries[0]
+        assert loaded.row_scores == fresh.row_scores
+        entry = next(e for e in loaded.snapshot.entries if e.cvss_v2 is not None)
         result = ingest_delta(store, [entry.replace(cve_id="CVE-2018-99003")])
         assert (result.version, result.n_new) == ("v0002", 1)
-        assert "CVE-2018-99003" in load_artifacts(store).pv3_scores
+        after = load_artifacts(store)
+        assert "CVE-2018-99003" in _served_scores(after)
 
 
 class TestRejection:
@@ -196,7 +207,7 @@ class TestRejection:
             load_artifacts(store)
 
     def test_missing_file_rejected(self, store):
-        (store / "v0001" / "predictions.json.gz").unlink()
+        (store / "v0001" / "estimates.json.gz").unlink()
         with pytest.raises(ArtifactError, match="missing artifact file"):
             load_artifacts(store)
 
@@ -245,17 +256,10 @@ class TestIngest:
         result = ingest_delta(store, delta)
         after = load_artifacts(store)
         assert after.version == result.version
-        # the new CVE is served, with a predicted v3 score
+        # the new CVE is served, and its feature row has a stored score
         new_id = delta[1].cve_id
         assert new_id in after.snapshot
-        assert new_id in after.pv3_scores
-        assert after.pv3_severity[new_id] in (
-            "NONE",
-            "LOW",
-            "MEDIUM",
-            "HIGH",
-            "CRITICAL",
-        )
+        assert 0.0 <= _served_scores(after)[new_id] <= 10.0
         # the updated CVE carries the §4.4-recovered label
         assert "CWE-79" in after.snapshot[delta[0].cve_id].cwe_ids
         # untouched entries are untouched
@@ -347,7 +351,7 @@ class TestExportGc:
 
         def failing_write(path, payload):
             collector_on.append(gc.isenabled())
-            if path.name == "predictions.json.gz":
+            if path.name == "index.json.gz":
                 raise OSError("disk full")
             write_json(path, payload)
 
@@ -420,8 +424,7 @@ class TestSegments:
             for theirs in (load_artifacts(rewritten), load_artifacts(untabled)):
                 assert ours.snapshot.entries == theirs.snapshot.entries
                 assert ours.estimates == theirs.estimates
-                assert ours.pv3_scores == theirs.pv3_scores
-                assert ours.pv3_severity == theirs.pv3_severity
+                assert _served_scores(ours) == _served_scores(theirs)
                 assert ours.report == theirs.report
             # the adjusted counts equal a recount of the whole store
             assert ours.report["n_cves"] == len(ours.snapshot) == segment.n_total
@@ -471,8 +474,8 @@ class TestSegments:
         assert counters["severity.rows_scored"] == scored
         assert counters["severity.rows_reused"] > reused
         assert second.n_predicted == first.n_predicted
-        assert load_artifacts(store).pv3_scores == (
-            load_artifacts(store, first.version).pv3_scores
+        assert _served_scores(load_artifacts(store)) == _served_scores(
+            load_artifacts(store, first.version)
         )
 
     def test_row_table_holds_what_was_scored(self, store, small_rectified):
@@ -486,7 +489,8 @@ class TestSegments:
         after = load_artifacts(store)
         key = row_key(delta[0])
         assert key not in base.row_scores
-        score = after.pv3_scores["CVE-2018-99009"]
+        (score,) = base.engine.predict_scores(delta, model=base.model_used)
+        score = float(score)
         assert after.row_scores == {**base.row_scores, key: score}
         written = store / "v0002" / "row_scores.json.gz"
         assert json.loads(gzip.decompress(written.read_bytes())) == [[*key, score]]
@@ -507,8 +511,10 @@ class TestSegments:
         delta = self._delta(load_artifacts(store).snapshot.entries, 3)
         assert ingest_delta(store, delta) == ingest_delta(intact, delta)
         ours, theirs = load_artifacts(store), load_artifacts(intact)
-        assert ours.pv3_scores == theirs.pv3_scores
-        assert set(ours.row_scores) <= set(theirs.row_scores)
+        delta_rows = {
+            row_key(ours.snapshot[e.cve_id]) for e in delta if e.cvss_v2 is not None
+        }
+        assert delta_rows <= set(ours.row_scores) <= set(theirs.row_scores)
         assert all(
             theirs.row_scores[key] == score for key, score in ours.row_scores.items()
         )
@@ -520,7 +526,7 @@ class TestSegments:
         manifest = _manifest(store, "v0002")
         assert sorted(manifest["files"]) == [
             "delta.json.gz", "estimates.json.gz", "index.json.gz",
-            "predictions.json.gz", "report.json", "row_scores.json.gz",
+            "report.json", "row_scores.json.gz",
         ]
         # every base file but its report is inherited, hash included
         assert manifest["inherited"] == {

@@ -331,12 +331,12 @@ class TestTornArtifactWrites:
         root = _copy_store(artifact_root, tmp_path)
         _clone_version(root, "v0001", "v0002")
         # a writer that crashed mid-publish, one data file short
-        (root / "v0002" / "predictions.json.gz").unlink()
+        (root / "v0002" / "estimates.json.gz").unlink()
         version = small_rectified.export_artifacts(root)
         # the torn directory holds v0002; the export claimed v0003
         assert version == "v0003"
         assert read_current(root) == "v0003"
-        assert not (root / "v0002" / "predictions.json.gz").exists()
+        assert not (root / "v0002" / "estimates.json.gz").exists()
         assert load_artifacts(root).version == "v0003"
 
         report = recover_store(root)

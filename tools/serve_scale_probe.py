@@ -11,9 +11,13 @@ drives the multi-process surface end to end:
 2. asserts a tampered cursor fails with a self-describing 400;
 3. fires a concurrent predict burst and asserts every response is
    bit-identical to its single-request reference;
-4. lints the Prometheus ``/metrics`` exposition with
+4. for 20 sampled CVEs with a v2 vector, asserts ``/v1/cve``'s
+   ``predicted_v3_score`` (rounded to 4 places) equals the score
+   ``/v1/severity/predict`` gives the same vector and ``cwe_ids`` —
+   a stored CVE is served its feature row's score;
+5. lints the Prometheus ``/metrics`` exposition with
    ``tools/check_metrics.py``;
-5. sends 50 GETs (cve, stats, healthz) over one persistent connection
+6. sends 50 GETs (cve, stats, healthz) over one persistent connection
    and asserts every answer is a 200 with a median round trip under
    5 ms — a response sent as two writes (headers, then body) waits
    ~40 ms for the client's delayed ACK on every keep-alive request —
@@ -53,6 +57,9 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
 PREDICT_VECTOR = "AV:N/AC:L/Au:N/C:C/I:C/A:C"
+
+#: stored CVEs whose served score is checked against a predict.
+SCORE_SAMPLE = 20
 
 #: GETs sent over one keep-alive connection, and the median round trip
 #: (ms) they must beat.
@@ -213,6 +220,33 @@ def probe_predict_burst(base_url: str, burst: int) -> None:
     )
 
 
+def probe_cve_scores(base_url: str, snapshot) -> None:
+    scored = [entry for entry in snapshot.entries if entry.cvss_v2 is not None]
+    check(bool(scored), "the store holds no CVE with a v2 vector")
+    step = max(1, len(scored) // SCORE_SAMPLE)
+    sample = scored[::step][:SCORE_SAMPLE]
+    for entry in sample:
+        status, payload = get(base_url, f"/v1/cve/{entry.cve_id}")
+        check(status == 200, f"/v1/cve/{entry.cve_id} answered {status}")
+        status, body = post(
+            base_url,
+            "/v1/severity/predict",
+            {"cvss_v2": payload["cvss_v2"]["vector"], "cwe_ids": payload["cwe_ids"]},
+        )
+        check(status == 200, f"predict for {entry.cve_id} failed: {status} {body!r}")
+        predicted = json.loads(body)["score"]
+        served = payload.get("predicted_v3_score")
+        check(
+            served is not None and round(served, 4) == predicted,
+            f"{entry.cve_id} is served predicted_v3_score {served}, "
+            f"a predict of its row answers {predicted}",
+        )
+    print(
+        f"[probe] {len(sample)} served predicted_v3_scores equal "
+        "/v1/severity/predict's score for their rows"
+    )
+
+
 def probe_metrics_lint(base_url: str) -> None:
     import check_metrics
 
@@ -280,6 +314,7 @@ def main(argv: list[str] | None = None) -> int:
         with serving(args.artifacts, args.workers) as base_url:
             probe_cursor_walk(base_url, artifacts.snapshot)
             probe_predict_burst(base_url, args.burst)
+            probe_cve_scores(base_url, artifacts.snapshot)
             probe_metrics_lint(base_url)
             probe_keepalive(base_url, artifacts.snapshot)
         print(f"[probe] OK: {args.workers} workers")
