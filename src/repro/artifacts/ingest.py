@@ -23,10 +23,11 @@ it scored, plus the updated report (see :mod:`repro.artifacts.store`).
 The ingest reads the manifest, the alias maps, the estimates, the id
 index and the row scores of the stored chain — never its entries — so
 its cost follows the delta, not the store.  Once a chain holds
-:data:`MAX_SEGMENTS` segments, or the stored version predates the id
-index, the ingest instead loads everything and writes a fresh full
-base.  Either way the ``CURRENT`` pointer flips atomically, which is
-what a running server hot-swaps on.
+:data:`MAX_SEGMENTS` segments, the ingest instead loads everything and
+writes a fresh full base.  Either way the ``CURRENT`` pointer flips
+atomically, which is what a running server hot-swaps on.  A store in a
+layout :func:`repro.artifacts.load_artifacts` no longer reads raises
+:class:`repro.artifacts.ArtifactError` before anything is written.
 """
 
 from __future__ import annotations
@@ -119,13 +120,10 @@ def ingest_delta(
     delta = NvdSnapshot(delta_entries)  # validates duplicate delta ids
     cache = CrawlCache.resolve(crawl_cache)
 
-    # A segment on the parent, unless the chain is full or predates the
-    # id index: then a fresh full base (an old store's index is built
-    # from its entries).
-    rebase = artifacts.index is None or artifacts.n_segments >= MAX_SEGMENTS
+    # A segment on the parent, unless the chain is full: then a fresh
+    # full base.
+    rebase = artifacts.n_segments >= MAX_SEGMENTS
     index = artifacts.index
-    if index is None:
-        index = {entry.cve_id: index_row(entry) for entry in artifacts.snapshot.entries}
 
     # §4.2 — replay the persisted alias maps (no re-analysis).
     after_vendors = apply_vendor_mapping(delta, artifacts.vendor_map)
@@ -176,13 +174,13 @@ def ingest_delta(
     report = dict(artifacts.report)
     report.update(
         n_cves=n_total,
-        n_improved_dates=int(report.get("n_improved_dates", 0))
+        n_improved_dates=report["n_improved_dates"]
         - n_improved_replaced
         + sum(1 for e in new_estimates.values() if e.improved),
-        n_v3_predicted=int(report.get("n_v3_predicted", 0))
+        n_v3_predicted=report["n_v3_predicted"]
         - sum(row[0] for row in updated_rows)
         + n_predicted,
-        n_cwe_fixed=int(report.get("n_cwe_fixed", 0)) + n_cwe_newly_fixed,
+        n_cwe_fixed=report["n_cwe_fixed"] + n_cwe_newly_fixed,
     )
 
     if rebase:  # the whole merged store, as a fresh base
@@ -193,8 +191,8 @@ def ingest_delta(
 
     # §4.3 — persisted winning model, no retrain.  Only the rows the
     # stored table lacks reach the model; they extend the table.  A
-    # rebase looks up every row of the merged store, so a base's table
-    # holds every row it serves, even when its parent's did not.
+    # rebase looks up every row of the merged store and writes the
+    # whole table, so a base's table holds every row it serves.
     model_used = artifacts.model_used
     scored = [e for e in snapshot.entries if e.cvss_v2 is not None]
     new_rows: dict[RowKey, float] = {}

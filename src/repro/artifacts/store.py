@@ -61,17 +61,21 @@ chain as an upsert by CVE id — base entries, then each segment's — the
 order :meth:`repro.nvd.NvdSnapshot.merge` gives, decoding only each
 id's newest item (:func:`repro.nvd.feed.load_feeds`); it decodes the
 per-CVE files only when a caller first reads them.  The row tables
-upsert the same way, by row; a link written before the table existed
-adds no rows.  A version written before the row table became the only
-stored score also holds a per-CVE ``predictions.json.gz``; it stays
-listed and hash-checked, but nothing reads it.  A load checks every
-model file's hash but reads a model only when something first scores
-with it (or a rebase writes it again).  An ingest onto a chain of
-:data:`repro.artifacts.ingest.MAX_SEGMENTS` segments writes a fresh
-base instead, so no chain grows past that.  Recovery
-(:mod:`repro.artifacts.recovery`) treats a version as valid only when
-every file of its chain is, and its GC never deletes a version a kept
-version's chain names.
+upsert the same way, by row, so a version's table holds every row it
+serves.  A load checks every model file's hash but reads a model only
+when something first scores with it (or a rebase writes it again).  An
+ingest onto a chain of :data:`repro.artifacts.ingest.MAX_SEGMENTS`
+segments writes a fresh base instead, so no chain grows past that.
+Recovery (:mod:`repro.artifacts.recovery`) treats a version as valid
+only when every file of its chain is, and its GC never deletes a
+version a kept version's chain names.
+
+This layout is the only one a load accepts: the manifest names its
+``chain``, every link of it lists ``index.json.gz`` and
+``row_scores.json.gz``, and none lists a per-CVE
+``predictions.json.gz``.  A version written in an older layout raises
+:class:`ArtifactError` naming the version and the file, and saying to
+re-export the store; recovery does not quarantine it.
 
 Writers stage into a temp directory and ``os.rename`` it into place,
 then rewrite ``CURRENT`` via temp-file + ``os.replace`` — a reader (or
@@ -146,10 +150,6 @@ _MODEL_LOADERS = {
     "dnn": Sequential.load,
 }
 assert set(_MODEL_LOADERS) == set(SUPPORTED_MODELS)
-
-#: engine-config keys older stores persisted for settings that no
-#: longer exist; dropped on load so those stores stay loadable.
-_RETIRED_CONFIG_KEYS = ("numeric_backend", "data_parallel", "workers", "backend", "nn_dtype")
 
 
 class ArtifactError(RuntimeError):
@@ -382,7 +382,7 @@ def export_run(
             del inherited[f"{segment_of.version}/report.json"]  # superseded
             fields.update(
                 n_cves=report_dict["n_cves"],
-                chain=[*segment_of.manifest.get("chain", ()), segment_of.version],
+                chain=[*segment_of.manifest["chain"], segment_of.version],
                 inherited=inherited,
             )
         _write_json(staging / "report.json", report_dict)
@@ -510,7 +510,7 @@ class LoadedArtifacts:
     @property
     def n_segments(self) -> int:
         """Segments in this version's chain (0 for a base)."""
-        return len(self.manifest.get("chain", ()))
+        return len(self.manifest["chain"])
 
     def _upserted(self, name: str) -> dict[str, Any]:
         """The JSON object ``name`` of every chain link, later ones winning."""
@@ -547,26 +547,17 @@ class LoadedArtifacts:
             if cve_id in rows
         }
 
-    def _links_with(self, name: str) -> list[pathlib.Path]:
-        """The chain links that wrote a file ``name``."""
-        listed = _chain_files(self.version, self.manifest)
-        return [link for link in self.chain_dirs if f"{link.name}/{name}" in listed]
-
     @functools.cached_property
-    def index(self) -> dict[str, list[Any]] | None:
-        """CVE id → :func:`index_row` over the whole chain; None when a
-        link was written before the index existed."""
-        if len(self._links_with("index.json.gz")) < len(self.chain_dirs):
-            return None
+    def index(self) -> dict[str, list[Any]]:
+        """CVE id → :func:`index_row` over the whole chain."""
         return self._upserted("index.json.gz")
 
     @functools.cached_property
     def row_scores(self) -> dict[RowKey, float]:
         """Feature row → the score ``model_used`` gave it, over every
-        row the chain's predictions scored.  A link written before the
-        table existed adds no rows."""
+        row the chain's predictions scored."""
         table: dict[RowKey, float] = {}
-        for link_dir in self._links_with(ROW_SCORES):
+        for link_dir in self.chain_dirs:
             try:
                 table.update(
                     ((vector, cwe), float(score))
@@ -619,11 +610,29 @@ def _verify_manifest(
     return manifest
 
 
+def _check_layout(version_dir: pathlib.Path, version: str, manifest: dict[str, Any]) -> None:
+    """Reject a version written in a layout this code no longer reads:
+    a manifest without ``chain``, or a chain link that lacks the id
+    index or the row table, or lists a per-CVE ``predictions.json.gz``."""
+    if "chain" not in manifest:
+        raise ArtifactError(
+            f"{version_dir}: version {version} has no chain in manifest.json "
+            "(an older store layout); re-export the store"
+        )
+    listed = _chain_files(version, manifest)
+    expected = (("index.json.gz", True), (ROW_SCORES, True), ("predictions.json.gz", False))
+    for link in (*manifest["chain"], version):
+        for name, wanted in expected:
+            if (f"{link}/{name}" in listed) != wanted:
+                raise ArtifactError(
+                    f"{version_dir}: version {link} "
+                    f"{'lacks' if wanted else 'lists'} {name} "
+                    "(an older store layout); re-export the store"
+                )
+
+
 def load_artifacts(
-    root: str | os.PathLike[str],
-    version: str | None = None,
-    *,
-    verify: bool = True,
+    root: str | os.PathLike[str], version: str | None = None
 ) -> LoadedArtifacts:
     """Rehydrate one artifact version (default: the ``CURRENT`` one).
 
@@ -631,23 +640,23 @@ def load_artifacts(
     estimates, row scores and trained models are all read from disk —
     no crawling, no pair scoring, no training — each when first used.
     A segment version's chain replays as an upsert by CVE id, base
-    first.  ``verify=True`` (the default) checks every file of the
-    chain, model files included, against its manifest sha256 first.
+    first.  Every file of the chain, model files included, is checked
+    against its manifest sha256 first, and a version in an older layout
+    (see the module docstring) is rejected before anything is decoded.
     """
     root = pathlib.Path(root)
     version = _resolve_version(root, version)
     version_dir = root / version
     if not version_dir.is_dir():
         raise ArtifactError(f"artifact version {version!r} not found under {root}")
-    manifest = _verify_manifest(version_dir, version, verify)
-    chain_dirs = [root / link for link in (*manifest.get("chain", ()), version)]
+    manifest = _verify_manifest(version_dir, version, verify_hashes=True)
+    _check_layout(version_dir, version, manifest)
+    chain_dirs = [root / link for link in (*manifest["chain"], version)]
     base_dir = chain_dirs[0]
 
     engine_doc = _read_json(base_dir / "engine.json")
     config_doc = dict(engine_doc["config"])
     config_doc["models"] = tuple(config_doc.get("models", ()))
-    for retired in _RETIRED_CONFIG_KEYS:
-        config_doc.pop(retired, None)
     try:
         config = EngineConfig(**config_doc)
     except TypeError as error:

@@ -243,17 +243,21 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.artifacts import ArtifactError
     from repro.service import serve
 
-    return serve(
-        args.artifacts,
-        host=args.host,
-        port=args.port,
-        version=args.version,
-        reload_interval=args.reload_interval,
-        workers=args.workers,
-        access_log=args.access_log,
-    )
+    try:
+        return serve(
+            args.artifacts,
+            host=args.host,
+            port=args.port,
+            version=args.version,
+            reload_interval=args.reload_interval,
+            workers=args.workers,
+            access_log=args.access_log,
+        )
+    except ArtifactError as error:
+        return _input_error(args.artifacts, error)
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:

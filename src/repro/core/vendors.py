@@ -47,6 +47,13 @@ __all__ = [
 ConfirmOracle = Callable[[str, str], bool]
 K = TypeVar("K", bound=Hashable)
 
+#: cap on every blocking bucket (token groups, shared products,
+#: deletion signatures, 4-grams): very common keys (e.g. the substring
+#: "soft") would otherwise produce quadratic noise — the paper made the
+#: same call by dropping substring heuristics that "flagged too many
+#: pairs for analysis" for products.
+MAX_BUCKET = 60
+
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class PairFeatures:
@@ -137,18 +144,10 @@ def _char_4grams(name: str) -> set[str]:
 
 
 def candidate_pairs(
-    vendors: list[str],
-    vendor_products: dict[str, set[str]],
-    max_bucket: int = 60,
+    vendors: list[str], vendor_products: dict[str, set[str]]
 ) -> list[PairFeatures]:
-    """Generate candidate pairs via the §4.2 heuristics with blocking.
-
-    ``max_bucket`` caps every blocking bucket (token groups, shared
-    products, deletion signatures, 4-grams): very common keys (e.g. the
-    substring "soft") would otherwise produce quadratic noise — the
-    paper made the same call by dropping substring heuristics that
-    "flagged too many pairs for analysis" for products.
-    """
+    """Generate candidate pairs via the §4.2 heuristics with blocking,
+    every blocking bucket capped at :data:`MAX_BUCKET` names."""
     # Pairs deduplicate as index tuples — cheaper to hash and compare
     # than string pairs when the heuristics overlap heavily.
     index_of = {vendor: i for i, vendor in enumerate(vendors)}
@@ -167,7 +166,7 @@ def candidate_pairs(
         if tokens:
             by_tokens.setdefault(tokens, []).append(vendor)
     for group in by_tokens.values():
-        if len(group) > max_bucket:
+        if len(group) > MAX_BUCKET:
             # Token identity is a high-precision signal, so unlike the
             # noisy buckets below an oversized group must not be
             # dropped: chain consecutive members instead — union-find
@@ -185,7 +184,7 @@ def candidate_pairs(
         for product in products:
             by_product.setdefault(product, []).append(vendor)
     for group in by_product.values():
-        if len(group) > max_bucket:
+        if len(group) > MAX_BUCKET:
             continue
         for i, a in enumerate(group):
             for b in group[i + 1 :]:
@@ -230,7 +229,7 @@ def candidate_pairs(
         for signature in signatures:
             by_deletion.setdefault(signature, []).append(vendor)
     for group in by_deletion.values():
-        if len(group) > max_bucket:
+        if len(group) > MAX_BUCKET:
             continue
         for i, a in enumerate(group):
             for b in group[i + 1 :]:
@@ -243,7 +242,7 @@ def candidate_pairs(
             by_gram.setdefault(gram, []).append(vendor)
     shared_counts: dict[tuple[str, str], int] = {}
     for gram, group in by_gram.items():
-        if len(group) > max_bucket:
+        if len(group) > MAX_BUCKET:
             continue
         for i, a in enumerate(group):
             for b in group[i + 1 :]:
@@ -324,11 +323,7 @@ def _canonical_map(
     return mapping
 
 
-def analyze_vendors(
-    snapshot: NvdSnapshot,
-    confirm: ConfirmOracle,
-    max_bucket: int = 60,
-) -> VendorAnalysis:
+def analyze_vendors(snapshot: NvdSnapshot, confirm: ConfirmOracle) -> VendorAnalysis:
     """Run the full §4.2 vendor workflow against a snapshot.
 
     ``confirm`` plays the manual-investigation role: given two names it
@@ -336,9 +331,7 @@ def analyze_vendors(
     per candidate pair, in pair order.
     """
     vendors = snapshot.vendors()
-    candidates = candidate_pairs(
-        vendors, snapshot.vendor_products(), max_bucket=max_bucket
-    )
+    candidates = candidate_pairs(vendors, snapshot.vendor_products())
     confirmed = [
         features
         for features in candidates

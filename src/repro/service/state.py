@@ -13,13 +13,14 @@ both a stored CVE's ``predicted_v3_score`` on ``/v1/cve`` and a
 ``/v1/severity/predict`` body: a feature row in the store's row table
 (:attr:`repro.artifacts.LoadedArtifacts.row_scores`, the only stored
 score) takes its stored score; any other row runs a one-row forward.
-So a CVE is served its row's score, and a predict of its v2 vector and
-CWE labels answers the same.  The forward is the only mutable corner:
-``ml.nn.Sequential`` layers cache forward state, so forwards serialise
-on a lock, one row at a time.  (The linear and SVR
-models are stateless at predict time; the lock covers the engine path
-uniformly because a lookup is microseconds and a single 13-feature
-forward pass well under a millisecond.)
+A loadable store's table holds every row it serves, so ``/v1/cve``
+never runs a forward, and a predict of a CVE's v2 vector and CWE
+labels answers its served score.  The forward is the only mutable
+corner: ``ml.nn.Sequential`` layers cache forward state, so forwards
+serialise on a lock, one row at a time.  (The linear and SVR models are
+stateless at predict time; the lock covers the engine path uniformly
+because a lookup is microseconds and a single 13-feature forward pass
+well under a millisecond.)
 """
 
 from __future__ import annotations
@@ -260,42 +261,21 @@ class ServiceState:
                 )
         return float(score)
 
-    def predict_payloads(self, bodies: list[object]) -> list[object]:
-        """§4.3 predictions for several posted bodies.
-
-        Returns one item per body, **in order**: a payload dict, or the
-        :class:`ServiceError` that body earned.  Each body is scored on
-        its own, exactly as a lone request would be, by
-        :meth:`row_score`.
-        """
-        results: list[object] = []
-        for body in bodies:
-            try:
-                entry = self._parse_predict_body(body)
-            except ServiceError as error:
-                results.append(error)
-                continue
-            score = self.row_score(entry)
-            results.append(
-                {
-                    "model": self.model_used,
-                    "score": round(score, 4),
-                    "severity": severity_v3(score).value,
-                    "cwe_ids": list(entry.cwe_ids),
-                    "version": self.version,
-                }
-            )
-        return results
-
     def predict_payload(self, body: object) -> dict:
         """§4.3 severity prediction for one posted vulnerability.
 
         The body must carry a CVSS v2 vector (the features the
         persisted models consume); an optional ``description`` feeds
         the §4.4 ``CWE-[0-9]*`` regex to supply the CWE feature when
-        ``cwe_ids`` is not given explicitly.
+        ``cwe_ids`` is not given explicitly.  The row is scored by
+        :meth:`row_score`.
         """
-        result = self.predict_payloads([body])[0]
-        if isinstance(result, ServiceError):
-            raise result
-        return result
+        entry = self._parse_predict_body(body)
+        score = self.row_score(entry)
+        return {
+            "model": self.model_used,
+            "score": round(score, 4),
+            "severity": severity_v3(score).value,
+            "cwe_ids": list(entry.cwe_ids),
+            "version": self.version,
+        }

@@ -130,27 +130,6 @@ class TestLoad:
         assert (report.current_before, report.current_after) == (None, "v0001")
         assert read_current(store) == "v0001"
 
-    def test_store_with_retired_config_keys_loads(self, store, artifact_root):
-        """Stores written before the numeric-backend, data-parallel,
-        execution-runtime and network-dtype settings were removed
-        persist those keys in engine.json."""
-        engine_path = store / "v0001" / "engine.json"
-        engine_doc = json.loads(engine_path.read_text())
-        engine_doc["config"]["numeric_backend"] = "numpy-ref"
-        engine_doc["config"]["data_parallel"] = None
-        engine_doc["config"]["workers"] = 2
-        engine_doc["config"]["backend"] = "process"
-        engine_doc["config"]["nn_dtype"] = "float32"
-        engine_path.write_text(json.dumps(engine_doc))
-        manifest_path = store / "v0001" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["files"]["engine.json"]["sha256"] = hashlib.sha256(
-            engine_path.read_bytes()
-        ).hexdigest()
-        manifest_path.write_text(json.dumps(manifest))
-        loaded = load_artifacts(store)
-        assert loaded.config == load_artifacts(artifact_root).config
-
     def test_store_written_with_indented_json_loads(self, store, artifact_root):
         """Stores written before the JSON files became compact hold them
         indented (``indent=1``); they load to the same values, and an
@@ -215,19 +194,6 @@ class TestRejection:
         (store / "v0001" / "manifest.json").write_text("{not json")
         with pytest.raises(ArtifactError, match="unreadable"):
             load_artifacts(store)
-
-    def test_verify_false_skips_hashes(self, store):
-        model_file = next((store / "v0001" / "models").glob("*.npz"))
-        # corrupt a *hash*, not the file, then load without verification
-        manifest_path = store / "v0001" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        rel = f"models/{model_file.name}"
-        manifest["files"][rel]["sha256"] = "0" * 64
-        manifest_path.write_text(json.dumps(manifest))
-        assert load_artifacts(store, verify=False).version == "v0001"
-        with pytest.raises(ArtifactError, match="checksum mismatch"):
-            load_artifacts(store)
-
 
 class TestIngest:
     def _delta(self, artifacts):
@@ -495,30 +461,6 @@ class TestSegments:
         written = store / "v0002" / "row_scores.json.gz"
         assert json.loads(gzip.decompress(written.read_bytes())) == [[*key, score]]
 
-    def test_store_without_row_table_ingests_the_same(
-        self, store, artifact_root, tmp_path
-    ):
-        """A version written before the row table existed: every delta
-        row goes through the model, with the same results."""
-        manifest = _manifest(store, "v0001")
-        del manifest["files"]["row_scores.json.gz"]
-        (store / "v0001" / "row_scores.json.gz").unlink()
-        (store / "v0001" / "manifest.json").write_text(json.dumps(manifest))
-        intact = tmp_path / "intact"
-        shutil.copytree(artifact_root, intact)
-        assert load_artifacts(store).row_scores == {}
-
-        delta = self._delta(load_artifacts(store).snapshot.entries, 3)
-        assert ingest_delta(store, delta) == ingest_delta(intact, delta)
-        ours, theirs = load_artifacts(store), load_artifacts(intact)
-        delta_rows = {
-            row_key(ours.snapshot[e.cve_id]) for e in delta if e.cvss_v2 is not None
-        }
-        assert delta_rows <= set(ours.row_scores) <= set(theirs.row_scores)
-        assert all(
-            theirs.row_scores[key] == score for key, score in ours.row_scores.items()
-        )
-
     def test_segment_writes_only_the_delta(self, store):
         base = _manifest(store, "v0001")
         entry = load_artifacts(store).snapshot.entries[0]
@@ -557,24 +499,94 @@ class TestSegments:
             ingest_delta(store, [entries[7].replace(cve_id="CVE-2018-99007")])
         assert read_current(store) == "v0003"
 
-    def test_store_without_index_rebases(self, store, artifact_root, tmp_path):
-        """A version written before the id index existed: the ingest
-        loads it whole and writes a fresh base, with the same results."""
-        manifest = _manifest(store, "v0001")
-        del manifest["files"]["index.json.gz"]
-        del manifest["chain"]
-        (store / "v0001" / "index.json.gz").unlink()
-        (store / "v0001" / "manifest.json").write_text(json.dumps(manifest))
-        intact = tmp_path / "intact"
-        shutil.copytree(artifact_root, intact)
 
-        entries = load_artifacts(store).snapshot.entries
-        delta = [entries[0].replace(cve_id="CVE-2018-99008"), entries[1].replace()]
-        result = ingest_delta(store, delta)
-        assert result == ingest_delta(intact, delta)
-        rebased = _manifest(store, "v0002")
-        assert rebased["chain"] == []
-        assert {"snapshot.json.gz", "index.json.gz"} <= set(rebased["files"])
-        assert load_artifacts(store).snapshot.entries == (
-            load_artifacts(intact).snapshot.entries
-        )
+def _restamp(version_dir):
+    """List exactly the files now in ``version_dir`` in its manifest."""
+    manifest_path = version_dir / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"] = {
+        str(path.relative_to(version_dir)): {
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
+            "bytes": path.stat().st_size,
+        }
+        for path in sorted(version_dir.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _without_chain(root):
+    manifest = _manifest(root, "v0001")
+    del manifest["chain"]
+    (root / "v0001" / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _without(name):
+    def edit(root):
+        (root / "v0001" / name).unlink()
+        _restamp(root / "v0001")
+
+    return edit
+
+
+def _with_predictions(root):
+    with gzip.open(root / "v0001" / "predictions.json.gz", "wt") as handle:
+        json.dump({"scores": {}, "severities": {}}, handle)
+    _restamp(root / "v0001")
+
+
+def _with_retired_config_key(root):
+    path = root / "v0001" / "engine.json"
+    engine_doc = json.loads(path.read_text())
+    engine_doc["config"]["numeric_backend"] = "numpy-ref"
+    path.write_text(json.dumps(engine_doc))
+    _restamp(root / "v0001")
+
+
+def _segment_on_base_without_index(root):
+    """A segment whose base link lacks the id index."""
+    entry = load_artifacts(root).snapshot.entries[0]
+    ingest_delta(root, [entry.replace(cve_id="CVE-2018-99010")])
+    _without("index.json.gz")(root)
+    manifest = _manifest(root, "v0002")
+    del manifest["inherited"]["v0001/index.json.gz"]
+    (root / "v0002" / "manifest.json").write_text(json.dumps(manifest))
+
+
+#: the tail of every layout rejection; a retired config key fails as a
+#: bad engine config instead.
+RE_EXPORT = r" \(an older store layout\); re-export the store"
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (_without_chain, "v0001 has no chain in manifest.json" + RE_EXPORT),
+        (_without("index.json.gz"), "v0001 lacks index.json.gz" + RE_EXPORT),
+        (_without("row_scores.json.gz"), "v0001 lacks row_scores.json.gz" + RE_EXPORT),
+        (_with_predictions, "v0001 lists predictions.json.gz" + RE_EXPORT),
+        (_segment_on_base_without_index, "v0001 lacks index.json.gz" + RE_EXPORT),
+        (_with_retired_config_key, "bad engine config"),
+    ],
+    ids=[
+        "no-chain", "no-index", "no-row-table", "predictions", "segment-on-no-index",
+        "retired-config-key",
+    ],
+)
+def test_retired_layout_is_rejected_and_left_in_place(store, artifact_root, edit, match):
+    """A store in a layout older than the one ``export_run`` writes:
+    a load and an ingest raise, and recovery moves nothing."""
+    edit(store)
+    current = read_current(store)
+    versions = list_versions(store)
+    with pytest.raises(ArtifactError, match=match):
+        load_artifacts(store)
+    entry = load_artifacts(artifact_root).snapshot.entries[1]
+    delta = [entry.replace(cve_id="CVE-2018-99011")]
+    with pytest.raises(ArtifactError, match=match):
+        ingest_delta(store, delta)
+    assert read_current(store) == current
+    assert list_versions(store) == versions
+    report = recover_store(store, verify_hashes=True)
+    assert report.quarantined == ()
+    assert not report.acted

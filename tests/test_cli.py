@@ -10,6 +10,18 @@ from repro.nvd import NvdSnapshot, load_feed, save_feed
 
 
 @pytest.fixture()
+def never_serve(monkeypatch):
+    """Fail, instead of serving forever, if ``repro serve`` gets a store
+    it can load."""
+    from repro.service import server
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the store loaded and the server started")
+
+    monkeypatch.setattr(server._ServiceServer, "serve_forever", refuse)
+
+
+@pytest.fixture()
 def feed_path(tmp_path):
     path = tmp_path / "snapshot.json.gz"
     assert main(["generate", "--n-cves", "300", "--seed", "3", "--out", str(path)]) == 0
@@ -161,8 +173,8 @@ class TestInputErrors:
 
 class TestPathErrors:
     """An ``--out`` in a missing directory, or a missing store to
-    recover, is one ``error: <path>: <reason>`` line, exit 2, and
-    nothing written."""
+    recover or serve, is one ``error: <path>: <reason>`` line, exit 2,
+    and nothing written."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -190,6 +202,14 @@ class TestPathErrors:
         assert main(["recover", "--artifacts", str(root)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {root}: no such directory\n"
+        assert captured.out == ""
+        assert not root.exists()
+
+    def test_serve_missing_store(self, tmp_path, capsys, never_serve):
+        root = tmp_path / "no-store"
+        assert main(["serve", "--artifacts", str(root), "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {root}: no artifact versions under {root}\n"
         assert captured.out == ""
         assert not root.exists()
 
@@ -287,6 +307,27 @@ class TestServingCommands:
         assert snapshot.get(ids[0]).cpes == ()
         assert snapshot.get(ids[1]) is None
         assert snapshot.get(ids[2]) is not None
+
+    def test_serve_store_in_an_older_layout(
+        self, artifact_root, tmp_path, capsys, never_serve
+    ):
+        """A store whose base manifest predates ``chain`` is refused with
+        one error line, and left as it was."""
+        import shutil
+
+        root = tmp_path / "old-store"
+        shutil.copytree(artifact_root, root)
+        manifest_path = root / "v0001" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["chain"]
+        manifest_path.write_text(json.dumps(manifest))
+        before = sorted(path.name for path in root.iterdir())
+        assert main(["serve", "--artifacts", str(root), "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {root}: ")
+        assert captured.err.endswith("re-export the store\n")
+        assert captured.out == ""
+        assert sorted(path.name for path in root.iterdir()) == before
 
     def test_serve_requires_artifacts(self):
         with pytest.raises(SystemExit):

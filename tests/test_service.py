@@ -291,7 +291,7 @@ class TestPredictFromRowTable:
             for vector, cwe in table
         ]
         scored = perf.get_recorder().counters.get("severity.rows_scored", 0)
-        payloads = state.predict_payloads(bodies)
+        payloads = [state.predict_payload(body) for body in bodies]
         assert perf.get_recorder().counters.get("severity.rows_scored", 0) == scored
         for score, payload in zip(table.values(), payloads):
             assert payload["score"] == round(score, 4)
