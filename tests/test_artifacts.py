@@ -55,6 +55,10 @@ class TestExport:
             "index.json.gz",
             "row_scores.json.gz",
             "report.json",
+            "image/bodies.bin",
+            "image/dictionary.bin",
+            "image/offsets.bin",
+            "image/rows.jsonl.gz",
         ):
             assert (version_dir / name).is_file(), name
         assert (version_dir / "models").is_dir()
@@ -481,8 +485,8 @@ class TestSegments:
 
     @pytest.mark.parametrize(
         "target",
-        ["v0001/snapshot.json.gz", "v0001/maps.json", "v0002/delta.json.gz",
-         "v0002/index.json.gz"],
+        ["v0001/snapshot.json.gz", "v0001/maps.json", "v0001/image/bodies.bin",
+         "v0002/delta.json.gz", "v0002/index.json.gz"],
     )
     def test_corrupt_chain_file_rejected(self, store, target):
         entries = load_artifacts(store).snapshot.entries
@@ -529,6 +533,11 @@ def _without(name):
     return edit
 
 
+def _without_image(root):
+    shutil.rmtree(root / "v0001" / "image")
+    _restamp(root / "v0001")
+
+
 def _with_predictions(root):
     with gzip.open(root / "v0001" / "predictions.json.gz", "wt") as handle:
         json.dump({"scores": {}, "severities": {}}, handle)
@@ -566,11 +575,12 @@ RE_EXPORT = r" \(an older store layout\); re-export the store"
         (_without("row_scores.json.gz"), "v0001 lacks row_scores.json.gz" + RE_EXPORT),
         (_with_predictions, "v0001 lists predictions.json.gz" + RE_EXPORT),
         (_segment_on_base_without_index, "v0001 lacks index.json.gz" + RE_EXPORT),
+        (_without_image, "v0001 lacks image/bodies.bin" + RE_EXPORT),
         (_with_retired_config_key, "bad engine config"),
     ],
     ids=[
         "no-chain", "no-index", "no-row-table", "predictions", "segment-on-no-index",
-        "retired-config-key",
+        "no-serving-image", "retired-config-key",
     ],
 )
 def test_retired_layout_is_rejected_and_left_in_place(store, artifact_root, edit, match):

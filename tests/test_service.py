@@ -110,14 +110,15 @@ class TestCveEndpoint:
         self, artifact_root, tmp_path, small_rectified
     ):
         """A load decodes per-CVE data lazily; the served state reads it
-        all at construction, so no request decodes files, and a GC of
-        the version under a running server leaves its answers intact."""
+        all at construction and maps the bodies, so no request opens a
+        file, and a GC of the version under a running server leaves its
+        answers intact."""
         root = tmp_path / "store"
         shutil.copytree(artifact_root, root)
         state = ServiceState.load(root)
         shutil.rmtree(root / "v0001")
         entry = next(e for e in small_rectified.snapshot.entries if e.cvss_v2)
-        payload = state.cve_payload(entry.cve_id)
+        payload = json.loads(state.cve_payload(entry.cve_id))
         assert payload["estimated_disclosure"] <= payload["published"]
         assert payload["predicted_v3_score"] == small_rectified.pv3_scores[entry.cve_id]
 

@@ -20,7 +20,9 @@ chain length named in ``--cold-start`` (0 is the store as given, and
 again the base a rebase writes), it times a cold start —
 ``load_artifacts`` plus ``ServiceState`` construction, the work a
 worker does at start and on every hot swap — in ``--cold-repeats``
-fresh child processes, with each child's peak RSS.
+fresh child processes, with each child's peak RSS and private RSS.
+``--probe DIR`` runs one such cold start in this process and prints
+its JSON line.
 The input store is never modified.
 """
 
@@ -64,8 +66,22 @@ def _peak_rss_mb() -> float:
     raise RuntimeError("no VmHWM in /proc/self/status")
 
 
+def _private_rss_mb() -> float:
+    """This process's resident pages no other process maps
+    (``Private_Clean + Private_Dirty``), in MiB: what one more serve
+    worker costs, where ``VmHWM`` also counts the mapped image pages
+    every worker shares."""
+    kib = 0
+    with open("/proc/self/smaps_rollup", encoding="ascii") as handle:
+        for line in handle:
+            if line.startswith(("Private_Clean:", "Private_Dirty:")):
+                kib += int(line.split()[1])
+    return kib / 1024
+
+
 def _probe(store: pathlib.Path) -> None:
-    """One cold start, in this process: print its seconds and peak RSS."""
+    """One cold start, in this process: print its seconds, peak RSS and
+    private RSS."""
     from repro.artifacts import load_artifacts
     from repro.service.state import ServiceState
 
@@ -75,7 +91,8 @@ def _probe(store: pathlib.Path) -> None:
     print(json.dumps({
         "cold_start_s": round(elapsed, 4),
         "peak_rss_mb": round(_peak_rss_mb(), 1),
-        "n_cves": len(state.snapshot),
+        "private_rss_mb": round(_private_rss_mb(), 1),
+        "n_cves": state.stats["n_cves"],
     }))
 
 
@@ -95,6 +112,7 @@ def cold_start(store: pathlib.Path, repeats: int) -> dict:
         "cold_start_s": seconds,
         "median_s": round(statistics.median(seconds), 4),
         "peak_rss_mb": max(run["peak_rss_mb"] for run in runs),
+        "private_rss_mb": max(run["private_rss_mb"] for run in runs),
     }
 
 
@@ -149,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--cold-repeats", type=int, default=3,
                         help="cold starts per chain length (default 3)")
     parser.add_argument("--output", type=pathlib.Path, help="write the JSON record here")
-    parser.add_argument("--probe", type=pathlib.Path, help=argparse.SUPPRESS)
+    parser.add_argument("--probe", type=pathlib.Path, metavar="DIR",
+                        help="cold-start DIR once in this process and print the JSON line")
     args = parser.parse_args(argv)
     if args.probe is not None:
         _probe(args.probe)
@@ -173,7 +192,8 @@ def main(argv: list[str] | None = None) -> int:
                 record["cold_starts"].append(row)
                 print(f"[bench-chain] cold start, chain {row['chain']} ({row['n_cves']:,} CVEs): "
                       f"median {row['median_s']:.3f} s {row['cold_start_s']}, "
-                      f"peak RSS {row['peak_rss_mb']} MiB", flush=True)
+                      f"peak RSS {row['peak_rss_mb']} MiB, "
+                      f"private RSS {row['private_rss_mb']} MiB", flush=True)
 
         maybe_cold_start(0)
         for step in range(1, args.ingests + 1):

@@ -17,7 +17,13 @@ drives the multi-process surface end to end:
    a stored CVE is served its feature row's score;
 5. lints the Prometheus ``/metrics`` exposition with
    ``tools/check_metrics.py``;
-6. sends 50 GETs (cve, stats, healthz) over one persistent connection
+6. for 60 CVEs sampled across the store, plus 20 of the ones its
+   segments revised or added, asserts every ``/v1/cve`` body, and the
+   ``/v1/stats`` body, are byte-equal to the bodies rendered in this
+   process from the decoded snapshot
+   (``repro.artifacts.image.cve_body``) — so on a chained store, the
+   workers' segment overlay on the base's serving image is checked;
+7. sends 50 GETs (cve, stats, healthz) over one persistent connection
    and asserts every answer is a 200 with a median round trip under
    5 ms — a response sent as two writes (headers, then body) waits
    ~40 ms for the client's delayed ACK on every keep-alive request —
@@ -61,6 +67,11 @@ PREDICT_VECTOR = "AV:N/AC:L/Au:N/C:C/I:C/A:C"
 #: stored CVEs whose served score is checked against a predict.
 SCORE_SAMPLE = 20
 
+#: stored CVEs whose served body is checked byte for byte, sampled
+#: across the store and among the segments' CVEs.
+BODY_SAMPLE = 60
+SEGMENT_BODY_SAMPLE = 20
+
 #: GETs sent over one keep-alive connection, and the median round trip
 #: (ms) they must beat.
 KEEPALIVE_REQUESTS = 50
@@ -82,6 +93,11 @@ def get(base_url: str, path: str) -> tuple[int, dict]:
             return response.status, json.loads(response.read())
     except urllib.error.HTTPError as error:
         return error.code, json.loads(error.read())
+
+
+def get_bytes(base_url: str, path: str) -> tuple[int, bytes]:
+    with urllib.request.urlopen(base_url + path, timeout=10) as response:
+        return response.status, response.read()
 
 
 def get_text(base_url: str, path: str) -> tuple[int, str]:
@@ -247,6 +263,39 @@ def probe_cve_scores(base_url: str, snapshot) -> None:
     )
 
 
+def probe_bodies(base_url: str, artifacts) -> None:
+    from repro.artifacts.image import cve_body
+    from repro.core.severity import row_key
+
+    entries = artifacts.snapshot.entries
+    check(bool(entries), "the store holds no CVE")
+    segment_entries, _ = artifacts.segment_entries()
+    sample = entries[:: max(1, len(entries) // BODY_SAMPLE)][:BODY_SAMPLE]
+    step = max(1, len(segment_entries) // SEGMENT_BODY_SAMPLE)
+    sample += [artifacts.snapshot[e.cve_id] for e in segment_entries[::step]][
+        :SEGMENT_BODY_SAMPLE
+    ]
+    for entry in sample:
+        score = None
+        if entry.cvss_v2 is not None:
+            score = artifacts.row_scores[row_key(entry)]
+        expected = cve_body(entry, artifacts.estimates.get(entry.cve_id), score)
+        status, body = get_bytes(base_url, f"/v1/cve/{entry.cve_id}")
+        check(status == 200, f"/v1/cve/{entry.cve_id} answered {status}")
+        check(
+            body == expected,
+            f"/v1/cve/{entry.cve_id} differs from the body rendered from the snapshot",
+        )
+    status, body = get_bytes(base_url, "/v1/stats")
+    expected = json.dumps(artifacts.snapshot.stats().as_dict()).encode("utf-8")
+    check(status == 200 and body == expected, "/v1/stats differs from the snapshot's stats")
+    n_segment = len(sample) - min(len(entries), BODY_SAMPLE)
+    print(
+        f"[probe] {len(sample)} /v1/cve bodies ({n_segment} from segments) and "
+        "/v1/stats byte-equal to the bodies rendered from the snapshot"
+    )
+
+
 def probe_metrics_lint(base_url: str) -> None:
     import check_metrics
 
@@ -316,6 +365,7 @@ def main(argv: list[str] | None = None) -> int:
             probe_predict_burst(base_url, args.burst)
             probe_cve_scores(base_url, artifacts.snapshot)
             probe_metrics_lint(base_url)
+            probe_bodies(base_url, artifacts)
             probe_keepalive(base_url, artifacts.snapshot)
         print(f"[probe] OK: {args.workers} workers")
         return 0
