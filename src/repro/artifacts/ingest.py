@@ -18,15 +18,16 @@ artifact of the original run instead of recomputing it:
   estimate falls back to the NVD publication date.
 
 The rectified delta is written as one **segment** version on top of the
-stored one: its entries, estimates, id-index rows and the feature rows
-it scored, plus the updated report (see :mod:`repro.artifacts.store`).
-The ingest reads the manifest, the alias maps, the estimates, the id
-index and the row scores of the stored chain — never its entries — so
-its cost follows the delta, not the store.  Once a chain holds
-:data:`MAX_SEGMENTS` segments, the ingest instead loads everything and
-writes a fresh full base.  Either way the ``CURRENT`` pointer flips
-atomically, which is what a running server hot-swaps on.  A store in a
-layout :func:`repro.artifacts.load_artifacts` no longer reads raises
+stored one: its entries, their per-CVE records (estimate, whether the
+v3 score is predicted, CWE labels) and the feature rows it scored, plus
+the updated report (see :mod:`repro.artifacts.store`).  The ingest
+reads the manifest, the alias maps, the records and the row scores of
+the stored chain — never its entries — so its cost follows the delta,
+not the store.  Once a chain holds :data:`MAX_SEGMENTS` segments, the
+ingest instead loads everything and writes a fresh full base.  Either
+way the ``CURRENT`` pointer flips atomically, which is what a running
+server hot-swaps on.  A store in a layout
+:func:`repro.artifacts.load_artifacts` no longer reads raises
 :class:`repro.artifacts.ArtifactError` before anything is written.
 """
 
@@ -37,7 +38,7 @@ import os
 from collections.abc import Iterable
 
 from repro.artifacts.recovery import recover_store
-from repro.artifacts.store import export_run, index_row, load_artifacts
+from repro.artifacts.store import export_run, load_artifacts
 from repro.core.cwefix import apply_cwe_fixes, extract_cwe_fixes
 from repro.core.dates import DisclosureEstimate
 from repro.core.products import apply_product_mapping
@@ -123,7 +124,8 @@ def ingest_delta(
     # A segment on the parent, unless the chain is full: then a fresh
     # full base.
     rebase = artifacts.n_segments >= MAX_SEGMENTS
-    index = artifacts.index
+    # What the chain stores of the delta's ids it already holds.
+    stored = artifacts.records_of(e.cve_id for e in delta.entries)
 
     # §4.2 — replay the persisted alias maps (no re-analysis).
     after_vendors = apply_vendor_mapping(delta, artifacts.vendor_map)
@@ -137,38 +139,35 @@ def ingest_delta(
     # delta carries no new evidence for an already-estimated CVE (no
     # cached reference dates, same publication date), the stored
     # estimate wins: it may encode a live crawl this path cannot redo.
-    stored_estimates = artifacts.estimates_of(e.cve_id for e in delta.entries)
     new_estimates = {}
     n_date_improved = 0  # improvements from *this* run's cached scrapes
     n_improved_replaced = 0  # stored improved estimates the delta replaces
     for entry in delta.entries:
         estimate = _estimate_from_cache(entry, cache)
-        stored = stored_estimates.get(entry.cve_id)
-        if stored is not None and stored.improved:
+        previous = stored[entry.cve_id].estimate if entry.cve_id in stored else None
+        if previous is not None and previous.improved:
             n_improved_replaced += 1
         if (
             estimate.n_reference_dates == 0
-            and stored is not None
-            and stored.published == entry.published
+            and previous is not None
+            and previous.published == entry.published
         ):
-            estimate = stored  # carried over, not counted as improved here
+            estimate = previous  # carried over, not counted as improved here
         elif estimate.improved:
             n_date_improved += 1
         new_estimates[entry.cve_id] = estimate
 
-    # The counts come from the index rows of the delta and of the
-    # stored entries it replaces.
-    n_predicted = sum(index_row(e)[0] for e in rectified_delta.entries)
-    updated_rows = [index[e.cve_id] for e in delta.entries if e.cve_id in index]
-    n_updated = len(updated_rows)
-    n_total = len(index) + len(delta) - n_updated
+    # The counts come from the delta and the stored records it replaces.
+    n_predicted = len(rectified_delta.v2_only())
+    n_updated = len(stored)
+    n_total = artifacts.n_cves + len(delta) - n_updated
     # Count a CWE fix toward the cumulative report only when it adds
     # labels the stored entry lacked — re-ingesting the same delta (or
     # an already-rectified CVE) must not inflate the tally.
     n_cwe_newly_fixed = 0
     for cve_id, found in cwe_fixes.fixes.items():
-        stored_row = index.get(cve_id)
-        if stored_row is None or any(label not in stored_row[1] for label in found):
+        stored_cve = stored.get(cve_id)
+        if stored_cve is None or any(label not in stored_cve.cwe_ids for label in found):
             n_cwe_newly_fixed += 1
     # The parent's counts, adjusted by the rows the delta replaces and adds.
     report = dict(artifacts.report)
@@ -178,7 +177,7 @@ def ingest_delta(
         - n_improved_replaced
         + sum(1 for e in new_estimates.values() if e.improved),
         n_v3_predicted=report["n_v3_predicted"]
-        - sum(row[0] for row in updated_rows)
+        - sum(cve.v3_predicted for cve in stored.values())
         + n_predicted,
         n_cwe_fixed=report["n_cwe_fixed"] + n_cwe_newly_fixed,
     )

@@ -9,10 +9,11 @@ persists everything a serving front end needs so the run happens once:
   :func:`repro.nvd.feed.load_feeds`),
 - the trained severity models (``save``/``load`` weight serialization
   on each ``ml/`` model, bit-identical on round-trip),
-- the vendor/product alias maps and per-CVE disclosure estimates,
+- the vendor/product alias maps,
 - the cleaning report,
-- a per-CVE id index: whether the CVE's v3 score is predicted (v2
-  scored, no v3 vector) and its CWE labels,
+- one record per CVE (:data:`RECORDS`): its disclosure estimate,
+  whether its v3 score is predicted (v2 scored, no v3 vector) and its
+  CWE labels, so an ingest counts without decoding any entry,
 - the row table: every feature row (v2 vector, first concrete CWE)
   the version's prediction scored, with its score: the only stored
   §4.3 score.  A CVE is served its row's score, and a later ingest or
@@ -23,10 +24,10 @@ persists everything a serving front end needs so the run happens once:
   ``/v1/stats`` aggregate, so a server never decodes the snapshot.
 
 The JSON files (``manifest.json``, ``engine.json``, ``maps.json``,
-``report.json`` and the gzip-compressed ``estimates``/``index``/
-``row_scores``) are written compact, with sorted keys and no
-indentation, so ``json``'s C encoder writes them; any JSON text loads,
-so stores written indented by earlier versions still load.
+``report.json`` and the gzip-compressed ``records``/``row_scores``) are
+written compact, with sorted keys and no indentation, so ``json``'s C
+encoder writes them; any JSON text loads, so stores written indented by
+earlier versions still load.
 
 Layout — one immutable directory per version, plus an atomic pointer.
 :func:`export_run` writes either kind.  A **base** version (from
@@ -43,8 +44,8 @@ report::
         models/cnn.npz …
         engine.json
         maps.json
-        estimates.json.gz
-        index.json.gz
+        records.json.gz  # {cve_id: [published, estimated_disclosure,
+                         #   n_reference_dates, v3_predicted, cwe_ids]}
         row_scores.json.gz  # [[v2 vector, CWE label or null, score], …]
         report.json
         image/            # the serving image: bodies.bin, dictionary.bin,
@@ -52,8 +53,7 @@ report::
       v0002/             # segment on v0001
         manifest.json
         delta.json.gz    # the delta's items, same encoder as snapshot
-        estimates.json.gz
-        index.json.gz
+        records.json.gz  # the delta's records
         row_scores.json.gz  # only the rows this ingest scored
         report.json
 
@@ -64,11 +64,12 @@ reads from its chain (``v0001/snapshot.json.gz`` …) with the sha256
 copied from the parent's manifest.  :func:`load_artifacts` replays the
 chain as an upsert by CVE id — base entries, then each segment's — the
 order :meth:`repro.nvd.NvdSnapshot.merge` gives, decoding only each
-id's newest item (:func:`repro.nvd.feed.load_feeds`); it decodes the
-per-CVE files only when a caller first reads them.  The row tables
-upsert the same way, by row, so a version's table holds every row it
-serves.  A load checks every model file's hash but reads a model only
-when something first scores with it (or a rebase writes it again).  An
+id's newest item (:func:`repro.nvd.feed.load_feeds`); the records
+upsert the same way, and each link's record file is decoded at most
+once, when a caller first reads it.  The row tables upsert by row, so a
+version's table holds every row it serves.  A load checks every model
+file's hash but reads a model only when something first scores with it
+(or a rebase writes it again).  An
 ingest onto a chain of :data:`repro.artifacts.ingest.MAX_SEGMENTS`
 segments writes a fresh base instead, so no chain grows past that.
 Recovery (:mod:`repro.artifacts.recovery`) treats a version as valid
@@ -80,7 +81,7 @@ the base's image (:meth:`LoadedArtifacts.segment_entries`), so an
 ingest's writes follow the delta.
 
 This layout is the only one a load accepts: the manifest names its
-``chain``, every link of it lists ``index.json.gz`` and
+``chain``, every link of it lists ``records.json.gz`` and
 ``row_scores.json.gz``, none lists a per-CVE ``predictions.json.gz``,
 and the base lists its serving image.  A version written in an older
 layout raises :class:`ArtifactError` naming the version and the file,
@@ -109,7 +110,7 @@ import shutil
 import tempfile
 import time
 from collections.abc import Iterable, Iterator, Mapping
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.artifacts.image import IMAGE_FILES, write_image
 from repro.core.dates import DisclosureEstimate
@@ -132,9 +133,9 @@ __all__ = [
     "ARTIFACT_SCHEMA",
     "ArtifactError",
     "LoadedArtifacts",
+    "StoredCve",
     "config_fingerprint",
     "export_run",
-    "index_row",
     "list_versions",
     "load_artifacts",
     "read_current",
@@ -148,6 +149,11 @@ _VERSION_RE = re.compile(r"v(\d{4,})")
 #: the entries file of a base version and of a segment version.
 BASE_ITEMS = "snapshot.json.gz"
 SEGMENT_ITEMS = "delta.json.gz"
+#: each CVE's record: ``{cve_id: [published, estimated_disclosure,
+#: n_reference_dates, v3_predicted, cwe_ids]}``, dates in ISO form and
+#: ``v3_predicted`` 1 when the v3 score is predicted (v2 scored, no v3
+#: vector).  Only :func:`_record` and :func:`_stored_cve` know the order.
+RECORDS = "records.json.gz"
 #: the feature rows a version's prediction scored, with their scores.
 ROW_SCORES = "row_scores.json.gz"
 
@@ -262,40 +268,34 @@ def _resolve_version(root: pathlib.Path, version: str | None) -> str:
 # -- export -------------------------------------------------------------------
 
 
-def index_row(entry: CveEntry) -> list[Any]:
-    """One CVE's id-index row: ``[predicted, cwe_ids]``, where
-    ``predicted`` is 1 when its v3 score is predicted (v2 scored, no v3
-    vector).  An ingest counts from these rows instead of the entries."""
-    return [int(entry.cvss_v2 is not None and not entry.has_v3), list(entry.cwe_ids)]
+def _record(entry: CveEntry, estimate: DisclosureEstimate) -> list[Any]:
+    """``entry``'s :data:`RECORDS` row."""
+    return [
+        estimate.published.isoformat(),
+        estimate.estimated_disclosure.isoformat(),
+        estimate.n_reference_dates,
+        int(entry.cvss_v2 is not None and not entry.has_v3),
+        list(entry.cwe_ids),
+    ]
 
 
 def _write_entries(
     staging: pathlib.Path,
     items_name: str,
     entries: list[CveEntry],
-    estimates: dict[str, DisclosureEstimate],
+    estimates: Mapping[str, DisclosureEstimate],
     row_scores: Mapping[RowKey, float],
 ) -> None:
-    """The per-CVE files of one base or segment: entries, estimates and
-    the id index, plus the scored feature rows."""
+    """The per-CVE files of one base or segment: entries and their
+    records (``estimates`` holds one per entry), plus the scored
+    feature rows."""
     # One new container per CVE; the collector would rescan every
     # object the caller holds (a whole loaded store, on a rebase).
     with gc_paused():
         save_feed(entries, staging / items_name)
         _write_json(
-            staging / "estimates.json.gz",
-            {
-                cve_id: [
-                    estimate.published.isoformat(),
-                    estimate.estimated_disclosure.isoformat(),
-                    estimate.n_reference_dates,
-                ]
-                for cve_id, estimate in estimates.items()
-            },
-        )
-        _write_json(
-            staging / "index.json.gz",
-            {entry.cve_id: index_row(entry) for entry in entries},
+            staging / RECORDS,
+            {entry.cve_id: _record(entry, estimates[entry.cve_id]) for entry in entries},
         )
         _write_json(
             staging / ROW_SCORES,
@@ -335,7 +335,8 @@ def export_run(
 
     ``row_scores`` maps each feature row ``model_used`` scored to its
     score (:meth:`SeverityPredictionEngine.predict_scores`'s
-    ``scored``); it is the only §4.3 output persisted.
+    ``scored``); it is the only §4.3 output persisted.  ``estimates``
+    holds every entry's §4.1 estimate.
 
     By default the version is a full base.  With ``segment_of`` (the
     loaded parent version) it is one segment on the parent's chain:
@@ -444,17 +445,31 @@ def export_run(
 # -- load ---------------------------------------------------------------------
 
 
-def _estimate(version_dir: pathlib.Path, cve_id: str, row: Any) -> DisclosureEstimate:
+class StoredCve(NamedTuple):
+    """What a version keeps of one CVE beside its entry: its record."""
+
+    estimate: DisclosureEstimate
+    #: the v3 score is predicted (v2 scored, no v3 vector).
+    v3_predicted: bool
+    cwe_ids: tuple[str, ...]
+
+
+def _stored_cve(version_dir: pathlib.Path, cve_id: str, record: Any) -> StoredCve:
+    """Decode one :data:`RECORDS` row."""
     try:
-        published, estimated, n_dates = row
-        return DisclosureEstimate(
-            cve_id=cve_id,
-            published=datetime.date.fromisoformat(published),
-            estimated_disclosure=datetime.date.fromisoformat(estimated),
-            n_reference_dates=int(n_dates),
+        published, estimated, n_dates, predicted, cwe_ids = record
+        return StoredCve(
+            DisclosureEstimate(
+                cve_id=cve_id,
+                published=datetime.date.fromisoformat(published),
+                estimated_disclosure=datetime.date.fromisoformat(estimated),
+                n_reference_dates=int(n_dates),
+            ),
+            bool(predicted),
+            tuple(cwe_ids),
         )
     except (TypeError, ValueError) as error:
-        raise ArtifactError(f"{version_dir}: bad estimates: {error}") from None
+        raise ArtifactError(f"{version_dir}: bad records: {error}") from None
 
 
 class _StoredModels(Mapping[str, object]):
@@ -496,10 +511,11 @@ class LoadedArtifacts:
 
     :func:`load_artifacts` reads the manifest, maps and report.  The
     engine reads each model on first use, and the per-CVE data of the
-    chain — ``snapshot``, ``estimates``, the id ``index`` and the
-    ``row_scores`` table — is decoded on first use,
-    so a caller pays only for what it reads: an ingest never decodes
-    the snapshot, and reads a model only for rows the table lacks.
+    chain — ``snapshot``, the records behind ``estimates`` and
+    :meth:`records_of`, and the ``row_scores`` table — is decoded on
+    first use, each file at most once, so a caller pays only for what
+    it reads: an ingest never decodes the snapshot, and reads a model
+    only for rows the table lacks.
     Version directories are immutable, so a later read sees the bytes
     the load verified.
     """
@@ -528,14 +544,33 @@ class LoadedArtifacts:
         """Segments in this version's chain (0 for a base)."""
         return len(self.manifest["chain"])
 
-    def _upserted(self, name: str, first: int = 0) -> dict[str, Any]:
-        """The JSON object ``name`` of every chain link from ``first``
-        on, later ones winning."""
-        merged: dict[str, Any] = {}
+    @property
+    def n_cves(self) -> int:
+        """CVEs the chain holds."""
+        return len(self._records)
+
+    @functools.cached_property
+    def _segment_records(self) -> dict[str, Any]:
+        """CVE id → its newest record over the chain's segments."""
+        records: dict[str, Any] = {}
         with gc_paused():
-            for link_dir in self.chain_dirs[first:]:
-                merged.update(_read_json(link_dir / name))
-        return merged
+            for segment_dir in self.chain_dirs[1:]:
+                records.update(_read_json(segment_dir / RECORDS))
+        return records
+
+    @functools.cached_property
+    def _records(self) -> dict[str, Any]:
+        """CVE id → its newest record over the whole chain."""
+        with gc_paused():
+            records = _read_json(self.chain_dirs[0] / RECORDS)
+        records.update(self._segment_records)
+        return records
+
+    def _decoded(self, records: Mapping[str, Any]) -> Iterator[tuple[str, StoredCve]]:
+        """Each of ``records`` decoded, in order."""
+        version_dir = self.root / self.version
+        for cve_id, record in records.items():
+            yield cve_id, _stored_cve(version_dir, cve_id, record)
 
     @functools.cached_property
     def snapshot(self) -> NvdSnapshot:
@@ -546,23 +581,14 @@ class LoadedArtifacts:
 
     @functools.cached_property
     def estimates(self) -> dict[str, DisclosureEstimate]:
-        rows = self._upserted("estimates.json.gz")
-        version_dir = self.root / self.version
         with gc_paused():
-            return {
-                cve_id: _estimate(version_dir, cve_id, row) for cve_id, row in rows.items()
-            }
+            return {cve_id: cve.estimate for cve_id, cve in self._decoded(self._records)}
 
-    def estimates_of(self, cve_ids: Iterable[str]) -> dict[str, DisclosureEstimate]:
-        """The stored estimates of those ``cve_ids`` that have one,
+    def records_of(self, cve_ids: Iterable[str]) -> dict[str, StoredCve]:
+        """The stored records of those ``cve_ids`` the chain holds,
         decoding only their rows."""
-        rows = self._upserted("estimates.json.gz")
-        version_dir = self.root / self.version
-        return {
-            cve_id: _estimate(version_dir, cve_id, rows[cve_id])
-            for cve_id in cve_ids
-            if cve_id in rows
-        }
+        records = self._records
+        return dict(self._decoded({i: records[i] for i in cve_ids if i in records}))
 
     def segment_entries(self) -> tuple[list[CveEntry], dict[str, DisclosureEstimate]]:
         """What the chain's segments hold, decoding none of the base:
@@ -572,16 +598,8 @@ class LoadedArtifacts:
         if not segment_dirs:
             return [], {}
         entries = load_feeds(d / SEGMENT_ITEMS for d in segment_dirs)
-        rows = self._upserted("estimates.json.gz", first=1)
-        version_dir = self.root / self.version
-        return entries, {
-            cve_id: _estimate(version_dir, cve_id, row) for cve_id, row in rows.items()
-        }
-
-    @functools.cached_property
-    def index(self) -> dict[str, list[Any]]:
-        """CVE id → :func:`index_row` over the whole chain."""
-        return self._upserted("index.json.gz")
+        records = self._segment_records
+        return entries, {cve_id: cve.estimate for cve_id, cve in self._decoded(records)}
 
     @functools.cached_property
     def row_scores(self) -> dict[RowKey, float]:
@@ -643,8 +661,8 @@ def _verify_manifest(
 
 def _check_layout(version_dir: pathlib.Path, version: str, manifest: dict[str, Any]) -> None:
     """Reject a version written in a layout this code no longer reads:
-    a manifest without ``chain``, a chain link that lacks the id index
-    or the row table, or lists a per-CVE ``predictions.json.gz``, or a
+    a manifest without ``chain``, a chain link that lacks the record
+    file or the row table, or lists a per-CVE ``predictions.json.gz``, or a
     base without the serving image."""
     if "chain" not in manifest:
         raise ArtifactError(
@@ -652,7 +670,7 @@ def _check_layout(version_dir: pathlib.Path, version: str, manifest: dict[str, A
             "(an older store layout); re-export the store"
         )
     listed = _chain_files(version, manifest)
-    expected = (("index.json.gz", True), (ROW_SCORES, True), ("predictions.json.gz", False))
+    expected = ((RECORDS, True), (ROW_SCORES, True), ("predictions.json.gz", False))
     links = (*manifest["chain"], version)
     checks = [(link, name, wanted) for link in links for name, wanted in expected]
     checks += [(links[0], name, True) for name in IMAGE_FILES]

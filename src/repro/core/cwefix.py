@@ -23,7 +23,8 @@ import dataclasses
 
 import numpy as np
 
-from repro.cwe import extract_cwe_ids, is_sentinel
+from repro import perf
+from repro.cwe import CWE_LABEL, extract_cwe_ids, is_sentinel
 from repro.ml import (
     Dense,
     HashingSentenceEncoder,
@@ -66,7 +67,9 @@ def extract_cwe_fixes(snapshot: NvdSnapshot) -> CweFixResult:
 
     A fix is recorded when a description mentions a concrete CWE id
     that the CWE field does not already carry.  Sentinel values are
-    never treated as information.
+    never treated as information, and an id :data:`repro.cwe.CWE_LABEL`
+    rejects (a digit run past ``MAX_CWE_DIGITS``) is skipped and counted
+    under ``cwefix.malformed_label``.
     """
     fixes: dict[str, tuple[str, ...]] = {}
     fixed_other = fixed_noinfo = fixed_unassigned = fixed_labeled = 0
@@ -83,11 +86,12 @@ def extract_cwe_fixes(snapshot: NvdSnapshot) -> CweFixResult:
             total_noinfo += 1
         if unassigned:
             total_unassigned += 1
-        found = [
-            cwe_id
-            for cwe_id in extract_cwe_ids(entry.all_description_text())
-            if cwe_id not in concrete
-        ]
+        found = []
+        for cwe_id in extract_cwe_ids(entry.all_description_text()):
+            if not CWE_LABEL.fullmatch(cwe_id):  # no CWE has such an id
+                perf.add_counter("cwefix.malformed_label")
+            elif cwe_id not in concrete:
+                found.append(cwe_id)
         if not found:
             continue
         fixes[entry.cve_id] = tuple(found)

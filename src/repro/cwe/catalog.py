@@ -273,11 +273,16 @@ def is_sentinel(label: str | None) -> bool:
 
 
 def normalize_cwe_id(text: str) -> str | None:
-    """Normalize ``cwe-79``/``CWE-079``-style ids to canonical form."""
+    """Normalize ``cwe-79``/``CWE-079``-style ids to canonical form.
+
+    Total on any digit run: the leading zeros are cut as text, not
+    through ``int()``, which rejects runs past its string-conversion
+    limit.  Whether the id is well formed is :data:`CWE_LABEL`'s call.
+    """
     match = re.fullmatch(r"(?i)cwe-0*([0-9]+)", text.strip())
     if not match:
         return None
-    return f"CWE-{int(match.group(1))}"
+    return f"CWE-{match.group(1)}"
 
 
 def extract_cwe_ids(text: str) -> list[str]:

@@ -6,15 +6,13 @@ indexes entries by id and by name, exposes the §3 scale statistics,
 and supports the name-remapping operation the cleaning pipeline
 applies.
 
-The one index is over names: vendor, product and (vendor, product)
-pair → CVE ids.  :func:`index_rows` builds it, together with the §3
-stats, in one pass over per-CVE :class:`CveRow` s — what the index and
-the stats read of an entry.  A snapshot builds its rows from its
-entries, lazily, once; the query service builds the same index from
-the rows a store's serving image holds, without any entry
-(:mod:`repro.artifacts.image`).  Every name query and count reads it.
-The year and CWE queries are plain scans: neither the pipeline nor the
-service asks them.
+The one index is over names: vendor and (vendor, product) pair → CVE
+ids.  :func:`index_rows` builds it, together with the §3 stats, in one
+pass over per-CVE :class:`CveRow` s — what the index and the stats
+read of an entry.  A snapshot builds its rows from its entries,
+lazily, once; the query service builds the same index from the rows a
+store's serving image holds, without any entry
+(:mod:`repro.artifacts.image`).  Every name count reads it.
 """
 
 from __future__ import annotations
@@ -66,11 +64,10 @@ class SnapshotStats:
 
 @dataclasses.dataclass
 class NameIndex:
-    """CVE ids keyed by vendor, by product and by (vendor, product).
-    Each list holds a CVE id at most once, in row order."""
+    """CVE ids keyed by vendor and by (vendor, product).  Each list
+    holds a CVE id at most once, in row order."""
 
     by_vendor: dict[str, list[str]]
-    by_product: dict[str, list[str]]
     by_pair: dict[tuple[str, str], list[str]]
 
 
@@ -113,8 +110,8 @@ def index_rows(rows: Iterable[Sequence]) -> tuple[NameIndex, SnapshotStats]:
     (a JSON-decoded one has lists for tuples and 0/1 for booleans).
     """
     by_vendor: dict[str, list[str]] = {}
-    by_product: dict[str, list[str]] = {}
     by_pair: dict[tuple[str, str], list[str]] = {}
+    product_names: set[str] = set()
     concrete_cwes: set[str] = set()
     n_cves = n_with_v3 = n_with_v2 = n_references = 0
     min_year = max_year = 0
@@ -122,8 +119,7 @@ def index_rows(rows: Iterable[Sequence]) -> tuple[NameIndex, SnapshotStats]:
         n_cves += 1
         for vendor in vendors:
             by_vendor.setdefault(vendor, []).append(cve_id)
-        for product in products:
-            by_product.setdefault(product, []).append(cve_id)
+        product_names.update(products)
         for vendor, product in pairs:
             by_pair.setdefault((vendor, product), []).append(cve_id)
         if min_year == 0 or year < min_year:
@@ -137,14 +133,14 @@ def index_rows(rows: Iterable[Sequence]) -> tuple[NameIndex, SnapshotStats]:
     stats = SnapshotStats(
         n_cves=n_cves,
         n_vendors=len(by_vendor),
-        n_products=len(by_product),
+        n_products=len(product_names),
         n_cwe_types=len(concrete_cwes),
         n_with_v3=n_with_v3,
         n_with_v2=n_with_v2,
         n_references=n_references,
         year_range=(min_year, max_year),
     )
-    return NameIndex(by_vendor, by_product, by_pair), stats
+    return NameIndex(by_vendor, by_pair), stats
 
 
 class NvdSnapshot:
@@ -199,7 +195,7 @@ class NvdSnapshot:
     # -- name index -----------------------------------------------------------
 
     def _name_index(self) -> NameIndex:
-        """The vendor, product and pair id lists, built with the stats
+        """The vendor and pair id lists, built with the stats
         by :func:`index_rows` on first use, in snapshot order."""
         if self._index is None:
             self._index = index_rows(map(cve_row, self.entries))
@@ -207,44 +203,9 @@ class NvdSnapshot:
 
     # -- queries ----------------------------------------------------------------
 
-    def vendor_cve_ids(self, vendor: str) -> list[str]:
-        """Ids of the entries whose CPE list names ``vendor``.
-
-        The list is the index's own (read it, do not mutate it).
-        """
-        return self._name_index().by_vendor.get(vendor, [])
-
-    def product_cve_ids(self, vendor: str, product: str) -> list[str]:
-        """Ids of the entries listing ``product`` under ``vendor``.
-
-        The list is the index's own (read it, do not mutate it).
-        """
-        return self._name_index().by_pair.get((vendor, product), [])
-
-    def by_vendor(self, vendor: str) -> list[CveEntry]:
-        """All entries whose CPE list names ``vendor``."""
-        return [self._entries[i] for i in self.vendor_cve_ids(vendor)]
-
-    def by_product(self, product: str) -> list[CveEntry]:
-        """All entries whose CPE list names ``product``."""
-        ids = self._name_index().by_product.get(product, ())
-        return [self._entries[i] for i in ids]
-
-    def by_publication_year(self, year: int) -> list[CveEntry]:
-        """All entries published (added to NVD) in ``year``."""
-        return [entry for entry in self.entries if entry.published.year == year]
-
-    def by_cwe(self, cwe_id: str) -> list[CveEntry]:
-        """All entries labelled with ``cwe_id`` (sentinels allowed)."""
-        return [entry for entry in self.entries if cwe_id in entry.cwe_ids]
-
     def vendors(self) -> list[str]:
         """All distinct vendor names."""
         return sorted(self._name_index().by_vendor)
-
-    def products(self) -> list[str]:
-        """All distinct product names."""
-        return sorted(self._name_index().by_product)
 
     def vendor_cve_counts(self) -> dict[str, int]:
         """Vendor → number of associated CVEs."""
@@ -288,10 +249,6 @@ class NvdSnapshot:
             for entry in self.entries
             if all(is_sentinel(label) for label in entry.cwe_ids) or not entry.cwe_ids
         ]
-
-    def filter(self, predicate: Callable[[CveEntry], bool]) -> "NvdSnapshot":
-        """A new snapshot with the entries satisfying ``predicate``."""
-        return NvdSnapshot(entry for entry in self.entries if predicate(entry))
 
     def merge(self, entries: Iterable[CveEntry]) -> "NvdSnapshot":
         """A new snapshot with ``entries`` upserted by CVE id.

@@ -187,7 +187,8 @@ def _predict(request: Request) -> dict:
         raise ServiceError(400, "request body is required")
     try:
         body = json.loads(request.body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as error:
+        # RecursionError: nesting deeper than the decoder's stack allows.
         raise ServiceError(400, f"bad JSON body: {error}") from None
     return request.state.predict_payload(body)
 

@@ -212,12 +212,7 @@ class ServiceState:
             raise ServiceError(400, "field 'description' must be a string")
         cwe_ids = body.get("cwe_ids")
         if cwe_ids is None:
-            try:
-                cwe_ids = extract_cwe_ids(description) if description else []
-            except ValueError:  # a digit run past int()'s conversion limit
-                raise ServiceError(
-                    400, "field 'description' carries an oversized CWE id"
-                ) from None
+            cwe_ids = extract_cwe_ids(description) if description else []
         if not isinstance(cwe_ids, list) or not all(
             isinstance(label, str) for label in cwe_ids
         ):

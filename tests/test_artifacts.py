@@ -51,8 +51,7 @@ class TestExport:
             "snapshot.json.gz",
             "engine.json",
             "maps.json",
-            "estimates.json.gz",
-            "index.json.gz",
+            "records.json.gz",
             "row_scores.json.gz",
             "report.json",
             "image/bodies.bin",
@@ -62,7 +61,8 @@ class TestExport:
         ):
             assert (version_dir / name).is_file(), name
         assert (version_dir / "models").is_dir()
-        assert not (version_dir / "predictions.json.gz").exists()
+        for retired in ("predictions.json.gz", "estimates.json.gz", "index.json.gz"):
+            assert not (version_dir / retired).exists(), retired
 
     def test_manifest_schema_and_fingerprint(self, artifact_root):
         manifest = json.loads(
@@ -141,7 +141,7 @@ class TestLoad:
         version_dir = store / "v0001"
         manifest_path = version_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        for name in ("engine.json", "maps.json", "estimates.json.gz",
+        for name in ("engine.json", "maps.json", "records.json.gz",
                      "row_scores.json.gz", "report.json"):
             path = version_dir / name
             opener = gzip.open if path.suffix == ".gz" else open
@@ -190,7 +190,7 @@ class TestRejection:
             load_artifacts(store)
 
     def test_missing_file_rejected(self, store):
-        (store / "v0001" / "estimates.json.gz").unlink()
+        (store / "v0001" / "records.json.gz").unlink()
         with pytest.raises(ArtifactError, match="missing artifact file"):
             load_artifacts(store)
 
@@ -321,7 +321,7 @@ class TestExportGc:
 
         def failing_write(path, payload):
             collector_on.append(gc.isenabled())
-            if path.name == "index.json.gz":
+            if path.name == "row_scores.json.gz":
                 raise OSError("disk full")
             write_json(path, payload)
 
@@ -471,8 +471,7 @@ class TestSegments:
         ingest_delta(store, [entry.replace(cve_id="CVE-2018-99004")])
         manifest = _manifest(store, "v0002")
         assert sorted(manifest["files"]) == [
-            "delta.json.gz", "estimates.json.gz", "index.json.gz",
-            "report.json", "row_scores.json.gz",
+            "delta.json.gz", "records.json.gz", "report.json", "row_scores.json.gz",
         ]
         # every base file but its report is inherited, hash included
         assert manifest["inherited"] == {
@@ -483,10 +482,42 @@ class TestSegments:
         written = sum(meta["bytes"] for meta in manifest["files"].values())
         assert written < 0.05 * sum(meta["bytes"] for meta in base["files"].values())
 
+    @pytest.mark.parametrize("rebase", [False, True], ids=["segment", "rebase"])
+    def test_ingest_decodes_each_record_file_once(self, store, monkeypatch, rebase):
+        """An ingest onto a 2-segment chain decodes every link's record
+        file exactly once; a segment ingest never decodes the base's
+        snapshot."""
+        from repro.artifacts import ingest as ingest_module
+        from repro.artifacts import store as store_module
+        from repro.nvd import feed as feed_module
+
+        entries = load_artifacts(store).snapshot.entries
+        for n in (5, 6):
+            ingest_delta(store, [entries[n].replace(cve_id=f"CVE-2018-9900{n}")])
+        decoded = []
+        read_document = feed_module.read_document
+
+        def counting_read(path):
+            decoded.append(path.relative_to(store).as_posix())
+            return read_document(path)
+
+        monkeypatch.setattr(store_module, "read_document", counting_read)
+        monkeypatch.setattr(feed_module, "read_document", counting_read)
+        if rebase:
+            monkeypatch.setattr(ingest_module, "MAX_SEGMENTS", 2)
+        delta = [entries[7].replace(cve_id="CVE-2018-99007"), entries[8]]
+        result = ingest_delta(store, delta)
+        assert (result.n_new, result.n_updated, result.n_total) == (1, 1, len(entries) + 3)
+        links = ["v0001", "v0002", "v0003"]
+        record_reads = sorted(p for p in decoded if p.endswith("/records.json.gz"))
+        assert record_reads == [f"{link}/records.json.gz" for link in links]
+        assert ("v0001/snapshot.json.gz" in decoded) is rebase
+        assert _manifest(store, "v0004")["chain"] == ([] if rebase else links)
+
     @pytest.mark.parametrize(
         "target",
         ["v0001/snapshot.json.gz", "v0001/maps.json", "v0001/image/bodies.bin",
-         "v0002/delta.json.gz", "v0002/index.json.gz"],
+         "v0002/delta.json.gz", "v0002/records.json.gz"],
     )
     def test_corrupt_chain_file_rejected(self, store, target):
         entries = load_artifacts(store).snapshot.entries
@@ -552,13 +583,25 @@ def _with_retired_config_key(root):
     _restamp(root / "v0001")
 
 
-def _segment_on_base_without_index(root):
-    """A segment whose base link lacks the id index."""
+def _with_parent_files(root):
+    """The base's records split into the two files stores held before
+    ``records.json.gz``: ``estimates.json.gz`` and ``index.json.gz``."""
+    path = root / "v0001" / "records.json.gz"
+    records = json.loads(gzip.decompress(path.read_bytes()))
+    path.unlink()
+    for name, fields in (("estimates.json.gz", slice(0, 3)), ("index.json.gz", slice(3, 5))):
+        document = {cve_id: record[fields] for cve_id, record in records.items()}
+        (root / "v0001" / name).write_bytes(gzip.compress(json.dumps(document).encode()))
+    _restamp(root / "v0001")
+
+
+def _segment_on_base_without_records(root):
+    """A segment whose base link lacks the record file."""
     entry = load_artifacts(root).snapshot.entries[0]
     ingest_delta(root, [entry.replace(cve_id="CVE-2018-99010")])
-    _without("index.json.gz")(root)
+    _without("records.json.gz")(root)
     manifest = _manifest(root, "v0002")
-    del manifest["inherited"]["v0001/index.json.gz"]
+    del manifest["inherited"]["v0001/records.json.gz"]
     (root / "v0002" / "manifest.json").write_text(json.dumps(manifest))
 
 
@@ -571,16 +614,17 @@ RE_EXPORT = r" \(an older store layout\); re-export the store"
     "edit, match",
     [
         (_without_chain, "v0001 has no chain in manifest.json" + RE_EXPORT),
-        (_without("index.json.gz"), "v0001 lacks index.json.gz" + RE_EXPORT),
+        (_without("records.json.gz"), "v0001 lacks records.json.gz" + RE_EXPORT),
+        (_with_parent_files, "v0001 lacks records.json.gz" + RE_EXPORT),
         (_without("row_scores.json.gz"), "v0001 lacks row_scores.json.gz" + RE_EXPORT),
         (_with_predictions, "v0001 lists predictions.json.gz" + RE_EXPORT),
-        (_segment_on_base_without_index, "v0001 lacks index.json.gz" + RE_EXPORT),
+        (_segment_on_base_without_records, "v0001 lacks records.json.gz" + RE_EXPORT),
         (_without_image, "v0001 lacks image/bodies.bin" + RE_EXPORT),
         (_with_retired_config_key, "bad engine config"),
     ],
     ids=[
-        "no-chain", "no-index", "no-row-table", "predictions", "segment-on-no-index",
-        "no-serving-image", "retired-config-key",
+        "no-chain", "no-index", "split-records", "no-row-table", "predictions",
+        "segment-on-no-index", "no-serving-image", "retired-config-key",
     ],
 )
 def test_retired_layout_is_rejected_and_left_in_place(store, artifact_root, edit, match):

@@ -117,6 +117,19 @@ class TestFixCwe:
         assert len(fixed.missing_cwe()) <= len(original.missing_cwe())
         assert "CWE recovery" in capsys.readouterr().out
 
+    def test_oversized_cwe_id_is_not_recovered(self, feed_path, tmp_path, capsys):
+        """A description naming ``CWE-`` and 5,000 digits (past int()'s
+        conversion limit) recovers nothing and the command succeeds."""
+        (first, *_) = load_feed(feed_path)
+        entry = first.replace(
+            cwe_ids=("NVD-CWE-Other",), descriptions=("CWE-" + "9" * 5000,)
+        )
+        delta_path, out_path = tmp_path / "one.json.gz", tmp_path / "fixed.json.gz"
+        save_feed([entry], delta_path)
+        assert main(["fix-cwe", str(delta_path), "--out", str(out_path)]) == 0
+        assert load_feed(out_path)[0].cwe_ids == ("NVD-CWE-Other",)
+        assert "CWE recovery" in capsys.readouterr().out
+
 
 class TestInputErrors:
     """Unreadable input is one ``error: <path>: <reason>`` line, exit 2."""
@@ -307,6 +320,23 @@ class TestServingCommands:
         assert snapshot.get(ids[0]).cpes == ()
         assert snapshot.get(ids[1]) is None
         assert snapshot.get(ids[2]) is not None
+
+    def test_ingest_oversized_cwe_id(self, store, tmp_path, capsys):
+        """A one-CVE delta whose description names ``CWE-`` and 5,000
+        digits ingests; the id is not recovered."""
+        from repro.artifacts import load_artifacts
+
+        entry = load_artifacts(store).snapshot.entries[0].replace(
+            cve_id="CVE-2018-88889",
+            cwe_ids=("NVD-CWE-Other",),
+            descriptions=("CWE-" + "9" * 5000,),
+        )
+        delta_path = tmp_path / "delta.json.gz"
+        save_feed([entry], delta_path)
+        assert main(["ingest", str(delta_path), "--artifacts", str(store)]) == 0
+        assert "v0002" in capsys.readouterr().out
+        stored = load_artifacts(store).snapshot["CVE-2018-88889"]
+        assert stored.cwe_ids == ("NVD-CWE-Other",)
 
     def test_serve_store_in_an_older_layout(
         self, artifact_root, tmp_path, capsys, never_serve

@@ -56,6 +56,29 @@ def mixed_snapshot():
 
 
 class TestExtraction:
+    def test_malformed_ids_are_skipped_and_counted(self):
+        """A digit run no CWE label has (past int()'s conversion limit
+        here, and 7 digits) is not recovered; a valid id beside it is."""
+        from repro import perf
+
+        huge = "CWE-" + "9" * 5000
+        snapshot = NvdSnapshot(
+            [
+                entry(
+                    "CVE-2007-0006",
+                    cwe_ids=("NVD-CWE-Other",),
+                    descriptions=(f"See {huge} and CWE-1234567, then CWE-79.",),
+                ),
+                entry("CVE-2007-0007", descriptions=(f"Only {huge}.",)),
+            ]
+        )
+        counters = perf.get_recorder().counters
+        before = counters.get("cwefix.malformed_label", 0)
+        result = extract_cwe_fixes(snapshot)
+        assert result.fixes == {"CVE-2007-0006": ("CWE-79",)}
+        after = perf.get_recorder().counters.get("cwefix.malformed_label", 0)
+        assert after - before == 3
+
     def test_fix_counts_by_prior_state(self, mixed_snapshot):
         result = extract_cwe_fixes(mixed_snapshot)
         assert result.n_fixed == 4

@@ -74,10 +74,15 @@ class TestNormalize:
             ("CWE79", None),
             ("79", None),
             ("", None),
+            ("CWE-000", "CWE-0"),
         ],
     )
     def test_normalize(self, raw, expected):
         assert normalize_cwe_id(raw) == expected
+
+    def test_normalize_digit_run_past_int_limit(self):
+        digits = "9" * 5000  # int() refuses strings this long
+        assert normalize_cwe_id("CWE-00" + digits) == "CWE-" + digits
 
 
 class TestExtraction:

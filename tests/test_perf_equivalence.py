@@ -525,8 +525,5 @@ class TestSnapshotIndexEquivalence:
         assert fast.stats() == slow.stats()
         assert fast.vendor_cve_counts() == slow.vendor_cve_counts()
         assert fast.product_cve_counts() == slow.product_cve_counts()
-        for year in range(*slow.stats().year_range):
-            assert [e.cve_id for e in fast.by_publication_year(year)] == [
-                e.cve_id for e in slow.by_publication_year(year)
-            ]
+        assert [e.cve_id for e in fast.entries] == [e.cve_id for e in snapshot.entries]
         assert vendors[0] not in fast.vendor_cve_counts()

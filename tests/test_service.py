@@ -213,6 +213,18 @@ class TestPredictEndpoint:
         assert status == 400
         assert "JSON" in payload["error"]
 
+    def test_deeply_nested_json_400(self, fresh_service):
+        """Nesting past the decoder's recursion limit is a bad body, not
+        an internal error."""
+        body = b"[" * 100_000 + b"]" * 100_000
+        assert len(body) <= MAX_BODY_BYTES
+        response = fresh_service.handle("POST", "/v1/severity/predict", body)
+        assert response.status == 400
+        assert json.loads(response.body)["error"].startswith("bad JSON body")
+        counters = fresh_service.metrics_payload()["counters"]
+        assert counters.get("errors_internal", 0) == 0
+        assert counters["responses_4xx"] == 1
+
     def test_empty_body_400(self, base_url):
         status, payload = post(base_url, "/v1/severity/predict", b"")
         assert status == 400

@@ -28,7 +28,10 @@ drives the multi-process surface end to end:
    5 ms — a response sent as two writes (headers, then body) waits
    ~40 ms for the client's delayed ACK on every keep-alive request —
    then sends a GET carrying a body and asserts the next request on
-   that connection still answers 200.
+   that connection still answers 200;
+8. posts a predict body nested 100,000 arrays deep (200 KB, under the
+   body limit) and asserts a 400 ``bad JSON body``, not a 500, then a
+   valid predict that answers 200.
 
 Exit code 0 when every probe passes; 1 with a diagnostic otherwise.
 
@@ -105,10 +108,10 @@ def get_text(base_url: str, path: str) -> tuple[int, str]:
         return response.status, response.read().decode("utf-8")
 
 
-def post(base_url: str, path: str, body: dict) -> tuple[int, bytes]:
+def post(base_url: str, path: str, body: dict | bytes) -> tuple[int, bytes]:
     request = urllib.request.Request(
         base_url + path,
-        data=json.dumps(body).encode(),
+        data=body if isinstance(body, bytes) else json.dumps(body).encode(),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
@@ -347,6 +350,20 @@ def probe_keepalive(base_url: str, snapshot) -> None:
     )
 
 
+def probe_nested_body(base_url: str) -> None:
+    depth = 100_000
+    status, payload = post(
+        base_url, "/v1/severity/predict", b"[" * depth + b"]" * depth
+    )
+    check(
+        status == 400 and json.loads(payload)["error"].startswith("bad JSON body"),
+        f"a body nested {depth} deep answered {status} {payload[:200]!r}",
+    )
+    status, payload = post(base_url, "/v1/severity/predict", {"cvss_v2": PREDICT_VECTOR})
+    check(status == 200, f"predict after the nested body failed: {status} {payload!r}")
+    print(f"[probe] a body nested {depth} deep answered 400; the next predict 200")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -367,6 +384,7 @@ def main(argv: list[str] | None = None) -> int:
             probe_metrics_lint(base_url)
             probe_bodies(base_url, artifacts)
             probe_keepalive(base_url, artifacts.snapshot)
+            probe_nested_body(base_url)
         print(f"[probe] OK: {args.workers} workers")
         return 0
     except ProbeFailure as failure:
