@@ -174,6 +174,23 @@ def feature_matrix(entries: list[CveEntry]) -> np.ndarray:
     return np.stack([v2_features(entry) for entry in entries])
 
 
+def _row_table(
+    entries: list[CveEntry], x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``entries`` (with feature rows ``x`` and targets ``y``) grouped
+    by :func:`row_key`, in order of first appearance: each distinct
+    row's features, its mean target and its number of entries."""
+    rows: dict[RowKey, int] = {}
+    inverse = np.array(
+        [rows.setdefault(row_key(entry), len(rows)) for entry in entries],
+        dtype=np.intp,
+    )
+    first = np.unique(inverse, return_index=True)[1]
+    counts = np.bincount(inverse)
+    means = np.bincount(inverse, weights=y) / counts
+    return x[first], means, counts.astype(float)
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class EngineConfig:
     """Training configuration (paper defaults, §4.3)."""
@@ -244,11 +261,11 @@ class SeverityPredictionEngine:
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
         self._models: Mapping[str, object] = {}
-        self._train_idx: np.ndarray | None = None
-        self._test_idx: np.ndarray | None = None
-        self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
-        self._entries: list[CveEntry] = []
+        # The held-out split (entries, features, v3 scores): all that
+        # evaluation reads once training is done.
+        self._test_entries: list[CveEntry] = []
+        self._x_test: np.ndarray | None = None
+        self._y_test: np.ndarray | None = None
 
     @classmethod
     def from_models(
@@ -261,7 +278,7 @@ class SeverityPredictionEngine:
         The serving layer cold-starts through this: prediction works
         immediately with the restored weights, while the evaluation
         surface (:meth:`evaluate`, :meth:`best_model`,
-        :meth:`test_entries`) needs the training split and keeps
+        :meth:`test_entries`) needs the held-out split and keeps
         raising until :meth:`fit` runs.
         """
         unknown = [name for name in models if name not in SUPPORTED_MODELS]
@@ -291,6 +308,14 @@ class SeverityPredictionEngine:
 
         Both networks are built from one seeded rng before any model
         trains, so their initial weights depend only on the config.
+
+        The networks train on the training split's distinct feature
+        rows (:func:`row_key`): each row once, with its CVEs' mean v3
+        score as the target and their count as its loss weight.  The
+        features are a function of the row, so that weighted MSE differs
+        from the per-CVE MSE by the within-row variance only, which no
+        model can change.  LR and SVR train per CVE; the held-out split
+        stays per CVE for every model.
         """
         usable = [e for e in entries if e.cvss_v2 is not None and e.has_v3]
         if len(usable) < 10:
@@ -300,24 +325,29 @@ class SeverityPredictionEngine:
         unknown = [n for n in self.config.models if n not in SUPPORTED_MODELS]
         if unknown:
             raise ValueError(f"unknown model {unknown[0]!r}")
-        self._entries = usable
-        self._x = feature_matrix(usable)
-        self._y = np.array([entry.v3_score for entry in usable], dtype=float)
+        x = feature_matrix(usable)
+        y = np.array([entry.v3_score for entry in usable], dtype=float)
         labels = [entry.v2_severity.value for entry in usable]
-        self._train_idx, self._test_idx = stratified_split(
+        train_idx, test_idx = stratified_split(
             labels, test_fraction=self.config.test_fraction, seed=self.config.seed
         )
-        x_train = self._x[self._train_idx]
-        y_train = self._y[self._train_idx]
+        self._test_entries = [usable[i] for i in test_idx]
+        self._x_test, self._y_test = x[test_idx], y[test_idx]
+        x_train, y_train = x[train_idx], y[train_idx]
+        x_rows, y_rows, counts = _row_table(
+            [usable[i] for i in train_idx], x_train, y_train
+        )
+        perf.add_counter("severity.n_train_cves", len(y_train))
+        perf.add_counter("severity.n_train_rows", len(y_rows))
         rng = np.random.default_rng(self.config.seed)
 
         models: dict[str, object] = {}
         networks: dict[str, Sequential] = {}
         for name in self.config.models:
             if name == "cnn":
-                networks[name] = _build_cnn(rng, self._x.shape[1])
+                networks[name] = _build_cnn(rng, x.shape[1])
             elif name == "dnn":
-                networks[name] = _build_dnn(rng, self._x.shape[1])
+                networks[name] = _build_dnn(rng, x.shape[1])
         config = self.config
         for name in config.models:
             if name == "lr":
@@ -333,13 +363,14 @@ class SeverityPredictionEngine:
                 model = networks[name]
                 fit(
                     model,
-                    x_train[:, :, None] if name == "cnn" else x_train,
-                    (y_train / 10.0)[:, None],
+                    x_rows[:, :, None] if name == "cnn" else x_rows,
+                    (y_rows / 10.0)[:, None],
                     epochs=config.epochs,
                     batch_size=config.batch_size,
                     learning_rate=config.learning_rate,
                     seed=config.seed,
                     dtype=NN_DTYPE,
+                    weight=counts,
                 )
                 models[name] = model
         self._models = models
@@ -433,18 +464,16 @@ class SeverityPredictionEngine:
 
     def test_entries(self) -> list[CveEntry]:
         """The held-out 20% (ground truth for Tables 14/15)."""
-        assert self._test_idx is not None, "engine is not fitted"
-        return [self._entries[i] for i in self._test_idx]
+        assert self._x_test is not None, "engine is not fitted"
+        return list(self._test_entries)
 
     def evaluate(self) -> dict[str, ModelScores]:
         """Score every model on the held-out split (Tables 5 and 7)."""
-        if self._x is None or self._y is None or self._test_idx is None:
+        x_test, y_test = self._x_test, self._y_test
+        if x_test is None or y_test is None:
             raise RuntimeError("engine is not fitted")
-        x_test = self._x[self._test_idx]
-        y_test = self._y[self._test_idx]
-        test_entries = self.test_entries()
-        v2_labels = [entry.v2_severity.value for entry in test_entries]
-        v3_labels = [entry.v3_severity.value for entry in test_entries]
+        v2_labels = [entry.v2_severity.value for entry in self._test_entries]
+        v3_labels = [entry.v3_severity.value for entry in self._test_entries]
         results: dict[str, ModelScores] = {}
         for name in self._models:
             predicted = self._predict_matrix(x_test, name)
@@ -475,11 +504,10 @@ class SeverityPredictionEngine:
         prediction model."  Importance = mean increase in absolute
         error when a feature column is shuffled.
         """
-        if self._x is None or self._y is None or self._test_idx is None:
+        x_test, y_test = self._x_test, self._y_test
+        if x_test is None or y_test is None:
             raise RuntimeError("engine is not fitted")
         rng = np.random.default_rng(self.config.seed)
-        x_test = self._x[self._test_idx]
-        y_test = self._y[self._test_idx]
         baseline = average_error(y_test, self._predict_matrix(x_test, model))
         importance: dict[str, float] = {}
         for column, feature in enumerate(FEATURE_NAMES):

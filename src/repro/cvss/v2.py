@@ -51,6 +51,20 @@ _BASE_FIELD_TO_TABLE = {
     "availability": IMPACT,
 }
 
+#: characters of a rejected value an error message quotes.  A vector
+#: can come from a client (``POST /v1/severity/predict``), and a message
+#: that echoed it whole would grow with the request.
+ECHO_CHARS = 40
+
+
+def _excerpt(value: object) -> str:
+    """``value`` quoted for an error message: whole when short, else
+    its first :data:`ECHO_CHARS` characters and its length."""
+    if not isinstance(value, str) or len(value) <= ECHO_CHARS:
+        return repr(value)
+    return f"{value[:ECHO_CHARS]!r}... ({len(value)} characters)"
+
+
 _VECTOR_KEYS = {
     "AV": "access_vector",
     "AC": "access_complexity",
@@ -115,14 +129,14 @@ class CvssV2Metrics:
             value = getattr(self, field)
             if value not in table:
                 raise ValueError(
-                    f"invalid CVSS v2 {field} value {value!r}; "
+                    f"invalid CVSS v2 {field} value {_excerpt(value)}; "
                     f"expected one of {sorted(table)}"
                 )
         for field, table in _OPTIONAL_FIELD_TO_TABLE.items():
             value = getattr(self, field)
             if value not in table:
                 raise ValueError(
-                    f"invalid CVSS v2 {field} value {value!r}; "
+                    f"invalid CVSS v2 {field} value {_excerpt(value)}; "
                     f"expected one of {sorted(table)}"
                 )
 
@@ -265,13 +279,13 @@ def parse_v2_vector(vector: str) -> CvssV2Metrics:
     fields: dict[str, str] = {}
     for part in text.split("/"):
         if ":" not in part:
-            raise ValueError(f"malformed CVSS v2 vector component {part!r}")
+            raise ValueError(f"malformed CVSS v2 vector component {_excerpt(part)}")
         key, _, value = part.partition(":")
         if key not in _VECTOR_KEYS:
-            raise ValueError(f"unknown CVSS v2 metric key {key!r}")
+            raise ValueError(f"unknown CVSS v2 metric key {_excerpt(key)}")
         field = _VECTOR_KEYS[key]
         if field in fields:
-            raise ValueError(f"duplicate CVSS v2 metric key {key!r}")
+            raise ValueError(f"duplicate CVSS v2 metric key {_excerpt(key)}")
         fields[field] = value
     missing = [
         key

@@ -462,18 +462,38 @@ class Sequential(Layer):
 
 
 class MSELoss:
-    """Mean squared error, 1/N * sum (y - f(x))^2 (§4.3)."""
+    """Mean squared error, 1/N * sum (y - f(x))^2 (§4.3).
+
+    With a per-sample ``weight`` array the loss is the weighted mean
+    ``sum w (y - f(x))^2 / sum w`` (over every output of a sample), and
+    its gradient ``2 w (f(x) - y) / sum w``.  Without one, the
+    arithmetic is the plain mean's, bit for bit.
+    """
 
     def __init__(self) -> None:
         self._diff: np.ndarray | None = None
+        self._scale: np.ndarray | None = None
 
-    def forward(self, prediction: np.ndarray, target: np.ndarray) -> float:
+    def forward(
+        self,
+        prediction: np.ndarray,
+        target: np.ndarray,
+        weight: np.ndarray | None = None,
+    ) -> float:
         self._diff = prediction - target
-        return float(np.mean(self._diff**2))
+        if weight is None:
+            self._scale = None
+            return float(np.mean(self._diff**2))
+        # w / (sum w * outputs per sample), shaped to broadcast over diff.
+        norm = weight.sum() * (self._diff.size // self._diff.shape[0])
+        self._scale = (weight / norm).reshape((-1,) + (1,) * (self._diff.ndim - 1))
+        return float(np.sum(self._scale * self._diff**2))
 
     def backward(self) -> np.ndarray:
         assert self._diff is not None, "backward called before forward"
-        return 2.0 * self._diff / self._diff.size
+        if self._scale is None:
+            return 2.0 * self._diff / self._diff.size
+        return 2.0 * self._scale * self._diff
 
 
 class Adam:
@@ -584,14 +604,22 @@ def fit(
     seed: int = 0,
     verbose: bool = False,
     dtype: np.dtype | type | None = None,
+    weight: np.ndarray | None = None,
 ) -> list[float]:
     """Train ``model`` with MSE + Adam; returns the per-epoch losses.
 
     ``dtype`` optionally casts the model parameters and the data before
     training (``np.float32`` halves the memory traffic of every layer).
+    ``weight`` optionally gives each sample a weight in the loss (see
+    :class:`MSELoss`): a sample of weight k weighs in its batch's loss
+    as k copies of it would.
     """
     if x.shape[0] != y.shape[0]:
         raise ValueError("x and y must have the same number of samples")
+    if weight is not None:
+        weight = np.asarray(weight, dtype=np.float64 if dtype is None else dtype)
+        if weight.shape != (x.shape[0],):
+            raise ValueError("weight must hold one value per sample of x")
     if dtype is not None:
         model.astype(dtype)
         x = np.asarray(x, dtype=dtype)
@@ -608,7 +636,8 @@ def fit(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             prediction = model.forward(x[idx])
-            total += loss_fn.forward(prediction, y[idx])
+            batch_weight = None if weight is None else weight[idx]
+            total += loss_fn.forward(prediction, y[idx], batch_weight)
             model.backward(loss_fn.backward())
             optimizer.step()
             batches += 1

@@ -196,7 +196,8 @@ class ServiceState:
 
         Raises :class:`ServiceError` 400 on every malformed shape,
         including a ``CWE-`` label (explicit or found in the
-        description) whose id is not a short decimal number.
+        description) whose id is not a short decimal number.  A message
+        quotes at most the first 40 characters of a rejected value.
         """
         if not isinstance(body, dict):
             raise ServiceError(400, "request body must be a JSON object")
@@ -221,8 +222,8 @@ class ServiceState:
             if label.startswith("CWE-") and not CWE_LABEL.fullmatch(label):
                 raise ServiceError(
                     400,
-                    f"bad CWE label {label!r}: expected 'CWE-' and at most "
-                    f"{MAX_CWE_DIGITS} decimal digits",
+                    f"bad CWE label {label[:40]!r} ({len(label)} characters): "
+                    f"expected 'CWE-' and at most {MAX_CWE_DIGITS} decimal digits",
                 )
         return CveEntry(
             cve_id="CVE-1970-0001",  # placeholder identity; features only

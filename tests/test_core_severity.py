@@ -8,9 +8,13 @@ from repro.core.severity import (
     FEATURE_NAMES,
     GEMV_ROW_GROUP,
     _concrete_cwe,
+    _row_table,
     feature_matrix,
+    row_key,
 )
+from repro import perf
 from repro.cvss import Severity, severity_v3
+from repro.ml import MSELoss
 from repro.nvd import CveEntry
 import datetime
 
@@ -116,6 +120,63 @@ class TestTraining:
             SeverityPredictionEngine(EngineConfig(models=("tree",))).fit(
                 [dual_entry(f"CVE-2016-{1000 + i}") for i in range(20)]
             )
+
+
+class TestRowTableTraining:
+    """The networks train on the training split's distinct rows."""
+
+    def test_per_cve_mse_is_row_weighted_mse_plus_within_row_variance(self, bundle):
+        entries = [e for e in bundle.snapshot.with_v3() if e.cvss_v2 is not None]
+        x = feature_matrix(entries)
+        y = np.array([e.v3_score for e in entries])
+        x_rows, y_rows, counts = _row_table(entries, x, y)
+        assert len(y_rows) < len(entries) / 2 and counts.sum() == len(entries)
+        # Any fixed model: here a seeded linear map of the features.
+        w = np.random.default_rng(3).standard_normal(x.shape[1])
+        per_cve = np.mean((x @ w - y) ** 2)
+        loss = MSELoss().forward((x_rows @ w)[:, None], y_rows[:, None], counts)
+        keys = [row_key(e) for e in entries]
+        order = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        within = np.mean((y - y_rows[[order[key] for key in keys]]) ** 2)
+        assert within > 0.0
+        assert per_cve == pytest.approx(loss + within, rel=1e-12)
+
+    def test_networks_fit_rows_and_evaluate_cves(self, bundle, monkeypatch):
+        import repro.core.severity as severity
+
+        calls = []
+        real_fit = severity.fit
+
+        def spy(model, x, y, **kwargs):
+            calls.append((x.shape[0], y.shape[0], kwargs["weight"]))
+            return real_fit(model, x, y, **kwargs)
+
+        monkeypatch.setattr(severity, "fit", spy)
+        names = ("severity.n_train_cves", "severity.n_train_rows")
+        before = [perf.get_recorder().counters.get(name, 0) for name in names]
+        config = EngineConfig(epochs=1, models=("lr", "cnn", "dnn"), seed=2)
+        engine = SeverityPredictionEngine(config).fit(bundle.snapshot.with_v3())
+        after = [perf.get_recorder().counters[name] for name in names]
+        n_cves, n_rows = (a - b for a, b in zip(after, before))
+        test = engine.test_entries()
+        held_out = set(map(id, test))
+        usable = [e for e in bundle.snapshot.with_v3() if e.cvss_v2 is not None]
+        train = [e for e in usable if id(e) not in held_out]
+        assert n_cves == len(train)
+        assert n_rows == len({row_key(e) for e in train}) < n_cves
+        assert [(n, m, w.sum()) for n, m, w in calls] == [(n_rows, n_rows, n_cves)] * 2
+
+        # Tables 5 and 7 still score every held-out CVE.
+        evaluated = []
+        real_predict = engine._predict_matrix
+
+        def predict_spy(x, name):
+            evaluated.append(x.shape[0])
+            return real_predict(x, name)
+
+        monkeypatch.setattr(engine, "_predict_matrix", predict_spy)
+        assert set(engine.evaluate()) == {"lr", "cnn", "dnn"}
+        assert evaluated == [len(test)] * 3
 
 
 class TestPrediction:

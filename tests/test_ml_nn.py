@@ -195,6 +195,113 @@ class TestTraining:
         assert run() == run()
 
 
+def reference_fit(model, x, y, epochs, batch_size, learning_rate, seed):
+    """The unweighted training loop, with the plain-mean MSE spelled out:
+    what ``fit`` computes when it is given no ``weight``."""
+    rng = np.random.default_rng(seed)
+    optimizer = Adam(model.parameters(), learning_rate=learning_rate)
+    history = []
+    for _ in range(epochs):
+        order = rng.permutation(x.shape[0])
+        total, batches = 0.0, 0
+        for start in range(0, x.shape[0], batch_size):
+            idx = order[start : start + batch_size]
+            diff = model.forward(x[idx]) - y[idx]
+            total += float(np.mean(diff**2))
+            model.backward(2.0 * diff / diff.size)
+            optimizer.step()
+            batches += 1
+        history.append(total / max(batches, 1))
+    return history
+
+
+def small_cnn(seed):
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        Conv1D(1, 4, 3, rng),
+        ReLU(),
+        Flatten(),
+        Dense(13 * 4, 8, rng),
+        ReLU(),
+        Dense(8, 1, rng, scale=0.1),
+        Sigmoid(),
+    )
+
+
+class TestWeightedLoss:
+    """``fit``/``MSELoss`` with per-sample weights (§4.3 row table)."""
+
+    def data(self, n=150):
+        rng = np.random.default_rng(11)
+        x = rng.random((n, 13, 1))
+        y = 1.0 / (1.0 + np.exp(6.5 - x.sum(axis=(1, 2))))
+        return x, y[:, None]
+
+    def test_fit_without_weight_is_the_unweighted_loop(self):
+        x, y = self.data()
+        model = small_cnn(0)
+        history = fit(model, x, y, epochs=3, batch_size=32, seed=5, dtype=np.float32)
+        reference = small_cnn(0).astype(np.float32)
+        expected = reference_fit(
+            reference, x.astype(np.float32), y.astype(np.float32), 3, 32, 0.001, 5
+        )
+        assert history == expected
+        for got, want in zip(model.parameters(), reference.parameters()):
+            assert got.value.dtype == want.value.dtype == np.float32
+            assert np.array_equal(got.value, want.value)
+
+    def test_weighted_loss_value_and_unit_weights(self):
+        rng = np.random.default_rng(12)
+        prediction, target = rng.random((6, 1)), rng.random((6, 1))
+        weight = np.array([1.0, 3.0, 2.0, 1.0, 5.0, 1.0])
+        loss_fn = MSELoss()
+        expected = np.sum(weight * (prediction - target)[:, 0] ** 2) / weight.sum()
+        assert loss_fn.forward(prediction, target, weight) == pytest.approx(expected)
+        unit = loss_fn.forward(prediction, target, np.ones(6))
+        unit_grad = loss_fn.backward()
+        assert unit == pytest.approx(loss_fn.forward(prediction, target))
+        np.testing.assert_allclose(unit_grad, loss_fn.backward(), rtol=1e-12)
+
+    def test_weighted_gradient_matches_numeric(self):
+        rng = np.random.default_rng(13)
+        model = Sequential(Dense(4, 5, rng), ReLU(), Dense(5, 1, rng), Sigmoid())
+        x = rng.standard_normal((7, 4))
+        target = rng.random((7, 1))
+        weight = rng.integers(1, 9, size=7).astype(float)
+        loss_fn = MSELoss()
+
+        def loss():
+            return loss_fn.forward(model.forward(x), target, weight)
+
+        loss()
+        model.backward(loss_fn.backward())
+        for layer in (model.layers[0], model.layers[2]):
+            numeric = numeric_gradient(loss, layer.weight.value)
+            np.testing.assert_allclose(layer.weight.grad, numeric, atol=1e-6)
+
+    def test_integer_weights_count_as_copies(self):
+        # One batch holding every sample: weight k is k copies of it.
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((5, 3))
+        y = rng.random((5, 1))
+        weight = np.array([1, 4, 2, 1, 3])
+        copies = np.repeat(np.arange(5), weight)
+        weighted = Sequential(Dense(3, 1, np.random.default_rng(1)))
+        repeated = Sequential(Dense(3, 1, np.random.default_rng(1)))
+        got = fit(weighted, x, y, epochs=4, batch_size=64, weight=weight)
+        want = fit(repeated, x[copies], y[copies], epochs=4, batch_size=64)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        np.testing.assert_allclose(
+            weighted.layers[0].weight.value, repeated.layers[0].weight.value, rtol=1e-9
+        )
+
+    @pytest.mark.parametrize("length", [4, 6])
+    def test_weight_length_must_match_x(self, length):
+        model = Sequential(Dense(3, 1, np.random.default_rng(15)))
+        with pytest.raises(ValueError, match="one value per sample"):
+            fit(model, np.zeros((5, 3)), np.zeros((5, 1)), epochs=1, weight=np.ones(length))
+
+
 class TestSerialization:
     """Sequential.save/load restores bit-identical forward passes."""
 

@@ -245,7 +245,28 @@ class TestPredictEndpoint:
             base_url, "/v1/severity/predict", {"cvss_v2": self.VECTOR, field: value}
         )
         assert status == 400
-        assert label in payload["error"]
+        # The message quotes the label's first 40 characters and its
+        # length, not the whole client-sized value.
+        assert label[:40] in payload["error"]
+        assert label[:41] not in payload["error"]
+        assert "404 characters" in payload["error"]
+        assert len(payload["error"]) < 200
+
+    @pytest.mark.parametrize(
+        "vector",
+        [
+            "AV:" + "N" * 100_000 + "/AC:L/Au:N/C:P/I:P/A:P",  # bad value
+            "AV:N/AC:L/Au:N/C:P/I:P/A:P/" + "X" * 100_000,  # no colon
+            "AV:N/AC:L/Au:N/C:P/I:P/" + "Q" * 100_000 + ":P",  # unknown key
+        ],
+        ids=["value", "component", "key"],
+    )
+    def test_oversized_v2_vector_400(self, base_url, vector):
+        status, payload = post(base_url, "/v1/severity/predict", {"cvss_v2": vector})
+        assert status == 400
+        assert payload["error"].startswith("bad CVSS v2 vector: ")
+        assert "characters)" in payload["error"]
+        assert len(payload["error"]) < 200
 
     @pytest.mark.parametrize(
         "length, status", [("abc", 400), ("-5", 400), ("9" * 30, 413)]
